@@ -365,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="parallel engine width (worker-resident pods)",
+        help="placement engine width (process-pool workers)",
     )
     mega_p.add_argument(
         "--out", default=".", metavar="DIR", help="where to write BENCH_mega.json"

@@ -4,9 +4,9 @@ The sharded control plane (:class:`~repro.controlplane.sharding.ShardedControlPl
 stays the **authority** over VIP/RIP state; the mega-scale epoch loop
 reads a :class:`~repro.core.columnar.ColumnarRipRegistry` mirror instead
 of walking Python registries.  :class:`RipJournalBridge` keeps the mirror
-fresh the same way the perf engine keeps worker-resident pod mirrors
-fresh: batched incremental deltas in the common case, CRC fingerprints to
-witness agreement, and a full reship when the cheap path can't be trusted.
+fresh with batched incremental deltas in the common case, CRC
+fingerprints to witness agreement, and a full rebuild when the cheap path
+can't be trusted.
 
 Protocol (per journal source, i.e. per shard):
 

@@ -208,15 +208,23 @@ class ColumnarPodState:
     def apply(self, solution: SparseSolution) -> dict:
         """Adopt a solved placement; returns start/stop/size stats.
 
-        The columnar analogue of ``PodManager._apply``: instead of
-        attaching/detaching VM objects one by one, the old and new entry
-        key sets are diffed wholesale.
+        The columnar analogue of ``PodManager._apply``.  *solution* must
+        have been solved against this pod's current placement: its
+        ``changes`` (the key-set symmetric difference the controller
+        already computed) and the two entry counts give the starts and
+        stops without diffing the key sets again, since
+        ``started + stopped = changes`` and
+        ``started - stopped = new nnz - old nnz``.
         """
-        old_keys = self.placement.keys()
-        new_keys = solution.placement.keys()
-        common = np.intersect1d(old_keys, new_keys, assume_unique=True).size
-        started = int(new_keys.size - common)
-        stopped = int(old_keys.size - common)
+        old_n, new_n = self.placement.nnz, solution.placement.nnz
+        twice_started = int(solution.changes) + new_n - old_n
+        started, odd = divmod(twice_started, 2)
+        stopped = int(solution.changes) - started
+        if odd or not (0 <= started <= new_n and 0 <= stopped <= old_n):
+            raise ValueError(
+                f"solution changes={solution.changes} inconsistent with "
+                f"{old_n} -> {new_n} placement entries"
+            )
         self.placement = solution.placement
         self.load = np.ascontiguousarray(solution.load, dtype=float)
         self.epochs_applied += 1
@@ -551,8 +559,7 @@ class ColumnarRipRegistry:
 
         Canonicalized by *names*, not ids, so a mirror built incrementally
         from journal deltas fingerprints identically to one rebuilt from
-        the authority even though their id assignment orders differ —
-        the same role the resident-state CRCs play in the perf engine.
+        the authority even though their id assignment orders differ.
         """
         import zlib
 

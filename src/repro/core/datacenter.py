@@ -216,10 +216,9 @@ class MegaDataCenter:
                 trace=self.obs.trace,
                 trace_clock=lambda: self.env.now,
             )
-            # Out-of-band solves (fault-path re-placements) must also hit
-            # the engine: with worker-resident controllers a direct
-            # in-process solve would run against stale warm-start state
-            # and diverge from a serial run.
+            # Out-of-band solves (fault-path re-placements) also go
+            # through the engine, so randomized controllers get the same
+            # per-(pod, fault) seed at every parallelism.
             manager.solve_fn = self._solve_pod_epoch
             self.pod_managers[pod.name] = manager
 
@@ -458,8 +457,7 @@ class MegaDataCenter:
     def _solve_pod_epoch(self, manager: PodManager, plan: EpochPlan):
         """Single-pod solve hook (``PodManager.solve_fn``): routes solves
         initiated *by* a pod manager — crash recovery via
-        ``replace_lost`` — through the engine, so they run against the
-        pod's worker-resident controller exactly like batch epochs do.
+        ``replace_lost`` — through the engine, exactly like batch epochs.
         No seed / trace_ctx: these are the same defaults a direct
         ``controller.solve`` would have used, and fault events carry
         their own trace."""

@@ -10,10 +10,9 @@ materialized matrix.  This driver composes the three mega-scale pieces:
   capacity columns per pod, no per-VM objects;
 * :class:`~repro.workload.streaming.StreamingWorkload` — demand consumed
   in bounded app-index chunks, never materialized per-pod x per-app;
-* the worker-resident delta-shipping
-  :class:`~repro.perf.engine.PlacementEngine` — after the first epoch only
-  each pod's local demand vector ships to its resident
-  :class:`~repro.placement.sparse.SparseGreedyController`.
+* the :class:`~repro.perf.engine.PlacementEngine` — one
+  :class:`~repro.placement.sparse.SparseGreedyController` solve per alive
+  pod, in-process or over a process pool.
 
 Memory stays bounded by O(total VM entries + one demand chunk), a few
 hundred MB at full scale against the < 8 GB acceptance target.
@@ -172,8 +171,13 @@ class MegaEpochReport:
     started: int
     stopped: int
     vms: int
+    #: Always 0.  Kept, with ``bytes_shipped``, because the benchmark in
+    #: ``bench/`` reports these fields; the engine ships every task
+    #: whole, so there are no demand-only deltas to count.
     delta_tasks: int
+    #: Pod solves dispatched this epoch (one per alive pod).
     full_tasks: int
+    #: Always 0 (see ``delta_tasks``).
     bytes_shipped: int
     peak_rss_mb: float
     #: Demand of apps whose covering pods are ALL down — black-holed.
@@ -208,8 +212,7 @@ class MegaScaleDriver:
 
     The driver owns one :class:`ColumnarPodState` shard per pod, a
     reusable per-pod demand buffer, and one
-    :class:`SparseGreedyController` per pod (worker-resident once the
-    engine has shipped it).  ``trace`` (a
+    :class:`SparseGreedyController` per pod.  ``trace`` (a
     :class:`~repro.obs.trace.TraceBus`) gets ``mega.chunk`` events as
     demand chunks are scattered and a ``mega.epoch`` summary per epoch.
     """
@@ -697,11 +700,6 @@ class MegaScaleDriver:
         )
         if self.fault_injector is not None:
             self.fault_injector.advance(t)
-        bytes_before = (
-            self.engine.bytes_shipped_delta + self.engine.bytes_shipped_full
-        )
-        delta_before = self.engine.delta_tasks
-        full_before = self.engine.full_tasks
         dropped = self._scatter_demand(t, epoch)
         alive = [p for p in range(cfg.n_pods) if self.pod_alive[p]]
         tasks = [
@@ -750,13 +748,9 @@ class MegaScaleDriver:
             started=started,
             stopped=stopped,
             vms=self.n_vms,
-            delta_tasks=self.engine.delta_tasks - delta_before,
-            full_tasks=self.engine.full_tasks - full_before,
-            bytes_shipped=(
-                self.engine.bytes_shipped_delta
-                + self.engine.bytes_shipped_full
-                - bytes_before
-            ),
+            delta_tasks=0,
+            full_tasks=len(tasks),
+            bytes_shipped=0,
             peak_rss_mb=peak_rss_mb(),
             dropped_cpu=dropped,
             pods_down=cfg.n_pods - len(alive),
@@ -781,7 +775,6 @@ class MegaScaleDriver:
                 demand=round(report.demand_cpu, 6),
                 satisfied=round(report.satisfied_cpu, 6),
                 changes=report.changes, vms=report.vms,
-                delta_tasks=report.delta_tasks, full_tasks=report.full_tasks,
             )
             self.trace.emit("epoch.end", t=t, epoch=epoch)
         return report

@@ -97,16 +97,14 @@ class PodManager:
         self._last_assigned: Optional[dict[str, float]] = None
         #: Optional solve-stage override: ``solve_fn(self, plan)`` returns
         #: the ``PlacementSolution`` for ``plan.problem``.  The datacenter
-        #: facade points this at its parallel engine so *every* solve —
-        #: including fault-path re-placements via :meth:`replace_lost` —
-        #: hits the pod's worker-resident controller state.  ``None``
+        #: facade points this at its engine so *every* solve — including
+        #: fault-path re-placements via :meth:`replace_lost` — is seeded
+        #: and traced the same way at every parallelism.  ``None``
         #: (default) solves in-process with :attr:`controller`.
         self.solve_fn: Optional[Callable] = None
         # Columnar problem-array caches: structural arrays are rebuilt
-        # only when the server set / app set actually changes, so across
-        # quiet epochs the same ndarray objects (same bytes) flow into
-        # PlacementProblem — which is what lets the engine classify the
-        # epoch as a demand-only delta.
+        # only when the server set / app set actually changes, so quiet
+        # epochs reuse the same ndarray objects instead of reallocating.
         self._server_cache: tuple = ()
         self._app_cache: tuple = ()
         # Current-placement matrix cache: (server_key, apps, per-server

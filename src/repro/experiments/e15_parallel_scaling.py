@@ -34,14 +34,6 @@ class E15Row:
     epoch_s: float
     speedup: float
     identical: bool
-    #: Tasks shipped as demand-only deltas vs full problems, and the
-    #: logical payload bytes each way — the knob that makes parallelism
-    #: pay: after the first epoch only the demand vector crosses the
-    #: process boundary.
-    delta_tasks: int = 0
-    full_tasks: int = 0
-    delta_kb: float = 0.0
-    full_kb: float = 0.0
 
 
 @dataclass
@@ -61,8 +53,6 @@ class E15Result:
                 "epoch(s)",
                 "speedup",
                 "identical",
-                "delta/full",
-                "shipped(KB)",
             ],
         )
         for r in self.rows:
@@ -75,18 +65,11 @@ class E15Result:
                 round(r.epoch_s, 3),
                 round(r.speedup, 2),
                 r.identical,
-                f"{r.delta_tasks}/{r.full_tasks}",
-                f"{r.delta_kb:.1f}+{r.full_kb:.1f}",
             )
         t.add_note(
             f"host cpu_count={self.cpu_count}; speedup tracks "
             "min(pods, workers, cores) — rows with workers > cores measure "
             "pool overhead, not parallelism"
-        )
-        t.add_note(
-            "delta/full = tasks shipped as demand-only deltas vs full "
-            "problems; shipped(KB) = delta+full payload bytes (pods stay "
-            "worker-resident, so steady-state epochs ship only demand)"
         )
         return t
 
@@ -115,7 +98,7 @@ def run(
         serial_wall, serial_sigs = None, None
         for workers in workers_list:
             with PlacementEngine(workers) as engine:
-                wall, sigs, stats = _run_pod_epochs(base, pods, demand_seq, engine)
+                wall, sigs, _ = _run_pod_epochs(base, pods, demand_seq, engine)
             if workers == 1 or serial_wall is None:
                 serial_wall, serial_sigs = wall, sigs
             result.rows.append(
@@ -128,10 +111,6 @@ def run(
                     epoch_s=wall / epochs,
                     speedup=serial_wall / max(wall, 1e-9),
                     identical=sigs == serial_sigs,
-                    delta_tasks=stats["delta_tasks"],
-                    full_tasks=stats["full_tasks"],
-                    delta_kb=stats["bytes_shipped_delta"] / 1024.0,
-                    full_kb=stats["bytes_shipped_full"] / 1024.0,
                 )
             )
     return result
@@ -145,9 +124,9 @@ def trace_digest(
     seed: int = 0,
 ) -> str:
     """Digest of the E15 workload's trace at *workers* — the golden-trace
-    witness that pool.dispatch/pool.merge events (epoch identity, delta vs
-    full classification, payload sizes, solution CRCs) are byte-identical
-    across engine parallelism levels."""
+    witness that pool.dispatch/pool.merge events (epoch identity, task
+    keys, solution CRCs) are byte-identical across engine parallelism
+    levels."""
     from repro.experiments.e02_placement_scalability import (
         make_instance,
         split_into_pods,

@@ -5,8 +5,8 @@ applications with ~20 VM instances each (~6M VMs).  Every earlier
 experiment ran at a fraction of that because platform state was per-object
 Python records and demand a fully materialized matrix.  E17 runs the real
 numbers: columnar CSR pod shards (:mod:`repro.core.columnar`), streaming
-demand chunks (:mod:`repro.workload.streaming`) and the worker-resident
-delta-shipping engine, composed by :class:`repro.core.mega.MegaScaleDriver`.
+demand chunks (:mod:`repro.workload.streaming`) and the pod-parallel
+placement engine, composed by :class:`repro.core.mega.MegaScaleDriver`.
 
 The default invocation (``repro run e17``) uses the 1/10 "quick" scale so
 the experiment suite stays minutes-not-hours; ``run(full=True)`` — what
@@ -32,9 +32,6 @@ class E17Row:
     demand_cpu: float
     satisfied_fraction: float
     changes: int
-    delta_tasks: int
-    full_tasks: int
-    shipped_mb: float
     peak_rss_mb: float
 
 
@@ -58,8 +55,6 @@ class E17Result:
                 "demand(cpu)",
                 "satisfied",
                 "changes",
-                "delta/full",
-                "shipped(MB)",
                 "rss(MB)",
             ],
         )
@@ -71,15 +66,11 @@ class E17Result:
                 round(r.demand_cpu, 1),
                 f"{r.satisfied_fraction:.4f}",
                 r.changes,
-                f"{r.delta_tasks}/{r.full_tasks}",
-                round(r.shipped_mb, 1),
                 round(r.peak_rss_mb, 1),
             )
         t.add_note(
             f"bootstrap {self.bootstrap_wall_s:.2f}s; host "
-            f"cpu_count={self.cpu_count}; epoch 0 ships every pod's full "
-            "problem, later epochs ship demand-only deltas to the "
-            "worker-resident sparse controllers"
+            f"cpu_count={self.cpu_count}"
         )
         t.add_note(
             "paper Section I: ~300k servers, ~300k apps, ~20 VMs/app "
@@ -99,7 +90,7 @@ def run(
     workers: int = 1,
     seed: int = 0,
 ) -> E17Result:
-    """Run the mega driver and report per-epoch wall / RSS / shipping."""
+    """Run the mega driver and report per-epoch wall / RSS."""
     import time
 
     cfg = (MegaConfig.full if full else MegaConfig.quick)(
@@ -123,9 +114,6 @@ def run(
                 demand_cpu=r.demand_cpu,
                 satisfied_fraction=r.satisfied_fraction,
                 changes=r.changes,
-                delta_tasks=r.delta_tasks,
-                full_tasks=r.full_tasks,
-                shipped_mb=r.bytes_shipped / (1024.0 * 1024.0),
                 peak_rss_mb=r.peak_rss_mb,
             )
         )

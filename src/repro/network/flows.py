@@ -7,7 +7,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.network.maxmin import _incidence, link_loads, weighted_maxmin_fair
+from repro.network.maxmin import link_loads, weighted_maxmin_fair
 
 
 @dataclass
@@ -38,13 +38,6 @@ class FlowAllocation:
 
     Build with the link capacity table and a list of flows; :meth:`solve`
     computes weighted max–min fair rates and per-link loads.
-
-    The sparse L x F incidence matrix is cached across solves and only
-    rebuilt when the route set changes (adding a flow invalidates it;
-    mutating demands/weights of existing flows does not) — re-solving the
-    same flow set every control epoch is the common case, and the rebuild
-    was the dominant cost of small re-solves.  ``incidence_builds`` counts
-    the rebuilds for the bench harness.
     """
 
     def __init__(self, capacities: Sequence[float]):
@@ -52,49 +45,20 @@ class FlowAllocation:
         self.flows: list[Flow] = []
         self._rates: Optional[np.ndarray] = None
         self._loads: Optional[np.ndarray] = None
-        self._A = None  # cached incidence; valid for the current routes
-        self._AT = None  # cached F x L transpose of _A
-        self.incidence_builds = 0
 
     def add(self, flow: Flow) -> None:
         self.flows.append(flow)
         self._rates = None
-        self._A = None  # route set changed
-        self._AT = None
-
-    @property
-    def incidence(self):
-        """The cached L x F incidence matrix (built on first use)."""
-        if self._A is None:
-            self._A = _incidence(
-                [f.links for f in self.flows], len(self.capacities)
-            )
-            self.incidence_builds += 1
-        return self._A
-
-    @property
-    def incidence_t(self):
-        """The cached F x L transpose (the saturation-freeze matvec)."""
-        if self._AT is None:
-            self._AT = self.incidence.T.tocsr()
-        return self._AT
 
     def solve(self) -> np.ndarray:
         routes = [f.links for f in self.flows]
-        demands = [f.demand_gbps for f in self.flows]
-        weights = [f.weight for f in self.flows]
-        A = self.incidence
         self._rates = weighted_maxmin_fair(
             routes,
             self.capacities,
-            demands=demands,
-            weights=weights,
-            incidence=A,
-            incidence_t=self.incidence_t,
+            demands=[f.demand_gbps for f in self.flows],
+            weights=[f.weight for f in self.flows],
         )
-        self._loads = link_loads(
-            routes, self._rates, len(self.capacities), incidence=A
-        )
+        self._loads = link_loads(routes, self._rates, len(self.capacities))
         return self._rates
 
     @property
@@ -128,6 +92,6 @@ class FlowAllocation:
         return float(self.rates[finite].sum() / total)
 
 
-#: The route-set-caching allocation is also known as a flow *set*: the
-#: same flows re-solved epoch after epoch with changing demands/weights.
+#: An allocation is also known as a flow *set*: the same flows re-solved
+#: epoch after epoch with changing demands/weights.
 FlowSet = FlowAllocation

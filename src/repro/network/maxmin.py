@@ -64,20 +64,11 @@ def weighted_maxmin_fair(
     capacities: Sequence[float],
     demands: Optional[Sequence[float]] = None,
     weights: Optional[Sequence[float]] = None,
-    incidence: Optional[sparse.csr_matrix] = None,
-    incidence_t: Optional[sparse.csr_matrix] = None,
 ) -> np.ndarray:
     """Weighted max–min fairness: link shares are proportional to weights.
 
     With all weights equal this reduces to plain max–min fairness.  Used by
     the LB switches: RIP weight adjustment (knob K6) reshapes these weights.
-
-    ``incidence`` lets a caller that re-solves the same route set (only
-    demands/weights change between control epochs) pass the prebuilt L x F
-    matrix instead of paying the O(nnz) rebuild — see
-    :class:`repro.network.flows.FlowAllocation`.  ``incidence_t`` is the
-    matching prebuilt F x L transpose (used to freeze flows on saturated
-    links with one matvec); it is derived from ``incidence`` when absent.
 
     Everything per-flow is derived from the incidence matrix — the
     ``routes`` lists are only consulted to *build* it — so the whole loop
@@ -112,22 +103,8 @@ def weighted_maxmin_fair(
     if n_flows == 0:
         return np.zeros(0)
 
-    if incidence is not None:
-        A = incidence
-        if A.shape != (n_links, n_flows):
-            raise ValueError(
-                f"incidence must be {n_links}x{n_flows}, got {A.shape}"
-            )
-    else:
-        A = _incidence(routes, n_links)  # L x F
-    if incidence_t is not None:
-        AT = incidence_t
-        if AT.shape != (n_flows, n_links):
-            raise ValueError(
-                f"incidence_t must be {n_flows}x{n_links}, got {AT.shape}"
-            )
-    else:
-        AT = A.T.tocsr()
+    A = _incidence(routes, n_links)  # L x F
+    AT = A.T.tocsr()  # F x L: freezes flows on saturated links
 
     rates = np.zeros(n_flows)
     active = np.ones(n_flows, dtype=bool)  # not yet frozen
@@ -306,8 +283,7 @@ def link_loads(
     routes: Sequence[Sequence[int]],
     rates: Sequence[float],
     n_links: int,
-    incidence: Optional[sparse.csr_matrix] = None,
 ) -> np.ndarray:
     """Per-link load implied by per-flow rates."""
-    A = incidence if incidence is not None else _incidence(routes, n_links)
+    A = _incidence(routes, n_links)
     return np.asarray(A @ np.asarray(rates, dtype=float)).ravel()

@@ -7,8 +7,7 @@ beat.  Three roles:
 
 * **measure** — the E2-scale pod-epoch workload (>= 8 pods, per-pod Tang
   controllers, drifting demand) through the serial and parallel engines,
-  Tang cold vs warm starts, the greedy/distributed solvers, and max-min
-  fairness with and without the cached incidence matrix;
+  the greedy/distributed solvers, and max-min fairness re-solves;
 * **verify** — the parallel engine's placements must be byte-identical to
   serial (the run fails otherwise);
 * **gate** — ``--baseline DIR`` compares guarded wall-time metrics against
@@ -31,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.network.flows import Flow, FlowSet
 from repro.network.maxmin import weighted_maxmin_fair
 from repro.perf.engine import PlacementEngine, PlacementTask
 from repro.perf.rss import peak_rss_mb
@@ -48,9 +46,6 @@ SCHEMA = 2
 GUARDED_METRICS = (
     "serial_wall_s",
     "parallel_wall_s",
-    "cold_wall_s",
-    "warm_wall_s",
-    "cached_wall_s",
     "wall_s",
     "off_wall_s",
     "noop_wall_s",
@@ -84,8 +79,7 @@ DATAPLANE_FILE = "BENCH_dataplane.json"
 
 
 def _drift(demands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multiplicative lognormal drift, renormalized to constant total —
-    the small epoch-over-epoch delta warm starts exploit."""
+    """Multiplicative lognormal drift, renormalized to constant total."""
     factor = rng.lognormal(0.0, 0.25, size=demands.shape)
     out = demands * factor
     return out * demands.sum() / out.sum()
@@ -106,7 +100,8 @@ def _run_pod_epochs(
     engine: PlacementEngine,
 ):
     """Run the epoch sequence through *engine* with fresh per-pod Tang
-    controllers; returns (wall_s, placements, solver stats)."""
+    controllers; returns (wall_s, per-epoch solution signatures, max-flow
+    calls counted in-process)."""
     from repro.experiments.e02_placement_scalability import split_into_pods
 
     controllers = [TangController() for _ in pods]
@@ -137,18 +132,9 @@ def _run_pod_epochs(
             [(s.placement.tobytes(), s.load.tobytes()) for s in solutions]
         )
     wall = time.perf_counter() - t0
-    # Counters are read off the driver-side controllers: under a parallel
-    # engine they are written back from the worker-resident twins after
-    # every batch, so warm_seeded is observable in both modes.
-    stats = {
-        "maxflow_calls": sum(c.maxflow_calls for c in controllers),
-        "warm_seeded": sum(c.warm_seeded for c in controllers),
-        "delta_tasks": engine.delta_tasks,
-        "full_tasks": engine.full_tasks,
-        "bytes_shipped_delta": engine.bytes_shipped_delta,
-        "bytes_shipped_full": engine.bytes_shipped_full,
-    }
-    return wall, signatures, stats
+    # Counters accrue on these controller objects only when the engine
+    # solves in-process; a pool solves shipped copies.
+    return wall, signatures, sum(c.maxflow_calls for c in controllers)
 
 
 def bench_pod_epoch(
@@ -164,11 +150,11 @@ def bench_pod_epoch(
     pods = split_into_pods(base, pod_size)
     demand_seq = _demand_sequence(base, epochs, seed)
     with PlacementEngine(1) as serial:
-        serial_wall, serial_sigs, serial_stats = _run_pod_epochs(
+        serial_wall, serial_sigs, maxflow_calls = _run_pod_epochs(
             base, pods, demand_seq, serial
         )
     with PlacementEngine(workers) as parallel:
-        parallel_wall, parallel_sigs, parallel_stats = _run_pod_epochs(
+        parallel_wall, parallel_sigs, _ = _run_pod_epochs(
             base, pods, demand_seq, parallel
         )
         pool_spawns = parallel.pool_spawns
@@ -188,63 +174,8 @@ def bench_pod_epoch(
         "identical": serial_sigs == parallel_sigs,
         "epoch_serial_s": round(serial_wall / epochs, 4),
         "epoch_parallel_s": round(parallel_wall / epochs, 4),
-        "solver_iterations": serial_stats["maxflow_calls"],
-        "warm_seeded": serial_stats["warm_seeded"],
-        "warm_seeded_parallel": parallel_stats["warm_seeded"],
+        "solver_iterations": maxflow_calls,
         "pool_spawns": pool_spawns,
-        "delta_tasks": parallel_stats["delta_tasks"],
-        "full_tasks": parallel_stats["full_tasks"],
-        "bytes_shipped_delta": parallel_stats["bytes_shipped_delta"],
-        "bytes_shipped_full": parallel_stats["bytes_shipped_full"],
-    }
-
-
-def bench_tang_warm(n_servers: int, epochs: int, seed: int = 0) -> tuple[str, dict]:
-    """Tang cold start vs warm start over drifting-demand epochs."""
-    from repro.experiments.e02_placement_scalability import make_instance
-
-    base = make_instance(n_servers, seed=seed)
-    demand_seq = _demand_sequence(base, epochs, seed)
-    results = {}
-    satisfied = {}
-    for label, warm in (("cold", False), ("warm", True)):
-        controller = TangController(warm_start=warm)
-        placement = base.current.copy()
-        sats = []
-        t0 = time.perf_counter()
-        for demand in demand_seq:
-            problem = PlacementProblem(
-                server_cpu=base.server_cpu,
-                server_mem=base.server_mem,
-                app_cpu_demand=demand,
-                app_mem=base.app_mem,
-                current=placement,
-            )
-            sol = controller.solve(problem)
-            placement = sol.placement
-            sats.append(float(sol.satisfied().sum()))
-        results[label] = {
-            "wall_s": time.perf_counter() - t0,
-            "maxflow_calls": controller.maxflow_calls,
-            "warm_seeded": controller.warm_seeded,
-        }
-        satisfied[label] = sats
-    delta = max(
-        abs(c - w) for c, w in zip(satisfied["cold"], satisfied["warm"])
-    )
-    wid = f"tang_warm[servers={n_servers},epochs={epochs}]"
-    return wid, {
-        "servers": n_servers,
-        "epochs": epochs,
-        "cold_wall_s": round(results["cold"]["wall_s"], 4),
-        "warm_wall_s": round(results["warm"]["wall_s"], 4),
-        "warm_speedup": round(
-            results["cold"]["wall_s"] / max(results["warm"]["wall_s"], 1e-9), 3
-        ),
-        "cold_maxflow_calls": results["cold"]["maxflow_calls"],
-        "warm_maxflow_calls": results["warm"]["maxflow_calls"],
-        "warm_seeded": results["warm"]["warm_seeded"],
-        "satisfied_delta": float(delta),
     }
 
 
@@ -272,18 +203,11 @@ def bench_solver(kind: str, n_servers: int, seed: int = 0) -> tuple[str, dict]:
 def bench_maxmin(
     n_flows: int, n_links: int, resolves: int, seed: int = 0
 ) -> tuple[str, dict]:
-    """Max-min fairness re-solves: rebuilt vs cached incidence matrix.
+    """Max-min fairness re-solves of one fixed route set.
 
-    The cached path passes both ``incidence`` and ``incidence_t`` — the
-    same pair :meth:`FlowSet.solve` reuses — so the bench measures what
-    production callers actually pay.  Expect the speedup to *shrink* as
-    ``n_flows`` grows: the build is O(nnz) once, while progressive
-    filling iterates one sparse matvec per saturation round, so the
-    amortized build+transpose share falls (measured ~3% of a flows=1000
-    solve, ~2% at flows=4000 — i.e. the honest speedup is 1.0x-1.1x, not
-    a headline number).  The regression gate guards ``cached_wall_s``
-    against the recorded baseline rather than a fixed speedup ratio for
-    exactly this reason.
+    ``wall_s`` is the best of 3 rounds of *resolves* back-to-back solves;
+    ``identical`` checks that every re-solve returned the same rates
+    bit-for-bit.
     """
     rng = np.random.default_rng(seed)
     capacities = rng.uniform(5.0, 20.0, n_links)
@@ -294,51 +218,27 @@ def bench_maxmin(
     demands = rng.uniform(0.1, 2.0, n_flows)
     weights = rng.uniform(0.5, 2.0, n_flows)
 
-    flowset = FlowSet(capacities)
-    for i, route in enumerate(routes):
-        flowset.add(
-            Flow(key=i, links=tuple(route), demand_gbps=demands[i], weight=weights[i])
-        )
-    A = flowset.incidence  # built once, reused for every re-solve
-    AT = flowset.incidence_t
-
-    # The cache's win is a few percent at these sizes — smaller than the
-    # drift of a busy runner over one 20-resolve block, which biases any
-    # block-at-a-time comparison toward whichever path ran in the
-    # friendlier window.  Alternate the two paths solve by solve so both
-    # sample identical machine conditions, and keep the best of 3 rounds.
-    cold_wall = cached_wall = float("inf")
+    wall = float("inf")
+    first = None
+    identical = True
     for _ in range(3):
-        cold_t = cached_t = 0.0
+        t0 = time.perf_counter()
         for _ in range(resolves):
-            t0 = time.perf_counter()
-            cold_rates = weighted_maxmin_fair(
+            rates = weighted_maxmin_fair(
                 routes, capacities, demands=demands, weights=weights
             )
-            cold_t += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            cached_rates = weighted_maxmin_fair(
-                routes,
-                capacities,
-                demands=demands,
-                weights=weights,
-                incidence=A,
-                incidence_t=AT,
-            )
-            cached_t += time.perf_counter() - t0
-        cold_wall = min(cold_wall, cold_t)
-        cached_wall = min(cached_wall, cached_t)
+            if first is None:
+                first = rates
+            identical = identical and bool(np.array_equal(rates, first))
+        wall = min(wall, time.perf_counter() - t0)
 
     wid = f"maxmin[flows={n_flows},links={n_links},resolves={resolves}]"
     return wid, {
         "flows": n_flows,
         "links": n_links,
         "resolves": resolves,
-        "cold_wall_s": round(cold_wall, 4),
-        "cached_wall_s": round(cached_wall, 4),
-        "speedup": round(cold_wall / max(cached_wall, 1e-9), 3),
-        "identical": bool(np.array_equal(cold_rates, cached_rates)),
-        "incidence_builds": flowset.incidence_builds,
+        "wall_s": round(wall, 4),
+        "identical": identical,
     }
 
 
@@ -510,14 +410,12 @@ def bench_sharded_controlplane(
 #: committed full baseline covers the CI quick lane's keys.
 QUICK_PLACEMENT = [
     (bench_pod_epoch, dict(n_servers=160, pod_size=20, epochs=2, workers=4)),
-    (bench_tang_warm, dict(n_servers=100, epochs=3)),
     (bench_solver, dict(kind="greedy", n_servers=200)),
     (bench_solver, dict(kind="distributed", n_servers=200)),
     (bench_obs, dict(n_apps=120, epochs=15, workers=2, trace_out=None)),
 ]
 FULL_PLACEMENT = QUICK_PLACEMENT + [
     (bench_pod_epoch, dict(n_servers=400, pod_size=50, epochs=3, workers=4)),
-    (bench_tang_warm, dict(n_servers=160, epochs=4)),
 ]
 QUICK_NETWORK = [
     (bench_maxmin, dict(n_flows=1000, n_links=100, resolves=20)),
@@ -717,9 +615,7 @@ def cmd_bench(
                 or k
                 in (
                     "speedup",
-                    "warm_speedup",
                     "identical",
-                    "satisfied_delta",
                     "overhead_pct",
                     "overhead_ok",
                     "monotonic_ok",
@@ -788,7 +684,7 @@ def bench_mega(
     """Run the bounded-memory mega driver and report scale + cost.
 
     ``wall_per_epoch_s`` is the steady-state epoch wall (epochs after the
-    first, which pays the one-time full controller ship); ``peak_rss_mb``
+    first, which also pays process-pool start-up); ``peak_rss_mb``
     is the process high-water mark — the acceptance metric the paper-scale
     run is gated on.
     """
@@ -816,16 +712,10 @@ def bench_mega(
             sum(r.wall_s for r in steady) / len(steady), 4
         ),
         "peak_rss_mb": round(peak_rss_mb(), 1),
-        "bytes_shipped": sum(r.bytes_shipped for r in reports),
-        "delta_tasks": sum(r.delta_tasks for r in reports),
-        "full_tasks": sum(r.full_tasks for r in reports),
         "satisfied_fraction_min": round(
             min(r.satisfied_fraction for r in reports), 6
         ),
         "changes_last_epoch": reports[-1].changes,
-        "delta_shipping_engaged": (
-            len(reports) < 2 or reports[-1].full_tasks == 0
-        ),
     }
     return wid, metrics
 
@@ -939,9 +829,7 @@ def cmd_mega(
         "first_epoch_wall_s",
         "wall_per_epoch_s",
         "peak_rss_mb",
-        "bytes_shipped",
         "satisfied_fraction_min",
-        "delta_shipping_engaged",
         "faults_injected",
         "mttr_pod_s",
         "mttr_server_s",
@@ -970,10 +858,6 @@ def cmd_mega(
                 f"{lane_wid}: satisfied_fraction_min "
                 f"{lane_metrics['satisfied_fraction_min']} < 0.98"
             )
-    if epochs >= 2 and not metrics["delta_shipping_engaged"]:
-        failures.append(
-            f"{wid}: delta shipping never engaged (full ships after epoch 0)"
-        )
     if faults:
         fwid, fmetrics = lanes[1]
         if not fmetrics["recovered"]:

@@ -28,9 +28,8 @@ class _BufferRing:
     Hoists the per-solve ``current.copy()`` allocation: the controller
     writes into a preallocated buffer instead of allocating a fresh S x A
     matrix every epoch.  Two slots alternate so the placement returned by
-    one solve stays intact through the *next* solve — matching the
-    previous/current solution lifetime of the worker-resident engine
-    (which keeps exactly one prior placement as ``problem.current``).
+    one solve stays intact through the *next* solve, when epoch loops
+    feed it back as ``problem.current``.
     """
 
     __slots__ = ("_slots", "_next")

@@ -36,10 +36,9 @@ class SparsePlacement:
     """Boolean S x A placement matrix in CSR form (implicit True values).
 
     ``indices[indptr[s]:indptr[s+1]]`` are the app columns placed on server
-    ``s``, strictly increasing within each row.  The class mirrors the
-    small ndarray surface the perf engine relies on (``shape``,
-    ``tobytes``, ``nbytes``) so resident-state fingerprints and the
-    delta-shipping classifier work unchanged.
+    ``s``, strictly increasing within each row.  ``shape``, ``tobytes``
+    and ``nbytes`` mirror the ndarray surface, so solution CRCs treat
+    dense and CSR placements alike.
     """
 
     __slots__ = ("shape", "indptr", "indices")
@@ -112,7 +111,7 @@ class SparsePlacement:
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
         return cls(shape, indptr, cols, check=check), order
 
-    # -- ndarray-ish surface (perf-engine duck typing) ----------------
+    # -- ndarray-ish surface ------------------------------------------
     @property
     def nnz(self) -> int:
         return int(self.indices.shape[0])

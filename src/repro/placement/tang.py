@@ -18,29 +18,8 @@ grow superlinearly with the instance count — the behaviour the paper quotes
 ("about half a minute ... for about 7,000 servers and 17,500 applications")
 and that experiment E2 reproduces in shape.
 
-**Warm starts** (``warm_start=True``, the default): epoch-over-epoch
-placement deltas are small (cf. Wang & Sun's consolidation work), so
-instead of re-solving from a cold start every round the controller
-
-* keeps the NetworkX graph *skeleton* across load-shift calls, diffing the
-  placement matrix to add/remove app->server edges instead of rebuilding
-  the graph;
-* seeds each round's max-flow with the previous flow, clipped to the
-  current placement/demands/capacities so it is feasible, and then solves
-  max-flow only on the *residual* network (forward capacities reduced by
-  the seed, backward app<-server edges carrying the seed).  By flow
-  decomposition, seed + residual max-flow equals the cold-start max-flow
-  **value** exactly — the load matrix may decompose differently, but the
-  satisfied demand is identical (property-tested to 1e-6 after the 1e6
-  integer scaling).
-
-Cross-epoch state (graph skeleton, previous flow) stays *worker-resident*
-under :mod:`repro.perf`'s engine: the controller ships to its pod's worker
-once and is never pickled again, so warm starts survive the process-pool
-boundary for free.  ``export_state``/``import_state`` remain as the
-reference full-state round-trip that the parity property suite checks the
-resident path against.  Counters listed in :data:`TangController.PERF_COUNTERS`
-are written back to the driver-side controller after every remote solve.
+Every solve starts cold: a fresh flow graph per load-shift round and no
+state carried between solves, as in the original WWW 2007 controller.
 """
 
 from __future__ import annotations
@@ -78,45 +57,16 @@ class TangController:
     ----------
     max_iterations:
         Load-shift / placement-change rounds.
-    warm_start:
-        Seed each max-flow from the previous flow and keep the graph
-        skeleton across calls (see module docstring).  ``False`` rebuilds
-        everything cold each round, as the original WWW 2007 controller
-        does.
     name:
         Label used in experiment tables.
     """
 
-    #: Statistics the parallel engine copies back from a worker-resident
-    #: controller onto its driver-side twin after each solve (absolute
-    #: values, so the driver object always shows the true totals).
-    PERF_COUNTERS = (
-        "maxflow_calls",
-        "warm_seeded",
-        "last_solve_iterations",
-        "skeleton_rebuilds",
-    )
-
     max_iterations: int = 10
-    warm_start: bool = True
     name: str = "tang-centralized"
     #: Max-flow solves performed (one per load-shift call).
     maxflow_calls: int = field(default=0, compare=False)
-    #: Load-shift calls that started from a non-empty feasible seed.
-    warm_seeded: int = field(default=0, compare=False)
     #: Load-shift rounds of the most recent :meth:`solve`.
     last_solve_iterations: int = field(default=0, compare=False)
-    #: Warm-start graph skeletons built from scratch (a rebuild means the
-    #: pod's shape changed — e.g. a server crash — and cached warm state
-    #: was correctly invalidated).
-    skeleton_rebuilds: int = field(default=0, compare=False)
-
-    _prev_flow: object = field(default=None, init=False, repr=False, compare=False)
-    _graph: object = field(default=None, init=False, repr=False, compare=False)
-    _edge_placement: object = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _backward: object = field(default=None, init=False, repr=False, compare=False)
 
     def solve(self, problem: PlacementProblem) -> PlacementSolution:
         t0 = time.perf_counter()
@@ -139,42 +89,14 @@ class TangController:
             wall_time_s=time.perf_counter() - t0,
         )
 
-    # -- cross-epoch solver state (round-tripped by repro.perf's engine) ----
-    def export_state(self) -> dict:
-        """Warm-start state to carry to the next solve.  Includes the graph
-        skeleton, not just the previous flow: preflow-push may pick a
-        different (equally maximal) flow under a different edge insertion
-        order, so a worker that rebuilt the skeleton from scratch would
-        diverge bit-wise from a serial controller that diff-updated its
-        persistent one."""
-        return {
-            "prev_flow": self._prev_flow,
-            "graph": self._graph,
-            "edge_placement": self._edge_placement,
-            "backward": self._backward,
-        }
-
-    def import_state(self, state: dict) -> None:
-        self._prev_flow = state.get("prev_flow")
-        self._graph = state.get("graph")
-        self._edge_placement = state.get("edge_placement")
-        self._backward = state.get("backward")
-
     # -- phase 1: exact load shifting --------------------------------------
     def _load_shift(
         self, problem: PlacementProblem, placement: np.ndarray
     ) -> np.ndarray:
+        """Max-flow on a fresh bipartite graph for the fixed placement."""
         demand_int = (problem.app_cpu_demand * _SCALE).astype(np.int64)
         cpu_int = (problem.server_cpu * _SCALE).astype(np.int64)
         self.maxflow_calls += 1
-        if not self.warm_start:
-            return self._load_shift_cold(placement, demand_int, cpu_int)
-        return self._load_shift_warm(placement, demand_int, cpu_int)
-
-    def _load_shift_cold(
-        self, placement: np.ndarray, demand_int: np.ndarray, cpu_int: np.ndarray
-    ) -> np.ndarray:
-        """The original cold-start solve: fresh graph, zero seed."""
         s_count, a_count = placement.shape
         g = nx.DiGraph()
         for a in range(a_count):
@@ -204,123 +126,6 @@ class TangController:
                 if f > 0 and dst >= a_count:
                     load[dst - a_count, node] = f / _SCALE
         return load
-
-    # -- warm path ----------------------------------------------------------
-    def _feasible_seed(
-        self, placement: np.ndarray, demand_int: np.ndarray, cpu_int: np.ndarray
-    ) -> np.ndarray:
-        """Clip the previous flow into a feasible flow for *this* problem:
-        zero where no instance, floor-scaled down where an app's demand or
-        a server's capacity shrank.  Any clipped integer matrix is a valid
-        flow, so a stale seed can only cost quality, never correctness."""
-        seed = np.zeros(placement.shape, dtype=np.int64)
-        prev = self._prev_flow
-        if prev is None or prev.shape != placement.shape:
-            return seed
-        seed = np.where(placement, np.maximum(prev, 0), 0).astype(np.int64)
-        # Columnar clipping: whole-column/row integer floor scaling via
-        # fancy indexing (same exact arithmetic as the scalar loops the
-        # engine v1 ran, ~30x fewer interpreter round-trips).
-        per_app = seed.sum(axis=0)
-        over = np.nonzero(per_app > demand_int)[0]
-        if over.size:
-            seed[:, over[demand_int[over] <= 0]] = 0
-            cols = over[demand_int[over] > 0]
-            # floor scaling keeps each column sum <= demand
-            seed[:, cols] = seed[:, cols] * demand_int[cols] // per_app[cols]
-        per_server = seed.sum(axis=1)
-        over = np.nonzero(per_server > cpu_int)[0]
-        if over.size:
-            seed[over[cpu_int[over] <= 0], :] = 0
-            rows = over[cpu_int[over] > 0]
-            seed[rows, :] = (
-                seed[rows, :] * cpu_int[rows, None] // per_server[rows, None]
-            )
-        return seed
-
-    def _skeleton(self, placement: np.ndarray, cpu_int: np.ndarray) -> nx.DiGraph:
-        """The persistent graph: nodes, server->sink edges and the
-        app->server placement edges, updated by diffing the placement
-        matrix instead of rebuilding from scratch."""
-        s_count, a_count = placement.shape
-        fresh = (
-            self._graph is None
-            or self._edge_placement is None
-            or self._edge_placement.shape != placement.shape
-        )
-        if fresh:
-            self.skeleton_rebuilds += 1
-            g = nx.DiGraph()
-            g.add_node(_SRC)
-            g.add_node(_DST)
-            for a in range(a_count):
-                g.add_edge(_SRC, a, capacity=0)
-            for s in range(s_count):
-                g.add_edge(a_count + s, _DST, capacity=int(cpu_int[s]))
-            self._graph = g
-            self._edge_placement = np.zeros_like(placement)
-            self._backward = set()
-        g = self._graph
-        added = placement & ~self._edge_placement
-        removed = self._edge_placement & ~placement
-        for s, a in zip(*np.nonzero(added)):
-            g.add_edge(int(a), a_count + int(s))  # uncapacitated
-        for s, a in zip(*np.nonzero(removed)):
-            g.remove_edge(int(a), a_count + int(s))
-            if (int(s), int(a)) in self._backward:
-                g.remove_edge(a_count + int(s), int(a))
-                self._backward.discard((int(s), int(a)))
-        self._edge_placement = placement.copy()
-        return g
-
-    def _load_shift_warm(
-        self, placement: np.ndarray, demand_int: np.ndarray, cpu_int: np.ndarray
-    ) -> np.ndarray:
-        s_count, a_count = placement.shape
-        seed = self._feasible_seed(placement, demand_int, cpu_int)
-        if seed.any():
-            self.warm_seeded += 1
-        g = self._skeleton(placement, cpu_int)
-        seed_out = seed.sum(axis=0)  # per app
-        seed_in = seed.sum(axis=1)  # per server
-        # Residual capacities: source->app gets the unserved demand,
-        # server->sink the unspent CPU.
-        for a in range(a_count):
-            g[_SRC][a]["capacity"] = int(demand_int[a] - seed_out[a])
-        for s in range(s_count):
-            g[a_count + s][_DST]["capacity"] = int(cpu_int[s] - seed_in[s])
-        # Backward edges let the solver re-route seeded flow off a server.
-        stale = set(self._backward)
-        for s, a in zip(*np.nonzero(seed)):
-            s, a = int(s), int(a)
-            g.add_edge(a_count + s, a, capacity=int(seed[s, a]))
-            self._backward.add((s, a))
-            stale.discard((s, a))
-        for s, a in stale:
-            g[a_count + s][a]["capacity"] = 0
-        net = seed.copy()
-        if g.number_of_edges() > 0:
-            _, flow = nx.maximum_flow(
-                g, _SRC, _DST, flow_func=nx.algorithms.flow.preflow_push
-            )
-            # Single pass: forward app->server flow adds, backward
-            # server->app flow (re-routed seed) subtracts.  Each directed
-            # edge appears once, so accumulation order is irrelevant.
-            for node, out in flow.items():
-                if node < 0:
-                    continue
-                if node < a_count:
-                    for dst, f in out.items():
-                        if f > 0 and dst >= a_count:
-                            net[dst - a_count, node] += f
-                else:
-                    s = node - a_count
-                    for dst, f in out.items():
-                        if f > 0 and 0 <= dst < a_count:
-                            net[s, dst] -= f
-        np.maximum(net, 0, out=net)
-        self._prev_flow = net
-        return net / _SCALE
 
     # -- phase 2: placement changing -----------------------------------------
     def _placement_change(

@@ -8,6 +8,8 @@ the columnar current matrix must be bit-identical to what
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ColumnarPodState, ColumnarServers
 from repro.core.columnar import IdIndex
@@ -15,7 +17,11 @@ from repro.core.pod import Pod
 from repro.core.pod_manager import PodManager
 from repro.hosts.server import PhysicalServer, ServerSpec
 from repro.lbswitch.addresses import PRIVATE_RIP_POOL
-from repro.placement.sparse import SparsePlacement, SparseSolution
+from repro.placement.sparse import (
+    SparsePlacement,
+    SparseSolution,
+    sparse_count_changes,
+)
 from repro.workload.apps import AppSpec
 from repro.workload.demand import ConstantDemand
 
@@ -124,6 +130,41 @@ def test_apply_diffs_entry_sets():
     }
     assert state.epochs_applied == 1
     assert state.placement.equals(new)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+    old_density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    new_density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_apply_counts_equal_key_set_difference(
+    shape, seed, old_density, new_density
+):
+    """Starts/stops derived from ``solution.changes`` and the entry
+    counts equal the key-set difference, over random CSR pairs
+    (density 0 gives an empty current or an empty solution)."""
+    rng = np.random.default_rng(seed)
+    state = make_state(rng.random(shape) < old_density)
+    new = SparsePlacement.from_dense(rng.random(shape) < new_density)
+    old_keys = set(state.placement.keys().tolist())
+    new_keys = set(new.keys().tolist())
+    sol = SparseSolution(
+        placement=new,
+        load=np.zeros(new.nnz),
+        changes=sparse_count_changes(state.placement, new),
+    )
+    stats = state.apply(sol)
+    assert stats["started"] == len(new_keys - old_keys)
+    assert stats["stopped"] == len(old_keys - new_keys)
+
+
+def test_apply_rejects_changes_from_another_current():
+    state = make_state([[1, 1], [0, 1]])
+    new = SparsePlacement.from_dense(np.array([[1, 0], [1, 1]], dtype=bool))
+    with pytest.raises(ValueError):
+        state.apply(SparseSolution(placement=new, load=np.ones(3), changes=1))
 
 
 def test_build_problem_reuses_columns():

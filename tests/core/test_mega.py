@@ -1,4 +1,4 @@
-"""Mega-scale driver: determinism, parallel parity, delta shipping, memory.
+"""Mega-scale driver: determinism, parallel parity, memory.
 
 Tiny configs keep per-pod ``S x A`` under the dense-delegation limit so
 these tests exercise the exact bit-identical path; the quick/full scales
@@ -95,16 +95,6 @@ def test_parallel_engine_matches_serial():
         parallel.run(2)
         sig_parallel = pod_signature(parallel)
     assert sig_serial == sig_parallel
-
-
-def test_delta_shipping_engages_after_first_epoch():
-    with MegaScaleDriver(tiny()) as driver:
-        first, second = driver.run(2)
-    assert first.full_tasks == driver.config.n_pods
-    assert first.delta_tasks == 0
-    assert second.delta_tasks == driver.config.n_pods
-    assert second.full_tasks == 0
-    assert second.bytes_shipped < first.bytes_shipped
 
 
 def test_reports_are_sane():

@@ -61,10 +61,8 @@ def test_server_crash_kills_vms_and_replaces_demand():
 
 def test_server_crash_via_injector_invalidates_resident_state():
     """A SERVER_CRASH delivered by the real injector: the detection-time
-    re-placement solves through the engine against the pod's
-    worker-resident controller, and the topology change must invalidate
-    the driver's resident mirror (full reship, never a stale delta).
-    The recovered state is identical whether the engine ran serial or
+    re-placement solves through the engine on the shrunken pod.  The
+    recovered state is identical whether the engine ran serial or
     parallel."""
     outcomes = {}
     for parallelism in (1, 2):
@@ -75,9 +73,6 @@ def test_server_crash_via_injector_invalidates_resident_state():
         )
         inject(dc, [(130.0, "server_crash", victim.name)])
         dc.run(180.0)
-        # The classification bookkeeping runs identically in serial mode,
-        # so the invalidation is observable at every parallelism.
-        assert dc.engine.invalidations >= 1
         assert dc.invariants_ok()
         outcomes[parallelism] = sorted(
             (rip, info.vm.host, info.vm.app)

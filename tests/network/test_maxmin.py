@@ -128,16 +128,16 @@ def test_sparse_waterfill_bit_identical_to_dense_on_fabric(seed):
         routes, caps, demands=demands, weights=weights
     )
     assert np.array_equal(sparse_rates, dense_rates)
-    # And the cached-incidence path (what FlowAllocation.solve uses) is
-    # the same computation again.
-    from repro.network.maxmin import _incidence
+    # And FlowAllocation.solve is the same computation again.
+    from repro.network.flows import Flow, FlowAllocation
 
-    A = _incidence(routes, len(caps))
-    cached = weighted_maxmin_fair(
-        routes, caps, demands=demands, weights=weights,
-        incidence=A, incidence_t=A.T.tocsr(),
-    )
-    assert np.array_equal(cached, sparse_rates)
+    alloc = FlowAllocation(caps)
+    for i, route in enumerate(routes):
+        alloc.add(
+            Flow(key=i, links=tuple(route), demand_gbps=demands[i],
+                 weight=weights[i])
+        )
+    assert np.array_equal(alloc.solve(), sparse_rates)
 
 
 # ------------------------------------------------------------------ property

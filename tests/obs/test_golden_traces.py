@@ -112,9 +112,9 @@ def test_mega_fault_loop_golden_digest_serial_and_parallel():
 
 
 def test_e15_golden_digest_across_parallelism():
-    """The delta-shipping engine's trace — dispatch classification,
-    payload sizes, merge CRCs — must be byte-identical at every worker
-    count, and match the committed digest."""
+    """The engine's trace — dispatched task keys and merge CRCs — must
+    be byte-identical at every worker count, and match the committed
+    digest."""
     digests = {workers: run_e15(workers) for workers in (1, 2, 4)}
     assert digests[1] == digests[2] == digests[4], digests
     assert digests[1] == GOLDEN["e15_pods4_seed0"]

@@ -155,9 +155,8 @@ def test_subscriber_sees_events_and_can_unsubscribe():
 
 
 def test_pool_events_carry_epoch_and_delta_sizes():
-    """The trace context never crosses the process boundary: the driver
-    emits pool.dispatch/pool.merge itself, stamped with epoch identity and
-    the delta/full shipping classification — and those events are
+    """The driver emits pool.dispatch/pool.merge itself, stamped with
+    epoch identity, and carries no shipping sizes: the events are
     byte-identical whether the solves ran serial or parallel."""
     from repro.experiments.e02_placement_scalability import (
         make_instance,
@@ -202,11 +201,9 @@ def test_pool_events_carry_epoch_and_delta_sizes():
     dispatches = [ev for ev in serial.events if ev.kind == "pool.dispatch"]
     merges = [ev for ev in serial.events if ev.kind == "pool.merge"]
     assert len(dispatches) == 2 and len(merges) == 4
-    first, second = dispatches
-    assert first.data["epoch"] == "0" and first.data["full"] == ["pod-0", "pod-1"]
-    assert first.data["delta"] == [] and first.data["bytes_full"] > 0
-    # Epoch 2 re-solves the unchanged pods: demand-only deltas.
-    assert second.data["delta"] == ["pod-0", "pod-1"]
-    assert 0 < second.data["bytes_delta"] < first.data["bytes_full"]
-    assert {m.data["shipped"] for m in merges} == {"full", "delta"}
-    assert all(m.data["payload_bytes"] > 0 for m in merges)
+    # Dispatch names the epoch and its tasks; merge carries the solution
+    # CRCs.  Neither says how or where a task ran.
+    for epoch, ev in enumerate(dispatches):
+        assert ev.data == {"epoch": str(epoch), "tasks": ["pod-0", "pod-1"]}
+    for ev in merges:
+        assert set(ev.data) == {"key", "epoch", "placement_crc", "load_crc"}

@@ -1,5 +1,5 @@
-"""The parallel placement engine's contracts: exact serial fallback,
-bit-identical parallel results, persistent pool, state round-trips."""
+"""The placement engine's contracts: exact serial fallback,
+bit-identical parallel results, persistent pool."""
 
 import numpy as np
 import pytest
@@ -80,143 +80,16 @@ def test_serial_engine_never_spawns_pool():
 
 
 def test_single_task_batch_routes_to_resident_worker():
-    """Even a one-task batch goes through the pod's pinned worker: a
-    fault-path re-placement must see the same resident controller state
-    as the batch epochs, or parallel would diverge from serial."""
+    """Even a one-task batch (a fault-path re-placement) is solved by the
+    pool, and matches the in-process solve."""
+    tasks = make_tasks(n_servers=20, pod_size=20)
+    assert len(tasks) == 1
+    direct = [GreedyController().solve(tasks[0].problem)]
     with PlacementEngine(4) as engine:
-        tasks = make_tasks(n_servers=20, pod_size=20)
-        assert len(tasks) == 1
-        engine.solve_batch(tasks)
+        solved = engine.solve_batch(tasks)
         assert engine.pool_spawns == 1
-        assert engine.full_tasks == 1 and engine.delta_tasks == 0
-
-
-def test_counters_write_back_from_resident_workers():
-    """Solver statistics accrue inside worker-resident controllers; after
-    every batch the engine copies the PERF_COUNTERS attributes back onto
-    the driver-side controller objects (absolute values)."""
-    problem = make_instance(40, seed=1)
-    pods = split_into_pods(problem, 20)
-    controllers = [TangController() for _ in pods]
-    with PlacementEngine(2) as engine:
-        for epoch in range(2):
-            current = pods if epoch == 0 else epoch_pods
-            solutions = engine.solve_batch(
-                [
-                    PlacementTask(key=f"pod-{i}", problem=p, controller=c)
-                    for i, (p, c) in enumerate(zip(current, controllers))
-                ]
-            )
-            from repro.placement import PlacementProblem
-
-            epoch_pods = [
-                PlacementProblem(
-                    server_cpu=p.server_cpu,
-                    server_mem=p.server_mem,
-                    app_cpu_demand=p.app_cpu_demand,
-                    app_mem=p.app_mem,
-                    current=s.placement,
-                )
-                for p, s in zip(pods, solutions)
-            ]
-    for c in controllers:
-        # One max-flow call per load-shift round, per epoch, and the
-        # second epoch seeded from the worker-resident previous flow.
-        assert c.maxflow_calls >= 2
-        assert c.warm_seeded > 0
-        assert c.skeleton_rebuilds == 1
-
-
-def test_second_epoch_ships_demand_only_deltas():
-    serial_counts = {}
-    for parallelism in (1, 2):
-        pods = split_into_pods(make_instance(40, seed=1), 20)
-        controllers = [GreedyController() for _ in pods]
-        with PlacementEngine(parallelism) as engine:
-            for _ in range(3):
-                solutions = engine.solve_batch(
-                    [
-                        PlacementTask(key=f"pod-{i}", problem=p, controller=c)
-                        for i, (p, c) in enumerate(zip(pods, controllers))
-                    ]
-                )
-                from repro.placement import PlacementProblem
-
-                pods = [
-                    PlacementProblem(
-                        server_cpu=p.server_cpu,
-                        server_mem=p.server_mem,
-                        app_cpu_demand=p.app_cpu_demand,
-                        app_mem=p.app_mem,
-                        current=s.placement,
-                    )
-                    for p, s in zip(pods, solutions)
-                ]
-            serial_counts[parallelism] = (
-                engine.full_tasks,
-                engine.delta_tasks,
-                engine.bytes_shipped_full,
-                engine.bytes_shipped_delta,
-            )
-        assert engine.full_tasks == 2  # first epoch only
-        assert engine.delta_tasks == 4  # epochs 2..3
-        assert engine.bytes_shipped_delta < engine.bytes_shipped_full
-    # Classification bookkeeping is mode-independent (trace parity).
-    assert serial_counts[1] == serial_counts[2]
-
-
-def test_server_crash_invalidates_resident_warm_start_skeleton():
-    """A server crash changes the pod's topology.  The driver must notice
-    the structural change and reship the full problem (an invalidation,
-    not a demand-only delta), and the worker-resident Tang controller
-    must rebuild its warm-start graph skeleton instead of diff-updating
-    a graph that still contains the dead server.  Serial and parallel
-    must agree on the resulting placement."""
-    from repro.core.pod import Pod
-    from repro.core.pod_manager import PodManager
-    from repro.hosts.server import PhysicalServer, ServerSpec
-    from repro.lbswitch.addresses import PRIVATE_RIP_POOL
-    from repro.workload.apps import AppSpec
-    from repro.workload.demand import ConstantDemand
-
-    apps = [f"a{i}" for i in range(4)]
-    specs = {a: AppSpec(a, 0.25, ConstantDemand(1.0)) for a in apps}
-    demands = {a: 0.8 for a in apps}
-    outcomes = {}
-    for parallelism in (1, 2):
-        pod = Pod("p0", max_servers=100, max_vms=1000)
-        for i in range(5):
-            pod.add_server(PhysicalServer(f"p0-s{i}", ServerSpec(1.0, 32.0)))
-        pm = PodManager(pod, PRIVATE_RIP_POOL(10_000), controller=TangController())
-        with PlacementEngine(parallelism) as engine:
-            pm.solve_fn = lambda mgr, plan: engine.solve_batch(
-                [
-                    PlacementTask(
-                        key=mgr.pod.name, problem=plan.problem,
-                        controller=mgr.controller,
-                    )
-                ]
-            )[0]
-            pm.run_epoch(demands, specs, t=0.0)
-            pm.run_epoch(demands, specs, t=1.0)
-            assert pm.controller.skeleton_rebuilds == 1
-            assert pm.controller.warm_seeded > 0
-            pm.crash_server(pod.servers[2])
-            report = pm.replace_lost(specs, t=2.0)
-            assert engine.invalidations == 1
-            assert engine.full_tasks == 2 and engine.delta_tasks == 1
-        # The 4-server problem has a different topology: the resident
-        # skeleton was rebuilt from scratch, not diff-updated.
-        assert pm.controller.skeleton_rebuilds == 2
-        outcomes[parallelism] = (
-            round(report.satisfied_cpu, 12),
-            sorted(
-                (s.name, vm.app, round(vm.cpu_slice, 12))
-                for s in pod.servers
-                for vm in s.vms
-            ),
-        )
-    assert outcomes[1] == outcomes[2]
+        assert engine.tasks_solved == 1
+    assert signatures(solved) == signatures(direct)
 
 
 def test_empty_batch():

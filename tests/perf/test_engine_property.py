@@ -1,24 +1,12 @@
-"""Property-based determinism contracts of the parallel engine and the
-Tang warm start.
+"""Property-based determinism contracts of the parallel engine.
 
 * A parallel engine (``parallelism>1``) must produce the same
   ``PlacementSolution``s and ``PodReport``s as the serial fallback
   (``parallelism=1``) — bit-identical placements/loads, equal report
   fields except the measured ``decision_time_s``.
-* The worker-resident delta path must be bit-identical to the reference
-  protocol it replaced: per-epoch full problem shipping with
-  ``export_state``/``import_state`` round-tripped through pickle bytes.
 * Random epoch/fault interleavings (server crashes + in-pod recovery
   routed through the engine) must be identical at every parallelism.
-* The warm-started Tang controller must satisfy exactly the same total
-  demand as a cold start on the first solve (both decompose the same
-  max flow), and stay within 0.5% on later epochs of a drifting
-  sequence — the two chains' placements may drift apart through
-  different equally-maximal flows, so later-epoch parity is a solution
-  -quality bound, not an identity.
 """
-
-import pickle
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,11 +14,10 @@ from hypothesis import strategies as st
 
 from repro.core.pod import Pod
 from repro.core.pod_manager import PodManager
-from repro.experiments.e02_placement_scalability import make_instance
 from repro.hosts.server import PhysicalServer, ServerSpec
 from repro.lbswitch.addresses import PRIVATE_RIP_POOL
 from repro.perf.engine import PlacementEngine, PlacementTask, derive_seed
-from repro.placement import PlacementProblem, TangController
+from repro.placement import TangController
 from repro.workload.apps import AppSpec
 from repro.workload.demand import ConstantDemand
 
@@ -119,81 +106,6 @@ def test_parallel_reports_identical_to_serial(seed, n_pods, epochs):
     assert results[1] == results[2]
 
 
-# -------------------------------------------- resident-state delta parity
-
-
-def _drift_sequence(base, epochs, seed):
-    rng = np.random.default_rng(seed + 1)
-    seq = [base.app_cpu_demand]
-    for _ in range(epochs - 1):
-        factor = rng.lognormal(0.0, 0.25, size=base.n_apps)
-        nxt = seq[-1] * factor
-        seq.append(nxt * seq[-1].sum() / nxt.sum())
-    return seq
-
-
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(0, 100), epochs=st.integers(2, 4))
-def test_resident_delta_path_equals_full_export_import(seed, epochs):
-    """The worker-resident delta path must reproduce, bit for bit, what
-    the engine it replaced computed: a fresh worker-side controller per
-    epoch fed the full problem plus the driver's exported warm-start
-    state, with the updated state shipped back — every transfer
-    round-tripped through pickle bytes, exactly like a process boundary.
-    """
-    base = make_instance(16, seed=seed)
-    demand_seq = _drift_sequence(base, epochs, seed)
-
-    def problems():
-        placement = base.current.copy()
-        for demand in demand_seq:
-            problem = PlacementProblem(
-                server_cpu=base.server_cpu,
-                server_mem=base.server_mem,
-                app_cpu_demand=demand,
-                app_mem=base.app_mem,
-                current=placement,
-            )
-            placement = yield problem
-
-    # Reference protocol: full export/import round-trip every epoch.
-    driver = TangController()
-    reference = []
-    gen = problems()
-    problem = next(gen)
-    while True:
-        worker = TangController()
-        worker.import_state(pickle.loads(pickle.dumps(driver.export_state())))
-        sol = worker.solve(problem)
-        driver.import_state(pickle.loads(pickle.dumps(worker.export_state())))
-        reference.append((sol.placement.tobytes(), sol.load.tobytes()))
-        try:
-            problem = gen.send(sol.placement)
-        except StopIteration:
-            break
-
-    # Resident protocol: one controller shipped once, demand-only deltas
-    # after the first epoch.
-    controller = TangController()
-    resident = []
-    with PlacementEngine(2) as engine:
-        gen = problems()
-        problem = next(gen)
-        while True:
-            (sol,) = engine.solve_batch(
-                [PlacementTask(key="pod-0", problem=problem, controller=controller)]
-            )
-            resident.append((sol.placement.tobytes(), sol.load.tobytes()))
-            try:
-                problem = gen.send(sol.placement)
-            except StopIteration:
-                break
-        assert engine.full_tasks == 1
-        assert engine.delta_tasks == epochs - 1
-
-    assert resident == reference
-
-
 def attach_engine(managers, engine):
     """Route every manager's solve stage (including the fault path's
     ``replace_lost``) through *engine*, the way the datacenter does."""
@@ -226,11 +138,8 @@ def test_random_fault_sequences_identical_across_parallelism(
 ):
     """Random epoch/fault interleavings: after the first epoch a random
     server in a random pod crashes and the pod recovers via
-    ``replace_lost`` — solved through the engine, against the
-    worker-resident controller.  Reports and final pod state must be
-    identical at parallelism 1 and 2, and the crash must show up as a
-    resident-state invalidation (topology changed -> full reship), never
-    as a silent stale-delta solve."""
+    ``replace_lost``, solved through the engine.  Reports and final pod
+    state must be identical at parallelism 1 and 2."""
     rng = np.random.default_rng(seed)
     apps = [f"a{i}" for i in range(5)]
     specs = {a: AppSpec(a, 0.25, ConstantDemand(1.0)) for a in apps}
@@ -248,50 +157,8 @@ def test_random_fault_sequences_identical_across_parallelism(
             pm.crash_server(victim)
             reports.append(pm.replace_lost(specs, t=0.5))
             reports.extend(run_epochs(managers, engine, demand_seq[1:], specs))
-            invalidations = engine.invalidations
         results[parallelism] = (
             [report_key(r) for r in reports],
             pod_state(managers),
-            invalidations,
         )
     assert results[1] == results[2]
-    assert results[1][2] >= 1
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 1000), epochs=st.integers(2, 4))
-def test_tang_warm_start_matches_cold_satisfied_demand(seed, epochs):
-    base = make_instance(30, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    demand_seq = [base.app_cpu_demand]
-    for _ in range(epochs - 1):
-        factor = rng.lognormal(0.0, 0.3, size=base.n_apps)
-        nxt = demand_seq[-1] * factor
-        demand_seq.append(nxt * demand_seq[-1].sum() / nxt.sum())
-
-    satisfied = {}
-    for warm in (False, True):
-        controller = TangController(warm_start=warm)
-        placement = base.current.copy()
-        totals = []
-        for demand in demand_seq:
-            problem = PlacementProblem(
-                server_cpu=base.server_cpu,
-                server_mem=base.server_mem,
-                app_cpu_demand=demand,
-                app_mem=base.app_mem,
-                current=placement,
-            )
-            sol = controller.solve(problem)
-            placement = sol.placement
-            totals.append(float(sol.satisfied().sum()))
-        satisfied[warm] = totals
-    # First solve: both controllers decompose the same max flow from the
-    # same starting placement — the totals are identical.
-    assert abs(satisfied[False][0] - satisfied[True][0]) < 1e-9
-    # Later epochs: the chains' placements drift apart (a max-flow
-    # instance has many equally-maximal flows, and which one the solver
-    # lands on steers phase 2), so parity is a tight quality bound, not
-    # an identity.  The committed bench instances happen to agree to
-    # 1e-6; adversarial instances can differ by ~0.1%.
-    assert np.allclose(satisfied[False], satisfied[True], rtol=5e-3)

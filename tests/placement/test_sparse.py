@@ -223,8 +223,6 @@ def test_engine_ships_sparse_solutions_identically():
                 PlacementTask(
                     key=f"pod-{p}",
                     problem=sub,
-                    # The same controller instance each epoch: delta
-                    # classification keys on controller identity.
                     controller=controllers[p],
                     seed=derive_seed(f"pod-{p}", epoch),
                 )
@@ -248,13 +246,8 @@ def test_engine_ships_sparse_solutions_identically():
                     sigs.append(
                         (sol.placement.tobytes(), sol.load.tobytes())
                     )
-                    # Adopt the solution (what a pod's apply step does);
-                    # the next epoch's current then matches the
-                    # worker-resident mirror, enabling delta shipping.
+                    # Adopt the solution (what a pod's apply step does).
                     currents[p] = sol.placement
-            return sigs, engine.delta_tasks
+            return sigs
 
-    serial_sigs, _ = run(1)
-    parallel_sigs, delta_tasks = run(2)
-    assert serial_sigs == parallel_sigs
-    assert delta_tasks == pods  # epoch 1 shipped demand-only deltas
+    assert run(1) == run(2)
