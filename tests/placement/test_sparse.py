@@ -9,6 +9,7 @@ The acceptance bar for the sparse path is split in two:
   (capacity, memory, at-least-one-instance), which ``validate`` checks.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mega import MegaConfig, MegaScaleDriver
 from repro.experiments.e02_placement_scalability import make_instance
 from repro.perf.engine import PlacementEngine, PlacementTask, derive_seed
 from repro.placement import (
@@ -198,12 +200,109 @@ def test_bulk_stop_idle_keeps_every_app_covered():
     sol.validate(base)
 
 
+@st.composite
+def bulk_problems(draw):
+    """Random small problems whose current placement is feasible: memory
+    fits every server and no app is over its instance cap, so any
+    violation in the solution is the solver's own.  Returns the problem
+    with a dense and with a CSR current placement."""
+    s = draw(st.integers(1, 10))
+    a = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    current = rng.random((s, a)) < density
+    app_mem = rng.uniform(0.5, 4.0, a)
+    server_mem = current @ app_mem + rng.uniform(0.1, 12.0, s)
+    demand = rng.uniform(0.0, 20.0, a)
+    # Placed apps with zero demand go idle everywhere: the rescue branch.
+    demand[rng.random(a) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    max_instances = None
+    if draw(st.booleans()):
+        max_instances = current.sum(axis=0) + rng.integers(0, 3, a)
+    dense = PlacementProblem(
+        server_cpu=rng.uniform(1.0, 16.0, s),
+        server_mem=server_mem,
+        app_cpu_demand=demand,
+        app_mem=app_mem,
+        current=current,
+        max_instances=max_instances,
+    )
+    sparse = PlacementProblem(
+        server_cpu=dense.server_cpu,
+        server_mem=dense.server_mem,
+        app_cpu_demand=dense.app_cpu_demand,
+        app_mem=dense.app_mem,
+        current=SparsePlacement.from_dense(current),
+        max_instances=max_instances,
+    )
+    return dense, sparse
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems=bulk_problems(), stop_idle=st.booleans())
+def test_bulk_path_invariants(problems, stop_idle):
+    dense, prob = problems
+    cur = prob.current
+    sol = SparseGreedyController(dense_limit=1, stop_idle=stop_idle).solve(prob)
+    out = sol.placement
+    SparsePlacement(out.shape, out.indptr, out.indices, check=True)
+    assert sol.load.shape == (out.nnz,)
+    sol.validate(dense)
+    assert sol.changes == sparse_count_changes(cur, out)
+    if stop_idle:
+        # Without stop_idle the output is every entry placed before or
+        # started; idle stops may shrink it but must never empty an app.
+        full = SparseGreedyController(dense_limit=1, stop_idle=False).solve(
+            prob
+        )
+        covered = full.placement.instance_counts() > 0
+        assert (out.instance_counts()[covered] >= 1).all()
+        assert np.isin(out.keys(), full.placement.keys()).all()
+
+
+# Recorded with the sort-based bulk solve (np.unique, lexsort and
+# intersect1d) that the O(nnz) set operations replaced.
+BULK_QUICK_PIN = (
+    "88131bb362b6ae6e6c4859497bc6e9bb05b8967e2116494fc86df2e4443c8282"
+)
+
+
+def test_bulk_path_quick_scale_pin():
+    """Quick-scale mega epochs run the bulk path (per-pod ``S * A`` is
+    above ``dense_limit``), which no golden trace covers.  Pin its
+    placements, loads and change counts through a pod loss/restore and a
+    server crash/recover."""
+    cfg = MegaConfig.quick(seed=0, target_utilization=0.8, epoch_s=3600)
+    digest = hashlib.sha256()
+    with MegaScaleDriver(cfg) as driver:
+        assert all(
+            cfg.servers_per_pod * pod.app_gids.size > cfg.dense_limit
+            for pod in driver.pods
+        )
+        server = driver.pods[11].servers.name(42)
+        for epoch in range(3):
+            if epoch == 1:
+                driver.lose_pod("pod-007")
+                driver.crash_server(server)
+            elif epoch == 2:
+                driver.restore_pod("pod-007")
+                driver.recover_server(server)
+            report = driver.run_epoch()
+            digest.update(np.int64(report.changes).tobytes())
+            for pod in driver.pods:
+                digest.update(pod.placement.indptr.tobytes())
+                digest.update(pod.placement.indices.tobytes())
+                digest.update(pod.load.tobytes())
+    assert digest.hexdigest() == BULK_QUICK_PIN
+
+
 # -------------------------------------------------- engine sparse codec
 
 
 def test_engine_ships_sparse_solutions_identically():
-    """SparseSolution survives the worker-process codec: parallel results
-    are byte-identical to serial, and delta shipping still engages."""
+    """SparseSolution survives pickling to and from pool workers: over two
+    epochs that adopt each solution, parallel results are byte-identical
+    to serial."""
     base = make_instance(30, seed=3)
     pods = 4
     size = base.n_servers // pods
