@@ -93,6 +93,10 @@ class RipJournalBridge:
         self.rebuilds = 0
         #: sync() calls.
         self.syncs = 0
+        # (registry, ops_applied, fingerprint) of the last sync: every
+        # registry write bumps ops_applied, so an unmoved count on the
+        # same registry object means an unchanged fingerprint.
+        self._fingerprint_memo: Optional[tuple] = None
 
     # -- authority reads ----------------------------------------------------
     def _authority_homing(self) -> dict:
@@ -148,7 +152,7 @@ class RipJournalBridge:
             "applied": applied,
             "rebuilt": rebuilt,
             "pending": sum(len(s.pending) for s in self._sources),
-            "fingerprint": self.registry.fingerprint(),
+            "fingerprint": self._fingerprint(),
         }
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(
@@ -157,6 +161,14 @@ class RipJournalBridge:
                 **stats,
             )
         return stats
+
+    def _fingerprint(self) -> int:
+        reg = self.registry
+        memo = self._fingerprint_memo
+        if memo is None or memo[0] is not reg or memo[1] != reg.ops_applied:
+            memo = (reg, reg.ops_applied, reg.fingerprint())
+            self._fingerprint_memo = memo
+        return memo[2]
 
     def _apply(self, rec: JournalRecord) -> int:
         """Apply one settled record to the mirror; returns 1 if consumed."""

@@ -18,6 +18,16 @@ dense reference and golden trace digests are unchanged.  Above the limit
 it switches to the O(nnz) bulk algorithm, which is deterministic but not
 float-identical to the dense kernel (numpy's pairwise dense sums and
 ``bincount``'s sequential sums associate differently).
+
+Within the bulk algorithm, work shrinks with the entries still in play
+without moving a bit.  :func:`sparse_waterfill` drops an entry once its
+server is full or its app is met; such an entry's want and grant would be
+exactly ``0.0``, and since ``bincount`` adds weights in entry order
+starting from ``+0.0`` and ``x + 0.0 == x`` for every non-negative ``x``,
+every per-server and per-app sum is the same with or without it.  A
+round in which no server caps its wants grants ``want * 1.0 == want``, so
+it reuses the per-server want sums as its grant sums.  A bulk solve that
+starts and stops nothing returns the current placement object itself.
 """
 
 from __future__ import annotations
@@ -294,12 +304,23 @@ def sparse_waterfill(
     placement: SparsePlacement,
     rounds: int = 12,
 ) -> np.ndarray:
-    """O(nnz)-per-round waterfill over a CSR placement.
+    """Waterfill over a CSR placement, O(entries still in play) per round.
 
     Same iterative proportional-filling scheme as
-    :func:`repro.placement.greedy.waterfill_load`; segment sums run over
-    entry lists via ``bincount`` instead of dense axis reductions, so the
-    float associativity differs (see module docstring).
+    :func:`repro.placement.greedy.waterfill_load`: each round, every
+    unmet app splits its remaining demand evenly over its instances on
+    open servers, and each server scales its entries' wants down to its
+    free CPU.  Segment sums run over entry lists via ``bincount`` instead
+    of dense axis reductions, so the float associativity differs from the
+    dense kernel (see module docstring).
+
+    Only *live* entries — open server, unmet app — take part in a round.
+    ``free`` and ``remaining`` only shrink, so each round filters the
+    previous round's live set, and per-app instance counts are recounted
+    only when it shrank.  A round in which no server caps its wants
+    grants ``want`` itself and reuses the per-server want sums.  Loads
+    are bit-identical to walking every entry every round: a dead entry's
+    want and grant would be exactly ``0.0`` (see module docstring).
     """
     s_count, a_count = placement.shape
     rows = placement.rows()
@@ -307,24 +328,36 @@ def sparse_waterfill(
     load = np.zeros(rows.shape[0])
     remaining = np.asarray(app_cpu_demand, dtype=float).copy()
     free = np.asarray(server_cpu, dtype=float).copy()
+    live = None  # entry ids of the live set; None while it is every entry
+    counts = None
     for _ in range(rounds):
-        entry_open = free[rows] > 1e-12
-        counts = np.bincount(cols[entry_open], minlength=a_count)
-        active = (remaining > 1e-12) & (counts > 0)
-        if not active.any():
+        if not (remaining > 1e-12).any() or not (free > 1e-12).any():
             break
-        entry_act = entry_open & active[cols]
-        want = np.zeros_like(load)
-        act_cols = cols[entry_act]
-        want[entry_act] = remaining[act_cols] / counts[act_cols]
+        in_play = (free[rows] > 1e-12) & (remaining[cols] > 1e-12)
+        if not in_play.all():
+            live = np.flatnonzero(in_play) if live is None else live[in_play]
+            rows, cols = rows[in_play], cols[in_play]
+            counts = None
+        if rows.size == 0:
+            break
+        if counts is None:
+            counts = np.bincount(cols, minlength=a_count)
+        want = remaining[cols] / counts[cols]
         want_per_server = np.bincount(rows, weights=want, minlength=s_count)
         safe = np.where(want_per_server > 1e-15, want_per_server, 1.0)
         scale = np.where(
             want_per_server > 1e-15, np.minimum(1.0, free / safe), 0.0
         )
-        grant = want * scale[rows]
-        load += grant
-        free -= np.bincount(rows, weights=grant, minlength=s_count)
+        if ((scale == 1.0) | (want_per_server == 0.0)).all():
+            grant, granted = want, want_per_server
+        else:
+            grant = want * scale[rows]
+            granted = np.bincount(rows, weights=grant, minlength=s_count)
+        if live is None:
+            load += grant
+        else:
+            load[live] += grant
+        free -= granted
         np.maximum(free, 0.0, out=free)
         remaining -= np.bincount(cols, weights=grant, minlength=a_count)
         np.maximum(remaining, 0.0, out=remaining)
@@ -403,21 +436,25 @@ class SparseGreedyController:
             cols, weights=load, minlength=a_count
         )
         np.maximum(residual, 0.0, out=residual)
-        free_cpu = problem.server_cpu - np.bincount(
-            rows, weights=load, minlength=s_count
-        )
-        np.maximum(free_cpu, 0.0, out=free_cpu)
-        free_mem = problem.server_mem - np.bincount(
-            rows, weights=problem.app_mem[cols], minlength=s_count
-        )
-        n_inst = cur.instance_counts()
-
-        # CSR rows are row-major with strictly increasing columns, so the
-        # entry keys arrive sorted; each round merges its few new keys in,
-        # keeping every set operation O(nnz) per pod.
-        old_keys = rows * np.int64(a_count) + cols
-        key_sorted = old_keys
         new_rows, new_cols, new_load = [], [], []
+        n_inst = None
+        # The start loop's state is built only if some app is still
+        # starved after the waterfill; otherwise the loop's first test
+        # ends it before the state is read.
+        if (residual > 1e-9).any():
+            free_cpu = problem.server_cpu - np.bincount(
+                rows, weights=load, minlength=s_count
+            )
+            np.maximum(free_cpu, 0.0, out=free_cpu)
+            free_mem = problem.server_mem - np.bincount(
+                rows, weights=problem.app_mem[cols], minlength=s_count
+            )
+            n_inst = cur.instance_counts()
+            # CSR rows are row-major with strictly increasing columns, so
+            # the entry keys arrive sorted; each round merges its few new
+            # keys in, keeping every set operation O(nnz) per pod.
+            old_keys = rows * np.int64(a_count) + cols
+            key_sorted = old_keys
 
         for rnd in range(self.start_rounds):
             needy = np.flatnonzero(residual > 1e-9)
@@ -485,25 +522,41 @@ class SparseGreedyController:
             keep = np.ones(all_load.size, dtype=bool)
         else:
             keep = all_load > 1e-12
-            kept_counts = np.bincount(all_cols[keep], minlength=a_count)
-            # n_inst == bincount(all_cols) here, so it marks the placed apps.
-            rescue = np.flatnonzero((n_inst > 0) & (kept_counts == 0))
-            if rescue.size:
-                # Keep the (lowest server, app) entry of each app that
-                # would otherwise lose its last instance.
-                rescued = np.zeros(a_count, dtype=bool)
-                rescued[rescue] = True
-                cand = np.flatnonzero(rescued[all_cols])
-                cand = cand[np.lexsort((all_rows[cand], all_cols[cand]))]
-                keep[cand[np.searchsorted(all_cols[cand], rescue)]] = True
+            # An all-true mask keeps every app's instances: no rescue.
+            if not keep.all():
+                if n_inst is None:
+                    n_inst = cur.instance_counts()
+                kept_counts = np.bincount(all_cols[keep], minlength=a_count)
+                # n_inst == bincount(all_cols) here, so it marks the
+                # placed apps.
+                rescue = np.flatnonzero((n_inst > 0) & (kept_counts == 0))
+                if rescue.size:
+                    # Keep the (lowest server, app) entry of each app that
+                    # would otherwise lose its last instance.
+                    rescued = np.zeros(a_count, dtype=bool)
+                    rescued[rescue] = True
+                    cand = np.flatnonzero(rescued[all_cols])
+                    cand = cand[np.lexsort((all_rows[cand], all_cols[cand]))]
+                    keep[cand[np.searchsorted(all_cols[cand], rescue)]] = True
+
+        if not new_rows and keep.all():
+            # Nothing started or stopped: the placement is the current one.
+            solution = SparseSolution(placement=cur, load=load, changes=0)
+            solution.wall_time_s = time.perf_counter() - t0
+            return solution
 
         # Surviving old entries stay row-major sorted; merge the kept new
-        # entries in by key.
+        # entries in by key.  With nothing started there is nothing to
+        # merge (and the start loop never built `old_keys`).
         keep_old, keep_new = keep[:n_old], keep[n_old:]
         add_cols = all_cols[n_old:][keep_new]
         add_keys = all_rows[n_old:][keep_new] * np.int64(a_count) + add_cols
         by_key = np.argsort(add_keys)
-        at = np.searchsorted(old_keys[keep_old], add_keys[by_key])
+        at = (
+            np.searchsorted(old_keys[keep_old], add_keys[by_key])
+            if new_rows
+            else np.zeros(0, dtype=np.intp)
+        )
         indptr = np.zeros(s_count + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(all_rows[keep], minlength=s_count), out=indptr[1:]

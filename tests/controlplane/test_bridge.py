@@ -9,6 +9,8 @@ un-journaled anti-entropy mutations.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controlplane import (
     CheckpointStore,
@@ -183,3 +185,81 @@ def test_bridge_requires_a_journal():
     mgr = VipRipManager(env, switches, PUBLIC_VIP_POOL(100))
     with pytest.raises(ValueError, match="journaling"):
         RipJournalBridge(mgr)
+
+
+# -- fingerprint memo -------------------------------------------------------
+_MIRROR_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["wire", "unwire", "deactivate_vip", "rehome_vip", "reweigh",
+             "sync", "repair"]
+        ),
+        st.integers(0, 5),  # rip
+        st.integers(0, 2),  # vip
+        st.integers(0, 2),  # switch
+        st.sampled_from([0.5, 1.0, 2.5]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_MIRROR_OPS)
+def test_sync_fingerprint_memo_matches_fresh(ops):
+    """sync() reuses the last fingerprint while the registry object and
+    its ops_applied count are unchanged; after any mix of registry
+    writes, syncs and repair swaps it must still equal a fresh one."""
+    env, plane = build_plane()
+    seed(env, plane)
+    bridge = RipJournalBridge(plane, pod_of=pod_of)
+    bridge.sync()
+    for op, r, v, w, weight in ops:
+        reg = bridge.registry
+        rip, vip, switch = f"x-{r}@pod-{r}", f"vip-{v}", f"lb-{w}"
+        if op == "wire":
+            reg.wire(rip, f"app-{v}", vip, switch, pod_of(rip), weight)
+        elif op == "unwire":
+            reg.unwire(rip, switch if w else None)
+        elif op == "deactivate_vip":
+            reg.deactivate_vip(vip, switch if w else None)
+        elif op == "rehome_vip":
+            reg.rehome_vip(vip, None, switch)
+        elif op == "reweigh":
+            reg.reweigh(rip, switch, weight)
+        elif op == "repair":
+            bridge.verify(repair=True)
+        else:
+            assert bridge.sync()["fingerprint"] == bridge.registry.fingerprint()
+    assert bridge.sync()["fingerprint"] == bridge.registry.fingerprint()
+
+
+def test_quiet_sync_reuses_the_fingerprint(monkeypatch):
+    env, plane = build_plane()
+    seed(env, plane)
+    bridge = RipJournalBridge(plane, pod_of=pod_of)
+    first = bridge.sync()["fingerprint"]
+    calls = []
+    real = bridge.registry.fingerprint
+    monkeypatch.setattr(
+        bridge.registry, "fingerprint", lambda: calls.append(1) or real()
+    )
+    assert bridge.sync()["fingerprint"] == first
+    assert calls == []
+    plane.submit(VipRipRequest("del_rip", APPS[0], rip=f"{APPS[0]}@pod-0"))
+    env.run()
+    assert bridge.sync()["fingerprint"] != first
+    assert calls == [1]
+
+
+def test_fingerprint_memo_follows_a_swapped_registry():
+    """A repair swaps in a rebuilt registry whose ops_applied restarts at
+    0, so the op count alone cannot tell it from the registry it replaced."""
+    env, plane = build_plane()
+    bridge = RipJournalBridge(plane, pod_of=pod_of)
+    empty = bridge.sync()["fingerprint"]
+    seed(env, plane)
+    assert not bridge.verify(repair=True)
+    assert bridge.registry.ops_applied == 0
+    stats = bridge.sync()
+    assert stats["applied"] == 0
+    assert stats["fingerprint"] == bridge.registry.fingerprint() != empty

@@ -18,6 +18,7 @@ from repro.core.pod_manager import PodManager
 from repro.hosts.server import PhysicalServer, ServerSpec
 from repro.lbswitch.addresses import PRIVATE_RIP_POOL
 from repro.placement.sparse import (
+    SparseGreedyController,
     SparsePlacement,
     SparseSolution,
     sparse_count_changes,
@@ -165,6 +166,36 @@ def test_apply_rejects_changes_from_another_current():
     new = SparsePlacement.from_dense(np.array([[1, 0], [1, 1]], dtype=bool))
     with pytest.raises(ValueError):
         state.apply(SparseSolution(placement=new, load=np.ones(3), changes=1))
+
+
+def test_noop_solve_adopts_the_current_placement():
+    """A servable problem with no idle entry changes nothing: the bulk
+    solve hands back the current placement object itself, apply counts
+    no starts or stops, and later fault surgery on the pod replaces its
+    arrays instead of writing through the solution's."""
+    dense = np.array(
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=bool
+    )
+    state = make_state(dense)
+    problem = state.build_problem(np.array([1.0, 2.0, 3.0, 1.5]))
+    sol = SparseGreedyController(dense_limit=1).solve(problem)
+    assert sol.placement is problem.current
+    assert sol.changes == 0
+    assert (sol.load > 1e-12).all()
+    sol.validate(problem)
+    before = (
+        sol.placement.indptr.copy(),
+        sol.placement.indices.copy(),
+        sol.load.copy(),
+    )
+    stats = state.apply(sol)
+    assert stats["started"] == stats["stopped"] == 0
+    assert stats["vms"] == dense.sum()
+    assert state.remove_server(1) == 2
+    assert state.clear_placement() == 6
+    after = (sol.placement.indptr, sol.placement.indices, sol.load)
+    assert all(np.array_equal(b, a) for b, a in zip(before, after))
+    assert sol.placement.shape == dense.shape
 
 
 def test_build_problem_reuses_columns():

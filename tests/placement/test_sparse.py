@@ -155,6 +155,89 @@ def test_sparse_waterfill_matches_dense():
     )
 
 
+def _waterfill_reference(
+    server_cpu, app_cpu_demand, placement, rounds=12, capped=None
+):
+    """The dense-mask waterfill that walks every entry every round; the
+    live-set :func:`sparse_waterfill` must reproduce its bytes.  When
+    *capped* is a list, each round appends whether some server scaled
+    its wants down."""
+    s_count, a_count = placement.shape
+    rows = placement.rows()
+    cols = placement.indices
+    load = np.zeros(rows.shape[0])
+    remaining = np.asarray(app_cpu_demand, dtype=float).copy()
+    free = np.asarray(server_cpu, dtype=float).copy()
+    for _ in range(rounds):
+        entry_open = free[rows] > 1e-12
+        counts = np.bincount(cols[entry_open], minlength=a_count)
+        active = (remaining > 1e-12) & (counts > 0)
+        if not active.any():
+            break
+        entry_act = entry_open & active[cols]
+        want = np.zeros_like(load)
+        act_cols = cols[entry_act]
+        want[entry_act] = remaining[act_cols] / counts[act_cols]
+        want_per_server = np.bincount(rows, weights=want, minlength=s_count)
+        safe = np.where(want_per_server > 1e-15, want_per_server, 1.0)
+        scale = np.where(
+            want_per_server > 1e-15, np.minimum(1.0, free / safe), 0.0
+        )
+        if capped is not None:
+            capped.append(
+                not ((scale == 1.0) | (want_per_server == 0.0)).all()
+            )
+        grant = want * scale[rows]
+        load += grant
+        free -= np.bincount(rows, weights=grant, minlength=s_count)
+        np.maximum(free, 0.0, out=free)
+        remaining -= np.bincount(cols, weights=grant, minlength=a_count)
+        np.maximum(remaining, 0.0, out=remaining)
+    return load
+
+
+@st.composite
+def waterfill_instances(draw):
+    """Random CSR placements with tight or ample server CPU, zero-demand
+    apps and empty rows (an all-empty placement included)."""
+    s = draw(st.integers(1, 12))
+    a = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.random((s, a)) < draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+    dense[rng.random(s) < draw(st.sampled_from([0.0, 0.3]))] = False
+    # Tight CPU caps servers and leaves demand for later rounds.
+    server_cpu = rng.uniform(0.0, draw(st.sampled_from([0.05, 1.0, 50.0])), s)
+    server_cpu[rng.random(s) < 0.1] = 0.0
+    demand = rng.uniform(0.0, 10.0, a)
+    demand[rng.random(a) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    rounds = draw(st.integers(1, 12))
+    return server_cpu, demand, SparsePlacement.from_dense(dense), rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=waterfill_instances())
+def test_sparse_waterfill_bytes_match_reference(inst):
+    server_cpu, demand, placement, rounds = inst
+    load = sparse_waterfill(server_cpu, demand, placement, rounds=rounds)
+    ref = _waterfill_reference(server_cpu, demand, placement, rounds=rounds)
+    assert load.tobytes() == ref.tobytes()
+
+
+def test_sparse_waterfill_capped_then_uncapped_round():
+    """Server 0 caps round 1 (wants 7 > 1 CPU) and closes; round 2 only
+    tops up app 1 on roomy server 1, with no cap."""
+    placement = SparsePlacement.from_dense(
+        np.array([[1, 1, 0], [0, 1, 1]], dtype=bool)
+    )
+    server_cpu = np.array([1.0, 100.0])
+    demand = np.array([5.0, 4.0, 1.0])
+    capped = []
+    ref = _waterfill_reference(server_cpu, demand, placement, capped=capped)
+    assert capped == [True, False]
+    load = sparse_waterfill(server_cpu, demand, placement)
+    assert load.tobytes() == ref.tobytes()
+
+
 # ------------------------------------------------------- bulk sparse path
 
 
