@@ -2,8 +2,8 @@
 
 Every benchmark prints the table(s) it reproduces and writes them to
 ``benchmarks/results/<id>.txt`` (human-readable) plus a machine-readable
-``<id>.json`` next to it, so the experiment output both survives runs that
-capture stdout and feeds the ``repro bench`` trend comparison.
+``<id>.json`` next to it, so the experiment output survives runs that
+capture stdout and stays machine-readable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ def emit(tables, name: str) -> None:
     """Print and persist one experiment's tables (.txt and .json).
 
     The JSON payload records the process peak RSS at emit time so memory
-    trends ride along with the wall-time trend anchors.
+    rides along with the tables' wall times.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     text = "\n\n".join(t.render() for t in tables)

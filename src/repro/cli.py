@@ -308,35 +308,47 @@ def main(argv: list[str] | None = None) -> int:
         help="run the sharded scenario (E16) at this shard count instead "
         "(repeatable, e.g. --shards 1 --shards 2 --shards 4)",
     )
-    bench_p = sub.add_parser(
-        "bench",
-        help="run pinned perf workloads; writes BENCH_placement.json / "
-        "BENCH_network.json / BENCH_controlplane.json",
-    )
-    bench_p.add_argument(
+    # Flags every BENCH lane shares (bench, mega, dataplane).
+    lane_p = argparse.ArgumentParser(add_help=False)
+    lane_p.add_argument(
         "--quick",
         action="store_true",
-        help="small fixtures only (the CI smoke lane)",
+        help="quick fixtures only, as the lane's CI smoke job runs them "
+        "(mega and dataplane: 1/10 scale)",
     )
-    bench_p.add_argument(
+    lane_p.add_argument(
         "--out", default=".", metavar="DIR", help="where to write BENCH_*.json"
+    )
+    lane_p.add_argument(
+        "--baseline",
+        metavar="DIR",
+        help="directory holding baseline BENCH_*.json to gate against "
+        "(read before --out is written, so it may be the same directory)",
+    )
+    lane_p.add_argument(
+        "--max-regression",
+        type=float,
+        default=2.0,
+        help="fail if a guarded metric exceeds baseline x this ratio",
+    )
+    rss_p = argparse.ArgumentParser(add_help=False)
+    rss_p.add_argument(
+        "--max-rss-mb",
+        type=float,
+        default=8192.0,
+        help="fail if peak RSS exceeds this many MB (acceptance budget)",
+    )
+    bench_p = sub.add_parser(
+        "bench",
+        parents=[lane_p],
+        help="run pinned perf workloads; writes BENCH_placement.json / "
+        "BENCH_network.json / BENCH_controlplane.json",
     )
     bench_p.add_argument(
         "--workers",
         type=int,
         default=4,
         help="parallel engine width for the pod-epoch workload",
-    )
-    bench_p.add_argument(
-        "--baseline",
-        metavar="DIR",
-        help="directory holding baseline BENCH_*.json to gate against",
-    )
-    bench_p.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail if any guarded wall time exceeds baseline x this ratio",
     )
     bench_p.add_argument(
         "--min-speedup",
@@ -349,14 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     mega_p = sub.add_parser(
         "mega",
-        help="run the paper-scale bounded-memory epoch driver; writes "
-        "BENCH_mega.json and gates peak RSS",
-    )
-    mega_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="1/10 scale (the CI mega-smoke lane); default is the paper's "
-        "300k servers / 300k apps / ~6M VMs",
+        parents=[lane_p, rss_p],
+        help="run the paper-scale bounded-memory epoch driver (300k "
+        "servers / 300k apps / ~6M VMs); writes BENCH_mega.json and gates "
+        "peak RSS",
     )
     mega_p.add_argument(
         "--epochs", type=int, default=2, help="placement epochs to run"
@@ -368,26 +376,6 @@ def main(argv: list[str] | None = None) -> int:
         help="placement engine width (process-pool workers)",
     )
     mega_p.add_argument(
-        "--out", default=".", metavar="DIR", help="where to write BENCH_mega.json"
-    )
-    mega_p.add_argument(
-        "--baseline",
-        metavar="DIR",
-        help="directory holding a baseline BENCH_mega.json to gate against",
-    )
-    mega_p.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail if a guarded metric exceeds baseline x this ratio",
-    )
-    mega_p.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=8192.0,
-        help="fail if peak RSS exceeds this many MB (acceptance budget)",
-    )
-    mega_p.add_argument(
         "--faults",
         action="store_true",
         help="also run the fault lane (E18's scripted fail/repair cycle); "
@@ -396,15 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     dp_p = sub.add_parser(
         "dataplane",
+        parents=[lane_p, rss_p],
         help="run the mega traffic data plane lane (E19); writes "
         "BENCH_dataplane.json and gates throughput, the object-path "
         "speedup and peak RSS",
-    )
-    dp_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="1/10 scale with the object data plane racing the same "
-        "stream (the CI dataplane-smoke lane); default is 300k servers",
     )
     dp_p.add_argument(
         "--epochs", type=int, default=4, help="steered epochs to run"
@@ -416,36 +399,13 @@ def main(argv: list[str] | None = None) -> int:
         help="parallel engine width for the placement half of the loop",
     )
     dp_p.add_argument(
-        "--out",
-        default=".",
-        metavar="DIR",
-        help="where to write BENCH_dataplane.json",
-    )
-    dp_p.add_argument(
-        "--baseline",
-        metavar="DIR",
-        help="directory holding a baseline BENCH_dataplane.json to gate "
-        "against",
-    )
-    dp_p.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail if a guarded metric exceeds baseline x this ratio",
-    )
-    dp_p.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=8192.0,
-        help="fail if peak RSS exceeds this many MB (acceptance budget)",
-    )
-    dp_p.add_argument(
         "--min-speedup",
         type=float,
         default=10.0,
         metavar="X",
         help="fail if the columnar path is not at least X times faster "
-        "than the object path (checked when the race runs, i.e. --quick)",
+        "than the object path (checked when the race runs, i.e. --quick, "
+        "where the object data plane steers the same stream)",
     )
     trace_p = sub.add_parser(
         "trace", help="summarize or diff JSONL trace files"

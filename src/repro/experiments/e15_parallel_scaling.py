@@ -15,13 +15,76 @@ the speedup column is hardware-dependent.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field
 
-import os
+import numpy as np
 
 from repro.analysis.reporting import Table
-from repro.perf.bench import _demand_sequence, _run_pod_epochs
-from repro.perf.engine import PlacementEngine
+from repro.experiments.e02_placement_scalability import (
+    make_instance,
+    split_into_pods,
+)
+from repro.perf.engine import PlacementEngine, PlacementTask
+from repro.placement import PlacementProblem, TangController
+
+
+def _drift(demands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Multiplicative lognormal drift, renormalized to constant total."""
+    factor = rng.lognormal(0.0, 0.25, size=demands.shape)
+    out = demands * factor
+    return out * demands.sum() / out.sum()
+
+
+def _demand_sequence(base: PlacementProblem, epochs: int, seed: int):
+    rng = np.random.default_rng(seed + 1)
+    seq = [base.app_cpu_demand]
+    for _ in range(epochs - 1):
+        seq.append(_drift(seq[-1], rng))
+    return seq
+
+
+def _run_pod_epochs(
+    base: PlacementProblem,
+    pods: list[PlacementProblem],
+    demand_seq,
+    engine: PlacementEngine,
+):
+    """Run the epoch sequence through *engine* with fresh per-pod Tang
+    controllers; returns (wall_s, per-epoch solution signatures, max-flow
+    calls counted in-process)."""
+    controllers = [TangController() for _ in pods]
+    placements = [p.current.copy() for p in pods]
+    signatures = []
+    tracing = engine.trace is not None and engine.trace.enabled
+    t0 = time.perf_counter()
+    for epoch, demand in enumerate(demand_seq):
+        full = PlacementProblem(
+            server_cpu=base.server_cpu,
+            server_mem=base.server_mem,
+            app_cpu_demand=demand,
+            app_mem=base.app_mem,
+            current=np.vstack(placements),
+        )
+        epoch_pods = split_into_pods(full, pods[0].n_servers)
+        ctx = {"t": 60.0 * epoch, "epoch": str(epoch)} if tracing else None
+        tasks = [
+            PlacementTask(
+                key=f"pod-{i}", problem=p, controller=controllers[i],
+                trace_ctx=ctx,
+            )
+            for i, p in enumerate(epoch_pods)
+        ]
+        solutions = engine.solve_batch(tasks)
+        placements = [s.placement for s in solutions]
+        signatures.append(
+            [(s.placement.tobytes(), s.load.tobytes()) for s in solutions]
+        )
+    wall = time.perf_counter() - t0
+    # Counters accrue on these controller objects only when the engine
+    # solves in-process; a pool solves shipped copies.
+    return wall, signatures, sum(c.maxflow_calls for c in controllers)
 
 
 @dataclass
@@ -84,11 +147,6 @@ def run(
     epochs: int = 2,
     seed: int = 0,
 ) -> E15Result:
-    from repro.experiments.e02_placement_scalability import (
-        make_instance,
-        split_into_pods,
-    )
-
     result = E15Result(cpu_count=os.cpu_count() or 1)
     for n_pods in pod_counts:
         n_servers = n_pods * pod_size
@@ -127,10 +185,6 @@ def trace_digest(
     witness that pool.dispatch/pool.merge events (epoch identity, task
     keys, solution CRCs) are byte-identical across engine parallelism
     levels."""
-    from repro.experiments.e02_placement_scalability import (
-        make_instance,
-        split_into_pods,
-    )
     from repro.obs import TraceBus
 
     base = make_instance(n_pods * pod_size, seed=seed)

@@ -1,18 +1,24 @@
-"""``repro bench`` — pinned performance workloads with JSON trajectories.
+"""``repro bench`` / ``mega`` / ``dataplane`` — pinned performance
+workloads with JSON trajectories.
 
-Runs fixed-seed placement and network workloads and writes
-``BENCH_placement.json`` / ``BENCH_network.json`` (wall times, speedups vs
-serial, solver iteration counts) so every later change has a baseline to
-beat.  Three roles:
+Three lanes, each writing BENCH files so every later change has a
+baseline to beat:
 
-* **measure** — the E2-scale pod-epoch workload (>= 8 pods, per-pod Tang
-  controllers, drifting demand) through the serial and parallel engines,
-  the greedy/distributed solvers, and max-min fairness re-solves;
-* **verify** — the parallel engine's placements must be byte-identical to
-  serial (the run fails otherwise);
-* **gate** — ``--baseline DIR`` compares guarded wall-time metrics against
-  a committed baseline and fails when any regresses more than
-  ``--max-regression`` (CI runs this on the quick fixtures).
+* ``repro bench`` — fixed-seed placement, network and control-plane
+  micro-workloads -> ``BENCH_placement.json`` / ``BENCH_network.json`` /
+  ``BENCH_controlplane.json``;
+* ``repro mega`` — the E17 mega-scale runner (plus, with ``--faults``,
+  E18's fail/repair cycle) -> ``BENCH_mega.json``;
+* ``repro dataplane`` — the E19 steered data plane ->
+  ``BENCH_dataplane.json``.
+
+Each lane runs its workloads, lists its own checks (parallel placements
+byte-identical to serial, fleet recovered, steering counters balance, RSS
+within budget, ...) and hands both to :func:`write_and_gate`, which reads
+the ``--baseline DIR`` files, merges the new workloads into the output
+files, writes them, and fails the run when a check fails or a guarded
+metric regresses more than ``--max-regression`` (CI runs every lane on
+its quick fixtures).
 
 Quick fixtures are a subset of the full run (the full run includes them),
 so a committed full baseline also covers the CI quick lane's keys.  Wall
@@ -25,20 +31,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 from typing import Optional
 
 import numpy as np
 
 from repro.network.maxmin import weighted_maxmin_fair
-from repro.perf.engine import PlacementEngine, PlacementTask
+from repro.perf.engine import PlacementEngine
 from repro.perf.rss import peak_rss_mb
-from repro.placement import (
-    DistributedController,
-    GreedyController,
-    PlacementProblem,
-    TangController,
-)
+from repro.placement import DistributedController, GreedyController
 
 SCHEMA = 2
 #: Metrics guarded by the regression gate (wall times, plus the mega
@@ -76,65 +78,7 @@ BENCH_FILES = {
 #: pinned micro-workload).
 MEGA_FILE = "BENCH_mega.json"
 DATAPLANE_FILE = "BENCH_dataplane.json"
-
-
-def _drift(demands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multiplicative lognormal drift, renormalized to constant total."""
-    factor = rng.lognormal(0.0, 0.25, size=demands.shape)
-    out = demands * factor
-    return out * demands.sum() / out.sum()
-
-
-def _demand_sequence(base: PlacementProblem, epochs: int, seed: int):
-    rng = np.random.default_rng(seed + 1)
-    seq = [base.app_cpu_demand]
-    for _ in range(epochs - 1):
-        seq.append(_drift(seq[-1], rng))
-    return seq
-
-
-def _run_pod_epochs(
-    base: PlacementProblem,
-    pods: list[PlacementProblem],
-    demand_seq,
-    engine: PlacementEngine,
-):
-    """Run the epoch sequence through *engine* with fresh per-pod Tang
-    controllers; returns (wall_s, per-epoch solution signatures, max-flow
-    calls counted in-process)."""
-    from repro.experiments.e02_placement_scalability import split_into_pods
-
-    controllers = [TangController() for _ in pods]
-    placements = [p.current.copy() for p in pods]
-    signatures = []
-    tracing = engine.trace is not None and engine.trace.enabled
-    t0 = time.perf_counter()
-    for epoch, demand in enumerate(demand_seq):
-        full = PlacementProblem(
-            server_cpu=base.server_cpu,
-            server_mem=base.server_mem,
-            app_cpu_demand=demand,
-            app_mem=base.app_mem,
-            current=np.vstack(placements),
-        )
-        epoch_pods = split_into_pods(full, pods[0].n_servers)
-        ctx = {"t": 60.0 * epoch, "epoch": str(epoch)} if tracing else None
-        tasks = [
-            PlacementTask(
-                key=f"pod-{i}", problem=p, controller=controllers[i],
-                trace_ctx=ctx,
-            )
-            for i, p in enumerate(epoch_pods)
-        ]
-        solutions = engine.solve_batch(tasks)
-        placements = [s.placement for s in solutions]
-        signatures.append(
-            [(s.placement.tobytes(), s.load.tobytes()) for s in solutions]
-        )
-    wall = time.perf_counter() - t0
-    # Counters accrue on these controller objects only when the engine
-    # solves in-process; a pool solves shipped copies.
-    return wall, signatures, sum(c.maxflow_calls for c in controllers)
+LANE_FILES = {**BENCH_FILES, "mega": MEGA_FILE, "dataplane": DATAPLANE_FILE}
 
 
 def bench_pod_epoch(
@@ -144,6 +88,10 @@ def bench_pod_epoch(
     from repro.experiments.e02_placement_scalability import (
         make_instance,
         split_into_pods,
+    )
+    from repro.experiments.e15_parallel_scaling import (
+        _demand_sequence,
+        _run_pod_epochs,
     )
 
     base = make_instance(n_servers, seed=seed)
@@ -467,6 +415,10 @@ def run_suite(
         # finished; within one suite run it is monotone across workloads.
         metrics["peak_rss_mb"] = round(peak_rss_mb(), 1)
         workloads[wid] = metrics
+    return _lane_file(suite, quick, workloads)
+
+
+def _lane_file(suite: str, quick: bool, workloads: dict) -> dict:
     return {
         "schema": SCHEMA,
         "suite": suite,
@@ -549,36 +501,117 @@ def speedup_gate(result: dict, min_speedup: float) -> tuple[list[str], list[str]
     return failures, skipped
 
 
-# ----------------------------------------------------------------- trends
+# ------------------------------------------------------------ write + gate
 
 
-def trend_lines(results_dir: pathlib.Path) -> list[str]:
-    """Summarize the benchmark suite's machine-readable tables (the .json
-    files ``benchmarks/conftest.emit`` writes next to each .txt): every
-    wall-time-ish column's last-row value, as a cross-run trend anchor."""
-    lines = []
-    if not results_dir.is_dir():
-        return lines
-    for path in sorted(results_dir.glob("*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
+def write_and_gate(
+    lane: str,
+    quick: bool,
+    runs: dict[str, dict],
+    failures: list[str],
+    out_dir: str,
+    baseline: Optional[str],
+    max_regression: float,
+    show: tuple[str, ...],
+    out,
+) -> int:
+    """Write one lane's BENCH files and give its verdict (0 ok, 1 failed).
+
+    *runs* maps suite name (a :data:`LANE_FILES` key) to this run's
+    ``{workload id: metrics}``; *failures* are the lane's own check
+    failures.  Every ``--baseline`` file is read before any file is
+    written, so an ``--out`` equal to the baseline directory still gates
+    the run against the old numbers rather than against itself.  Each
+    output file keeps the workloads already in it and replaces those this
+    run re-measured, by workload id (the id encodes scale, so one
+    committed file carries both the quick CI entries and the full-scale
+    ones).  Only this run's workloads are gated.
+    """
+    out_path = pathlib.Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    base_dir = pathlib.Path(baseline) if baseline is not None else None
+    bases = {}
+    if base_dir is not None:
+        for suite in runs:
+            base_file = base_dir / LANE_FILES[suite]
+            if base_file.is_file():
+                bases[suite] = json.loads(base_file.read_text())
+    failures = list(failures)
+    for suite, workloads in runs.items():
+        dest = out_path / LANE_FILES[suite]
+        merged = {}
+        if dest.is_file():
+            try:
+                merged = json.loads(dest.read_text()).get("workloads", {})
+            except (json.JSONDecodeError, OSError):
+                pass
+        for metrics in workloads.values():
+            # Per workload, not just per file: the regression gate decides
+            # workload by workload whether parallel walls are comparable.
+            metrics["cpu_count"] = os.cpu_count()
+        merged.update(workloads)
+        dest.write_text(
+            json.dumps(_lane_file(suite, quick, merged), indent=2) + "\n"
+        )
+        print(f"\n[{suite}] -> {dest}", file=out)
+        for wid, metrics in workloads.items():
+            print(f"  {wid}:", file=out)
+            for key in show:
+                if key in metrics:
+                    print(f"    {key} = {metrics[key]}", file=out)
+        if base_dir is None:
             continue
-        for table in payload.get("tables", []):
-            cols, rows = table.get("columns", []), table.get("rows", [])
-            if not rows:
-                continue
-            timings = [
-                f"{c}={rows[-1][i]}"
-                for i, c in enumerate(cols)
-                if "(s)" in c or c.endswith("_s")
-            ]
-            if timings:
-                lines.append(f"{payload.get('name', path.stem)}: {', '.join(timings)}")
-    return lines
+        if suite not in bases:
+            print(
+                f"  (no baseline {base_dir / LANE_FILES[suite]}; skipping gate)",
+                file=out,
+            )
+            continue
+        violations, skipped = compare_to_baseline(
+            {"workloads": workloads}, bases[suite], max_regression
+        )
+        for s in skipped:
+            print(f"  WARNING {s}", file=out)
+        for v in violations:
+            print(f"  REGRESSION {v}", file=out)
+        failures.extend(violations)
+    if failures:
+        print(f"\n{lane} FAILED ({len(failures)} problem(s))", file=out)
+        for f in failures:
+            print(f"  {f}", file=out)
+        return 1
+    print(f"\n{lane} ok", file=out)
+    return 0
 
 
-# -------------------------------------------------------------------- CLI
+def rss_budget_failures(runs: dict, max_rss_mb: float) -> list[str]:
+    """The peak-RSS budget check shared by the mega and dataplane lanes."""
+    return [
+        f"{wid}: metric 'peak_rss_mb' exceeds budget: "
+        f"{metrics['peak_rss_mb']:.1f} MB > allowed {max_rss_mb:.1f} MB"
+        for wid, metrics in runs.items()
+        if metrics["peak_rss_mb"] > max_rss_mb
+    ]
+
+
+# --------------------------------------------------------------- bench lane
+
+#: (metric, failure message) — a bench workload fails when it records the
+#: metric as ``False``; the message is formatted with its metrics.
+BENCH_CHECKS = (
+    ("identical", "parallel result differs from serial"),
+    ("overhead_ok", "observability overhead {overhead_pct}% exceeds 5%"),
+    ("monotonic_ok", "sharded throughput not monotonic in shard count"),
+    ("chaos_converged", "a chaos case failed to converge to clean drift"),
+)
+BENCH_SHOW = GUARDED_METRICS + (
+    "speedup",
+    "identical",
+    "overhead_pct",
+    "overhead_ok",
+    "monotonic_ok",
+    "chaos_converged",
+)
 
 
 def cmd_bench(
@@ -587,135 +620,99 @@ def cmd_bench(
     workers: Optional[int],
     baseline: Optional[str],
     max_regression: float,
-    results_dir: Optional[str] = None,
     out=None,
     min_speedup: Optional[float] = None,
 ) -> int:
-    import sys
-
     out = out if out is not None else sys.stdout
-    out_path = pathlib.Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    # bench_obs writes its trace into out_dir while the suites run.
+    pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     mode = "quick" if quick else "full"
     print(
         f"repro bench ({mode}, cpu_count={os.cpu_count()}) — "
-        "pinned placement + network workloads",
+        "pinned placement + network + control-plane workloads",
         file=out,
     )
-    failures = []
-    for suite, filename in BENCH_FILES.items():
-        result = run_suite(suite, quick, workers=workers, out_dir=str(out_path))
-        (out_path / filename).write_text(json.dumps(result, indent=2) + "\n")
-        print(f"\n[{suite}] -> {out_path / filename}", file=out)
-        for wid, metrics in result["workloads"].items():
-            shown = {
-                k: v
-                for k, v in metrics.items()
-                if k in GUARDED_METRICS
-                or k
-                in (
-                    "speedup",
-                    "identical",
-                    "overhead_pct",
-                    "overhead_ok",
-                    "monotonic_ok",
-                    "chaos_converged",
-                )
-            }
-            print(f"  {wid}: {shown}", file=out)
-            if metrics.get("identical") is False:
-                failures.append(f"{wid}: parallel result differs from serial")
-            if metrics.get("overhead_ok") is False:
-                failures.append(
-                    f"{wid}: observability overhead "
-                    f"{metrics.get('overhead_pct')}% exceeds 5%"
-                )
-            if metrics.get("monotonic_ok") is False:
-                failures.append(
-                    f"{wid}: sharded throughput not monotonic in shard count"
-                )
-            if metrics.get("chaos_converged") is False:
-                failures.append(
-                    f"{wid}: a chaos case failed to converge to clean drift"
-                )
-        if min_speedup is not None:
-            gate_failures, gate_skipped = speedup_gate(result, min_speedup)
-            for s in gate_skipped:
-                print(f"  WARNING {s}", file=out)
-            for g in gate_failures:
-                print(f"  SPEEDUP {g}", file=out)
-            failures.extend(gate_failures)
-        if baseline is not None:
-            base_file = pathlib.Path(baseline) / filename
-            if base_file.is_file():
-                base = json.loads(base_file.read_text())
-                violations, skipped = compare_to_baseline(
-                    result, base, max_regression
-                )
-                for s in skipped:
-                    print(f"  WARNING {s}", file=out)
-                for v in violations:
-                    print(f"  REGRESSION {v}", file=out)
-                failures.extend(violations)
-            else:
-                print(f"  (no baseline {base_file}; skipping gate)", file=out)
-    trends = trend_lines(
-        pathlib.Path(results_dir)
-        if results_dir is not None
-        else pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+    runs = {
+        suite: run_suite(suite, quick, workers=workers, out_dir=out_dir)[
+            "workloads"
+        ]
+        for suite in BENCH_FILES
+    }
+    failures = [
+        f"{wid}: " + message.format(**metrics)
+        for workloads in runs.values()
+        for wid, metrics in workloads.items()
+        for metric, message in BENCH_CHECKS
+        if metrics.get(metric) is False
+    ]
+    if min_speedup is not None:
+        gate_failures, gate_skipped = speedup_gate(
+            {"workloads": runs["placement"]}, min_speedup
+        )
+        for s in gate_skipped:
+            print(f"  WARNING {s}", file=out)
+        failures.extend(gate_failures)
+    return write_and_gate(
+        "bench", quick, runs, failures, out_dir, baseline, max_regression,
+        BENCH_SHOW, out,
     )
-    if trends:
-        print("\nbenchmark-suite trend anchors (benchmarks/results/*.json):", file=out)
-        for line in trends:
-            print(f"  {line}", file=out)
-    if failures:
-        print(f"\nbench FAILED ({len(failures)} problem(s))", file=out)
-        return 1
-    print("\nbench ok", file=out)
-    return 0
 
 
 # --------------------------------------------------------------- mega lane
+
+MEGA_SHOW = (
+    "vms",
+    "epochs",
+    "bootstrap_wall_s",
+    "first_epoch_wall_s",
+    "wall_per_epoch_s",
+    "peak_rss_mb",
+    "satisfied_fraction_min",
+    "faults_injected",
+    "mttr_pod_s",
+    "mttr_server_s",
+    "dropped_gb",
+    "pods_down_max",
+    "recovered",
+    "rip_records_total",
+    "auditor_ok",
+    "rip_mirror_verified",
+)
 
 
 def bench_mega(
     quick: bool, epochs: int = 2, workers: int = 1, seed: int = 0
 ) -> tuple[str, dict]:
-    """Run the bounded-memory mega driver and report scale + cost.
+    """E17's mega-scale run (the bounded-memory driver) as a workload.
 
     ``wall_per_epoch_s`` is the steady-state epoch wall (epochs after the
     first, which also pays process-pool start-up); ``peak_rss_mb``
     is the process high-water mark — the acceptance metric the paper-scale
     run is gated on.
     """
-    from repro.core.mega import MegaConfig, MegaScaleDriver
+    from repro.experiments import e17_mega_scale as e17
 
-    cfg = (MegaConfig.quick if quick else MegaConfig.full)(
-        parallelism=workers, seed=seed
-    )
-    t0 = time.perf_counter()
-    with MegaScaleDriver(cfg) as driver:
-        bootstrap_wall = time.perf_counter() - t0
-        reports = driver.run(epochs)
-    steady = reports[1:] if len(reports) > 1 else reports
+    result = e17.run(full=not quick, epochs=epochs, workers=workers, seed=seed)
+    cfg, rows = result.config, result.rows
+    steady = rows[1:] or rows
     wid = (
         f"mega[pods={cfg.n_pods},servers={cfg.n_servers},"
         f"apps={cfg.n_apps},workers={workers}]"
     )
     metrics = {
-        "epochs": len(reports),
-        "vms": reports[-1].vms,
-        "bootstrap_wall_s": round(bootstrap_wall, 4),
-        "wall_s": round(sum(r.wall_s for r in reports), 4),
-        "first_epoch_wall_s": round(reports[0].wall_s, 4),
+        "epochs": len(rows),
+        "vms": rows[-1].vms,
+        "bootstrap_wall_s": round(result.bootstrap_wall_s, 4),
+        "wall_s": round(sum(r.wall_s for r in rows), 4),
+        "first_epoch_wall_s": round(rows[0].wall_s, 4),
         "wall_per_epoch_s": round(
             sum(r.wall_s for r in steady) / len(steady), 4
         ),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "satisfied_fraction_min": round(
-            min(r.satisfied_fraction for r in reports), 6
+            min(r.satisfied_fraction for r in rows), 6
         ),
-        "changes_last_epoch": reports[-1].changes,
+        "changes_last_epoch": rows[-1].changes,
     }
     return wid, metrics
 
@@ -778,88 +775,30 @@ def cmd_mega(
     faults: bool = False,
     out=None,
 ) -> int:
-    """Run the mega-scale lane, write ``BENCH_mega.json``, gate RSS/trends."""
-    import sys
-
+    """Run the mega-scale lane, write ``BENCH_mega.json``, gate RSS,
+    demand served, fault recovery and the baseline."""
     out = out if out is not None else sys.stdout
-    out_path = pathlib.Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     mode = "quick" if quick else "full"
     print(
         f"repro mega ({mode}, cpu_count={os.cpu_count()}, "
         f"workers={workers}, epochs={epochs})",
         file=out,
     )
-    wid, metrics = bench_mega(quick, epochs=epochs, workers=workers)
-    metrics["cpu_count"] = os.cpu_count()
-    lanes = [(wid, metrics)]
+    runs = dict([bench_mega(quick, epochs=epochs, workers=workers)])
     if faults:
         # The fault lane needs the whole fail/repair cycle: failures in
         # epochs 1-2, repairs at epoch 4, so at least 6 epochs.
         fwid, fmetrics = bench_mega_faults(
             quick, epochs=max(epochs, 6), workers=workers
         )
-        fmetrics["cpu_count"] = os.cpu_count()
-        lanes.append((fwid, fmetrics))
-    # Merge with an existing file so one committed baseline can carry both
-    # the quick (CI smoke) and full (paper-scale) workload entries — the
-    # workload id encodes the scale, so they never collide.
-    dest = out_path / MEGA_FILE
-    workloads = {}
-    if dest.is_file():
-        try:
-            workloads = dict(json.loads(dest.read_text()).get("workloads", {}))
-        except (json.JSONDecodeError, OSError):
-            workloads = {}
-    for lane_wid, lane_metrics in lanes:
-        workloads[lane_wid] = lane_metrics
-    result = {
-        "schema": SCHEMA,
-        "suite": "mega",
-        "quick": quick,
-        "cpu_count": os.cpu_count(),
-        "workloads": workloads,
-    }
-    dest.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n[mega] -> {dest}", file=out)
-    show = (
-        "vms",
-        "epochs",
-        "bootstrap_wall_s",
-        "first_epoch_wall_s",
-        "wall_per_epoch_s",
-        "peak_rss_mb",
-        "satisfied_fraction_min",
-        "faults_injected",
-        "mttr_pod_s",
-        "mttr_server_s",
-        "dropped_gb",
-        "pods_down_max",
-        "recovered",
-        "rip_records_total",
-        "auditor_ok",
-        "rip_mirror_verified",
-    )
-    for lane_wid, lane_metrics in lanes:
-        print(f"  {lane_wid}:", file=out)
-        for key in show:
-            if key in lane_metrics:
-                print(f"    {key} = {lane_metrics[key]}", file=out)
-    failures = []
-    for lane_wid, lane_metrics in lanes:
-        if lane_metrics["peak_rss_mb"] > max_rss_mb:
-            failures.append(
-                f"{lane_wid}: metric 'peak_rss_mb' exceeds budget: "
-                f"{lane_metrics['peak_rss_mb']:.1f} MB > allowed "
-                f"{max_rss_mb:.1f} MB"
-            )
-        if lane_metrics["satisfied_fraction_min"] < 0.98:
-            failures.append(
-                f"{lane_wid}: satisfied_fraction_min "
-                f"{lane_metrics['satisfied_fraction_min']} < 0.98"
-            )
+        runs[fwid] = fmetrics
+    failures = rss_budget_failures(runs, max_rss_mb) + [
+        f"{wid}: satisfied_fraction_min "
+        f"{metrics['satisfied_fraction_min']} < 0.98"
+        for wid, metrics in runs.items()
+        if metrics["satisfied_fraction_min"] < 0.98
+    ]
     if faults:
-        fwid, fmetrics = lanes[1]
         if not fmetrics["recovered"]:
             failures.append(f"{fwid}: fleet did not recover (pods still down)")
         if not fmetrics["auditor_ok"]:
@@ -870,30 +809,30 @@ def cmd_mega(
             )
         if fmetrics["mttr_pod_s"] is None or fmetrics["mttr_server_s"] is None:
             failures.append(f"{fwid}: MTTR never recorded for a fault class")
-    if baseline is not None:
-        base_file = pathlib.Path(baseline) / MEGA_FILE
-        if base_file.is_file():
-            base = json.loads(base_file.read_text())
-            violations, skipped = compare_to_baseline(
-                result, base, max_regression
-            )
-            for s in skipped:
-                print(f"  WARNING {s}", file=out)
-            for v in violations:
-                print(f"  REGRESSION {v}", file=out)
-            failures.extend(violations)
-        else:
-            print(f"  (no baseline {base_file}; skipping gate)", file=out)
-    if failures:
-        print(f"\nmega FAILED ({len(failures)} problem(s))", file=out)
-        for f in failures:
-            print(f"  {f}", file=out)
-        return 1
-    print("\nmega ok", file=out)
-    return 0
+    return write_and_gate(
+        "mega", quick, {"mega": runs}, failures, out_dir, baseline,
+        max_regression, MEGA_SHOW, out,
+    )
 
 
 # ---------------------------------------------------------- dataplane lane
+
+DATAPLANE_SHOW = (
+    "epochs",
+    "requests",
+    "requests_per_s",
+    "steer_wall_s",
+    "dns_hit_rate",
+    "opened",
+    "rejected",
+    "unserved",
+    "dropped",
+    "knobs_fired",
+    "object_requests_per_s",
+    "speedup_vs_object",
+    "auditor_ok",
+    "peak_rss_mb",
+)
 
 
 def bench_dataplane(
@@ -960,11 +899,7 @@ def cmd_dataplane(
 ) -> int:
     """Run the data-plane lane, write ``BENCH_dataplane.json``, gate
     throughput, the quick-scale object-path speedup, and peak RSS."""
-    import sys
-
     out = out if out is not None else sys.stdout
-    out_path = pathlib.Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     mode = "quick" if quick else "full"
     print(
         f"repro dataplane ({mode}, cpu_count={os.cpu_count()}, "
@@ -972,82 +907,19 @@ def cmd_dataplane(
         file=out,
     )
     wid, metrics = bench_dataplane(quick, epochs=epochs, workers=workers)
-    metrics["cpu_count"] = os.cpu_count()
-    # Same merge pattern as the mega lane: quick and full entries share
-    # one committed baseline file, keyed by the scale-encoding workload id.
-    dest = out_path / DATAPLANE_FILE
-    workloads = {}
-    if dest.is_file():
-        try:
-            workloads = dict(json.loads(dest.read_text()).get("workloads", {}))
-        except (json.JSONDecodeError, OSError):
-            workloads = {}
-    workloads[wid] = metrics
-    result = {
-        "schema": SCHEMA,
-        "suite": "dataplane",
-        "quick": quick,
-        "cpu_count": os.cpu_count(),
-        "workloads": workloads,
-    }
-    dest.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n[dataplane] -> {dest}", file=out)
-    print(f"  {wid}:", file=out)
-    for key in (
-        "epochs",
-        "requests",
-        "requests_per_s",
-        "steer_wall_s",
-        "dns_hit_rate",
-        "opened",
-        "rejected",
-        "unserved",
-        "dropped",
-        "knobs_fired",
-        "object_requests_per_s",
-        "speedup_vs_object",
-        "auditor_ok",
-        "peak_rss_mb",
-    ):
-        if key in metrics:
-            print(f"    {key} = {metrics[key]}", file=out)
-    failures = []
+    failures = rss_budget_failures({wid: metrics}, max_rss_mb)
     if metrics["opened"] + metrics["rejected"] + metrics["unserved"] != (
         metrics["requests"]
     ):
         failures.append(f"{wid}: steering outcome counters do not balance")
     if not metrics["auditor_ok"]:
         failures.append(f"{wid}: invariant auditor reported violations")
-    if metrics["peak_rss_mb"] > max_rss_mb:
-        failures.append(
-            f"{wid}: metric 'peak_rss_mb' exceeds budget: "
-            f"{metrics['peak_rss_mb']:.1f} MB > allowed {max_rss_mb:.1f} MB"
-        )
-    if "speedup_vs_object" in metrics and (
-        metrics["speedup_vs_object"] < min_speedup
-    ):
+    if metrics.get("speedup_vs_object", min_speedup) < min_speedup:
         failures.append(
             f"{wid}: speedup_vs_object {metrics['speedup_vs_object']:.2f}x "
             f"< required {min_speedup:.1f}x"
         )
-    if baseline is not None:
-        base_file = pathlib.Path(baseline) / DATAPLANE_FILE
-        if base_file.is_file():
-            base = json.loads(base_file.read_text())
-            violations, skipped = compare_to_baseline(
-                result, base, max_regression
-            )
-            for s in skipped:
-                print(f"  WARNING {s}", file=out)
-            for v in violations:
-                print(f"  REGRESSION {v}", file=out)
-            failures.extend(violations)
-        else:
-            print(f"  (no baseline {base_file}; skipping gate)", file=out)
-    if failures:
-        print(f"\ndataplane FAILED ({len(failures)} problem(s))", file=out)
-        for f in failures:
-            print(f"  {f}", file=out)
-        return 1
-    print("\ndataplane ok", file=out)
-    return 0
+    return write_and_gate(
+        "dataplane", quick, {"dataplane": {wid: metrics}}, failures, out_dir,
+        baseline, max_regression, DATAPLANE_SHOW, out,
+    )

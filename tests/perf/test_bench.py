@@ -1,5 +1,5 @@
-"""The ``repro bench`` harness: JSON output, the regression gate, and the
-trend reader."""
+"""The BENCH lanes (``repro bench`` / ``mega`` / ``dataplane``): JSON
+output, the lane checks and the regression gate."""
 
 import io
 import json
@@ -116,28 +116,6 @@ def test_speedup_gate_skips_on_undersized_runner():
     assert len(skipped) == 1 and "tiny" in skipped[0]
 
 
-def test_trend_lines(tmp_path):
-    (tmp_path / "e02.json").write_text(
-        json.dumps(
-            {
-                "name": "e02_placement_scalability",
-                "tables": [
-                    {
-                        "title": "t",
-                        "columns": ["servers", "tang(s)"],
-                        "rows": [["100", "0.5"], ["800", "7.3"]],
-                        "notes": [],
-                    }
-                ],
-            }
-        )
-    )
-    (tmp_path / "junk.json").write_text("{not json")
-    lines = bench.trend_lines(tmp_path)
-    assert lines == ["e02_placement_scalability: tang(s)=7.3"]
-    assert bench.trend_lines(tmp_path / "missing") == []
-
-
 def test_cmd_bench_writes_json_and_gates(tiny_fixtures, tmp_path):
     out = io.StringIO()
     rc = bench.cmd_bench(
@@ -146,7 +124,6 @@ def test_cmd_bench_writes_json_and_gates(tiny_fixtures, tmp_path):
         workers=2,
         baseline=None,
         max_regression=2.0,
-        results_dir=str(tmp_path / "no-results"),
         out=out,
         min_speedup=0.0,  # speedup >= 0 always: gates nothing, but runs
     )
@@ -163,7 +140,6 @@ def test_cmd_bench_writes_json_and_gates(tiny_fixtures, tmp_path):
         workers=2,
         baseline=str(tmp_path / "run1"),
         max_regression=50.0,
-        results_dir=str(tmp_path / "no-results"),
         out=io.StringIO(),
     )
     assert rc == 0
@@ -176,11 +152,35 @@ def test_cmd_bench_writes_json_and_gates(tiny_fixtures, tmp_path):
         workers=2,
         baseline=str(tmp_path / "run1"),
         max_regression=1e-6,
-        results_dir=str(tmp_path / "no-results"),
         out=out,
     )
     assert rc == 1
     assert "REGRESSION" in out.getvalue()
+
+
+def test_cmd_bench_reads_baseline_before_writing_into_it(tiny_fixtures, tmp_path):
+    """``--out`` equal to ``--baseline`` must still gate against the old
+    file: an impossible baseline fails instead of being overwritten by the
+    run and then compared with itself."""
+    wid, _ = bench.bench_maxmin(**TINY_NETWORK[0][1])
+    (tmp_path / bench.BENCH_FILES["network"]).write_text(
+        json.dumps({"workloads": {wid: {"wall_s": 1e-6}}})
+    )
+    out = io.StringIO()
+    rc = bench.cmd_bench(
+        quick=True,
+        out_dir=str(tmp_path),
+        workers=2,
+        baseline=str(tmp_path),
+        max_regression=2.0,
+        out=out,
+    )
+    assert rc == 1
+    assert f"REGRESSION {wid}: metric 'wall_s' regressed" in out.getvalue()
+    # The run still replaced the entry it re-measured.
+    payload = json.loads((tmp_path / bench.BENCH_FILES["network"]).read_text())
+    assert payload["workloads"][wid]["wall_s"] > 1e-6
+
 
 def test_compare_to_baseline_names_metric_and_units():
     """Satellite of the mega lane: a violation message must say *which*
@@ -276,3 +276,178 @@ def test_cmd_mega_quick_writes_json_and_gates(tmp_path):
     )
     assert rc == 1
     assert "peak_rss_mb" in out.getvalue()
+
+
+# ------------------------------------------- lane checks, synthetic metrics
+
+MEGA_WID = "mega[pods=2,servers=8,apps=8,workers=1]"
+FAULTS_WID = "mega_faults[pods=2,servers=8,apps=8,workers=1]"
+DATAPLANE_WID = "dataplane[pods=2,servers=8,apps=8,req=10]"
+
+
+def _mega_metrics(**change):
+    return {
+        "wall_per_epoch_s": 0.1,
+        "peak_rss_mb": 100.0,
+        "satisfied_fraction_min": 1.0,
+        **change,
+    }
+
+
+def _faults_metrics(**change):
+    return {
+        **_mega_metrics(),
+        "recovered": True,
+        "auditor_ok": True,
+        "rip_mirror_verified": True,
+        "mttr_pod_s": 60.0,
+        "mttr_server_s": 60.0,
+        **change,
+    }
+
+
+def _dataplane_metrics(**change):
+    return {
+        "requests": 10,
+        "opened": 7,
+        "rejected": 2,
+        "unserved": 1,
+        "auditor_ok": True,
+        "peak_rss_mb": 100.0,
+        "speedup_vs_object": 40.0,
+        **change,
+    }
+
+
+def _cmd_mega(monkeypatch, tmp_path, mega, faults, baseline=None):
+    """``cmd_mega --faults`` on synthetic lane metrics (no E17/E18 run)."""
+    monkeypatch.setattr(bench, "bench_mega", lambda *a, **k: mega)
+    monkeypatch.setattr(bench, "bench_mega_faults", lambda *a, **k: faults)
+    out = io.StringIO()
+    rc = bench.cmd_mega(
+        quick=True,
+        out_dir=str(tmp_path),
+        workers=1,
+        epochs=2,
+        baseline=baseline,
+        max_regression=2.0,
+        max_rss_mb=1000.0,
+        faults=True,
+        out=out,
+    )
+    return rc, out.getvalue()
+
+
+def _cmd_dataplane(monkeypatch, tmp_path, metrics):
+    """``cmd_dataplane`` on synthetic lane metrics (no E19 run)."""
+    monkeypatch.setattr(
+        bench, "bench_dataplane", lambda *a, **k: (DATAPLANE_WID, metrics)
+    )
+    out = io.StringIO()
+    rc = bench.cmd_dataplane(
+        quick=True,
+        out_dir=str(tmp_path),
+        workers=1,
+        epochs=4,
+        baseline=None,
+        max_regression=2.0,
+        max_rss_mb=1000.0,
+        min_speedup=10.0,
+        out=out,
+    )
+    return rc, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({}, None),
+        ({"recovered": False}, "fleet did not recover (pods still down)"),
+        ({"mttr_pod_s": None}, "MTTR never recorded for a fault class"),
+        ({"mttr_server_s": None}, "MTTR never recorded for a fault class"),
+        ({"auditor_ok": False}, "invariant auditor reported violations"),
+        ({"rip_mirror_verified": False}, "columnar RIP mirror diverged"),
+        ({"peak_rss_mb": 1500.0}, "metric 'peak_rss_mb' exceeds budget"),
+        ({"satisfied_fraction_min": 0.5}, "satisfied_fraction_min 0.5 < 0.98"),
+    ],
+)
+def test_cmd_mega_fault_lane_checks(monkeypatch, tmp_path, change, message):
+    rc, text = _cmd_mega(
+        monkeypatch,
+        tmp_path,
+        (MEGA_WID, _mega_metrics()),
+        (FAULTS_WID, _faults_metrics(**change)),
+    )
+    if message is None:
+        assert rc == 0 and "mega ok" in text
+        assert "FAILED" not in text
+    else:
+        assert rc == 1
+        assert "mega FAILED (1 problem(s))" in text
+        assert f"{FAULTS_WID}: {message}" in text
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({}, None),
+        ({"rejected": 3}, "steering outcome counters do not balance"),
+        ({"auditor_ok": False}, "invariant auditor reported violations"),
+        ({"peak_rss_mb": 1500.0}, "metric 'peak_rss_mb' exceeds budget"),
+        ({"speedup_vs_object": 9.5}, "speedup_vs_object 9.50x < required 10.0x"),
+    ],
+)
+def test_cmd_dataplane_lane_checks(monkeypatch, tmp_path, change, message):
+    rc, text = _cmd_dataplane(monkeypatch, tmp_path, _dataplane_metrics(**change))
+    if message is None:
+        assert rc == 0 and "dataplane ok" in text
+        assert "FAILED" not in text
+    else:
+        assert rc == 1
+        assert "dataplane FAILED (1 problem(s))" in text
+        assert f"{DATAPLANE_WID}: {message}" in text
+
+
+def test_cmd_dataplane_full_scale_has_no_speedup_check(monkeypatch, tmp_path):
+    """The object path races only at quick scale; a run without
+    ``speedup_vs_object`` is not held to the floor."""
+    metrics = _dataplane_metrics()
+    del metrics["speedup_vs_object"]
+    rc, text = _cmd_dataplane(monkeypatch, tmp_path, metrics)
+    assert rc == 0 and "dataplane ok" in text
+
+
+def test_lane_file_merges_by_id_and_gates_only_this_run(monkeypatch, tmp_path):
+    """A lane file keeps the entries it already holds (the id encodes the
+    scale), but only the workloads this run measured are gated."""
+    stale = "mega[pods=60,servers=300000,apps=300000,workers=1]"
+    out_dir, base_dir = tmp_path / "out", tmp_path / "base"
+    out_dir.mkdir()
+    base_dir.mkdir()
+    (out_dir / bench.MEGA_FILE).write_text(
+        json.dumps({"workloads": {stale: _mega_metrics(wall_per_epoch_s=99.0)}})
+    )
+    (base_dir / bench.MEGA_FILE).write_text(
+        json.dumps(
+            {
+                "workloads": {
+                    stale: _mega_metrics(),
+                    FAULTS_WID: _faults_metrics(wall_per_epoch_s=1e-6),
+                }
+            }
+        )
+    )
+    rc, text = _cmd_mega(
+        monkeypatch,
+        out_dir,
+        (MEGA_WID, _mega_metrics()),
+        (FAULTS_WID, _faults_metrics()),
+        baseline=str(base_dir),
+    )
+    assert rc == 1
+    assert "mega FAILED (1 problem(s))" in text
+    assert f"REGRESSION {FAULTS_WID}: metric 'wall_per_epoch_s'" in text
+    payload = json.loads((out_dir / bench.MEGA_FILE).read_text())
+    assert sorted(payload["workloads"]) == sorted([stale, MEGA_WID, FAULTS_WID])
+    assert payload["workloads"][stale]["wall_per_epoch_s"] == 99.0
+    assert payload["workloads"][MEGA_WID]["cpu_count"] is not None
