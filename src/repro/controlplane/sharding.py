@@ -440,17 +440,6 @@ class ShardedControlPlane:
             homing.update(shard.manager.rip_homing())
         return homing
 
-    def journal_frontiers(self) -> dict[str, tuple[int, int]]:
-        """Per-shard ``journal name -> (applied_epoch, checkpoint_epoch)``
-        — the fence a journal-tailing mirror syncs against."""
-        return {
-            shard.journal.name: (
-                shard.manager.applied_epoch,
-                shard.checkpoints.epoch,
-            )
-            for shard in self.shards
-        }
-
     def mark_failed(self, switch_name: str) -> None:
         for shard in self.shards:
             shard.manager.mark_failed(switch_name)

@@ -372,12 +372,17 @@ class MegaScaleDriver:
             min(cp.wired_apps, cfg.n_apps), dtype=np.int64
         )
         self._VipRipRequest = VipRipRequest
+        n_vips = max(1, cp.vips_per_app)
         for gid in self._wired_gids:
-            for _ in range(max(1, cp.vips_per_app)):
+            for _ in range(n_vips):
                 self.control_plane.submit(
                     VipRipRequest("new_vip", self._app_name(gid))
                 )
         self._cp_env.run()
+        self._check_wired(
+            "max_vips",
+            lambda app, gid: len(self.control_plane.vips_of(app)) < n_vips,
+        )
         for gid in self._wired_gids:
             app = self._app_name(gid)
             for pod_name in self._covering_pods(int(gid)):
@@ -385,6 +390,14 @@ class MegaScaleDriver:
                     VipRipRequest("new_rip", app, rip=f"{app}@{pod_name}")
                 )
         self._cp_env.run()
+        rip_index = self.control_plane.rip_index
+        self._check_wired(
+            "max_rips",
+            lambda app, gid: any(
+                f"{app}@{pod}" not in rip_index
+                for pod in self._covering_pods(gid)
+            ),
+        )
         self.bridge = RipJournalBridge(
             self.control_plane,
             pod_of=self._pod_of_rip,
@@ -392,6 +405,26 @@ class MegaScaleDriver:
             clock=lambda: self._cp_env.now,
         )
         self.bridge.sync()
+
+    def _check_wired(self, limit: str, unplaced) -> None:
+        """Raise if the wiring requests just run left anything unplaced.
+
+        The shards reject a VIP or RIP that no switch has room for;
+        without this check the gap first surfaces much later, as a data
+        plane with unwired apps.  *unplaced* is ``(app, gid) -> bool``.
+        """
+        cp = self.control_plane
+        if not (cp.rejected or cp.errored):
+            return
+        apps = ((self._app_name(g), int(g)) for g in self._wired_gids)
+        first = next((app for app, gid in apps if unplaced(app, gid)), None)
+        raise ValueError(
+            f"control-plane wiring failed: {cp.rejected} request(s) "
+            f"rejected, {cp.errored} errored; first app left unplaced: "
+            f"{first}; raise MegaControlPlaneConfig.{limit} "
+            f"(= {getattr(self._cp_config, limit)} per switch) or wire "
+            f"fewer apps"
+        )
 
     def _covering_pods(self, gid: int) -> list[str]:
         """Pods covered by app *gid* under the arithmetic coverage rule."""

@@ -157,10 +157,6 @@ class PlatformState:
                 pods.add(pod)
         return pods
 
-    def rips_of_vip(self, vip: str) -> list[str]:
-        switch = self.switch_of_vip(vip)
-        return sorted(switch.entry(vip).rips)
-
     def app_traffic_on_link(self, app: str, link: str) -> float:
         """This app's measured traffic arriving via *link*."""
         total = 0.0

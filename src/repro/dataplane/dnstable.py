@@ -2,11 +2,14 @@
 
 One :class:`VectorizedDnsTable` replaces an authority plus a whole
 resolver population on the hot path: per-app VIP weight vectors become
-per-app CDF segments (built through the shared
-:func:`repro.dns.policy.weighted_cdf`, so a batched ``searchsorted`` draw
-is bit-identical to the scalar ``AuthoritativeDNS.resolve``), and every
-resolver's TTL cache becomes one row of a ``(n_resolvers, n_apps)``
-expiry matrix instead of a per-resolver dict.
+the columns of one ``+inf``-padded CDF matrix (each built through the
+shared :func:`repro.dns.policy.weighted_cdf`, so a batched
+:func:`~repro.dns.policy.padded_pick` count is bit-identical to the
+scalar ``AuthoritativeDNS.resolve``), and every resolver's TTL cache
+becomes one row of a ``(n_resolvers, n_apps)`` expiry matrix instead of
+a per-resolver dict.  A batch addresses that matrix through flat cell
+ids ``resolver * n_apps + app`` and picks every cache miss's VIP in one
+padded count, whatever the number of apps in the batch.
 
 Sequential-equivalence contract (what the differential harness proves):
 resolving a batch of requests must behave exactly as if each request were
@@ -27,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dns.policy import weighted_cdf
+from repro.dns.policy import padded_cdf, padded_pick, weighted_cdf
 
 
 class VectorizedDnsTable:
@@ -71,7 +74,8 @@ class VectorizedDnsTable:
         np.cumsum(counts, out=self.vip_indptr[1:])
         self.vip_names = names
         self.weights = np.zeros(len(names))
-        self.cdf = np.zeros(len(names))
+        #: Column ``a`` is app ``a``'s VIP CDF, ``+inf``-padded.
+        self.cdf_pad = padded_cdf(np.zeros(len(names)), self.vip_indptr)
         for i, app in enumerate(self.apps):
             self._rebuild_segment(i, zones[app])
         self.weight_updates = 0
@@ -100,7 +104,7 @@ class VectorizedDnsTable:
         if (w < 0).any() or w.sum() <= 0:
             raise ValueError(f"app {self.apps[slot]}: bad weight vector")
         self.weights[lo:hi] = w
-        self.cdf[lo:hi] = weighted_cdf(w)
+        self.cdf_pad[: hi - lo, slot] = weighted_cdf(w)
 
     def set_weights(self, app: str, weights: Mapping[str, float]) -> None:
         """K1 re-steer: replace one app's VIP weight vector in place."""
@@ -139,45 +143,41 @@ class VectorizedDnsTable:
         ``Resolver.lookup`` calls would (see the module docstring for the
         within-batch duplicate semantics).
         """
+        cell = resolver * np.int64(self.n_apps) + app
+        expires = self.expires.reshape(-1)
+        cached = self.cached.reshape(-1)
         out = np.empty(resolver.shape[0], dtype=np.int64)
-        fresh = now < self.expires[resolver, app]
+        fresh = now < expires[cell]
         hits = np.flatnonzero(fresh)
-        out[hits] = self.cached[resolver[hits], app[hits]]
+        out[hits] = cached[cell[hits]]
         miss = np.flatnonzero(~fresh)
         if miss.size == 0:
             self.cache_hits += hits.size
             return out
         if self.ttl_s > 0:
-            # Only the first occurrence of each (resolver, app) pair
-            # queries; the rest hit the entry it caches.
-            key = resolver[miss] * np.int64(self.n_apps) + app[miss]
-            _, first = np.unique(key, return_index=True)
-            draw = miss[np.sort(first)]
+            # Only the first occurrence of each (resolver, app) cell
+            # queries; the rest hit the entry it caches.  Every missed
+            # cell is rewritten below, so its stale ``cached`` slot can
+            # first hold the lowest batch position that missed it.
+            miss_cell = cell[miss]
+            cached[miss_cell] = resolver.shape[0]
+            np.minimum.at(cached, miss_cell, miss)
+            first = cached[miss_cell]
+            draw = miss[first == miss]
         else:
             draw = miss
         apps_d = app[draw]
-        order = np.argsort(apps_d, kind="stable")
-        sorted_apps = apps_d[order]
-        chosen = np.empty(draw.size, dtype=np.int64)
-        bounds = np.flatnonzero(np.diff(sorted_apps)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [sorted_apps.size]))
-        for s, e in zip(starts, ends):
-            a = int(sorted_apps[s])
-            lo, hi = self.vip_indptr[a], self.vip_indptr[a + 1]
-            sel = order[s:e]
-            chosen[sel] = lo + np.searchsorted(
-                self.cdf[lo:hi], u_dns[draw[sel]], side="right"
-            )
-        out[draw] = chosen
-        self.cached[resolver[draw], app[draw]] = chosen
-        self.expires[resolver[draw], app[draw]] = (
-            now + self.ttl_eff[resolver[draw]]
+        chosen = self.vip_indptr[apps_d] + padded_pick(
+            self.cdf_pad, apps_d, u_dns[draw]
         )
-        if self.ttl_s > 0 and draw.size < miss.size:
+        out[draw] = chosen
+        cells_d = cell[draw]
+        cached[cells_d] = chosen
+        expires[cells_d] = now + self.ttl_eff[resolver[draw]]
+        if draw.size < miss.size:
             # Later duplicates read the entry their first occurrence
             # just cached — sequentially those are cache *hits*.
-            out[miss] = self.cached[resolver[miss], app[miss]]
+            out[miss] = out[first]
         self.cache_misses += draw.size
         self.cache_hits += hits.size + (miss.size - draw.size)
         return out

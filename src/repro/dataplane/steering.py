@@ -4,9 +4,12 @@
 consumes the :class:`~repro.workload.requests.RequestStream`'s chunks and
 resolves every request entirely in numpy — DNS answer (vectorized TTL
 cache + per-app CDF draw), VIP → serving switch and weighted RIP pick
-(per-VIP CSR views over :class:`~repro.core.columnar.ColumnarRipRegistry`,
-rebuilt only when the mirror's ``ops_applied`` moves), and session open
-against the struct-of-arrays :class:`ColumnarConnTable`.
+(per-VIP CSR views over :class:`~repro.core.columnar.ColumnarRipRegistry`
+with their CDFs in one ``+inf``-padded matrix, rebuilt only when the
+mirror's ``ops_applied`` moves), and session open against the
+struct-of-arrays :class:`ColumnarConnTable`.  Both weighted picks are
+one :func:`~repro.dns.policy.padded_pick` count per chunk: no sort and
+no loop over the apps or VIPs a chunk touches.
 
 Equivalence to the object path holds request-for-request (same VIP, same
 RIP, same rejection) because every stochastic choice goes through the
@@ -26,7 +29,7 @@ import numpy as np
 from repro.core.columnar import ColumnarRipRegistry
 from repro.dataplane.conntable import ColumnarConnTable
 from repro.dataplane.dnstable import VectorizedDnsTable
-from repro.dns.policy import weighted_cdf
+from repro.dns.policy import padded_cdf, padded_pick, weighted_cdf
 from repro.workload.requests import RequestStream
 
 
@@ -118,7 +121,7 @@ class ColumnarDataPlane:
         self._reg_version = -1
         self._vs_indptr = np.zeros(1, dtype=np.int64)
         self._vs_rids = np.zeros(0, dtype=np.int64)
-        self._vs_cdf = np.zeros(0)
+        self._vs_pad = np.zeros((0, 0))
         self._vip_switch = np.zeros(0, dtype=np.int64)
         self.epochs_steered = 0
         self.last_report: Optional[SteerReport] = None
@@ -152,7 +155,8 @@ class ColumnarDataPlane:
 
         The view is CSR by registry VIP id: active RIP rows sorted by RIP
         *name* (the object tables' canonical order) with a normalized
-        weight CDF per segment, plus each VIP's current home switch.
+        weight CDF per segment (the columns of a padded matrix), plus
+        each VIP's current home switch.
         """
         reg = self.registry
         if reg.ops_applied == self._reg_version:
@@ -174,7 +178,7 @@ class ColumnarDataPlane:
         vip_switch[vids] = reg.rip_switch[act]
         self._vs_indptr = indptr
         self._vs_rids = act
-        self._vs_cdf = cdf
+        self._vs_pad = padded_cdf(cdf, indptr)
         self._vip_switch = vip_switch
         self.conn.ensure_vips(n_vips)
         self.conn.ensure_switches(
@@ -240,7 +244,7 @@ class ColumnarDataPlane:
         rep.closed = self.conn.close_due(epoch)
         hits0, miss0 = self.dns.cache_hits, self.dns.cache_misses
         rej0 = self.conn.rejected
-        indptr, rids, cdf = self._vs_indptr, self._vs_rids, self._vs_cdf
+        indptr, rids, pad = self._vs_indptr, self._vs_rids, self._vs_pad
         if record:
             out_vip: list[np.ndarray] = []
             out_rid: list[np.ndarray] = []
@@ -256,21 +260,9 @@ class ColumnarDataPlane:
             srv = np.flatnonzero(served)
             rep.unserved += n - srv.size
             vids_s = vid[srv]
-            rid = np.empty(srv.size, dtype=np.int64)
-            order = np.argsort(vids_s, kind="stable")
-            sorted_v = vids_s[order]
-            bounds = np.flatnonzero(np.diff(sorted_v)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sorted_v.size]))
-            u_rip_s = chunk.u_rip[srv]
-            for s, e in zip(starts, ends):
-                v = int(sorted_v[s])
-                lo, hi = int(indptr[v]), int(indptr[v + 1])
-                sel = order[s:e]
-                rid[sel] = rids[
-                    lo
-                    + np.searchsorted(cdf[lo:hi], u_rip_s[sel], side="right")
-                ]
+            rid = rids[
+                indptr[vids_s] + padded_pick(pad, vids_s, chunk.u_rip[srv])
+            ]
             accepted = self.conn.try_open_batch(
                 vids_s,
                 rid,

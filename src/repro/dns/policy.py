@@ -22,9 +22,9 @@ def weighted_cdf(weights: np.ndarray) -> np.ndarray:
     performs internally for a given ``p``: normalize to probabilities,
     cumulative-sum, then renormalize the running sum so the last entry is
     exactly 1.0.  Both the object-model authority and the columnar DNS
-    tables build their answer CDFs through this one function, which is
-    what makes a scalar ``rng.choice`` draw and a vectorized
-    ``searchsorted`` over the same uniforms *bit-identical* — the
+    and RIP tables build their answer CDFs through this one function,
+    which is what makes a scalar ``rng.choice`` draw and a vectorized
+    :func:`padded_pick` over the same uniforms *bit-identical* — the
     equivalence the differential data-plane harness asserts.
     """
     w = np.asarray(weights, dtype=float)
@@ -51,6 +51,39 @@ def weighted_pick(
     if np.ndim(u) == 0:
         return int(idx)
     return idx
+
+
+def padded_cdf(cdf: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Segment CDFs as the columns of a ``+inf``-padded matrix.
+
+    *cdf* is the concatenation of per-segment CDFs (each built by
+    :func:`weighted_cdf`), segment ``s`` spanning
+    ``cdf[indptr[s]:indptr[s + 1]]``.  Column ``s`` of the
+    ``(widest, n_segments)`` result holds that CDF, then ``+inf`` down to
+    the widest segment's length.  Each row is contiguous, which keeps
+    every pass of :func:`padded_pick` a flat gather.
+    """
+    counts = np.diff(indptr)
+    pad = np.full((int(counts.max(initial=0)), counts.size), np.inf)
+    seg = np.repeat(np.arange(counts.size), counts)
+    pad[np.arange(cdf.size) - indptr[seg], seg] = cdf
+    return pad
+
+
+def padded_pick(pad: np.ndarray, seg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Offset of each uniform ``u[i]`` inside segment ``seg[i]``'s CDF.
+
+    Counts the CDF entries ``<= u`` in the segment's column of a
+    :func:`padded_cdf` matrix — exactly what
+    ``searchsorted(cdf, u, side="right")`` returns for a non-decreasing
+    CDF.  Padding never counts because ``u < 1``; a NaN column (all-zero
+    weights) counts 0, as ``searchsorted`` does.  One pass per CDF row,
+    so the work is ``widest × len(u)`` whatever the number of segments.
+    """
+    count = np.zeros(seg.shape[0], dtype=np.int64)
+    for row in pad:
+        count += row[seg] <= u
+    return count
 
 
 class ExposurePolicy(abc.ABC):

@@ -59,6 +59,9 @@ class LBSwitch:
         self.name = name
         self.limits = limits
         self._vips: dict[str, VipEntry] = {}
+        #: app -> its VIPs on this switch (kept by every table mutation
+        #: that adds or removes a VIP, so lookups never scan the table).
+        self._app_vips: dict[str, set[str]] = {}
         self._rip_entries = 0  # total (vip, rip) table entries
         self.monitor: Optional[UtilizationMonitor] = (
             UtilizationMonitor(env, limits.throughput_gbps, name) if env else None
@@ -97,6 +100,7 @@ class LBSwitch:
             raise RuntimeError(f"{self.name}: VIP table full ({self.limits.max_vips})")
         entry = VipEntry(vip=vip, app=app)
         self._vips[vip] = entry
+        self._app_vips.setdefault(app, set()).add(vip)
         return entry
 
     def remove_vip(self, vip: str) -> VipEntry:
@@ -105,6 +109,10 @@ class LBSwitch:
         if vip not in self._vips:
             raise KeyError(f"{self.name}: VIP {vip} not configured")
         entry = self._vips.pop(vip)
+        same_app = self._app_vips[entry.app]
+        same_app.discard(vip)
+        if not same_app:
+            del self._app_vips[entry.app]
         self._rip_entries -= len(entry.rips)
         self._sync_monitor()
         return entry
@@ -118,6 +126,7 @@ class LBSwitch:
         if self.num_rips + len(entry.rips) > self.limits.max_rips:
             raise RuntimeError(f"{self.name}: RIP table would overflow")
         self._vips[entry.vip] = entry
+        self._app_vips.setdefault(entry.app, set()).add(entry.vip)
         self._rip_entries += len(entry.rips)
         self._sync_monitor()
 
@@ -175,7 +184,7 @@ class LBSwitch:
         return sorted(self._vips)
 
     def vips_of_app(self, app: str) -> list[str]:
-        return sorted(v for v, e in self._vips.items() if e.app == app)
+        return sorted(self._app_vips.get(app, ()))
 
     def _entry(self, vip: str) -> VipEntry:
         if vip not in self._vips:

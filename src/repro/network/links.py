@@ -157,6 +157,3 @@ class InternetSide:
 
     def overloaded(self, threshold: float = 1.0) -> list[AccessLink]:
         return [l for l in self.links.values() if l.utilization > threshold]
-
-    def links_down(self) -> list[AccessLink]:
-        return [l for l in self.links.values() if not l.is_up]

@@ -72,16 +72,6 @@ class Environment:
         """Start a new process executing *generator*."""
         return Process(self, generator)
 
-    def all_of(self, events) -> Event:
-        from repro.sim.events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events) -> Event:
-        from repro.sim.events import AnyOf
-
-        return AnyOf(self, events)
-
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
         """Process the next event on the agenda.

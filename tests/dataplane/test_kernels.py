@@ -1,0 +1,247 @@
+"""Steering kernels against the per-group forms they replace.
+
+The padded CDF count must equal a per-segment ``searchsorted``; the DNS
+table's flat-cell resolve must equal the per-app loop it replaced, cache
+state and counters included; the session admit's whole-batch fast path
+must equal the running-position path at the capacity edge.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.dataplane.conntable import ColumnarConnTable, _group_positions
+from repro.dataplane.dnstable import VectorizedDnsTable
+from repro.dns.policy import padded_cdf, padded_pick, weighted_cdf
+
+# -- padded pick ---------------------------------------------------------
+
+weight = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+segment = st.lists(weight, min_size=1, max_size=20)
+
+
+def concat_cdfs(segments):
+    """Flat CDF + CSR bounds, one :func:`weighted_cdf` per segment (an
+    all-zero segment gives a NaN CDF, as the RIP view can hold)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cdfs = [weighted_cdf(np.asarray(w, dtype=float)) for w in segments]
+    indptr = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum([len(w) for w in segments], out=indptr[1:])
+    return cdfs, np.concatenate(cdfs), indptr
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segments=st.lists(segment, min_size=1, max_size=8).map(
+        # trailing zero weights and one all-zero segment in every draw
+        lambda segs: segs + [segs[0] + [0.0, 0.0], [0.0] * len(segs[-1])]
+    ),
+    data=st.data(),
+)
+def test_padded_pick_matches_per_segment_searchsorted(segments, data):
+    cdfs, flat, indptr = concat_cdfs(segments)
+    pad = padded_cdf(flat, indptr)
+    assert pad.shape == (max(len(w) for w in segments), len(segments))
+    n = data.draw(st.integers(1, 60))
+    seg = np.asarray(
+        data.draw(st.lists(st.integers(0, len(segments) - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    # uniforms on and between CDF values (u < 1 always)
+    on = [float(c) for c in flat if c < 1.0]
+    pool = st.floats(0.0, 1.0, exclude_max=True)
+    if on:
+        pool = st.one_of(pool, st.sampled_from(on))
+    u = np.asarray(data.draw(st.lists(pool, min_size=n, max_size=n)))
+    got = padded_pick(pad, seg, u)
+    want = np.asarray(
+        [np.searchsorted(cdfs[s], x, side="right") for s, x in zip(seg, u)],
+        dtype=np.int64,
+    )
+    assert np.array_equal(got, want)
+
+
+def test_padded_pick_all_zero_segment_counts_zero():
+    _, flat, indptr = concat_cdfs([[0.0, 0.0, 0.0], [1.0]])
+    pad = padded_cdf(flat, indptr)
+    got = padded_pick(pad, np.array([0, 0, 1]), np.array([0.0, 0.7, 0.5]))
+    assert got.tolist() == [0, 0, 0]
+
+
+# -- DNS resolve ---------------------------------------------------------
+
+
+def reference_resolve(table, resolver, app, u_dns, now):
+    """The per-app sort-and-loop resolve the padded pick replaced, run on
+    *table*'s own 2-D cache."""
+    cdf = np.concatenate(
+        [
+            weighted_cdf(table.weights[table.vip_indptr[a]:table.vip_indptr[a + 1]])
+            for a in range(table.n_apps)
+        ]
+    )
+    out = np.empty(resolver.shape[0], dtype=np.int64)
+    fresh = now < table.expires[resolver, app]
+    hits = np.flatnonzero(fresh)
+    out[hits] = table.cached[resolver[hits], app[hits]]
+    miss = np.flatnonzero(~fresh)
+    if miss.size == 0:
+        table.cache_hits += hits.size
+        return out
+    if table.ttl_s > 0:
+        key = resolver[miss] * np.int64(table.n_apps) + app[miss]
+        _, first = np.unique(key, return_index=True)
+        draw = miss[np.sort(first)]
+    else:
+        draw = miss
+    apps_d = app[draw]
+    order = np.argsort(apps_d, kind="stable")
+    sorted_apps = apps_d[order]
+    chosen = np.empty(draw.size, dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(sorted_apps)) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [sorted_apps.size]))
+    for s, e in zip(starts, ends):
+        a = int(sorted_apps[s])
+        lo, hi = table.vip_indptr[a], table.vip_indptr[a + 1]
+        sel = order[s:e]
+        chosen[sel] = lo + np.searchsorted(
+            cdf[lo:hi], u_dns[draw[sel]], side="right"
+        )
+    out[draw] = chosen
+    table.cached[resolver[draw], app[draw]] = chosen
+    table.expires[resolver[draw], app[draw]] = now + table.ttl_eff[resolver[draw]]
+    if table.ttl_s > 0 and draw.size < miss.size:
+        out[miss] = table.cached[resolver[miss], app[miss]]
+    table.cache_misses += draw.size
+    table.cache_hits += hits.size + (miss.size - draw.size)
+    return out
+
+
+def make_zones(vips_per_app, weights):
+    apps = [f"app-{i}" for i in range(len(vips_per_app))]
+    zones, k = {}, 0
+    for a, nv in zip(apps, vips_per_app):
+        zones[a] = {f"{a}-vip-{j}": weights[k + j] for j in range(nv)}
+        k += nv
+    return apps, zones
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vips_per_app=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    n_resolvers=st.integers(1, 5),
+    ttl_s=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**16),
+    n_batches=st.integers(1, 5),
+)
+def test_resolve_batch_matches_per_app_loop(
+    vips_per_app, n_resolvers, ttl_s, seed, n_batches
+):
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 4, sum(vips_per_app)).astype(float)
+    # zero weights are allowed, an all-zero app is not
+    for a, nv in enumerate(vips_per_app):
+        lo = sum(vips_per_app[:a])
+        if weights[lo:lo + nv].sum() == 0:
+            weights[lo] = 1.0
+    apps, zones = make_zones(vips_per_app, weights)
+    violators = rng.random(n_resolvers) < 0.4
+    kw = dict(ttl_s=ttl_s, violators=violators, violation_factor=3.0)
+    got_t = VectorizedDnsTable(apps, zones, n_resolvers, **kw)
+    ref_t = VectorizedDnsTable(apps, zones, n_resolvers, **kw)
+    now = 0.0
+    for _ in range(n_batches):
+        n = int(rng.integers(1, 40))
+        # few cells, so (resolver, app) pairs repeat inside a batch
+        resolver = rng.integers(0, n_resolvers, n)
+        app = rng.integers(0, len(apps), n)
+        u = rng.random(n)
+        got = got_t.resolve_batch(resolver, app, u, now)
+        want = reference_resolve(ref_t, resolver, app, u, now)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_t.cached, ref_t.cached)
+        assert np.array_equal(got_t.expires, ref_t.expires)
+        assert (got_t.cache_hits, got_t.cache_misses) == (
+            ref_t.cache_hits, ref_t.cache_misses
+        )
+        if rng.random() < 0.5:
+            a = apps[int(rng.integers(0, len(apps)))]
+            new = {v: float(rng.integers(1, 5)) for v in zones[a]}
+            got_t.set_weights(a, new)
+            ref_t.set_weights(a, new)
+        now += float(rng.choice([0.0, 0.25, 1.0, 3.0]))
+
+
+# -- session admit -------------------------------------------------------
+
+
+def reference_open(table, vip, rip, switch, close_epoch):
+    """The admit that ranks every request by its per-switch position."""
+    pos = _group_positions(switch)
+    accepted = table.switch_count[switch] + pos < table.switch_cap[switch]
+    rej = np.flatnonzero(~accepted)
+    np.add.at(table.rejected_by_switch, switch[rej], 1)
+    acc = np.flatnonzero(accepted)
+    if acc.size:
+        table._ensure(acc.size)
+        lo, hi = table._size, table._size + acc.size
+        table.conn_vip[lo:hi] = vip[acc]
+        table.conn_rip[lo:hi] = rip[acc]
+        table.conn_switch[lo:hi] = switch[acc]
+        table.close_epoch[lo:hi] = close_epoch[acc]
+        table.alive[lo:hi] = True
+        table._size = hi
+        table.switch_count += np.bincount(
+            switch[acc], minlength=table.switch_cap.shape[0]
+        )
+        table.ensure_vips(int(vip[acc].max()) + 1)
+        table.vip_count += np.bincount(
+            vip[acc], minlength=table.vip_count.shape[0]
+        )
+        table.opened += acc.size
+    return accepted
+
+
+def table_state(t):
+    n = t._size
+    return (
+        t.switch_count.tolist(), t.vip_count.tolist(),
+        t.rejected_by_switch.tolist(), t.opened,
+        t.conn_vip[:n].tolist(), t.conn_rip[:n].tolist(),
+        t.conn_switch[:n].tolist(), t.close_epoch[:n].tolist(),
+        t.alive[:n].tolist(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    switches=st.lists(st.integers(0, 2), min_size=1, max_size=40),
+    live=st.integers(0, 6),
+    edge=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**16),
+)
+def test_try_open_batch_fast_path_matches_positions(switches, live, edge, seed):
+    """Switch 0's live sessions plus its batch requests land at cap-1,
+    cap or cap+1: just inside the whole-batch fast path, on its edge, or
+    one over it."""
+    sw = np.asarray(switches, dtype=np.int64)
+    sw[0] = 0
+    cap = live + int((sw == 0).sum()) - edge
+    assume(cap >= 1)
+    tables = [ColumnarConnTable(3, cap, n_vips=2) for _ in range(2)]
+    rng = np.random.default_rng(seed)
+    for t in tables:
+        if live:
+            t.try_open_batch(
+                np.zeros(live, dtype=np.int64), np.zeros(live, dtype=np.int64),
+                np.zeros(live, dtype=np.int64), np.full(live, 9, dtype=np.int64),
+            )
+    vip = rng.integers(0, 4, sw.size)
+    rip = rng.integers(0, 50, sw.size)
+    close = rng.integers(1, 5, sw.size)
+    got = tables[0].try_open_batch(vip, rip, sw, close)
+    want = reference_open(tables[1], vip, rip, sw, close)
+    assert np.array_equal(got, want)
+    assert table_state(tables[0]) == table_state(tables[1])
+    assert got[sw == 0].all() == (edge <= 0)

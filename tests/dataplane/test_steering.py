@@ -156,3 +156,19 @@ def test_steering_requires_control_plane():
         MegaScaleDriver(
             MegaConfig.tiny(), steering=MegaSteeringConfig()
         )
+
+
+def test_vip_overflow_fails_at_wiring_naming_the_limit():
+    # 1,024 apps x 2 VIPs cannot fit 4 switches x 256 VIP slots.
+    cp = MegaControlPlaneConfig(wired_apps=1024, vips_per_app=2)
+    with pytest.raises(ValueError) as err:
+        MegaScaleDriver(MegaConfig.quick(), control_plane=cp)
+    msg = str(err.value)
+    assert "max_vips" in msg and "app-000487" in msg
+
+
+def test_rip_overflow_fails_at_wiring_naming_the_limit():
+    cp = MegaControlPlaneConfig(wired_apps=16, max_rips=2)
+    with pytest.raises(ValueError, match="max_rips") as err:
+        MegaScaleDriver(MegaConfig.tiny(), control_plane=cp)
+    assert "first app left unplaced: app-" in str(err.value)
