@@ -370,12 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         "--epochs", type=int, default=2, help="placement epochs to run"
     )
     mega_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="placement engine width (process-pool workers)",
-    )
-    mega_p.add_argument(
         "--faults",
         action="store_true",
         help="also run the fault lane (E18's scripted fail/repair cycle); "
@@ -391,12 +385,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     dp_p.add_argument(
         "--epochs", type=int, default=4, help="steered epochs to run"
-    )
-    dp_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel engine width for the placement half of the loop",
     )
     dp_p.add_argument(
         "--min-speedup",
@@ -455,7 +443,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_mega(
             quick=args.quick,
             out_dir=args.out,
-            workers=args.workers,
             epochs=args.epochs,
             baseline=args.baseline,
             max_regression=args.max_regression,
@@ -468,7 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_dataplane(
             quick=args.quick,
             out_dir=args.out,
-            workers=args.workers,
             epochs=args.epochs,
             baseline=args.baseline,
             max_regression=args.max_regression,

@@ -145,7 +145,12 @@ class ColumnarPodState:
 
     def __post_init__(self):
         self.app_gids = np.ascontiguousarray(self.app_gids, dtype=np.int64)
-        self.app_mem_gb = np.ascontiguousarray(self.app_mem_gb, dtype=float)
+        mem = np.asarray(self.app_mem_gb, dtype=float)
+        # A uniform column may come as a zero-stride view of one float;
+        # keep it (a contiguous copy costs one float per app).
+        if mem.ndim != 1 or mem.strides != (0,):
+            mem = np.ascontiguousarray(mem)
+        self.app_mem_gb = mem
         self.load = np.ascontiguousarray(self.load, dtype=float)
         if self.app_gids.size > 1 and (np.diff(self.app_gids) <= 0).any():
             raise ValueError("app_gids must be strictly increasing")

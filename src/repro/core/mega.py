@@ -12,10 +12,13 @@ materialized matrix.  This driver composes the three mega-scale pieces:
   in bounded app-index chunks, never materialized per-pod x per-app;
 * the :class:`~repro.perf.engine.PlacementEngine` — one
   :class:`~repro.placement.sparse.SparseGreedyController` solve per alive
-  pod, in-process or over a process pool.
+  pod, in-process and one pod at a time: each pod's problem is built
+  just before its solve and its solution applied right after, as its
+  own pod manager would (Section III-A).
 
-Memory stays bounded by O(total VM entries + one demand chunk), a few
-hundred MB at full scale against the < 8 GB acceptance target.
+Memory stays bounded by O(total VM entries + one per-app demand vector
++ one pod's working state), under 300 MB at full scale against the
+< 8 GB acceptance target.
 
 Pod coverage uses an arithmetic rule: app ``i`` covers the ``cover =
 min(vms_per_app, n_pods)`` pods ``(i + j) % n_pods``; its demand splits
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -101,7 +105,6 @@ class MegaConfig:
     diurnal_fraction: float = 0.5
     chunk_apps: int = 65_536
     epoch_s: float = 60.0
-    parallelism: int = 1
     seed: int = 0
     dense_limit: int = 1 << 22
     bootstrap_fill: float = 0.5
@@ -210,9 +213,10 @@ class MegaEpochReport:
 class MegaScaleDriver:
     """Run placement epochs at mega scale with bounded memory.
 
-    The driver owns one :class:`ColumnarPodState` shard per pod, a
-    reusable per-pod demand buffer, and one
-    :class:`SparseGreedyController` per pod.  ``trace`` (a
+    The driver owns one :class:`ColumnarPodState` shard per pod, one
+    :class:`SparseGreedyController` per pod, a fleet-wide per-app demand
+    vector and one local demand buffer shared by every pod (sized to the
+    widest).  ``trace`` (a
     :class:`~repro.obs.trace.TraceBus`) gets ``mega.chunk`` events as
     demand chunks are scattered and a ``mega.epoch`` summary per epoch.
     """
@@ -233,10 +237,11 @@ class MegaScaleDriver:
             diurnal_fraction=config.diurnal_fraction,
             seed=config.seed,
         )
-        self.engine = PlacementEngine(config.parallelism)
+        self.engine = PlacementEngine(1)
         self.pods: list[ColumnarPodState] = []
         self.controllers: list[SparseGreedyController] = []
-        self._demand_buffers: list[np.ndarray] = []
+        #: This epoch's demand per global app id, filled chunk by chunk.
+        self._demand = np.empty(config.n_apps)
         self.epochs_run = 0
         self.demand_fingerprint: Optional[str] = None
         # -- fault state -------------------------------------------------
@@ -255,6 +260,8 @@ class MegaScaleDriver:
         #: Optional RecoveryMonitor fed dropped demand + MTTR.
         self.monitor = None
         self._bootstrap()
+        #: One pod's local demand at a time; pods solve one by one.
+        self._local_demand = np.empty(max(pod.n_apps for pod in self.pods))
         self._pod_index = {pod.pod: i for i, pod in enumerate(self.pods)}
         # -- control plane -----------------------------------------------
         self.control_plane = None
@@ -315,7 +322,10 @@ class MegaScaleDriver:
                     name_prefix=f"pod-{p:03d}-s",
                 ),
                 app_gids=gids,
-                app_mem_gb=np.full(gids.size, cfg.vm_mem_gb),
+                # Every VM has the same memory: one float as a view.
+                app_mem_gb=np.broadcast_to(
+                    np.float64(cfg.vm_mem_gb), (gids.size,)
+                ),
                 placement=placement,
                 load=np.zeros(placement.nnz),
             )
@@ -327,7 +337,6 @@ class MegaScaleDriver:
             self.controllers.append(
                 SparseGreedyController(dense_limit=cfg.dense_limit)
             )
-            self._demand_buffers.append(np.zeros(gids.size))
 
     # -- control plane -------------------------------------------------
     @staticmethod
@@ -682,13 +691,10 @@ class MegaScaleDriver:
         return sum(pod.n_vms for pod in self.pods)
 
     def _scatter_demand(self, t: float, epoch: int) -> float:
-        """Stream demand chunks into the per-pod local demand buffers.
+        """Stream demand chunks into the fleet-wide per-app vector.
 
-        With every pod alive this is the scalar ``/cover`` split of PR 7
-        (byte-identical).  Under pod loss each app's demand splits across
-        its *alive* covering pods only — the K3 spill — and apps with no
-        alive covering pod are black-holed; their demand is returned as
-        the epoch's dropped CPU."""
+        Returns the demand of apps with no alive covering pod: they are
+        black-holed, and this is the epoch's dropped CPU."""
         cfg = self.config
         tracing = self.trace is not None and self.trace.enabled
         all_alive = bool(self.pod_alive.all())
@@ -699,29 +705,36 @@ class MegaScaleDriver:
                     "mega.chunk", t=t, epoch=epoch, lo=lo, hi=hi,
                     nbytes=int(vals.nbytes),
                 )
+            self._demand[lo:hi] = vals
             if not all_alive:
-                cov = self._app_alive_cover[lo:hi]
-                dead = cov == 0
+                dead = self._app_alive_cover[lo:hi] == 0
                 if dead.any():
                     dropped += float(vals[dead].sum())
-            for p, (pod, buf) in enumerate(zip(self.pods, self._demand_buffers)):
-                if not self.pod_alive[p]:
-                    continue
-                s0, s1 = np.searchsorted(pod.app_gids, (lo, hi))
-                if s0 == s1:
-                    continue
-                gsel = pod.app_gids[s0:s1]
-                if all_alive:
-                    buf[s0:s1] = vals[gsel - lo] / cfg.cover
-                else:
-                    # An alive covering pod implies cov >= 1 for its apps.
-                    buf[s0:s1] = vals[gsel - lo] / cov[gsel - lo]
         return dropped
+
+    def _pod_demand(self, p: int, all_alive: bool) -> np.ndarray:
+        """Pod *p*'s local demand, written into the shared buffer.
+
+        With every pod alive each app's demand splits evenly, ``/cover``,
+        over its covering pods.  Under pod loss it splits across its
+        *alive* covering pods only — the K3 spill; an alive covering pod
+        implies a count of at least one for each of its apps."""
+        gids = self.pods[p].app_gids
+        buf = self._local_demand[: gids.size]
+        # Indices are in range by construction; "clip" lets take write
+        # straight into buf instead of through a temporary.
+        np.take(self._demand, gids, out=buf, mode="clip")
+        cover = self.config.cover if all_alive else self._app_alive_cover[gids]
+        return np.divide(buf, cover, out=buf)
 
     def run_epoch(self, epoch: Optional[int] = None) -> MegaEpochReport:
         """One unified epoch: inject due faults, stream demand (spilling
-        dead pods' shares to survivors), solve all alive pods through the
-        engine, apply, then sync the control-plane mirror."""
+        dead pods' shares to survivors), solve the alive pods through the
+        engine one at a time, each applied before the next is built, then
+        sync the control-plane mirror.
+
+        If a solve raises, the pods before it in this epoch are already
+        applied."""
         cfg = self.config
         if epoch is None:
             epoch = self.epochs_run
@@ -734,22 +747,31 @@ class MegaScaleDriver:
         if self.fault_injector is not None:
             self.fault_injector.advance(t)
         dropped = self._scatter_demand(t, epoch)
+        all_alive = bool(self.pod_alive.all())
         alive = [p for p in range(cfg.n_pods) if self.pod_alive[p]]
+        demand_sums = []
+
+        def build(p: int):
+            local = self._pod_demand(p, all_alive)
+            demand_sums.append(local.sum())
+            return self.pods[p].build_problem(local)
+
+        def apply(task: PlacementTask, solution) -> dict:
+            return self.pods[self._pod_index[task.key]].apply(solution)
+
         tasks = [
             PlacementTask(
                 key=self.pods[p].pod,
-                problem=self.pods[p].build_problem(self._demand_buffers[p]),
+                problem=partial(build, p),
                 controller=self.controllers[p],
                 seed=derive_seed(self.pods[p].pod, epoch),
                 trace_ctx={"t": t, "epoch": epoch},
             )
             for p in alive
         ]
-        solutions = self.engine.solve_batch(tasks)
         started = stopped = 0
         satisfied = 0.0
-        for p, solution in zip(alive, solutions):
-            stats = self.pods[p].apply(solution)
+        for stats in self.engine.solve_batch(tasks, apply=apply):
             started += stats["started"]
             stopped += stats["stopped"]
             satisfied += stats["satisfied_cpu"]
@@ -771,11 +793,7 @@ class MegaScaleDriver:
             epoch=epoch,
             t=t,
             wall_s=time.perf_counter() - t0,
-            demand_cpu=float(
-                sum(
-                    self._demand_buffers[p].sum() for p in alive
-                )
-            ),
+            demand_cpu=float(sum(demand_sums)),
             satisfied_cpu=satisfied,
             changes=started + stopped,
             started=started,

@@ -5,8 +5,9 @@ applications with ~20 VM instances each (~6M VMs).  Every earlier
 experiment ran at a fraction of that because platform state was per-object
 Python records and demand a fully materialized matrix.  E17 runs the real
 numbers: columnar CSR pod shards (:mod:`repro.core.columnar`), streaming
-demand chunks (:mod:`repro.workload.streaming`) and the pod-parallel
-placement engine, composed by :class:`repro.core.mega.MegaScaleDriver`.
+demand chunks (:mod:`repro.workload.streaming`) and per-pod placement
+solves, one pod at a time, composed by
+:class:`repro.core.mega.MegaScaleDriver`.
 
 The default invocation (``repro run e17``) uses the 1/10 "quick" scale so
 the experiment suite stays minutes-not-hours; ``run(full=True)`` — what
@@ -47,7 +48,7 @@ class E17Result:
         t = Table(
             "E17 — mega scale: "
             f"{cfg.n_servers} servers / {cfg.n_apps} apps "
-            f"({cfg.n_pods} pods, workers={cfg.parallelism})",
+            f"({cfg.n_pods} pods)",
             [
                 "epoch",
                 "wall(s)",
@@ -87,15 +88,12 @@ class E17Result:
 def run(
     full: bool = False,
     epochs: int = 2,
-    workers: int = 1,
     seed: int = 0,
 ) -> E17Result:
     """Run the mega driver and report per-epoch wall / RSS."""
     import time
 
-    cfg = (MegaConfig.full if full else MegaConfig.quick)(
-        parallelism=workers, seed=seed
-    )
+    cfg = (MegaConfig.full if full else MegaConfig.quick)(seed=seed)
     t0 = time.perf_counter()
     with MegaScaleDriver(cfg) as driver:
         bootstrap_wall = time.perf_counter() - t0

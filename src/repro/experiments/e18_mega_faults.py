@@ -101,7 +101,7 @@ class E18Result:
         t = Table(
             "E18 — mega faults: "
             f"{cfg.n_servers} servers / {cfg.n_apps} apps "
-            f"({cfg.n_pods} pods, workers={cfg.parallelism})",
+            f"({cfg.n_pods} pods)",
             [
                 "epoch",
                 "wall(s)",
@@ -168,7 +168,6 @@ class E18Result:
 def run(
     full: bool = False,
     epochs: int = 6,
-    workers: int = 1,
     seed: int = 0,
     pod_faults: int = 2,
     server_faults: int = 4,
@@ -176,9 +175,7 @@ def run(
     """Run the fault-injected mega loop and report recovery economics."""
     import time
 
-    cfg = (MegaConfig.full if full else MegaConfig.quick)(
-        parallelism=workers, seed=seed
-    )
+    cfg = (MegaConfig.full if full else MegaConfig.quick)(seed=seed)
     schedule = default_schedule(
         cfg, pod_faults=pod_faults, server_faults=server_faults
     )

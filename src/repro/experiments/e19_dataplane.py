@@ -141,7 +141,6 @@ class E19Result:
 def run(
     full: bool = False,
     epochs: int = 4,
-    workers: int = 1,
     seed: int = 0,
     with_object: bool | None = None,
 ) -> E19Result:
@@ -149,9 +148,7 @@ def run(
     throughput; at quick scale also race the object data plane."""
     import time
 
-    cfg = (MegaConfig.full if full else MegaConfig.quick)(
-        parallelism=workers, seed=seed
-    )
+    cfg = (MegaConfig.full if full else MegaConfig.quick)(seed=seed)
     cp = MegaControlPlaneConfig(wired_apps=128, vips_per_app=2)
     sc = MegaSteeringConfig(knob_period=2)
     if with_object is None:

@@ -680,24 +680,23 @@ MEGA_SHOW = (
 )
 
 
-def bench_mega(
-    quick: bool, epochs: int = 2, workers: int = 1, seed: int = 0
-) -> tuple[str, dict]:
+def bench_mega(quick: bool, epochs: int = 2, seed: int = 0) -> tuple[str, dict]:
     """E17's mega-scale run (the bounded-memory driver) as a workload.
 
     ``wall_per_epoch_s`` is the steady-state epoch wall (epochs after the
-    first, which also pays process-pool start-up); ``peak_rss_mb``
-    is the process high-water mark — the acceptance metric the paper-scale
-    run is gated on.
+    first); ``peak_rss_mb`` is the process high-water mark — the
+    acceptance metric the paper-scale run is gated on.
     """
     from repro.experiments import e17_mega_scale as e17
 
-    result = e17.run(full=not quick, epochs=epochs, workers=workers, seed=seed)
+    result = e17.run(full=not quick, epochs=epochs, seed=seed)
     cfg, rows = result.config, result.rows
     steady = rows[1:] or rows
+    # The id keeps the in-process engine width its baselines were
+    # committed under.
     wid = (
         f"mega[pods={cfg.n_pods},servers={cfg.n_servers},"
-        f"apps={cfg.n_apps},workers={workers}]"
+        f"apps={cfg.n_apps},workers=1]"
     )
     metrics = {
         "epochs": len(rows),
@@ -718,7 +717,7 @@ def bench_mega(
 
 
 def bench_mega_faults(
-    quick: bool, epochs: int = 6, workers: int = 1, seed: int = 0
+    quick: bool, epochs: int = 6, seed: int = 0
 ) -> tuple[str, dict]:
     """The fault lane: E18's scripted fail/repair cycle through the
     unified loop (columnar pods + sharded control plane + injector).
@@ -731,13 +730,13 @@ def bench_mega_faults(
     from repro.experiments import e18_mega_faults as e18
 
     t0 = time.perf_counter()
-    result = e18.run(full=not quick, epochs=epochs, workers=workers, seed=seed)
+    result = e18.run(full=not quick, epochs=epochs, seed=seed)
     wall = time.perf_counter() - t0
     cfg = result.config
     rows = result.rows
     wid = (
         f"mega_faults[pods={cfg.n_pods},servers={cfg.n_servers},"
-        f"apps={cfg.n_apps},workers={workers}]"
+        f"apps={cfg.n_apps},workers=1]"
     )
     metrics = {
         "epochs": len(rows),
@@ -767,7 +766,6 @@ def bench_mega_faults(
 def cmd_mega(
     quick: bool,
     out_dir: str,
-    workers: int,
     epochs: int,
     baseline: Optional[str],
     max_regression: float,
@@ -780,17 +778,14 @@ def cmd_mega(
     out = out if out is not None else sys.stdout
     mode = "quick" if quick else "full"
     print(
-        f"repro mega ({mode}, cpu_count={os.cpu_count()}, "
-        f"workers={workers}, epochs={epochs})",
+        f"repro mega ({mode}, cpu_count={os.cpu_count()}, epochs={epochs})",
         file=out,
     )
-    runs = dict([bench_mega(quick, epochs=epochs, workers=workers)])
+    runs = dict([bench_mega(quick, epochs=epochs)])
     if faults:
         # The fault lane needs the whole fail/repair cycle: failures in
         # epochs 1-2, repairs at epoch 4, so at least 6 epochs.
-        fwid, fmetrics = bench_mega_faults(
-            quick, epochs=max(epochs, 6), workers=workers
-        )
+        fwid, fmetrics = bench_mega_faults(quick, epochs=max(epochs, 6))
         runs[fwid] = fmetrics
     failures = rss_budget_failures(runs, max_rss_mb) + [
         f"{wid}: satisfied_fraction_min "
@@ -836,7 +831,7 @@ DATAPLANE_SHOW = (
 
 
 def bench_dataplane(
-    quick: bool, epochs: int = 4, workers: int = 1, seed: int = 0
+    quick: bool, epochs: int = 4, seed: int = 0
 ) -> tuple[str, dict]:
     """The traffic data plane lane: E19's steered epochs as a pinned
     workload.
@@ -849,7 +844,7 @@ def bench_dataplane(
     from repro.experiments import e19_dataplane as e19
 
     t0 = time.perf_counter()
-    result = e19.run(full=not quick, epochs=epochs, workers=workers, seed=seed)
+    result = e19.run(full=not quick, epochs=epochs, seed=seed)
     wall = time.perf_counter() - t0
     cfg, sc = result.config, result.steering
     rows = result.rows
@@ -889,7 +884,6 @@ def bench_dataplane(
 def cmd_dataplane(
     quick: bool,
     out_dir: str,
-    workers: int,
     epochs: int,
     baseline: Optional[str],
     max_regression: float,
@@ -903,10 +897,10 @@ def cmd_dataplane(
     mode = "quick" if quick else "full"
     print(
         f"repro dataplane ({mode}, cpu_count={os.cpu_count()}, "
-        f"workers={workers}, epochs={epochs})",
+        f"epochs={epochs})",
         file=out,
     )
-    wid, metrics = bench_dataplane(quick, epochs=epochs, workers=workers)
+    wid, metrics = bench_dataplane(quick, epochs=epochs)
     failures = rss_budget_failures({wid: metrics}, max_rss_mb)
     if metrics["opened"] + metrics["rejected"] + metrics["unserved"] != (
         metrics["requests"]

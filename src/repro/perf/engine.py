@@ -5,11 +5,14 @@ pod.  Pods are independently managed (Section III-A), so nothing a solve
 needs lives outside its task:
 
 * ``parallelism=1`` runs :func:`solve_placement_task` in-process, in
-  task order.  This is the serial reference.
+  task order.  This is the serial reference.  Here a task's problem may
+  be a builder called just before its solve, and an ``apply`` callback
+  may adopt each solution as soon as it is solved, so a batch holds one
+  pod's working state at a time (the mega loop runs this way).
 * ``parallelism>1`` maps the same function over one persistent
   ``ProcessPoolExecutor``.  Each task ships whole (problem and
   controller) and its solution ships back; workers keep no state
-  between solves.
+  between solves.  Problems must be built up front.
 
 Determinism contract (property-tested): results and trace digests are
 bit-identical across parallelism levels.  No controller's result
@@ -23,7 +26,7 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -40,7 +43,9 @@ class PlacementTask:
     key:
         Caller identity (pod name).  Batches are merged in task order.
     problem:
-        The placement instance to solve.
+        The placement instance to solve, or a zero-argument callable that
+        builds it just before the solve (in-process engine only: a
+        builder does not ship to a worker).
     controller:
         Any object with ``solve(problem) -> PlacementSolution``.  Must be
         picklable for ``parallelism > 1``; it ships with every task.
@@ -55,7 +60,7 @@ class PlacementTask:
     """
 
     key: str
-    problem: PlacementProblem
+    problem: Union[PlacementProblem, Callable[[], PlacementProblem]]
     controller: object
     seed: Optional[int] = None
     trace_ctx: Optional[dict] = None
@@ -70,15 +75,16 @@ def derive_seed(key: str, epoch) -> int:
 def solve_placement_task(task: PlacementTask) -> PlacementSolution:
     """Run one task's pure solve stage in the calling process.
 
-    This is the whole solve semantics of the engine: re-seed the
-    controller's RNG when the task carries a seed, then ``solve``.  The
-    serial path calls it directly; pool workers run it on the shipped
-    task.
+    This is the whole solve semantics of the engine: build the problem
+    if the task carries a builder, re-seed the controller's RNG when the
+    task carries a seed, then ``solve``.  The serial path calls it
+    directly; pool workers run it on the shipped task.
     """
+    problem = task.problem() if callable(task.problem) else task.problem
     controller = task.controller
     if task.seed is not None and hasattr(controller, "rng"):
         controller.rng = np.random.default_rng(task.seed)
-    return controller.solve(task.problem)
+    return controller.solve(problem)
 
 
 def _crc(arr) -> int:
@@ -119,9 +125,17 @@ class PlacementEngine:
         self.pool_spawns = 0
 
     def solve_batch(
-        self, tasks: Iterable[PlacementTask]
-    ) -> list[PlacementSolution]:
-        """Solve every task; results are returned in task order."""
+        self,
+        tasks: Iterable[PlacementTask],
+        apply: Optional[Callable[[PlacementTask, PlacementSolution], object]] = None,
+    ) -> list:
+        """Solve every task; results are returned in task order.
+
+        Without *apply* the results are the solutions.  With it, each
+        solution is handed to ``apply(task, solution)`` as soon as it is
+        solved (in-process; after the whole map on a pool) and not kept;
+        the results are what *apply* returned.
+        """
         tasks = list(tasks)
         if not tasks:
             return []
@@ -135,32 +149,39 @@ class PlacementEngine:
                 tasks=[t.key for t in tasks],
             )
         if self.parallelism == 1:
-            solutions = [solve_placement_task(t) for t in tasks]
+            solved = (solve_placement_task(t) for t in tasks)
         else:
+            if any(callable(t.problem) for t in tasks):
+                raise ValueError("problem builders need parallelism=1")
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.parallelism)
                 self.pool_spawns += 1
             try:
-                solutions = list(self._pool.map(solve_placement_task, tasks))
+                solved = list(self._pool.map(solve_placement_task, tasks))
             except BaseException:
                 # A dead worker breaks the pool; drop it so the next batch
                 # starts a fresh one.
                 self.close()
                 raise
-        if tracing:
-            for task, solution in zip(tasks, solutions):
-                tctx = task.trace_ctx
-                if tctx is None:
-                    continue
+        results = []
+        merges = []
+        for task, solution in zip(tasks, solved):
+            if tracing and task.trace_ctx is not None:
                 # CRCs of the solution arrays: cheap witnesses that the
                 # parallel merge is bit-identical to the serial solve.
-                self.trace.emit(
-                    "pool.merge", t=tctx.get("t", 0.0), key=task.key,
-                    epoch=tctx.get("epoch"),
-                    placement_crc=_crc(solution.placement),
-                    load_crc=_crc(solution.load),
+                merges.append(
+                    (task, _crc(solution.placement), _crc(solution.load))
                 )
-        return solutions
+            results.append(solution if apply is None else apply(task, solution))
+        for task, placement_crc, load_crc in merges:
+            tctx = task.trace_ctx
+            self.trace.emit(
+                "pool.merge", t=tctx.get("t", 0.0), key=task.key,
+                epoch=tctx.get("epoch"),
+                placement_crc=placement_crc,
+                load_crc=load_crc,
+            )
+        return results
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

@@ -303,6 +303,7 @@ def sparse_waterfill(
     app_cpu_demand: np.ndarray,
     placement: SparsePlacement,
     rounds: int = 12,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Waterfill over a CSR placement, O(entries still in play) per round.
 
@@ -312,37 +313,56 @@ def sparse_waterfill(
     open servers, and each server scales its entries' wants down to its
     free CPU.  Segment sums run over entry lists via ``bincount`` instead
     of dense axis reductions, so the float associativity differs from the
-    dense kernel (see module docstring).
+    dense kernel (see module docstring).  *rows* is ``placement.rows()``,
+    passed in when the caller already has it.
 
     Only *live* entries — open server, unmet app — take part in a round.
     ``free`` and ``remaining`` only shrink, so each round filters the
-    previous round's live set, and per-app instance counts are recounted
-    only when it shrank.  A round in which no server caps its wants
-    grants ``want`` itself and reuses the per-server want sums.  Loads
-    are bit-identical to walking every entry every round: a dead entry's
-    want and grant would be exactly ``0.0`` (see module docstring).
+    previous round's live set.  Whether every entry is still live is
+    decided in O(S + A): every server that may hold a live entry is
+    open, and every app with a live instance is unmet.  Only when that
+    fails does an O(entries) filter run, testing just the side that
+    failed.  A round in which no server caps its wants grants ``want``
+    itself and reuses the per-server want sums.  Loads are bit-identical
+    to walking every entry every round: a dead entry's want and grant
+    would be exactly ``0.0`` (see module docstring).
     """
     s_count, a_count = placement.shape
-    rows = placement.rows()
+    if rows is None:
+        rows = placement.rows()
     cols = placement.indices
-    load = np.zeros(rows.shape[0])
+    n_entries = cols.size
     remaining = np.asarray(app_cpu_demand, dtype=float).copy()
     free = np.asarray(server_cpu, dtype=float).copy()
+    load = None  # the first grant, once a round has made one
     live = None  # entry ids of the live set; None while it is every entry
-    counts = None
+    # Every server holding a live entry is a holder; a holder that lost
+    # its entries to met apps has no grants left, so it stays open.
+    holders = placement.indptr[1:] > placement.indptr[:-1]
+    counts = np.bincount(cols, minlength=a_count)  # live instances per app
+    per_app_want = np.zeros(a_count)
     for _ in range(rounds):
-        if not (remaining > 1e-12).any() or not (free > 1e-12).any():
+        srv_open = free > 1e-12
+        app_unmet = remaining > 1e-12
+        if not app_unmet.any() or not srv_open.any():
             break
-        in_play = (free[rows] > 1e-12) & (remaining[cols] > 1e-12)
-        if not in_play.all():
+        srv_ok = srv_open[holders].all()
+        app_ok = (app_unmet | (counts == 0)).all()
+        if not (srv_ok and app_ok):
+            if srv_ok:
+                in_play = app_unmet[cols]
+            elif app_ok:
+                in_play = srv_open[rows]
+            else:
+                in_play = srv_open[rows] & app_unmet[cols]
             live = np.flatnonzero(in_play) if live is None else live[in_play]
             rows, cols = rows[in_play], cols[in_play]
-            counts = None
+            counts = np.bincount(cols, minlength=a_count)
+            holders &= srv_open
         if rows.size == 0:
             break
-        if counts is None:
-            counts = np.bincount(cols, minlength=a_count)
-        want = remaining[cols] / counts[cols]
+        np.divide(remaining, counts, out=per_app_want, where=counts > 0)
+        want = per_app_want[cols]
         want_per_server = np.bincount(rows, weights=want, minlength=s_count)
         safe = np.where(want_per_server > 1e-15, want_per_server, 1.0)
         scale = np.where(
@@ -353,7 +373,13 @@ def sparse_waterfill(
         else:
             grant = want * scale[rows]
             granted = np.bincount(rows, weights=grant, minlength=s_count)
-        if live is None:
+        if load is None and live is None:
+            # ``0.0 + g == g``: grants are never ``-0.0``.
+            load = grant
+        elif load is None:
+            load = np.zeros(n_entries)
+            load[live] = grant
+        elif live is None:
             load += grant
         else:
             load[live] += grant
@@ -361,7 +387,7 @@ def sparse_waterfill(
         np.maximum(free, 0.0, out=free)
         remaining -= np.bincount(cols, weights=grant, minlength=a_count)
         np.maximum(remaining, 0.0, out=remaining)
-    return load
+    return np.zeros(n_entries) if load is None else load
 
 
 def _segment_prefix(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
@@ -430,7 +456,8 @@ class SparseGreedyController:
         rows = cur.rows()
         cols = cur.indices
         load = sparse_waterfill(
-            problem.server_cpu, problem.app_cpu_demand, cur, rounds=self.rounds
+            problem.server_cpu, problem.app_cpu_demand, cur,
+            rounds=self.rounds, rows=rows,
         )
         residual = problem.app_cpu_demand - np.bincount(
             cols, weights=load, minlength=a_count

@@ -1,10 +1,12 @@
-"""Mega-scale driver: determinism, parallel parity, memory.
+"""Mega-scale driver: determinism, demand split, memory shape.
 
 Tiny configs keep per-pod ``S x A`` under the dense-delegation limit so
 these tests exercise the exact bit-identical path; the quick/full scales
 (bulk sparse path) are covered by the ``repro mega`` bench lane and CI's
 mega-smoke job.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,16 +89,6 @@ def test_run_is_deterministic_across_drivers():
         assert x.demand_cpu == y.demand_cpu
 
 
-def test_parallel_engine_matches_serial():
-    with MegaScaleDriver(tiny()) as serial:
-        serial.run(2)
-        sig_serial = pod_signature(serial)
-    with MegaScaleDriver(tiny(parallelism=2)) as parallel:
-        parallel.run(2)
-        sig_parallel = pod_signature(parallel)
-    assert sig_serial == sig_parallel
-
-
 def test_reports_are_sane():
     with MegaScaleDriver(tiny()) as driver:
         reports = driver.run(2)
@@ -125,6 +117,44 @@ def test_demand_scatter_splits_across_cover():
     per-epoch total equals the workload total exactly."""
     with MegaScaleDriver(tiny()) as driver:
         driver._scatter_demand(0.0, 0)
-        total = sum(float(b.sum()) for b in driver._demand_buffers)
+        total = sum(
+            float(driver._pod_demand(p, True).sum())
+            for p in range(len(driver.pods))
+        )
         expect = float(driver.workload.cpu_demand(0.0).sum())
         assert total == pytest.approx(expect, rel=1e-12)
+
+
+# ------------------------------------------------------- memory shape
+
+
+def test_uniform_vm_memory_is_a_zero_stride_view():
+    """Every VM has ``vm_mem_gb``: each pod keeps one float as a view,
+    not one float per app."""
+    with MegaScaleDriver(tiny()) as driver:
+        driver.run(1)
+        for pod in driver.pods:
+            assert pod.app_mem_gb.strides == (0,)
+            assert pod.app_mem_gb.shape == pod.app_gids.shape
+            assert (pod.app_mem_gb == driver.config.vm_mem_gb).all()
+
+
+def test_epoch_working_set_is_one_pod():
+    """Pods are built, solved and applied one at a time, so a steady
+    quick-scale epoch allocates at most a small multiple of the largest
+    pod's load array on top of the state it keeps, whatever the pod
+    count.  Two epochs run under tracemalloc first, so one-off
+    allocations are not counted."""
+    with MegaScaleDriver(MegaConfig.quick(seed=0)) as driver:
+        widest = max(pod.n_vms for pod in driver.pods) * 8
+        tracemalloc.start()
+        try:
+            driver.run(2)
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            driver.run_epoch()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # The batch-at-once epoch allocated ~67x; one pod at a time ~7x.
+    assert peak - before < 16 * widest

@@ -167,44 +167,20 @@ def test_server_recover_restores_capacity():
         assert pod.servers.cpu.shape[0] == n_before
 
 
-def test_bulk_path_parallel_matches_serial_under_faults():
-    """The O(nnz) bulk solver (``dense_limit=1``) through a 2-worker pool
-    matches the serial engine epoch by epoch across a scripted pod loss
-    and restore and a server crash and recover: placements, loads and
-    reports are identical (measured wall times and RSS aside)."""
+def test_bulk_path_replaces_across_faults():
+    """The O(nnz) bulk solver (``dense_limit=1``) across a scripted pod
+    loss and restore and a server crash and recover: every epoch solves
+    exactly the alive pods, and the restored pod is re-placed from
+    empty."""
     events = [
         (60.0, "pod_loss", "pod-001"),
         (120.0, "server_crash", "pod-000-s000003"),
         (180.0, "pod_restore", "pod-001"),
         (240.0, "server_recover", "pod-000-s000003"),
     ]
-    measured = {"wall_s", "peak_rss_mb", "steer_wall_s"}
-
-    def run(parallelism):
-        cfg = tiny(dense_limit=1, parallelism=parallelism)
-        epochs = []
-        with MegaScaleDriver(cfg) as driver:
-            MegaFaultInjector(driver, FaultSchedule.from_events(events))
-            for _ in range(6):
-                report = driver.run_epoch()
-                epochs.append(
-                    (
-                        {
-                            k: v
-                            for k, v in vars(report).items()
-                            if k not in measured
-                        },
-                        [
-                            (p.placement.tobytes(), p.load.tobytes())
-                            for p in driver.pods
-                        ],
-                    )
-                )
-        return epochs
-
-    serial = run(1)
-    assert serial == run(2)
-    reports = [r for r, _ in serial]
+    with MegaScaleDriver(tiny(dense_limit=1)) as driver:
+        MegaFaultInjector(driver, FaultSchedule.from_events(events))
+        reports = [vars(driver.run_epoch()) for _ in range(6)]
     # The faults really reshaped the solves: a pod went dark and came back
     # (re-placed from empty), and every epoch solved the alive pods.
     assert [r["pods_down"] for r in reports] == [0, 1, 1, 0, 0, 0]

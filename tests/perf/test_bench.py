@@ -213,7 +213,6 @@ def test_cmd_mega_faults_lane_merges_and_gates(tmp_path):
     rc = bench.cmd_mega(
         quick=True,
         out_dir=str(tmp_path),
-        workers=1,
         epochs=2,
         baseline=None,
         max_regression=2.0,
@@ -245,7 +244,6 @@ def test_cmd_mega_quick_writes_json_and_gates(tmp_path):
     rc = bench.cmd_mega(
         quick=True,
         out_dir=str(tmp_path),
-        workers=1,
         epochs=2,
         baseline=None,
         max_regression=2.0,
@@ -267,7 +265,6 @@ def test_cmd_mega_quick_writes_json_and_gates(tmp_path):
     rc = bench.cmd_mega(
         quick=True,
         out_dir=str(tmp_path),
-        workers=1,
         epochs=2,
         baseline=str(tmp_path),
         max_regression=2.0,
@@ -327,7 +324,6 @@ def _cmd_mega(monkeypatch, tmp_path, mega, faults, baseline=None):
     rc = bench.cmd_mega(
         quick=True,
         out_dir=str(tmp_path),
-        workers=1,
         epochs=2,
         baseline=baseline,
         max_regression=2.0,
@@ -347,7 +343,6 @@ def _cmd_dataplane(monkeypatch, tmp_path, metrics):
     rc = bench.cmd_dataplane(
         quick=True,
         out_dir=str(tmp_path),
-        workers=1,
         epochs=4,
         baseline=None,
         max_regression=2.0,

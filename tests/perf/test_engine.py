@@ -92,6 +92,37 @@ def test_single_task_batch_routes_to_resident_worker():
     assert signatures(solved) == signatures(direct)
 
 
+def test_builders_and_apply_hold_one_task_at_a_time():
+    """Problem builders run just before their solve and ``apply`` right
+    after it, task by task; the solutions equal eager ones.  A pool
+    cannot ship a builder and refuses before starting a worker."""
+    events = []
+
+    def lazy(task):
+        def build():
+            events.append(("build", task.key))
+            return task.problem
+
+        return PlacementTask(
+            key=task.key, problem=build, controller=GreedyController()
+        )
+
+    def apply(task, solution):
+        events.append(("apply", task.key))
+        return solution
+
+    eager = make_tasks()
+    with PlacementEngine(1) as engine:
+        applied = engine.solve_batch([lazy(t) for t in eager], apply=apply)
+        direct = engine.solve_batch(make_tasks())
+    assert signatures(applied) == signatures(direct)
+    assert events == [(kind, t.key) for t in eager for kind in ("build", "apply")]
+    with PlacementEngine(2) as pool:
+        with pytest.raises(ValueError):
+            pool.solve_batch([lazy(t) for t in eager])
+        assert pool.pool_spawns == 0
+
+
 def test_empty_batch():
     with PlacementEngine(2) as engine:
         assert engine.solve_batch([]) == []

@@ -223,6 +223,70 @@ def test_sparse_waterfill_bytes_match_reference(inst):
     assert load.tobytes() == ref.tobytes()
 
 
+def _waterfill_filter_every_round(
+    server_cpu, app_cpu_demand, placement, rounds=12
+):
+    """The live-set waterfill as it was before its liveness test went
+    O(S + A): it gathers both liveness masks over every live entry each
+    round, divides per entry, and zero-fills the load up front."""
+    s_count, a_count = placement.shape
+    rows = placement.rows()
+    cols = placement.indices
+    load = np.zeros(rows.shape[0])
+    remaining = np.asarray(app_cpu_demand, dtype=float).copy()
+    free = np.asarray(server_cpu, dtype=float).copy()
+    live = None
+    counts = None
+    for _ in range(rounds):
+        if not (remaining > 1e-12).any() or not (free > 1e-12).any():
+            break
+        in_play = (free[rows] > 1e-12) & (remaining[cols] > 1e-12)
+        if not in_play.all():
+            live = np.flatnonzero(in_play) if live is None else live[in_play]
+            rows, cols = rows[in_play], cols[in_play]
+            counts = None
+        if rows.size == 0:
+            break
+        if counts is None:
+            counts = np.bincount(cols, minlength=a_count)
+        want = remaining[cols] / counts[cols]
+        want_per_server = np.bincount(rows, weights=want, minlength=s_count)
+        safe = np.where(want_per_server > 1e-15, want_per_server, 1.0)
+        scale = np.where(
+            want_per_server > 1e-15, np.minimum(1.0, free / safe), 0.0
+        )
+        if ((scale == 1.0) | (want_per_server == 0.0)).all():
+            grant, granted = want, want_per_server
+        else:
+            grant = want * scale[rows]
+            granted = np.bincount(rows, weights=grant, minlength=s_count)
+        if live is None:
+            load += grant
+        else:
+            load[live] += grant
+        free -= granted
+        np.maximum(free, 0.0, out=free)
+        remaining -= np.bincount(cols, weights=grant, minlength=a_count)
+        np.maximum(remaining, 0.0, out=remaining)
+    return load
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=waterfill_instances())
+def test_sparse_waterfill_bytes_match_filter_every_round(inst):
+    """Zero-CPU and capped servers, zero-demand and all-met apps: the
+    O(S + A) liveness test leaves the bytes of the per-entry filter."""
+    server_cpu, demand, placement, rounds = inst
+    ref = _waterfill_filter_every_round(
+        server_cpu, demand, placement, rounds=rounds
+    )
+    for rows in (None, placement.rows()):
+        load = sparse_waterfill(
+            server_cpu, demand, placement, rounds=rounds, rows=rows
+        )
+        assert load.tobytes() == ref.tobytes()
+
+
 def test_sparse_waterfill_capped_then_uncapped_round():
     """Server 0 caps round 1 (wants 7 > 1 CPU) and closes; round 2 only
     tops up app 1 on roomy server 1, with no cap."""
