@@ -40,8 +40,6 @@ class PlatformConfig:
 
     # -- BGP (Section IV-A) -----------------------------------------------------
     bgp_convergence_s: float = 30.0
-    #: Period of the background reclamation of unused VIPs.
-    vip_reclaim_period_s: float = 3600.0
 
     # -- control thresholds -------------------------------------------------------
     #: Utilization above which a component counts as overloaded.

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.columnar import ColumnarPodState, ColumnarServers
-from repro.perf.engine import PlacementEngine, PlacementTask, derive_seed
+from repro.perf.engine import PlacementEngine, PlacementTask
 from repro.perf.rss import peak_rss_mb
 from repro.placement.sparse import SparseGreedyController, SparsePlacement
 from repro.workload.streaming import StreamingWorkload
@@ -200,6 +200,8 @@ class MegaEpochReport:
     conns_rejected: int = 0
     conns_closed: int = 0
     conns_dropped: int = 0
+    #: Sessions still open at the end of the epoch.
+    conns_alive: int = 0
     unserved: int = 0
     steer_wall_s: float = 0.0
 
@@ -273,7 +275,8 @@ class MegaScaleDriver:
         # -- traffic data plane ------------------------------------------
         self.dataplane = None
         self.request_stream = None
-        self._steer_config = None
+        #: The steering config the data plane was built from, if wired.
+        self.steering: Optional[MegaSteeringConfig] = None
         #: Scripted knob actions per epoch (the differential harness and
         #: experiments queue these; they run inside run_epoch after the
         #: mirror sync, before steering).
@@ -470,7 +473,7 @@ class MegaScaleDriver:
             raise ValueError(
                 "steering requires control_plane= to be configured"
             )
-        self._steer_config = sc
+        self.steering = sc
         # Request popularity follows the wired apps' t=0 demand: hot apps
         # get hot VIPs, matching the paper's elastic-traffic framing.
         app_weights = self.workload.cpu_demand(0.0)[self._wired_gids]
@@ -570,7 +573,7 @@ class MegaScaleDriver:
             else:
                 force = bool(act[3]) if len(act) > 3 else False
                 self.k2_rehome(act[1], act[2], t=t, force=force)
-        sc = self._steer_config
+        sc = self.steering
         if (
             sc is None
             or not sc.knob_period
@@ -764,7 +767,6 @@ class MegaScaleDriver:
                 key=self.pods[p].pod,
                 problem=partial(build, p),
                 controller=self.controllers[p],
-                seed=derive_seed(self.pods[p].pod, epoch),
                 trace_ctx={"t": t, "epoch": epoch},
             )
             for p in alive
@@ -816,6 +818,7 @@ class MegaScaleDriver:
             report.conns_rejected = steer.rejected
             report.conns_closed = steer.closed
             report.conns_dropped = self.dataplane.conn.dropped - conns_dropped0
+            report.conns_alive = self.dataplane.conn.alive_count
             report.unserved = steer.unserved
             report.steer_wall_s = steer.wall_s
         if self.fault_injector is not None:

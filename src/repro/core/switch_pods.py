@@ -97,9 +97,6 @@ class SwitchPodManager:
     def n_pods(self) -> int:
         return len(self.pods)
 
-    def _pod_vip_headroom(self, pod: list[LBSwitch]) -> int:
-        return sum(s.vip_slots_free for s in pod)
-
     def _pod_vip_headroom_healthy(
         self, pod: list[LBSwitch], exclude: AbstractSet[str]
     ) -> int:

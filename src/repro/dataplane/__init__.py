@@ -14,7 +14,7 @@ request-for-request equivalent to the object path by
 from repro.dataplane.conntable import ColumnarConnTable
 from repro.dataplane.dnstable import VectorizedDnsTable
 from repro.dataplane.objectpath import ObjectDataPlane
-from repro.dataplane.steering import ColumnarDataPlane, SteerReport, zones_from_homing
+from repro.dataplane.steering import ColumnarDataPlane, SteerReport
 
 __all__ = [
     "ColumnarConnTable",
@@ -22,5 +22,4 @@ __all__ = [
     "ObjectDataPlane",
     "SteerReport",
     "VectorizedDnsTable",
-    "zones_from_homing",
 ]

@@ -99,6 +99,22 @@ class ObjectDataPlane:
         self.unserved = 0
         self.refresh()
 
+    @classmethod
+    def twin_of(cls, driver) -> "ObjectDataPlane":
+        """The object twin of a mega driver's columnar data plane: the
+        same live switches, wired apps, current DNS zones, request
+        stream and steering limits."""
+        dp, sc = driver.dataplane, driver.steering
+        return cls(
+            driver.dataplane_switches(),
+            dp.apps,
+            {app: dp.dns.zone(app) for app in dp.apps},
+            driver.request_stream,
+            ttl_s=sc.ttl_s,
+            violation_factor=sc.violation_factor,
+            switch_max_connections=sc.switch_max_connections,
+        )
+
     # -- control-plane view -------------------------------------------
     def refresh(self) -> None:
         """Re-scan the live switches for each VIP's current home/entry."""

@@ -33,26 +33,6 @@ from repro.dns.policy import padded_cdf, padded_pick, weighted_cdf
 from repro.workload.requests import RequestStream
 
 
-def zones_from_homing(
-    homing: Mapping[str, tuple], apps: Sequence[str]
-) -> dict[str, dict[str, float]]:
-    """DNS zones (app → {vip: weight 1.0}) from an authoritative
-    ``rip -> (app, vip, switch, weight)`` snapshot.
-
-    The VIP *set* per app is fixed by the control-plane bootstrap; DNS
-    exposure weights start uniform and move only through K1.
-    """
-    zones: dict[str, dict[str, float]] = {a: {} for a in apps}
-    for rip in sorted(homing):
-        app, vip = homing[rip][0], homing[rip][1]
-        if app in zones:
-            zones[app][vip] = 1.0
-    missing = [a for a, z in zones.items() if not z]
-    if missing:
-        raise ValueError(f"apps with no VIPs in homing snapshot: {missing}")
-    return zones
-
-
 @dataclass
 class SteerReport:
     """One epoch's steering outcome."""

@@ -15,6 +15,10 @@ CRC-verifying the mirror against the control-plane authority.  An
 :class:`InvariantAuditor` rides the trace bus and checks the K3 vacate
 witness of every fault online.
 
+E18 is the :func:`~repro.experiments.e17_mega_scale.mega_run` harness with
+the control plane wired and a fault schedule installed; its ``rows`` are
+the driver's :class:`~repro.core.mega.MegaEpochReport` records.
+
 At quick/full scale each app covers ``cover=20`` pods, so the default two
 pod losses spill demand to survivors without black-holing anything —
 ``dropped_gb`` stays 0 and MTTR is the headline metric.  (Black-holed
@@ -24,19 +28,12 @@ killing 3 of 4 pods is affordable.)
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
-from repro.core.mega import (
-    MegaConfig,
-    MegaControlPlaneConfig,
-    MegaScaleDriver,
-)
-from repro.faults.mega import MegaFaultInjector
+from repro.core.mega import MegaConfig, MegaControlPlaneConfig
+from repro.experiments.e17_mega_scale import E17Result, mega_run
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
-from repro.obs.audit import InvariantAuditor
-from repro.obs.trace import TraceBus
 
 
 def default_schedule(
@@ -69,32 +66,17 @@ def default_schedule(
 
 
 @dataclass
-class E18Row:
-    epoch: int
-    wall_s: float
-    vms: int
-    pods_down: int
-    demand_cpu: float
-    satisfied_fraction: float
-    dropped_cpu: float
-    changes: int
-    rip_records: int
-    peak_rss_mb: float
-
-
-@dataclass
-class E18Result:
-    rows: list[E18Row] = field(default_factory=list)
-    config: MegaConfig = field(default_factory=MegaConfig.quick)
+class E18Result(E17Result):
     faults_injected: int = 0
     mttr_pod_s: float | None = None
     mttr_server_s: float | None = None
     dropped_gb: float = 0.0
     auditor_ok: bool = True
     rip_verified: bool = True
-    rip_records_total: int = 0
-    bootstrap_wall_s: float = 0.0
-    cpu_count: int = 1
+
+    @property
+    def rip_records_total(self) -> int:
+        return sum(r.rip_records for r in self.rows)
 
     def table(self) -> Table:
         cfg = self.config
@@ -157,10 +139,6 @@ class E18Result:
         return t
 
     @property
-    def satisfied_ok(self) -> bool:
-        return all(r.satisfied_fraction >= 0.98 for r in self.rows)
-
-    @property
     def recovered(self) -> bool:
         return bool(self.rows) and self.rows[-1].pods_down == 0
 
@@ -173,50 +151,26 @@ def run(
     server_faults: int = 4,
 ) -> E18Result:
     """Run the fault-injected mega loop and report recovery economics."""
-    import time
-
     cfg = (MegaConfig.full if full else MegaConfig.quick)(seed=seed)
     schedule = default_schedule(
         cfg, pod_faults=pod_faults, server_faults=server_faults
     )
-    trace = TraceBus(keep_events=False)
-    t0 = time.perf_counter()
-    with MegaScaleDriver(
-        cfg, trace=trace, control_plane=MegaControlPlaneConfig()
-    ) as driver:
-        bootstrap_wall = time.perf_counter() - t0
-        auditor = InvariantAuditor(columnar=driver).attach(trace)
-        injector = MegaFaultInjector(driver, schedule)
-        reports = [driver.run_epoch() for _ in range(epochs)]
-        rip_verified = driver.bridge.verify() if driver.bridge else True
-    monitor = injector.monitor
+    with mega_run(
+        cfg,
+        epochs,
+        control_plane=MegaControlPlaneConfig(),
+        schedule=schedule,
+    ) as mega:
+        rip_verified = mega.driver.bridge.verify()
+    monitor = mega.injector.monitor
     pod_tally = monitor.mttr("pod")
     server_tally = monitor.mttr("server")
-    result = E18Result(
-        config=cfg,
-        faults_injected=injector.injected,
+    return mega.result(
+        E18Result,
+        faults_injected=mega.injector.injected,
         mttr_pod_s=pod_tally.mean if pod_tally else None,
         mttr_server_s=server_tally.mean if server_tally else None,
         dropped_gb=monitor.dropped_gb,
-        auditor_ok=auditor.ok,
+        auditor_ok=mega.auditor.ok,
         rip_verified=rip_verified,
-        rip_records_total=sum(r.rip_records for r in reports),
-        bootstrap_wall_s=bootstrap_wall,
-        cpu_count=os.cpu_count() or 1,
     )
-    for r in reports:
-        result.rows.append(
-            E18Row(
-                epoch=r.epoch,
-                wall_s=r.wall_s,
-                vms=r.vms,
-                pods_down=r.pods_down,
-                demand_cpu=r.demand_cpu,
-                satisfied_fraction=r.satisfied_fraction,
-                dropped_cpu=r.dropped_cpu,
-                changes=r.changes,
-                rip_records=r.rip_records,
-                peak_rss_mb=r.peak_rss_mb,
-            )
-        )
-    return result

@@ -11,61 +11,46 @@ fire on a schedule *inside* the steered stream, so the run demonstrates
 the paper's traffic-management story at 300k servers, not a replay of
 pre-computed answers.
 
+E19 is the :func:`~repro.experiments.e17_mega_scale.mega_run` harness
+with 128 wired apps and the steering config.  Its ``rows`` are the
+driver's :class:`~repro.core.mega.MegaEpochReport` records; the req/s
+and DNS hit-rate columns are derived from their counters where the
+table prints them.
+
 At quick scale the same stream is also pushed through the object-model
 data plane (``Resolver`` / ``AuthoritativeDNS`` / ``ConnectionTable``
 per switch) to put a measured number on why the columnar path exists:
-the PR's acceptance gate is >=10x steering throughput.  The two paths
-are proven request-for-request identical by
-:func:`repro.testing.run_dataplane_differential`; this experiment only
-races them.
+the acceptance gate is >=10x steering throughput.  The object plane is
+built by :meth:`ObjectDataPlane.twin_of`, the same constructor the
+differential oracle uses; the two paths are proven request-for-request
+identical by :func:`repro.testing.run_dataplane_differential`, and this
+experiment only races them.
 """
 
 from __future__ import annotations
 
-import os
+import time
 from dataclasses import dataclass, field
 
 from repro.analysis.reporting import Table
 from repro.core.mega import (
     MegaConfig,
     MegaControlPlaneConfig,
-    MegaScaleDriver,
     MegaSteeringConfig,
 )
-from repro.obs.audit import InvariantAuditor
-from repro.obs.trace import TraceBus
+from repro.dataplane.objectpath import ObjectDataPlane
+from repro.experiments.e17_mega_scale import E17Result, mega_run
 
 
 @dataclass
-class E19Row:
-    epoch: int
-    wall_s: float
-    steer_wall_s: float
-    requests: int
-    requests_per_s: float
-    dns_hit_rate: float
-    opened: int
-    rejected: int
-    unserved: int
-    closed: int
-    dropped: int
-    alive: int
-    peak_rss_mb: float
-
-
-@dataclass
-class E19Result:
-    rows: list[E19Row] = field(default_factory=list)
-    config: MegaConfig = field(default_factory=MegaConfig.quick)
+class E19Result(E17Result):
     steering: MegaSteeringConfig = field(default_factory=MegaSteeringConfig)
     wired_apps: int = 0
-    bootstrap_wall_s: float = 0.0
     knob_events: dict[str, int] = field(default_factory=dict)
     auditor_ok: bool = True
     #: Quick mode only: the object data plane racing the same stream.
     object_requests_per_s: float | None = None
     speedup_vs_object: float | None = None
-    cpu_count: int = 1
 
     @property
     def requests_total(self) -> int:
@@ -78,10 +63,6 @@ class E19Result:
     @property
     def requests_per_s(self) -> float:
         return self.requests_total / max(self.steer_wall_total_s, 1e-9)
-
-    @property
-    def peak_rss_mb(self) -> float:
-        return max((r.peak_rss_mb for r in self.rows), default=0.0)
 
     def table(self) -> Table:
         cfg = self.config
@@ -108,12 +89,12 @@ class E19Result:
                 r.epoch,
                 round(r.wall_s, 3),
                 round(r.steer_wall_s, 3),
-                f"{r.requests_per_s:,.0f}",
-                f"{r.dns_hit_rate:.3f}",
-                r.opened,
-                r.rejected,
+                f"{r.requests / max(r.steer_wall_s, 1e-9):,.0f}",
+                f"{r.dns_hits / max(r.requests, 1):.3f}",
+                r.conns_opened,
+                r.conns_rejected,
                 r.unserved,
-                r.alive,
+                r.conns_alive,
                 round(r.peak_rss_mb, 1),
             )
         knobs = ", ".join(
@@ -146,72 +127,21 @@ def run(
 ) -> E19Result:
     """Steer the request stream through the mega epoch loop and report
     throughput; at quick scale also race the object data plane."""
-    import time
-
     cfg = (MegaConfig.full if full else MegaConfig.quick)(seed=seed)
     cp = MegaControlPlaneConfig(wired_apps=128, vips_per_app=2)
     sc = MegaSteeringConfig(knob_period=2)
     if with_object is None:
         with_object = not full
-    trace = TraceBus(keep_events=False)
-    knob_events: dict[str, int] = {}
-    trace.subscribe(
-        lambda ev: ev.kind == "knob"
-        and knob_events.__setitem__(
-            ev.data["knob"], knob_events.get(ev.data["knob"], 0) + 1
-        )
-    )
-    t0 = time.perf_counter()
-    with MegaScaleDriver(
-        cfg, trace=trace, control_plane=cp, steering=sc
-    ) as driver:
-        bootstrap_wall = time.perf_counter() - t0
-        auditor = InvariantAuditor(columnar=driver).attach(trace)
-        reports, alive_after = [], []
-        for _ in range(epochs):
-            reports.append(driver.run_epoch())
-            alive_after.append(driver.dataplane.conn.alive_count)
-        result = E19Result(
-            config=cfg,
+    with mega_run(cfg, epochs, control_plane=cp, steering=sc) as mega:
+        result = mega.result(
+            E19Result,
             steering=sc,
             wired_apps=cp.wired_apps,
-            bootstrap_wall_s=bootstrap_wall,
-            knob_events=dict(knob_events),
-            auditor_ok=auditor.ok,
-            cpu_count=os.cpu_count() or 1,
+            knob_events=dict(mega.knob_events),
+            auditor_ok=mega.auditor.ok,
         )
-        for r, alive in zip(reports, alive_after):
-            result.rows.append(
-                E19Row(
-                    epoch=r.epoch,
-                    wall_s=r.wall_s,
-                    steer_wall_s=r.steer_wall_s,
-                    requests=r.requests,
-                    requests_per_s=r.requests / max(r.steer_wall_s, 1e-9),
-                    dns_hit_rate=r.dns_hits / max(r.requests, 1),
-                    opened=r.conns_opened,
-                    rejected=r.conns_rejected,
-                    unserved=r.unserved,
-                    closed=r.conns_closed,
-                    dropped=r.conns_dropped,
-                    alive=alive,
-                    peak_rss_mb=r.peak_rss_mb,
-                )
-            )
         if with_object:
-            from repro.dataplane.objectpath import ObjectDataPlane
-
-            wired = [driver._app_name(int(g)) for g in driver._wired_gids]
-            zones = {a: driver.dataplane.dns.zone(a) for a in wired}
-            obj = ObjectDataPlane(
-                driver.dataplane_switches(),
-                wired,
-                zones,
-                driver.request_stream,
-                ttl_s=sc.ttl_s,
-                violation_factor=sc.violation_factor,
-                switch_max_connections=sc.switch_max_connections,
-            )
+            obj = ObjectDataPlane.twin_of(mega.driver)
             t0 = time.perf_counter()
             obj_rep = obj.steer_epoch(epochs, epochs * cfg.epoch_s)
             obj_wall = time.perf_counter() - t0

@@ -860,15 +860,13 @@ def bench_dataplane(
         "steer_wall_s": round(result.steer_wall_total_s, 4),
         "requests_per_s": round(result.requests_per_s, 1),
         "dns_hit_rate": round(
-            sum(r.dns_hit_rate * r.requests for r in rows)
-            / max(result.requests_total, 1),
-            4,
+            sum(r.dns_hits for r in rows) / max(result.requests_total, 1), 4
         ),
-        "opened": sum(r.opened for r in rows),
-        "rejected": sum(r.rejected for r in rows),
+        "opened": sum(r.conns_opened for r in rows),
+        "rejected": sum(r.conns_rejected for r in rows),
         "unserved": sum(r.unserved for r in rows),
-        "dropped": sum(r.dropped for r in rows),
-        "alive_final": rows[-1].alive if rows else 0,
+        "dropped": sum(r.conns_dropped for r in rows),
+        "alive_final": rows[-1].conns_alive if rows else 0,
         "knobs_fired": dict(sorted(result.knob_events.items())),
         "auditor_ok": result.auditor_ok,
         "peak_rss_mb": round(peak_rss_mb(), 1),

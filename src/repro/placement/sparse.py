@@ -251,18 +251,6 @@ class SparseSolution:
             minlength=self.placement.shape[0],
         )
 
-    def to_dense(self) -> PlacementSolution:
-        rows = self.placement.rows()
-        placement = self.placement.to_dense()
-        load = np.zeros(self.placement.shape)
-        load[rows, self.placement.indices] = self.load
-        return PlacementSolution(
-            placement=placement,
-            load=load,
-            changes=self.changes,
-            wall_time_s=self.wall_time_s,
-        )
-
     @classmethod
     def from_dense(cls, sol: PlacementSolution) -> "SparseSolution":
         placement = SparsePlacement.from_dense(sol.placement)

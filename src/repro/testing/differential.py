@@ -14,7 +14,14 @@ This module replays one identical request/fault sequence through both:
   :class:`~repro.core.pod_manager.PodManager` per mega pod, seeded from
   the driver's bootstrap placement, solving each epoch with the exact
   dense :class:`~repro.placement.greedy.GreedyController` and taking the
-  same faults at the same epoch boundaries.
+  same faults at the same epoch boundaries;
+* with steering wired, an **object data plane**
+  (:meth:`~repro.dataplane.objectpath.ObjectDataPlane.twin_of`) steering
+  the same request stream, so every request must get the same DNS
+  answer, RIP choice and accept/reject on both sides.
+
+:func:`run_differential` is the one replay loop;
+:func:`run_dataplane_differential` is its data-plane preset.
 
 After every epoch the oracle checks the per-epoch aggregates (demand,
 satisfied CPU, dropped CPU, change count, VM census) and the full end
@@ -90,8 +97,6 @@ class DifferentialResult:
     epochs: int = 0
     faults_injected: int = 0
     mismatches: list[str] = field(default_factory=list)
-    #: (columnar, twin) per-epoch aggregate pairs, for inspection.
-    history: list[tuple] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -383,80 +388,7 @@ def compare_rip_homing(driver: MegaScaleDriver, out: list[str]) -> None:
         out.append("rip mirror: fingerprint diverged from authority rebuild")
 
 
-# -- the replay ----------------------------------------------------------
-def run_differential(
-    config: Optional[MegaConfig] = None,
-    *,
-    schedule: Optional[FaultSchedule] = None,
-    epochs: int = 4,
-    control_plane: Optional[MegaControlPlaneConfig] = None,
-    requests: Optional[dict] = None,
-    check_every_epoch: bool = True,
-) -> DifferentialResult:
-    """Replay one workload + request/fault sequence through both platforms.
-
-    Parameters
-    ----------
-    config:
-        Scale knobs; defaults to :meth:`MegaConfig.tiny`.  Must keep
-        every pod inside the dense-delegation regime.
-    schedule:
-        Fault sequence (``pod_loss`` / ``pod_restore`` /
-        ``server_crash`` / ``server_recover``), validated against the
-        driver's target inventory before anything runs.
-    control_plane:
-        When given, the driver wires its sharded VIP/RIP control plane
-        and the oracle also asserts authority-vs-mirror RIP homing.
-    requests:
-        ``epoch -> [VipRipRequest, ...]`` submitted to the control plane
-        at that epoch's start, interleaving with the fault-driven RIP
-        churn.  Rejected requests (e.g. deleting a RIP a pod fault
-        already removed) are a legitimate part of the sequence — they
-        journal nothing, so both authority and mirror ignore them.
-    check_every_epoch:
-        Compare full end states after every epoch (cheap at tiny
-        scale), not just at the end.
-    """
-    from repro.faults.mega import MegaFaultInjector
-
-    cfg = config if config is not None else MegaConfig.tiny()
-    if requests and control_plane is None:
-        raise ValueError("requests need a wired control plane")
-    result = DifferentialResult()
-    with MegaScaleDriver(cfg, control_plane=control_plane) as driver:
-        twin = ObjectTwin(driver)
-        injector = None
-        events: Sequence[FaultEvent] = ()
-        if schedule is not None:
-            injector = MegaFaultInjector(driver, schedule)
-            events = schedule.events
-        compare_states(driver, twin, result.mismatches, when="bootstrap")
-        nxt = 0
-        for epoch in range(epochs):
-            t = epoch * cfg.epoch_s
-            if requests:
-                for req in requests.get(epoch, ()):
-                    driver.control_plane.submit(req)
-            # The injector fires due events inside run_epoch; mirror the
-            # same due-set onto the twin before its epoch.
-            while nxt < len(events) and events[nxt].t <= t:
-                twin.apply_event(events[nxt])
-                nxt += 1
-            report = driver.run_epoch()
-            twin_ep = twin.run_epoch(t)
-            result.history.append((report, twin_ep))
-            compare_epoch(report, twin_ep, result.mismatches)
-            if check_every_epoch or epoch == epochs - 1:
-                compare_states(
-                    driver, twin, result.mismatches, when=f"epoch {epoch}"
-                )
-        compare_rip_homing(driver, result.mismatches)
-        result.epochs = epochs
-        result.faults_injected = injector.injected if injector else 0
-    return result
-
-
-# -- data-plane differential ----------------------------------------------
+# -- data-plane comparison ---------------------------------------------
 def compare_steer(col, obj, out: list[str], max_detail: int = 5) -> None:
     """Request-for-request equivalence of one epoch's steering outcome:
     same VIP answer, same RIP choice, same acceptance, same counters."""
@@ -524,6 +456,132 @@ def compare_conn_state(
             )
 
 
+# -- the replay ----------------------------------------------------------
+def run_differential(
+    config: Optional[MegaConfig] = None,
+    *,
+    schedule: Optional[FaultSchedule] = None,
+    epochs: int = 4,
+    control_plane: Optional[MegaControlPlaneConfig] = None,
+    requests: Optional[dict] = None,
+    steering: Optional[MegaSteeringConfig] = None,
+    knobs: Optional[dict] = None,
+    check_every_epoch: bool = True,
+) -> DifferentialResult:
+    """Replay one workload + request/fault/knob sequence through both
+    platforms.  This is the one replay loop: the placement oracle runs
+    it as is, :func:`run_dataplane_differential` with steering wired.
+
+    Parameters
+    ----------
+    config:
+        Scale knobs; defaults to :meth:`MegaConfig.tiny`.  Must keep
+        every pod inside the dense-delegation regime.
+    schedule:
+        Fault sequence (``pod_loss`` / ``pod_restore`` /
+        ``server_crash`` / ``server_recover``), validated against the
+        driver's target inventory before anything runs.
+    control_plane:
+        When given, the driver wires its sharded VIP/RIP control plane
+        and the oracle also asserts authority-vs-mirror RIP homing.
+    requests:
+        ``epoch -> [VipRipRequest, ...]`` submitted to the control plane
+        at that epoch's start, interleaving with the fault-driven RIP
+        churn.  Rejected requests (e.g. deleting a RIP a pod fault
+        already removed) are a legitimate part of the sequence — they
+        journal nothing, so both authority and mirror ignore them.
+    steering:
+        When given (needs *control_plane*), the driver steers a request
+        stream through its columnar data plane and an
+        :class:`ObjectDataPlane` twin steers the same stream (Resolver /
+        AuthoritativeDNS / weighted RIP pick / per-switch
+        ConnectionTable).  Both read the *same* live control-plane
+        switches but own independent DNS caches, conn tables and
+        counters, fed the exact same per-request uniforms; the oracle
+        asserts they steer request for request alike.  Knobs must be
+        scripted (``knob_period == 0``).
+    knobs:
+        ``epoch -> [("k1", app, {vip: weight}), ("k2", app, vip) |
+        ("k2", app, vip, True)]`` — queued on the driver (fires between
+        mirror sync and steering) and mirrored onto the object plane at
+        the same point.  A non-forced K2 of an unpaused VIP is a no-op on
+        both sides; the oracle asserts the pause windows agree first.
+    check_every_epoch:
+        Compare full end states after every epoch (cheap at tiny
+        scale), not just at the end.
+    """
+    from repro.dataplane.objectpath import ObjectDataPlane
+    from repro.faults.mega import MegaFaultInjector
+
+    cfg = config if config is not None else MegaConfig.tiny()
+    if requests and control_plane is None:
+        raise ValueError("requests need a wired control plane")
+    if knobs and steering is None:
+        raise ValueError("knobs need steering")
+    if steering is not None and steering.knob_period:
+        raise ValueError(
+            "dataplane differential uses scripted knobs; set knob_period=0"
+        )
+    requests = requests or {}
+    knobs = knobs or {}
+    result = DifferentialResult()
+    with MegaScaleDriver(
+        cfg, control_plane=control_plane, steering=steering
+    ) as driver:
+        obj_dp = None
+        if steering is not None:
+            driver.dataplane.record_outcomes = True
+            obj_dp = ObjectDataPlane.twin_of(driver)
+        twin = ObjectTwin(driver)
+        injector = None
+        events: Sequence[FaultEvent] = ()
+        if schedule is not None:
+            injector = MegaFaultInjector(driver, schedule)
+            events = schedule.events
+        compare_states(driver, twin, result.mismatches, when="bootstrap")
+        nxt = 0
+        for epoch in range(epochs):
+            t = epoch * cfg.epoch_s
+            for req in requests.get(epoch, ()):
+                driver.control_plane.submit(req)
+            for act in knobs.get(epoch, ()):
+                driver.queue_knob(epoch, act)
+            # The injector fires due events inside run_epoch; mirror the
+            # same due-set onto the twins before their epoch.
+            while nxt < len(events) and events[nxt].t <= t:
+                ev = events[nxt]
+                twin.apply_event(ev)
+                if obj_dp is not None and ev.kind is FaultKind.POD_LOSS:
+                    obj_dp.on_pod_loss(ev.target)
+                nxt += 1
+            report = driver.run_epoch()
+            if obj_dp is not None:
+                # Mirror the knob actions at the same point of the object
+                # plane's epoch: after faults, before its steer.
+                for act in knobs.get(epoch, ()):
+                    if act[0] == "k1":
+                        obj_dp.k1_set_weights(act[1], act[2])
+                    else:
+                        vip = act[2]
+                        force = bool(act[3]) if len(act) > 3 else False
+                        if force and not obj_dp.is_paused(vip):
+                            obj_dp.drop_vip_conns(vip)
+                obj_rep = obj_dp.steer_epoch(epoch, t, record=True)
+                compare_steer(
+                    driver.dataplane.last_report, obj_rep, result.mismatches
+                )
+            compare_epoch(report, twin.run_epoch(t), result.mismatches)
+            if check_every_epoch or epoch == epochs - 1:
+                when = f"epoch {epoch}"
+                if obj_dp is not None:
+                    compare_conn_state(driver, obj_dp, result.mismatches, when)
+                compare_states(driver, twin, result.mismatches, when=when)
+        compare_rip_homing(driver, result.mismatches)
+        result.epochs = epochs
+        result.faults_injected = injector.injected if injector else 0
+    return result
+
+
 def run_dataplane_differential(
     config: Optional[MegaConfig] = None,
     *,
@@ -532,113 +590,27 @@ def run_dataplane_differential(
     control_plane: Optional[MegaControlPlaneConfig] = None,
     steering: Optional[MegaSteeringConfig] = None,
     knobs: Optional[dict] = None,
-    placement_twin: bool = True,
     check_every_epoch: bool = True,
 ) -> DifferentialResult:
-    """Replay one seeded request + fault + knob interleaving through the
-    columnar data plane (inside the mega driver's epoch loop) and the
-    object data plane (Resolver / AuthoritativeDNS / weighted RIP pick /
-    per-switch ConnectionTable), and assert they steer identically.
-
-    Both planes read the *same* live control-plane switches — control
-    plane vs mirror equivalence is `compare_rip_homing`'s job — but own
-    independent DNS caches, conn tables and counters, fed the exact same
-    per-request uniforms.
-
-    Parameters
-    ----------
-    knobs:
-        ``epoch -> [("k1", app, {vip: weight}), ("k2", app, vip) |
-        ("k2", app, vip, True)]`` — queued on the driver (fires between
-        mirror sync and steering) and mirrored onto the object plane at
-        the same point.  A non-forced K2 of an unpaused VIP is a no-op on
-        both sides; the oracle asserts the pause windows agree first.
-    placement_twin:
-        Also run the object placement twin and its per-epoch aggregate /
-        end-state checks (the full PR-9 oracle) alongside the data-plane
-        checks.
-    """
-    from repro.dataplane.objectpath import ObjectDataPlane
-    from repro.faults.mega import MegaFaultInjector
-
-    cfg = config if config is not None else MegaConfig.tiny()
-    cp = (
-        control_plane
-        if control_plane is not None
-        else MegaControlPlaneConfig(wired_apps=16, vips_per_app=2)
+    """The data-plane preset of :func:`run_differential`: steering wired
+    over 16 apps with 2 VIPs each and a small request stream, so the
+    columnar and object data planes replay one seeded request + fault +
+    knob interleaving and must steer identically."""
+    return run_differential(
+        config,
+        schedule=schedule,
+        epochs=epochs,
+        control_plane=(
+            control_plane
+            if control_plane is not None
+            else MegaControlPlaneConfig(wired_apps=16, vips_per_app=2)
+        ),
+        steering=steering if steering is not None else MegaSteeringConfig(
+            requests_per_epoch=2_000,
+            n_resolvers=100,
+            chunk_requests=256,
+            switch_max_connections=1_000,
+        ),
+        knobs=knobs,
+        check_every_epoch=check_every_epoch,
     )
-    sc = steering if steering is not None else MegaSteeringConfig(
-        requests_per_epoch=2_000,
-        n_resolvers=100,
-        chunk_requests=256,
-        switch_max_connections=1_000,
-    )
-    if sc.knob_period:
-        raise ValueError(
-            "dataplane differential uses scripted knobs; set knob_period=0"
-        )
-    knobs = knobs or {}
-    result = DifferentialResult()
-    with MegaScaleDriver(cfg, control_plane=cp, steering=sc) as driver:
-        driver.dataplane.record_outcomes = True
-        wired = [driver._app_name(int(g)) for g in driver._wired_gids]
-        zones = {app: driver.dataplane.dns.zone(app) for app in wired}
-        obj_dp = ObjectDataPlane(
-            driver.dataplane_switches(),
-            wired,
-            zones,
-            driver.request_stream,
-            ttl_s=sc.ttl_s,
-            violation_factor=sc.violation_factor,
-            switch_max_connections=sc.switch_max_connections,
-        )
-        twin = ObjectTwin(driver) if placement_twin else None
-        injector = None
-        events: Sequence[FaultEvent] = ()
-        if schedule is not None:
-            injector = MegaFaultInjector(driver, schedule)
-            events = schedule.events
-        nxt = 0
-        for epoch in range(epochs):
-            t = epoch * cfg.epoch_s
-            for act in knobs.get(epoch, ()):
-                driver.queue_knob(epoch, act)
-            # Mirror the injector's due faults onto both twins before the
-            # driver fires them inside run_epoch.
-            while nxt < len(events) and events[nxt].t <= t:
-                ev = events[nxt]
-                if twin is not None:
-                    twin.apply_event(ev)
-                if ev.kind is FaultKind.POD_LOSS:
-                    obj_dp.on_pod_loss(ev.target)
-                nxt += 1
-            report = driver.run_epoch()
-            # Mirror the knob actions at the same point of the object
-            # plane's epoch: after faults, before its steer.
-            for act in knobs.get(epoch, ()):
-                if act[0] == "k1":
-                    obj_dp.k1_set_weights(act[1], act[2])
-                else:
-                    vip = act[2]
-                    force = bool(act[3]) if len(act) > 3 else False
-                    if force and not obj_dp.is_paused(vip):
-                        obj_dp.drop_vip_conns(vip)
-            obj_rep = obj_dp.steer_epoch(epoch, t, record=True)
-            col_rep = driver.dataplane.last_report
-            result.history.append((col_rep, obj_rep))
-            compare_steer(col_rep, obj_rep, result.mismatches)
-            if twin is not None:
-                twin_ep = twin.run_epoch(t)
-                compare_epoch(report, twin_ep, result.mismatches)
-            if check_every_epoch or epoch == epochs - 1:
-                compare_conn_state(
-                    driver, obj_dp, result.mismatches, when=f"epoch {epoch}"
-                )
-                if twin is not None:
-                    compare_states(
-                        driver, twin, result.mismatches, when=f"epoch {epoch}"
-                    )
-        compare_rip_homing(driver, result.mismatches)
-        result.epochs = epochs
-        result.faults_injected = injector.injected if injector else 0
-    return result

@@ -258,3 +258,27 @@ def test_e18_schedule_rejects_bad_fault_counts():
         e18.default_schedule(cfg, pod_faults=cfg.n_pods)
     with pytest.raises(ValueError, match="servers_per_pod"):
         e18.default_schedule(cfg, server_faults=cfg.servers_per_pod + 1)
+
+
+def test_e19_quick_rows_are_driver_reports():
+    """E19 at quick scale without the object race: every request is
+    accounted for, the K1 schedule fires once, and the table renders the
+    driver's own epoch reports."""
+    from repro.core.mega import MegaEpochReport
+    from repro.experiments import e19_dataplane as e19
+
+    result = e19.run(epochs=3, with_object=False)
+    assert len(result.rows) == 3
+    for r in result.rows:
+        assert isinstance(r, MegaEpochReport)
+        assert r.requests > 0
+        assert r.conns_opened + r.conns_rejected + r.unserved == r.requests
+        assert r.conns_alive > 0
+    assert result.knob_events.get("K1") == 1  # knob_period=2: epoch 2
+    assert result.auditor_ok
+    assert result.speedup_vs_object is None
+    table = result.table()
+    assert len(table.columns) == 10
+    assert all(len(row) == 10 for row in table.rows)
+    text = table.render()
+    assert "alive" in text and "K1=1" in text

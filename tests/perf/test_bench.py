@@ -3,6 +3,7 @@ output, the lane checks and the regression gate."""
 
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -236,6 +237,13 @@ def test_cmd_mega_faults_lane_merges_and_gates(tmp_path):
     assert metrics["rip_records_total"] > 0
     text = out.getvalue()
     assert "mega_faults[" in text and "mega ok" in text
+    # A refactor must not drop or rename a gated key: each entry written
+    # has exactly the keys of the committed quick-scale entry.
+    committed = json.loads(
+        (pathlib.Path(__file__).parents[2] / bench.MEGA_FILE).read_text()
+    )["workloads"]
+    for wid, entry in payload["workloads"].items():
+        assert set(entry) == set(committed[wid]), wid
 
 
 @pytest.mark.slow
