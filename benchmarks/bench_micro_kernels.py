@@ -1,38 +1,16 @@
 """Micro-benchmarks of the numerical hot paths.
 
 The HPC guides' rule: vectorize the bottleneck, measure it.  These are the
-kernels every epoch of every experiment leans on — max–min fair sharing
-(progressive filling over a sparse incidence matrix) and the waterfill load
-distributor — timed at realistic sizes with full statistical rounds.
+kernels every epoch of every experiment leans on — the waterfill load
+distributor and the event kernel — timed at realistic sizes with full
+statistical rounds.
 """
 
 import numpy as np
 import pytest
 
-from repro.network.maxmin import weighted_maxmin_fair
 from repro.placement.greedy import waterfill_load
 from repro.placement.problem import PlacementProblem
-
-
-def _maxmin_instance(n_flows=2000, n_links=400, seed=0):
-    rng = np.random.default_rng(seed)
-    routes = [
-        sorted(rng.choice(n_links, size=rng.integers(1, 5), replace=False))
-        for _ in range(n_flows)
-    ]
-    caps = rng.uniform(1.0, 10.0, n_links)
-    demands = rng.uniform(0.01, 1.0, n_flows)
-    weights = rng.uniform(0.5, 2.0, n_flows)
-    return routes, caps, demands, weights
-
-
-def test_maxmin_fair_2000_flows(benchmark):
-    routes, caps, demands, weights = _maxmin_instance()
-    rates = benchmark(
-        weighted_maxmin_fair, routes, caps, demands=demands, weights=weights
-    )
-    assert rates.shape == (2000,)
-    assert (rates >= 0).all()
 
 
 def _waterfill_instance(n_servers=500, n_apps=1500, seed=0):

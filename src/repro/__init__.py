@@ -9,7 +9,7 @@ Subpackage guide:
 
 * :mod:`repro.core` — the paper's architecture (pods, global manager,
   VIP/RIP manager, the six knobs, the two-layer variant).
-* :mod:`repro.sim` — the discrete-event kernel everything runs on.
+* :mod:`repro.sim` — the discrete-event kernel the object model runs on.
 * :mod:`repro.topology`, :mod:`repro.network`, :mod:`repro.dns`,
   :mod:`repro.lbswitch`, :mod:`repro.hosts`, :mod:`repro.workload`,
   :mod:`repro.placement` — the substrates.

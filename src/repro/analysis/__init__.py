@@ -1,17 +1,9 @@
 """Statistics and reporting used by experiments and benchmarks."""
 
-from repro.analysis.stats import (
-    coefficient_of_variation,
-    jain_fairness,
-    max_mean_ratio,
-    summarize,
-)
+from repro.analysis.stats import max_mean_ratio
 from repro.analysis.reporting import Table
 
 __all__ = [
-    "jain_fairness",
     "max_mean_ratio",
-    "coefficient_of_variation",
-    "summarize",
     "Table",
 ]

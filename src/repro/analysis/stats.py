@@ -1,84 +1,23 @@
-"""Imbalance and fairness indices.
+"""Imbalance index.
 
-These are the scalar summaries every load-balancing experiment reports:
-
-* ``max_mean_ratio`` — 1.0 means perfectly balanced; the paper's overload
-  arguments are about keeping this near 1 everywhere.
-* ``jain_fairness`` — Jain's index in (0, 1]; 1.0 = perfectly fair.
-* ``coefficient_of_variation`` — std/mean.
+``max_mean_ratio`` is the scalar summary the load-balancing experiments
+report: 1.0 means perfectly balanced; the paper's overload arguments are
+about keeping this near 1 everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 
-def _clean(values) -> np.ndarray:
+def max_mean_ratio(values) -> float:
+    """max/mean; 1.0 when all equal.  All-zero input returns 1.0."""
     x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("empty value set")
     if (x < 0).any():
         raise ValueError("negative loads are not meaningful here")
-    return x
-
-
-def max_mean_ratio(values) -> float:
-    """max/mean; 1.0 when all equal.  All-zero input returns 1.0."""
-    x = _clean(values)
     m = x.mean()
     if m == 0:
         return 1.0
     return float(x.max() / m)
-
-
-def jain_fairness(values) -> float:
-    """Jain's fairness index (sum x)^2 / (n * sum x^2); 1.0 = fair."""
-    x = _clean(values)
-    denom = x.size * float((x**2).sum())
-    if denom == 0:
-        return 1.0
-    return float(x.sum() ** 2 / denom)
-
-
-def coefficient_of_variation(values) -> float:
-    """std/mean; 0.0 when all equal.  All-zero input returns 0.0."""
-    x = _clean(values)
-    m = x.mean()
-    if m == 0:
-        return 0.0
-    return float(x.std() / m)
-
-
-@dataclass(frozen=True)
-class Summary:
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-
-
-def summarize(values) -> Optional[Summary]:
-    """Full distribution summary; ``None`` for an empty value set (an
-    empty epoch is "no data", not an error, unlike the ratio indices
-    above where emptiness indicates a caller bug)."""
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        return None
-    x = _clean(x)
-    return Summary(
-        n=int(x.size),
-        mean=float(x.mean()),
-        std=float(x.std()),
-        minimum=float(x.min()),
-        maximum=float(x.max()),
-        p50=float(np.percentile(x, 50)),
-        p95=float(np.percentile(x, 95)),
-        p99=float(np.percentile(x, 99)),
-    )

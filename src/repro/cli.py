@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench",
         parents=[lane_p],
         help="run pinned perf workloads; writes BENCH_placement.json / "
-        "BENCH_network.json / BENCH_controlplane.json",
+        "BENCH_controlplane.json",
     )
     bench_p.add_argument(
         "--workers",

@@ -17,7 +17,6 @@ from repro.dns.policy import (
     ExposurePolicy,
     InverseUtilizationPolicy,
     CheapestLinkPolicy,
-    UniformPolicy,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "ExposurePolicy",
     "InverseUtilizationPolicy",
     "CheapestLinkPolicy",
-    "UniformPolicy",
 ]

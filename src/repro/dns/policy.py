@@ -96,13 +96,6 @@ class ExposurePolicy(abc.ABC):
         """Return exposure weight per VIP given each VIP's access link."""
 
 
-class UniformPolicy(ExposurePolicy):
-    """Expose all VIPs equally (the no-traffic-engineering baseline)."""
-
-    def weights(self, vip_links: Mapping[str, AccessLink]) -> dict[str, float]:
-        return {vip: 1.0 for vip in vip_links}
-
-
 class InverseUtilizationPolicy(ExposurePolicy):
     """Weight VIPs by the *absolute* spare capacity of their access link
     (spare fraction times capacity, in Gbps).

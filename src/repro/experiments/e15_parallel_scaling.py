@@ -26,15 +26,9 @@ from repro.experiments.e02_placement_scalability import (
     make_instance,
     split_into_pods,
 )
+from repro.experiments.e12_quality import _drift
 from repro.perf.engine import PlacementEngine, PlacementTask
 from repro.placement import PlacementProblem, TangController
-
-
-def _drift(demands: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Multiplicative lognormal drift, renormalized to constant total."""
-    factor = rng.lognormal(0.0, 0.25, size=demands.shape)
-    out = demands * factor
-    return out * demands.sum() / out.sum()
 
 
 def _demand_sequence(base: PlacementProblem, epochs: int, seed: int):

@@ -9,8 +9,7 @@ several seconds" ([20], [28]).
 from repro.lbswitch.addresses import AddressPool, PRIVATE_RIP_POOL, PUBLIC_VIP_POOL
 from repro.lbswitch.switch import LBSwitch, SwitchLimits, VipEntry
 from repro.lbswitch.conntrack import Connection, ConnectionTable
-from repro.lbswitch.selection import LeastConnections, SmoothWeightedRR
-from repro.lbswitch.reconfig import SwitchReconfigurer
+from repro.lbswitch.selection import SmoothWeightedRR
 
 __all__ = [
     "AddressPool",
@@ -22,6 +21,4 @@ __all__ = [
     "Connection",
     "ConnectionTable",
     "SmoothWeightedRR",
-    "LeastConnections",
-    "SwitchReconfigurer",
 ]

@@ -1,9 +1,9 @@
 """RIP selection algorithms for session-level load balancing.
 
 Smooth weighted round-robin (the nginx algorithm) gives a deterministic
-interleaving proportional to weights; least-connections consults the
-connection table.  The fluid data plane uses normalized weights directly;
-these classes serve the session-level examples and E5.
+interleaving proportional to weights; :func:`weighted_rip_pick` is its
+stateless single-draw counterpart, used by the object data plane and
+replayed exactly by the vectorized one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.dns.policy import weighted_pick
-from repro.lbswitch.conntrack import ConnectionTable
 
 
 def weighted_rip_pick(weights: Mapping[str, float], u: float) -> str:
@@ -73,28 +72,3 @@ class SmoothWeightedRR:
         self._current[best] -= total
         return best
 
-
-class LeastConnections:
-    """Pick the RIP with the fewest tracked connections (weight-scaled)."""
-
-    def __init__(self, vip: str, table: ConnectionTable):
-        self.vip = vip
-        self.table = table
-
-    def pick(self, weights: Mapping[str, float]) -> str:
-        if not weights:
-            raise ValueError("need at least one RIP")
-        counts: dict[str, int] = {}
-        for rip in weights:
-            counts[rip] = 0
-        for conn in self.table._conns.values():  # noqa: SLF001 - same package
-            if conn.vip == self.vip and conn.rip in counts:
-                counts[conn.rip] += 1
-        # least connections per unit weight; deterministic tiebreak by name
-        def score(rip: str) -> tuple[float, str]:
-            w = weights[rip]
-            if w <= 0:
-                return (float("inf"), rip)
-            return (counts[rip] / w, rip)
-
-        return min(weights, key=score)

@@ -46,8 +46,9 @@ class LBSwitch:
 
     Table mutations are *immediate* here; the multi-second programmatic
     reconfiguration latency lives in
-    :class:`repro.lbswitch.reconfig.SwitchReconfigurer`, which serializes
-    operations per switch the way a real management interface does.
+    :class:`repro.core.viprip.VipRipManager` (``reconfig_s``), which
+    serializes configuration requests the way a real management interface
+    does.
     """
 
     def __init__(

@@ -1,29 +1,20 @@
-"""Flow-level data plane.
+"""Access connection layer: access links, border routers and BGP.
 
-Traffic is modelled as fluid flows: within a control epoch each flow gets a
-max–min fair share of every link it crosses.  Control-plane events (DNS
-exposure changes, VIP transfers, weight updates) change the flow set or the
-routing; the data plane then re-solves bandwidth sharing.  This is the
-standard fluid approximation for load-balancing studies and is exactly the
-granularity at which the paper's claims live.
+The data center reaches the Internet through border routers connected over
+access links to the ISPs' access routers (Figure 1).  These models carry the
+per-link load that knob K1 (selective VIP exposure) balances, and the BGP
+route-update accounting that E4 compares it against.  Inside the data
+center, the fabric's host-pair bandwidth guarantee is taken as a premise
+(§III-B), so no flow-level model of it exists here.
 """
 
-from repro.network.flows import Flow, FlowAllocation, FlowSet
-from repro.network.maxmin import maxmin_fair, weighted_maxmin_fair
 from repro.network.links import AccessLink, BorderRouter, InternetSide
 from repro.network.bgp import BGPAnnouncer, RouteUpdateLog
-from repro.network.fabric import FabricModel
 
 __all__ = [
-    "Flow",
-    "FlowAllocation",
-    "FlowSet",
-    "maxmin_fair",
-    "weighted_maxmin_fair",
     "AccessLink",
     "BorderRouter",
     "InternetSide",
     "BGPAnnouncer",
     "RouteUpdateLog",
-    "FabricModel",
 ]

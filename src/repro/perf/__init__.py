@@ -9,10 +9,10 @@ out) is fanned across a persistent process pool, while the stateful apply
 stage (VM boots/stops, RIP wiring) stays in the main process in
 deterministic pod order, so results are bit-identical to the serial loop.
 
-``repro bench`` (:mod:`repro.perf.bench`) pins the placement/max-min/epoch
-and sharded control-plane workloads and writes ``BENCH_placement.json`` /
-``BENCH_network.json`` / ``BENCH_controlplane.json`` so every later change
-has a machine-readable trajectory to beat; ``repro mega`` and ``repro
+``repro bench`` (:mod:`repro.perf.bench`) pins the placement/epoch and
+sharded control-plane workloads and writes ``BENCH_placement.json`` /
+``BENCH_controlplane.json`` so every later change has a machine-readable
+trajectory to beat; ``repro mega`` and ``repro
 dataplane`` write ``BENCH_mega.json`` / ``BENCH_dataplane.json`` through
 the same gate.
 """

@@ -4,8 +4,8 @@ workloads with JSON trajectories.
 Three lanes, each writing BENCH files so every later change has a
 baseline to beat:
 
-* ``repro bench`` — fixed-seed placement, network and control-plane
-  micro-workloads -> ``BENCH_placement.json`` / ``BENCH_network.json`` /
+* ``repro bench`` — fixed-seed placement and control-plane
+  micro-workloads -> ``BENCH_placement.json`` /
   ``BENCH_controlplane.json``;
 * ``repro mega`` — the E17 mega-scale runner (plus, with ``--faults``,
   E18's fail/repair cycle) -> ``BENCH_mega.json``;
@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.network.maxmin import weighted_maxmin_fair
 from repro.perf.engine import PlacementEngine
 from repro.perf.rss import peak_rss_mb
 from repro.placement import DistributedController, GreedyController
@@ -70,7 +69,6 @@ CPU_SENSITIVE_METRICS = ("parallel_wall_s",)
 
 BENCH_FILES = {
     "placement": "BENCH_placement.json",
-    "network": "BENCH_network.json",
     "controlplane": "BENCH_controlplane.json",
 }
 #: The mega-scale lane writes its own file (run via ``repro mega``, not
@@ -145,48 +143,6 @@ def bench_solver(kind: str, n_servers: int, seed: int = 0) -> tuple[str, dict]:
         "apps": problem.n_apps,
         "wall_s": round(wall, 4),
         "satisfied": round(float(sol.satisfied().sum()), 3),
-    }
-
-
-def bench_maxmin(
-    n_flows: int, n_links: int, resolves: int, seed: int = 0
-) -> tuple[str, dict]:
-    """Max-min fairness re-solves of one fixed route set.
-
-    ``wall_s`` is the best of 3 rounds of *resolves* back-to-back solves;
-    ``identical`` checks that every re-solve returned the same rates
-    bit-for-bit.
-    """
-    rng = np.random.default_rng(seed)
-    capacities = rng.uniform(5.0, 20.0, n_links)
-    routes = [
-        sorted(rng.choice(n_links, size=int(rng.integers(1, 4)), replace=False))
-        for _ in range(n_flows)
-    ]
-    demands = rng.uniform(0.1, 2.0, n_flows)
-    weights = rng.uniform(0.5, 2.0, n_flows)
-
-    wall = float("inf")
-    first = None
-    identical = True
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(resolves):
-            rates = weighted_maxmin_fair(
-                routes, capacities, demands=demands, weights=weights
-            )
-            if first is None:
-                first = rates
-            identical = identical and bool(np.array_equal(rates, first))
-        wall = min(wall, time.perf_counter() - t0)
-
-    wid = f"maxmin[flows={n_flows},links={n_links},resolves={resolves}]"
-    return wid, {
-        "flows": n_flows,
-        "links": n_links,
-        "resolves": resolves,
-        "wall_s": round(wall, 4),
-        "identical": identical,
     }
 
 
@@ -365,12 +321,6 @@ QUICK_PLACEMENT = [
 FULL_PLACEMENT = QUICK_PLACEMENT + [
     (bench_pod_epoch, dict(n_servers=400, pod_size=50, epochs=3, workers=4)),
 ]
-QUICK_NETWORK = [
-    (bench_maxmin, dict(n_flows=1000, n_links=100, resolves=20)),
-]
-FULL_NETWORK = QUICK_NETWORK + [
-    (bench_maxmin, dict(n_flows=4000, n_links=300, resolves=20)),
-]
 QUICK_CONTROLPLANE = [
     (
         bench_sharded_controlplane,
@@ -393,10 +343,8 @@ def run_suite(
 ) -> dict:
     if suite == "placement":
         fixtures = QUICK_PLACEMENT if quick else FULL_PLACEMENT
-    elif suite == "controlplane":
-        fixtures = QUICK_CONTROLPLANE if quick else FULL_CONTROLPLANE
     else:
-        fixtures = QUICK_NETWORK if quick else FULL_NETWORK
+        fixtures = QUICK_CONTROLPLANE if quick else FULL_CONTROLPLANE
     workloads = {}
     for fn, kwargs in fixtures:
         if workers is not None and "workers" in kwargs:
@@ -525,7 +473,10 @@ def write_and_gate(
     output file keeps the workloads already in it and replaces those this
     run re-measured, by workload id (the id encodes scale, so one
     committed file carries both the quick CI entries and the full-scale
-    ones).  Only this run's workloads are gated.
+    ones).  Only this run's workloads are gated.  An output file that
+    exists but cannot be read as JSON (say, one left with merge-conflict
+    markers) fails the lane before anything is written: rewriting it
+    would silently drop the entries it holds.
     """
     out_path = pathlib.Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -536,15 +487,25 @@ def write_and_gate(
             base_file = base_dir / LANE_FILES[suite]
             if base_file.is_file():
                 bases[suite] = json.loads(base_file.read_text())
+    kept = {}
+    for suite in runs:
+        dest = out_path / LANE_FILES[suite]
+        if not dest.is_file():
+            kept[suite] = {}
+            continue
+        try:
+            kept[suite] = json.loads(dest.read_text()).get("workloads", {})
+        except (json.JSONDecodeError, OSError) as exc:
+            print(
+                f"\n{lane} FAILED: cannot read existing {dest} ({exc}); "
+                "fix or remove it, it was left untouched",
+                file=out,
+            )
+            return 1
     failures = list(failures)
     for suite, workloads in runs.items():
         dest = out_path / LANE_FILES[suite]
-        merged = {}
-        if dest.is_file():
-            try:
-                merged = json.loads(dest.read_text()).get("workloads", {})
-            except (json.JSONDecodeError, OSError):
-                pass
+        merged = kept[suite]
         for metrics in workloads.values():
             # Per workload, not just per file: the regression gate decides
             # workload by workload whether parallel walls are comparable.
@@ -629,7 +590,7 @@ def cmd_bench(
     mode = "quick" if quick else "full"
     print(
         f"repro bench ({mode}, cpu_count={os.cpu_count()}) — "
-        "pinned placement + network + control-plane workloads",
+        "pinned placement + control-plane workloads",
         file=out,
     )
     runs = {

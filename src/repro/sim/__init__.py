@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
-This is the substrate every other subsystem runs on.  The API follows the
-conventions popularised by SimPy (environments, generator-based processes,
-events, resources) but is implemented from scratch so the reproduction has no
-external runtime dependencies and fully deterministic event ordering:
-simultaneous events are ordered by (time, priority, insertion sequence).
+The object model (pods, the VIP/RIP manager, the sharded control plane)
+runs on it.  The API follows the conventions popularised by SimPy
+(environments, generator-based processes, events) but is implemented from
+scratch so the reproduction has no external runtime dependencies and fully
+deterministic event ordering: simultaneous events are ordered by (time,
+priority, insertion sequence).
 
 Example
 -------
@@ -27,15 +28,11 @@ from repro.sim.events import (
     URGENT,
     NORMAL,
     LOW,
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Container, PriorityRequest, Request, Resource
-from repro.sim.store import FilterStore, Store
 from repro.sim.monitor import Tally, TimeSeries, UtilizationMonitor
 from repro.sim.rng import RngHub, stable_hash
 
@@ -45,15 +42,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "Process",
-    "Resource",
-    "Request",
-    "PriorityRequest",
-    "Container",
-    "Store",
-    "FilterStore",
     "Tally",
     "TimeSeries",
     "UtilizationMonitor",

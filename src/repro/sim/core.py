@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from math import inf
 from typing import Any, Generator, Optional, Union
 
 from repro.sim.events import NORMAL, PENDING, URGENT, Event, Timeout
@@ -54,10 +53,6 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._seq), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the agenda is empty."""
-        return self._queue[0][0] if self._queue else inf
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -134,20 +129,6 @@ class Environment:
         if stop is not None and not stop.processed:
             raise RuntimeError("run(until=event) finished before event was triggered")
         return None
-
-    def run_until_empty(self, max_events: int = 10_000_000) -> int:
-        """Drain the agenda, returning the number of events processed.
-
-        A guard against runaway simulations: raises ``RuntimeError`` after
-        *max_events* steps.
-        """
-        steps = 0
-        while self._queue:
-            self.step()
-            steps += 1
-            if steps >= max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-        return steps
 
 
 def _stop_simulation(event: Event) -> None:

@@ -14,7 +14,7 @@ Lower values run first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.core import Environment
@@ -113,24 +113,9 @@ class Event:
         self.env.schedule(self, delay=0.0, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another (triggered) event onto this one."""
-        if event._value is PENDING:
-            raise RuntimeError("source event not triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it will not crash the kernel."""
         self._defused = True
-
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
@@ -161,65 +146,3 @@ class Timeout(Event):
         self._value = value
         env.schedule(self, delay=delay)
 
-
-class Condition(Event):
-    """Base for composite events over a fixed set of sub-events.
-
-    The condition's value is a dict mapping each *triggered-ok* sub-event to
-    its value at the moment the condition fired.
-    """
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events: tuple[Event, ...] = tuple(events)
-        self._count = 0
-        for event in self.events:
-            if event.env is not env:
-                raise ValueError("events from different environments")
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.callbacks is None:  # already processed
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return  # already fired
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only *processed* events count: a Timeout carries its value from
-        # creation, but it has not "happened" until its callbacks ran.
-        return {e: e._value for e in self.events if e.callbacks is None and e._ok}
-
-
-class AllOf(Condition):
-    """Fires when every sub-event has succeeded; fails fast on any failure."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count == len(self.events)
-
-
-class AnyOf(Condition):
-    """Fires as soon as any sub-event succeeds."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1

@@ -1,26 +1,19 @@
-"""Data-center network topologies.
+"""Data-center network topology for the optional physical fabric.
 
 The paper's architecture relies on "recent advances in data center
 topologies" — fat-tree (Al-Fares et al., SIGCOMM'08), VL2 (Greenberg et
 al., SIGCOMM'09) and PortLand (Mysore et al., SIGCOMM'09) — which guarantee
 bandwidth between any host pair and give a flat address space.  That is
 what lets the LB switches sit at the access network and reach any server.
-We implement all three, plus the legacy oversubscribed 3-tier tree they
-replace, and the analysis used to compare them (bisection bandwidth,
-oversubscription, host-pair bandwidth guarantees).
+The paper takes that guarantee as a premise (§III-B) and evaluates no
+topology, so only what ``MegaDataCenter(topology=PortLand(...))`` uses is
+modelled: the fat-tree wiring and PortLand's PMAC addressing with its
+fabric manager, which keep RIP locations consistent as VMs move.
 """
 
 from repro.topology.base import Link, Node, NodeKind, Topology
 from repro.topology.fattree import FatTree
-from repro.topology.vl2 import VL2
 from repro.topology.portland import PortLand
-from repro.topology.tree import ThreeTierTree
-from repro.topology.routing import ecmp_paths, shortest_path_links
-from repro.topology.analysis import (
-    bisection_bandwidth,
-    host_pair_guarantee,
-    oversubscription_ratio,
-)
 
 __all__ = [
     "Node",
@@ -28,12 +21,5 @@ __all__ = [
     "Link",
     "Topology",
     "FatTree",
-    "VL2",
     "PortLand",
-    "ThreeTierTree",
-    "ecmp_paths",
-    "shortest_path_links",
-    "bisection_bandwidth",
-    "oversubscription_ratio",
-    "host_pair_guarantee",
 ]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import networkx as nx
 
@@ -51,7 +51,7 @@ class Topology:
 
     Thin wrapper over a networkx graph that adds typed nodes, capacity
     bookkeeping and the queries the rest of the system needs.  Concrete
-    topologies (fat-tree, VL2, ...) populate it in their constructors.
+    topologies (fat-tree, PortLand) populate it in their constructors.
     """
 
     def __init__(self, name: str):
@@ -98,24 +98,8 @@ class Topology:
     def num_hosts(self) -> int:
         return len(self.hosts)
 
-    def links(self) -> Iterator[Link]:
-        for _, _, data in self.graph.edges(data=True):
-            yield data["link"]
-
-    def link_capacity(self, a: str, b: str) -> float:
-        return self.graph.edges[a, b]["capacity"]
-
     def degree(self, name: str) -> int:
         return self.graph.degree[name]
-
-    def neighbors(self, name: str) -> list[str]:
-        return list(self.graph.neighbors(name))
-
-    def host_uplink_gbps(self, host: str) -> float:
-        """Total capacity of a host's attachment links."""
-        return sum(
-            self.graph.edges[host, n]["capacity"] for n in self.graph.neighbors(host)
-        )
 
     def validate(self) -> None:
         """Structural sanity: connected, hosts are leaves."""

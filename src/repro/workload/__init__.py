@@ -3,7 +3,7 @@
 The paper's applications "roughly correspond to websites" whose demand "is
 often hard to predict in advance".  We generate: Zipf-distributed
 application popularity, diurnal demand curves, flash crowds, and session
-arrival processes (Poisson / MMPP) for session-level simulations.
+arrival processes (MMPP) for session-level simulations.
 """
 
 from repro.workload.popularity import zipf_weights, allocate_vip_counts
@@ -12,12 +12,9 @@ from repro.workload.demand import (
     DemandProcess,
     DiurnalDemand,
     FlashCrowdDemand,
-    RandomWalkDemand,
-    ScaledDemand,
-    SumDemand,
     StepDemand,
 )
-from repro.workload.arrivals import PoissonArrivals, MMPPArrivals, lognormal_durations
+from repro.workload.arrivals import MMPPArrivals, lognormal_durations
 from repro.workload.apps import AppSpec
 from repro.workload.generator import WorkloadBuilder
 from repro.workload.streaming import StreamingWorkload
@@ -29,11 +26,7 @@ __all__ = [
     "ConstantDemand",
     "DiurnalDemand",
     "FlashCrowdDemand",
-    "RandomWalkDemand",
     "StepDemand",
-    "ScaledDemand",
-    "SumDemand",
-    "PoissonArrivals",
     "MMPPArrivals",
     "lognormal_durations",
     "AppSpec",

@@ -2,8 +2,8 @@
 
 Fluid experiments use :mod:`repro.workload.demand`; the session-level
 examples and the connection-draining experiment (E5) additionally need
-discrete client sessions: Poisson arrivals, a bursty 2-state MMPP, and
-heavy-ish-tailed session durations.
+discrete client sessions: a bursty 2-state MMPP and heavy-ish-tailed
+session durations.
 """
 
 from __future__ import annotations
@@ -12,22 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-
-
-@dataclass
-class PoissonArrivals:
-    """Homogeneous Poisson process with rate *rate_per_s*."""
-
-    rate_per_s: float
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.rate_per_s <= 0:
-            raise ValueError("rate must be positive")
-
-    def interarrivals(self) -> Iterator[float]:
-        while True:
-            yield float(self.rng.exponential(1.0 / self.rate_per_s))
 
 
 @dataclass

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,47 +107,3 @@ class FlashCrowdDemand(DemandProcess):
         dt = t - (self.start_s + self.ramp_s + self.hold_s)
         return self.base + (peak - self.base) * math.exp(-dt / self.decay_s)
 
-
-@dataclass
-class RandomWalkDemand(DemandProcess):
-    """Mean-reverting multiplicative random walk, pre-sampled on a grid so
-    ``rate(t)`` is deterministic and repeatable for a given generator."""
-
-    mean: float
-    rng: np.random.Generator
-    volatility: float = 0.1
-    reversion: float = 0.05
-    step_s: float = 60.0
-    horizon_s: float = 86400.0
-    _grid: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = int(self.horizon_s / self.step_s) + 2
-        levels = np.empty(n)
-        x = 0.0  # log-deviation from mean
-        for i in range(n):
-            levels[i] = self.mean * math.exp(x)
-            x += -self.reversion * x + self.rng.normal(0.0, self.volatility)
-        self._grid = levels
-
-    def rate(self, t: float) -> float:
-        idx = int(t / self.step_s)
-        idx = min(max(idx, 0), len(self._grid) - 1)
-        return float(self._grid[idx])
-
-
-@dataclass
-class ScaledDemand(DemandProcess):
-    inner: DemandProcess
-    factor: float
-
-    def rate(self, t: float) -> float:
-        return self.inner.rate(t) * self.factor
-
-
-@dataclass
-class SumDemand(DemandProcess):
-    parts: Sequence[DemandProcess]
-
-    def rate(self, t: float) -> float:
-        return sum(p.rate(t) for p in self.parts)

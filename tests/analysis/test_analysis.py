@@ -1,17 +1,10 @@
-"""Tests for fairness indices and the table renderer."""
+"""Tests for the imbalance index and the table renderer."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    Table,
-    coefficient_of_variation,
-    jain_fairness,
-    max_mean_ratio,
-    summarize,
-)
+from repro.analysis import Table, max_mean_ratio
 from repro.analysis.reporting import table_to_dict
 
 
@@ -21,37 +14,28 @@ from repro.analysis.reporting import table_to_dict
 def test_balanced_values_are_ideal():
     vals = [2.0, 2.0, 2.0, 2.0]
     assert max_mean_ratio(vals) == 1.0
-    assert jain_fairness(vals) == pytest.approx(1.0)
-    assert coefficient_of_variation(vals) == 0.0
 
 
 def test_imbalanced_values():
     vals = [4.0, 0.0, 0.0, 0.0]
     assert max_mean_ratio(vals) == 4.0
-    assert jain_fairness(vals) == pytest.approx(0.25)
-    assert coefficient_of_variation(vals) == pytest.approx(np.sqrt(3))
 
 
 def test_all_zero_conventions():
     assert max_mean_ratio([0.0, 0.0]) == 1.0
-    assert coefficient_of_variation([0.0, 0.0]) == 0.0
-    assert jain_fairness([0.0, 0.0]) == 1.0
 
 
 def test_index_validation():
-    for fn in (max_mean_ratio, jain_fairness, coefficient_of_variation):
-        with pytest.raises(ValueError):
-            fn([])
-        with pytest.raises(ValueError):
-            fn([-1.0, 2.0])
+    with pytest.raises(ValueError):
+        max_mean_ratio([])
+    with pytest.raises(ValueError):
+        max_mean_ratio([-1.0, 2.0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=30))
 def test_index_bounds(values):
     assert max_mean_ratio(values) >= 1.0 - 1e-9
-    assert 0.0 < jain_fairness(values) <= 1.0 + 1e-9
-    assert coefficient_of_variation(values) >= 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,19 +46,6 @@ def test_index_bounds(values):
 def test_indices_scale_invariant(values, factor):
     scaled = [v * factor for v in values]
     assert max_mean_ratio(scaled) == pytest.approx(max_mean_ratio(values))
-    assert jain_fairness(scaled) == pytest.approx(jain_fairness(values))
-    assert coefficient_of_variation(scaled) == pytest.approx(
-        coefficient_of_variation(values)
-    )
-
-
-def test_summarize():
-    s = summarize(range(1, 101))
-    assert s.n == 100
-    assert s.mean == pytest.approx(50.5)
-    assert s.minimum == 1 and s.maximum == 100
-    assert s.p50 == pytest.approx(50.5)
-    assert s.p99 > s.p95 > s.p50
 
 
 # -------------------------------------------------------------------- table

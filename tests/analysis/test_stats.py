@@ -1,15 +1,8 @@
-"""Imbalance/fairness indices and the distribution summary, including
-the empty-input contracts (ratios raise, summarize returns None)."""
+"""The imbalance index, including its empty-input contract (it raises)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    coefficient_of_variation,
-    jain_fairness,
-    max_mean_ratio,
-    summarize,
-)
+from repro.analysis.stats import max_mean_ratio
 
 
 def test_max_mean_ratio():
@@ -18,53 +11,9 @@ def test_max_mean_ratio():
     assert max_mean_ratio([1.0, 3.0]) == pytest.approx(1.5)
 
 
-def test_jain_fairness():
-    assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
-    assert jain_fairness([0.0, 0.0]) == 1.0
-    # One busy server out of n gives 1/n.
-    assert jain_fairness([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-
-def test_coefficient_of_variation():
-    assert coefficient_of_variation([4.0, 4.0]) == 0.0
-    assert coefficient_of_variation([0.0, 0.0]) == 0.0
-    x = [1.0, 2.0, 3.0]
-    assert coefficient_of_variation(x) == pytest.approx(
-        np.std(x) / np.mean(x)
-    )
-
-
-@pytest.mark.parametrize(
-    "fn", [max_mean_ratio, jain_fairness, coefficient_of_variation]
-)
+@pytest.mark.parametrize("fn", [max_mean_ratio])
 def test_ratio_indices_reject_empty_and_negative(fn):
     with pytest.raises(ValueError, match="empty"):
         fn([])
     with pytest.raises(ValueError, match="negative"):
         fn([1.0, -0.5])
-
-
-def test_summarize_empty_returns_none():
-    assert summarize([]) is None
-    assert summarize(np.array([])) is None
-
-
-def test_summarize_values():
-    s = summarize(range(1, 101))
-    assert s is not None
-    assert s.n == 100
-    assert s.mean == pytest.approx(50.5)
-    assert (s.minimum, s.maximum) == (1.0, 100.0)
-    assert s.p50 == pytest.approx(50.5)
-    assert s.p50 <= s.p95 <= s.p99 <= s.maximum
-
-
-def test_summarize_flattens_nd_input():
-    s = summarize([[1.0, 2.0], [3.0, 4.0]])
-    assert s.n == 4
-    assert s.mean == pytest.approx(2.5)
-
-
-def test_summarize_rejects_negative():
-    with pytest.raises(ValueError, match="negative"):
-        summarize([1.0, -1.0])

@@ -14,7 +14,6 @@ from repro.dns import (
     InverseUtilizationPolicy,
     Resolver,
     ResolverPopulation,
-    UniformPolicy,
 )
 from repro.network.links import AccessLink
 from repro.sim import Environment, RngHub
@@ -240,10 +239,6 @@ def _links(env, utils, costs=None):
         link.set_load(u * 10.0)
         out[f"vip{i}"] = link
     return out
-
-def test_uniform_policy(env):
-    links = _links(env, [0.1, 0.9])
-    assert UniformPolicy().weights(links) == {"vip0": 1.0, "vip1": 1.0}
 
 
 def test_inverse_utilization_policy(env):

@@ -9,12 +9,10 @@ from repro.lbswitch import (
     AddressPool,
     ConnectionTable,
     LBSwitch,
-    LeastConnections,
     PRIVATE_RIP_POOL,
     PUBLIC_VIP_POOL,
     SmoothWeightedRR,
     SwitchLimits,
-    SwitchReconfigurer,
 )
 from repro.sim import Environment
 
@@ -276,62 +274,3 @@ def test_swrr_exact_proportionality_over_cycle(weights):
     picks = [wrr.pick() for _ in range(total * 10)]
     for rip, w in weights.items():
         assert picks.count(rip) == w * 10
-
-
-def test_least_connections_prefers_idle_rip():
-    ct = ConnectionTable()
-    lc = LeastConnections("v1", ct)
-    ct.open(1, "v1", "r1", 0.0)
-    ct.open(2, "v1", "r1", 0.0)
-    ct.open(3, "v1", "r2", 0.0)
-    assert lc.pick({"r1": 1.0, "r2": 1.0, "r3": 1.0}) == "r3"
-    # weight-scaled: r1 with huge weight wins over empty zero-weight r3
-    assert lc.pick({"r1": 100.0, "r3": 0.0}) == "r1"
-    with pytest.raises(ValueError):
-        lc.pick({})
-
-
-# ----------------------------------------------------------------- reconfig
-
-
-def test_reconfigurer_serializes_and_delays():
-    env = Environment()
-    sw = LBSwitch("lb-0", env)
-    rc = SwitchReconfigurer(env, sw, latency_s=3.0)
-    done = []
-
-    def ops():
-        yield from rc.add_vip("v0", "a")
-        done.append(("vip", env.now))
-
-    def ops2():
-        yield from rc.add_rip("v0", "r1")
-        done.append(("rip", env.now))
-
-    env.process(ops())
-    env.process(ops2())
-    env.run()
-    # serialized: 3s then 6s
-    assert done == [("vip", 3.0), ("rip", 6.0)]
-    assert rc.operations == 2
-    assert sw.entry("v0").rips == {"r1": 1.0}
-
-
-def test_reconfigurer_propagates_table_errors():
-    env = Environment()
-    sw = LBSwitch("lb-0", env, SwitchLimits(max_vips=1))
-    rc = SwitchReconfigurer(env, sw, latency_s=1.0)
-
-    def ops():
-        yield from rc.add_vip("v0", "a")
-        with pytest.raises(RuntimeError, match="VIP table full"):
-            yield from rc.add_vip("v1", "b")
-
-    env.process(ops())
-    env.run()
-
-
-def test_reconfigurer_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        SwitchReconfigurer(env, LBSwitch("x"), latency_s=-1)

@@ -1,18 +1,13 @@
-"""Tests for access links, BGP announcer, flow allocation and fabric model."""
+"""Tests for access links, border routers and the BGP announcer."""
 
-import numpy as np
 import pytest
 
 from repro.network import (
     AccessLink,
     BGPAnnouncer,
-    FabricModel,
-    Flow,
-    FlowAllocation,
     InternetSide,
 )
 from repro.sim import Environment
-from repro.topology import FatTree, ThreeTierTree
 
 
 # ------------------------------------------------------------- access links
@@ -109,59 +104,3 @@ def test_bgp_advertise_now_skips_accounting_by_default():
     assert bgp.log.total == 0
     bgp.withdraw_now("v", "l")
     assert bgp.log.withdrawals == 1
-
-
-# -------------------------------------------------------------------- flows
-
-
-def test_flow_allocation_end_to_end():
-    alloc = FlowAllocation([10.0, 4.0])
-    alloc.add(Flow(key="f1", links=(0,), demand_gbps=np.inf))
-    alloc.add(Flow(key="f2", links=(0, 1), demand_gbps=np.inf))
-    rates = alloc.solve()
-    assert alloc.rate_of("f2") == pytest.approx(4.0)
-    assert alloc.rate_of("f1") == pytest.approx(6.0)
-    assert np.allclose(alloc.loads, [10.0, 4.0])
-    assert np.allclose(alloc.utilizations(), [1.0, 1.0])
-
-
-def test_flow_allocation_satisfied_fraction():
-    alloc = FlowAllocation([4.0])
-    alloc.add(Flow("a", (0,), demand_gbps=3.0))
-    alloc.add(Flow("b", (0,), demand_gbps=3.0))
-    alloc.solve()
-    assert alloc.satisfied_fraction() == pytest.approx(4.0 / 6.0)
-
-
-def test_flow_allocation_unknown_key():
-    alloc = FlowAllocation([1.0])
-    alloc.add(Flow("a", (0,), demand_gbps=1.0))
-    with pytest.raises(KeyError):
-        alloc.rate_of("zzz")
-
-
-# ------------------------------------------------------------------- fabric
-
-
-def test_fabric_modern_is_flat():
-    fm = FabricModel(FatTree(k=4))
-    assert fm.is_flat
-    assert fm.pair_guarantee == pytest.approx(1.0)
-    assert fm.reachable_servers() == 16
-    assert fm.guaranteed_gbps("host-0-0-0") == pytest.approx(1.0)
-
-
-def test_fabric_legacy_compartmentalizes():
-    tree = ThreeTierTree(aggs=2, edges_per_agg=2, hosts_per_edge=8, oversubscription=4.0)
-    fm = FabricModel(tree)
-    assert not fm.is_flat
-    # LB attached near agg-0 subtree only reaches that compartment
-    assert fm.reachable_servers("host-0-0-0") == 16
-    assert fm.reachable_servers() == 32  # no attachment given: count all
-
-
-def test_fabric_external_fraction():
-    fm = FabricModel(FatTree(k=4), external_traffic_fraction=0.2)
-    assert fm.lb_layer_load_gbps(100.0) == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        FabricModel(FatTree(k=4), external_traffic_fraction=0.0)

@@ -14,15 +14,11 @@ TINY_PLACEMENT = [
     (bench.bench_pod_epoch, dict(n_servers=40, pod_size=10, epochs=2, workers=2)),
     (bench.bench_solver, dict(kind="greedy", n_servers=40)),
 ]
-TINY_NETWORK = [
-    (bench.bench_maxmin, dict(n_flows=50, n_links=10, resolves=2)),
-]
 
 
 @pytest.fixture
 def tiny_fixtures(monkeypatch):
     monkeypatch.setattr(bench, "QUICK_PLACEMENT", TINY_PLACEMENT)
-    monkeypatch.setattr(bench, "QUICK_NETWORK", TINY_NETWORK)
 
 
 def test_pod_epoch_workload_is_deterministic():
@@ -35,12 +31,6 @@ def test_pod_epoch_workload_is_deterministic():
     assert metrics["pool_spawns"] == 1
     assert metrics["serial_wall_s"] > 0
     assert metrics["solver_iterations"] >= metrics["pods"] * metrics["epochs"]
-
-
-def test_maxmin_workload_identical_rates():
-    _, metrics = bench.bench_maxmin(n_flows=50, n_links=10, resolves=3)
-    assert metrics["identical"] is True
-    assert metrics["wall_s"] > 0
 
 
 def test_run_suite_schema(tiny_fixtures):
@@ -163,8 +153,8 @@ def test_cmd_bench_reads_baseline_before_writing_into_it(tiny_fixtures, tmp_path
     """``--out`` equal to ``--baseline`` must still gate against the old
     file: an impossible baseline fails instead of being overwritten by the
     run and then compared with itself."""
-    wid, _ = bench.bench_maxmin(**TINY_NETWORK[0][1])
-    (tmp_path / bench.BENCH_FILES["network"]).write_text(
+    wid, _ = bench.bench_solver(**TINY_PLACEMENT[1][1])
+    (tmp_path / bench.BENCH_FILES["placement"]).write_text(
         json.dumps({"workloads": {wid: {"wall_s": 1e-6}}})
     )
     out = io.StringIO()
@@ -179,8 +169,37 @@ def test_cmd_bench_reads_baseline_before_writing_into_it(tiny_fixtures, tmp_path
     assert rc == 1
     assert f"REGRESSION {wid}: metric 'wall_s' regressed" in out.getvalue()
     # The run still replaced the entry it re-measured.
-    payload = json.loads((tmp_path / bench.BENCH_FILES["network"]).read_text())
+    payload = json.loads((tmp_path / bench.BENCH_FILES["placement"]).read_text())
     assert payload["workloads"][wid]["wall_s"] > 1e-6
+
+
+def test_write_and_gate_refuses_unreadable_out_file(tmp_path):
+    """An existing output file that is not valid JSON (here, one left with
+    merge-conflict markers) fails the lane with a message naming it, and
+    is left byte-for-byte as it was instead of being rewritten with only
+    this run's workloads."""
+    dest = tmp_path / bench.BENCH_FILES["placement"]
+    conflicted = (
+        '<<<<<<< HEAD\n{"workloads": {"w[full]": {"wall_s": 1.0}}}\n'
+        '=======\n{"workloads": {}}\n>>>>>>> other\n'
+    )
+    dest.write_text(conflicted)
+    out = io.StringIO()
+    rc = bench.write_and_gate(
+        "bench",
+        True,
+        {"placement": {"w[quick]": {"wall_s": 0.5}}},
+        [],
+        str(tmp_path),
+        None,
+        2.0,
+        (),
+        out,
+    )
+    assert rc == 1
+    assert "bench FAILED" in out.getvalue()
+    assert str(dest) in out.getvalue()
+    assert dest.read_text() == conflicted
 
 
 def test_compare_to_baseline_names_metric_and_units():

@@ -1,12 +1,8 @@
 """Unit tests for the discrete-event kernel: environment, events, processes."""
 
-import math
-
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -251,49 +247,6 @@ def test_interrupted_process_can_keep_running():
     assert log == [3]
 
 
-def test_all_of_collects_values():
-    env = Environment()
-    results = []
-
-    def waiter():
-        outcome = yield env.timeout(1, "x") & env.timeout(2, "y")
-        results.append(sorted(outcome.values()))
-
-    env.process(waiter())
-    env.run()
-    assert results == [["x", "y"]]
-    assert env.now == 2
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    results = []
-
-    def waiter():
-        t1 = env.timeout(1, "fast")
-        t2 = env.timeout(10, "slow")
-        outcome = yield t1 | t2
-        results.append(list(outcome.values()))
-        results.append(env.now)
-
-    env.process(waiter())
-    env.run(until=2)
-    assert results == [["fast"], 1]
-
-
-def test_empty_all_of_fires_immediately():
-    env = Environment()
-    done = []
-
-    def waiter():
-        yield AllOf(env, [])
-        done.append(env.now)
-
-    env.process(waiter())
-    env.run()
-    assert done == [0.0]
-
-
 def test_yield_non_event_raises_in_process():
     env = Environment()
 
@@ -304,13 +257,6 @@ def test_yield_non_event_raises_in_process():
     with pytest.raises(RuntimeError, match="non-event"):
         env.run()
     assert proc.triggered
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == math.inf
-    env.timeout(7)
-    assert env.peek() == 7
 
 
 def test_is_alive_lifecycle():
@@ -345,25 +291,3 @@ def test_nested_processes_three_deep():
     env.run()
     assert proc.value == 6
     assert env.now == 2
-
-
-def test_run_until_empty_counts_and_guards():
-    env = Environment()
-
-    def worker():
-        for _ in range(3):
-            yield env.timeout(1)
-
-    env.process(worker())
-    steps = env.run_until_empty()
-    assert steps > 0
-
-    env2 = Environment()
-
-    def forever():
-        while True:
-            yield env2.timeout(1)
-
-    env2.process(forever())
-    with pytest.raises(RuntimeError, match="exceeded"):
-        env2.run_until_empty(max_events=100)

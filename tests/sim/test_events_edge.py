@@ -1,83 +1,8 @@
-"""Edge cases of the event system: conditions, triggers, interrupts."""
+"""Edge cases of the event system: failures, interrupts, run(until=event)."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
-
-
-def test_condition_with_already_failed_event_fails():
-    env = Environment()
-    bad = env.event()
-    caught = []
-
-    def waiter():
-        good = env.timeout(5)
-        try:
-            yield AllOf(env, [good, bad])
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    def failer():
-        yield env.timeout(1)
-        bad.fail(ValueError("sub-event died"))
-
-    env.process(waiter())
-    env.process(failer())
-    env.run()
-    assert caught == ["sub-event died"]
-
-
-def test_condition_mixed_environments_rejected():
-    env1, env2 = Environment(), Environment()
-    with pytest.raises(ValueError, match="different environments"):
-        AllOf(env1, [env1.event(), env2.event()])
-
-
-def test_condition_over_processed_events_fires_immediately():
-    env = Environment()
-    t1 = env.timeout(1, "a")
-    env.run()  # t1 fully processed
-    got = []
-
-    def waiter():
-        outcome = yield AllOf(env, [t1])
-        got.append(list(outcome.values()))
-
-    env.process(waiter())
-    env.run()
-    assert got == [["a"]]
-
-
-def test_anyof_second_failure_after_success_is_ignored():
-    env = Environment()
-    results = []
-
-    def waiter():
-        fast = env.timeout(1, "ok")
-        slow = env.event()
-        outcome = yield AnyOf(env, [fast, slow])
-        results.append(list(outcome.values()))
-        # Late failure of the other branch must not crash the simulation.
-        slow.fail(RuntimeError("too late"))
-        slow.defuse()
-
-    env.process(waiter())
-    env.run()
-    assert results == [["ok"]]
-
-
-def test_event_trigger_copies_outcome():
-    env = Environment()
-    src = env.event()
-    dst = env.event()
-    src.succeed("payload")
-    env.run()
-    dst.trigger(src)
-    env.run()
-    assert dst.ok and dst.value == "payload"
-    fresh = env.event()
-    with pytest.raises(RuntimeError, match="not triggered"):
-        fresh.trigger(env.event())
+from repro.sim import Environment, Event, Interrupt
 
 
 def test_fail_requires_exception():

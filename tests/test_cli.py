@@ -108,14 +108,9 @@ def test_bench_command_quick(tmp_path, monkeypatch):
         "QUICK_PLACEMENT",
         [(bench.bench_solver, dict(kind="greedy", n_servers=40))],
     )
-    monkeypatch.setattr(
-        bench,
-        "QUICK_NETWORK",
-        [(bench.bench_maxmin, dict(n_flows=50, n_links=10, resolves=2))],
-    )
     code, out, _ = run_main(["bench", "--quick", "--out", str(tmp_path)])
     assert code == 0
     assert "bench ok" in out
-    for filename in ("BENCH_placement.json", "BENCH_network.json"):
+    for filename in ("BENCH_placement.json", "BENCH_controlplane.json"):
         payload = json.loads((tmp_path / filename).read_text())
         assert payload["quick"] is True and payload["workloads"]

@@ -1,4 +1,4 @@
-"""Structural and analytic tests for fat-tree, VL2, PortLand and the tree."""
+"""Structural tests for the topology base, fat-tree and PortLand."""
 
 import networkx as nx
 import pytest
@@ -11,15 +11,8 @@ from repro.topology import (
     Node,
     NodeKind,
     PortLand,
-    ThreeTierTree,
     Topology,
-    VL2,
-    bisection_bandwidth,
-    ecmp_paths,
-    host_pair_guarantee,
-    oversubscription_ratio,
 )
-from repro.topology.routing import ecmp_link_loads, max_link_utilization, shortest_path_links
 
 
 # ---------------------------------------------------------------- base
@@ -85,61 +78,19 @@ def test_fattree_rejects_odd_k():
         FatTree(k=0)
 
 
-def test_fattree_full_bisection():
-    ft = FatTree(k=4)
-    # full bisection: half the hosts at full rate
-    assert bisection_bandwidth(ft) == pytest.approx(ft.num_hosts / 2 * ft.link_gbps)
-    assert oversubscription_ratio(ft) == pytest.approx(1.0)
-    assert host_pair_guarantee(ft) == pytest.approx(1.0)
-
-
 def test_fattree_ecmp_diversity():
     ft = FatTree(k=4)
     # cross-pod host pair has (k/2)^2 = 4 shortest paths
-    paths = ecmp_paths(ft, "host-0-0-0", "host-1-0-0")
+    paths = list(nx.all_shortest_paths(ft.graph, "host-0-0-0", "host-1-0-0"))
     assert len(paths) == 4
     # same-edge pair has exactly 1 two-hop path
-    paths = ecmp_paths(ft, "host-0-0-0", "host-0-0-1")
+    paths = list(nx.all_shortest_paths(ft.graph, "host-0-0-0", "host-0-0-1"))
     assert len(paths) == 1 and len(paths[0]) == 3
 
 
 def test_fattree_host_pod():
     ft = FatTree(k=4)
     assert ft.host_pod("host-2-1-0") == 2
-
-
-# ---------------------------------------------------------------- VL2
-
-
-def test_vl2_counts():
-    v = VL2(da=4, di=4, servers_per_tor=3)
-    assert len(v.tors) == 4 == v.expected_tors
-    assert v.num_hosts == 12 == v.expected_hosts
-    assert len(v.intermediates) == 2
-    assert len(v.aggs) == 4
-
-
-def test_vl2_tor_dual_homing():
-    v = VL2(da=4, di=4, servers_per_tor=2)
-    for tor in v.tors:
-        agg_neighbors = [
-            n for n in v.neighbors(tor.name) if v.node(n).kind == NodeKind.AGG
-        ]
-        assert len(agg_neighbors) == 2
-
-
-def test_vl2_agg_int_complete_bipartite():
-    v = VL2(da=6, di=4, servers_per_tor=2)
-    for agg in v.aggs:
-        for inter in v.intermediates:
-            assert v.graph.has_edge(agg.name, inter.name)
-
-
-def test_vl2_validation():
-    with pytest.raises(ValueError):
-        VL2(da=3)
-    with pytest.raises(ValueError):
-        VL2(da=4, di=0)
 
 
 # ---------------------------------------------------------------- PortLand
@@ -172,67 +123,8 @@ def test_portland_migration_updates_location():
 
 def test_portland_is_a_fattree():
     pl = PortLand(k=4)
+    assert isinstance(pl, FatTree)
     assert pl.num_hosts == 16
-    assert host_pair_guarantee(pl) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------- legacy tree
-
-
-def test_tree_oversubscription_measured():
-    t = ThreeTierTree(aggs=2, edges_per_agg=2, hosts_per_edge=8, oversubscription=4.0)
-    assert oversubscription_ratio(t) == pytest.approx(16.0)  # 4 per tier, 2 tiers
-    assert host_pair_guarantee(t) < 1.0
-
-
-def test_tree_beats_nothing_fattree_beats_tree():
-    ft = FatTree(k=4)
-    tr = ThreeTierTree(aggs=2, edges_per_agg=2, hosts_per_edge=4, oversubscription=4.0)
-    assert host_pair_guarantee(ft) > host_pair_guarantee(tr)
-
-
-def test_tree_validation():
-    with pytest.raises(ValueError):
-        ThreeTierTree(oversubscription=0.5)
-    with pytest.raises(ValueError):
-        ThreeTierTree(aggs=0)
-
-
-# ---------------------------------------------------------------- routing
-
-
-def test_shortest_path_links_endpoints():
-    ft = FatTree(k=4)
-    links = shortest_path_links(ft, "host-0-0-0", "host-3-1-1")
-    assert links[0][0] <= links[0][1]  # canonical ordering
-    assert len(links) == 6  # host-edge-agg-core-agg-edge-host
-
-
-def test_ecmp_link_loads_conserve_demand():
-    ft = FatTree(k=4)
-    demands = {("host-0-0-0", "host-1-0-0"): 2.0}
-    loads = ecmp_link_loads(ft, demands)
-    # load on the source host's attachment link equals the full demand
-    src_link = tuple(sorted(("host-0-0-0", "edge-0-0")))
-    assert loads[src_link] == pytest.approx(2.0)
-    # each of 4 ECMP paths carries 0.5 through its core link
-    core_loads = [v for k, v in loads.items() if "core" in k[0] or "core" in k[1]]
-    assert len(core_loads) == 8  # agg->core and core->agg per path
-    assert all(v == pytest.approx(0.5) for v in core_loads)
-
-
-def test_ecmp_skips_zero_and_self_demands():
-    ft = FatTree(k=2)
-    loads = ecmp_link_loads(
-        ft, {("host-0-0-0", "host-0-0-0"): 5.0, ("host-0-0-0", "host-1-0-0"): 0.0}
-    )
-    assert loads == {}
-
-
-def test_max_link_utilization():
-    ft = FatTree(k=4, link_gbps=2.0)
-    loads = ecmp_link_loads(ft, {("host-0-0-0", "host-0-1-0"): 3.0})
-    assert max_link_utilization(ft, loads) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------- properties
@@ -247,17 +139,3 @@ def test_fattree_properties(k):
     assert nx.is_connected(ft.graph)
     for host in ft.hosts:
         assert ft.degree(host.name) == 1
-    # uniform link capacity implies full bisection
-    assert host_pair_guarantee(ft) == pytest.approx(1.0)
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    da=st.sampled_from([2, 4, 6]),
-    di=st.sampled_from([2, 4]),
-    spt=st.integers(min_value=1, max_value=4),
-)
-def test_vl2_properties(da, di, spt):
-    v = VL2(da=da, di=di, servers_per_tor=spt)
-    assert v.num_hosts == (da * di // 4) * spt
-    assert nx.is_connected(v.graph)

@@ -12,11 +12,7 @@ from repro.workload import (
     DiurnalDemand,
     FlashCrowdDemand,
     MMPPArrivals,
-    PoissonArrivals,
-    RandomWalkDemand,
-    ScaledDemand,
     StepDemand,
-    SumDemand,
     WorkloadBuilder,
     allocate_vip_counts,
     lognormal_durations,
@@ -117,39 +113,12 @@ def test_flash_crowd_phases():
         FlashCrowdDemand(base=1.0, spike_factor=0.5)
 
 
-def test_random_walk_deterministic_and_positive():
-    rng1 = RngHub(3).fresh("rw")
-    rng2 = RngHub(3).fresh("rw")
-    d1 = RandomWalkDemand(mean=5.0, rng=rng1, horizon_s=3600)
-    d2 = RandomWalkDemand(mean=5.0, rng=rng2, horizon_s=3600)
-    ts = [0, 100, 500, 3000]
-    assert [d1.rate(t) for t in ts] == [d2.rate(t) for t in ts]
-    assert all(d1.rate(t) > 0 for t in ts)
-
-
-def test_scaled_and_sum_demand():
-    s = ScaledDemand(ConstantDemand(4.0), 2.5)
-    assert s.rate(0) == 10.0
-    total = SumDemand([ConstantDemand(1.0), ConstantDemand(2.0)])
-    assert total.rate(50) == 3.0
-
-
 def test_demand_peak_sampling():
     f = FlashCrowdDemand(base=1.0, spike_factor=4.0, start_s=100, ramp_s=10, hold_s=100)
     assert f.peak(0, 300) == pytest.approx(4.0, rel=0.05)
 
 
 # ----------------------------------------------------------------- arrivals
-
-
-def test_poisson_mean_rate():
-    rng = RngHub(1).stream("poisson")
-    arr = PoissonArrivals(rate_per_s=10.0, rng=rng)
-    gaps = [next(iter(arr.interarrivals())) for _ in range(2000)]
-    # note: new iterator each call still uses same rng stream
-    assert np.mean(gaps) == pytest.approx(0.1, rel=0.1)
-    with pytest.raises(ValueError):
-        PoissonArrivals(0.0, rng)
 
 
 def test_mmpp_mean_rate_between_states():
