@@ -10,9 +10,10 @@ Subpackage guide:
 * :mod:`repro.core` — the paper's architecture (pods, global manager,
   VIP/RIP manager, the six knobs, the two-layer variant).
 * :mod:`repro.sim` — the discrete-event kernel the object model runs on.
-* :mod:`repro.topology`, :mod:`repro.network`, :mod:`repro.dns`,
-  :mod:`repro.lbswitch`, :mod:`repro.hosts`, :mod:`repro.workload`,
-  :mod:`repro.placement` — the substrates.
+* :mod:`repro.network`, :mod:`repro.dns`, :mod:`repro.lbswitch`,
+  :mod:`repro.hosts`, :mod:`repro.workload`, :mod:`repro.placement` —
+  the substrates.  The fabric is not modelled: Section III-B's flat
+  address space is a premise.
 * :mod:`repro.experiments` — experiments E1–E12, ablations, extensions.
 """
 

@@ -12,24 +12,17 @@ class PlatformConfig:
     """Tunable parameters of the architecture.
 
     Defaults are the paper's numbers (Sections II, III, IV) scaled where
-    noted.  Everything an experiment sweeps lives here.
+    noted.  Everything an experiment sweeps lives here; the build's sizes
+    (pods, pod limits, control-plane shards) are keywords of
+    :class:`~repro.core.datacenter.MegaDataCenter`.
     """
-
-    # -- pods (Section III-A) ------------------------------------------------
-    #: Pod size limits: "about 5,000 servers and 10,000 VMs (whichever
-    #: comes first)".  Experiments run scaled-down pods; the *ratio* of
-    #: these limits to total size is what matters.
-    pod_max_servers: int = 5000
-    pod_max_vms: int = 10000
 
     # -- LB switches (Section II) ----------------------------------------------
     switch_limits: SwitchLimits = field(default_factory=SwitchLimits)
     #: "Configuring the load balancing switches takes only several seconds."
     switch_reconfig_s: float = 3.0
 
-    # -- VIPs (Section IV-A / V-A) ----------------------------------------------
-    #: "we assign three VIPs per application on average".
-    mean_vips_per_app: float = 3.0
+    # -- RIPs (Section II) ---------------------------------------------------------
     #: "on average 20 VM instances per application" (Section II).
     mean_rips_per_app: float = 20.0
 
@@ -76,11 +69,6 @@ class PlatformConfig:
     reconcile_interval_s: float = 30.0
 
     # -- control-plane sharding (repro.controlplane.sharding) ------------------
-    #: Number of VIP/RIP manager shards.  1 keeps the serialized paper
-    #: manager; >1 partitions app ownership across shards (each with its
-    #: own journal/checkpoints) behind the eventually consistent
-    #: :class:`~repro.controlplane.sharding.ShardedControlPlane` facade.
-    control_plane_shards: int = 1
     #: Period of the sharded plane's anti-entropy gossip rounds (0 leaves
     #: gossip to explicit ``converge()`` calls).
     shard_gossip_interval_s: float = 30.0
@@ -91,16 +79,9 @@ class PlatformConfig:
     # -- hosts ----------------------------------------------------------------------
     server_cpu: float = 1.0
     server_mem_gb: float = 32.0
-    vm_boot_s: float = 60.0
-    vm_stop_s: float = 5.0
     slice_adjust_s: float = 2.0
 
-    # -- fabric -----------------------------------------------------------------------
-    external_traffic_fraction: float = 0.2
-
     def __post_init__(self):
-        if self.pod_max_servers < 1 or self.pod_max_vms < 1:
-            raise ValueError("pod limits must be positive")
         if not 0 < self.overload_threshold <= 1.5:
             raise ValueError("overload_threshold out of range")
         if self.donor_threshold >= self.overload_threshold:
@@ -109,15 +90,11 @@ class PlatformConfig:
             raise ValueError("epoch_s must be positive")
         if self.fault_detection_s < 0 or self.fault_rehome_timeout_s <= 0:
             raise ValueError("fault timing parameters out of range")
-        if self.mean_vips_per_app < 1:
-            raise ValueError("mean_vips_per_app must be >= 1")
         if self.checkpoint_interval_s < 0 or self.manager_restart_s < 0:
             raise ValueError("control-plane timing parameters out of range")
         if self.journal_replay_s < 0 or self.manager_cutover_s < 0:
             raise ValueError("control-plane timing parameters out of range")
         if self.reconcile_interval_s <= 0:
             raise ValueError("reconcile_interval_s must be positive")
-        if self.control_plane_shards < 1:
-            raise ValueError("control_plane_shards must be at least 1")
         if self.shard_gossip_interval_s < 0:
             raise ValueError("shard_gossip_interval_s must be non-negative")

@@ -17,14 +17,12 @@ RIP (un)wiring has two modes: the default mutates switch tables instantly
 (counting reconfigurations), while ``serialized_reconfig=True`` routes
 every runtime request through the global VIP/RIP manager's priority queue
 with per-request decision and reconfiguration latencies (Section III-C).
-An optional PortLand ``topology`` maps servers onto physical hosts and
-keeps every serving RIP registered with the fabric manager (Section
-III-B's flat address space).
+The fabric is not modelled: Section III-B's flat address space is taken
+as a premise, so any server can host any pod's VMs.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from typing import Callable, Optional, Sequence
 
@@ -58,7 +56,6 @@ from repro.sim.events import Event
 from repro.sim.monitor import TimeSeries
 from repro.core.sizing import switches_needed
 from repro.core.viprip import VipRipManager, VipRipRequest
-from repro.topology.portland import PortLand
 from repro.workload.apps import AppSpec
 
 #: Default access network: 2 ISPs, 2 border routers, 4 access links.
@@ -71,7 +68,17 @@ DEFAULT_LINKS = (
 
 
 class MegaDataCenter:
-    """Build and run a simulated mega data center."""
+    """Build and run a simulated mega data center.
+
+    *pod_max_servers* and *pod_max_vms* are Section III-A's pod size
+    limits: "about 5,000 servers and 10,000 VMs (whichever comes first)".
+    Experiments run scaled-down pods; the *ratio* of these limits to
+    total size is what matters.  *control_plane_shards* is the number of
+    VIP/RIP manager shards: 1 keeps the serialized paper manager; >1
+    partitions app ownership across shards (each with its own
+    journal/checkpoints) behind the eventually consistent
+    :class:`~repro.controlplane.sharding.ShardedControlPlane` facade.
+    """
 
     def __init__(
         self,
@@ -83,16 +90,14 @@ class MegaDataCenter:
         links: Sequence[tuple] = DEFAULT_LINKS,
         pod_controller_factory: Optional[Callable[[], object]] = None,
         enable_global_manager: bool = True,
-        pod_max_servers: Optional[int] = None,
-        pod_max_vms: Optional[int] = None,
+        pod_max_servers: int = 5000,
+        pod_max_vms: int = 10_000,
         exposure_policy: Optional[ExposurePolicy] = None,
         proactive_exposure: bool = False,
         serialized_reconfig: bool = False,
         crash_safe_manager: bool = False,
-        control_plane_shards: Optional[int] = None,
-        topology: Optional["PortLand"] = None,
+        control_plane_shards: int = 1,
         parallelism: int = 1,
-        engine: Optional[PlacementEngine] = None,
         obs: Optional[Observability] = None,
         audit: bool = False,
     ):
@@ -111,10 +116,8 @@ class MegaDataCenter:
             self.auditor = InvariantAuditor(dc=self).attach(self.obs.trace)
         # Pod epochs are embarrassingly parallel (Section III-A): the pure
         # solve stage of every pod fans across the engine's persistent
-        # worker pool; parallelism=1 is the exact serial fallback.  A
-        # shared engine can be passed in (the caller then owns its pool).
-        self._owns_engine = engine is None
-        self.engine = engine if engine is not None else PlacementEngine(parallelism)
+        # worker pool; parallelism=1 is the exact serial fallback.
+        self.engine = PlacementEngine(parallelism)
         self.engine.trace = self.obs.trace
         # Crash safety only makes sense for the serialized control plane:
         # it journals the VIP/RIP manager's operations and runs the
@@ -126,11 +129,7 @@ class MegaDataCenter:
         # implies the serialized path *and* crash-safe semantics — each
         # shard carries its own journal/checkpoints, so the facade-level
         # self.journal/self.checkpoints stay None.
-        self.control_plane_shards = (
-            control_plane_shards
-            if control_plane_shards is not None
-            else self.config.control_plane_shards
-        )
+        self.control_plane_shards = control_plane_shards
         if self.control_plane_shards < 1:
             raise ValueError("control_plane_shards must be at least 1")
         sharded = self.control_plane_shards > 1
@@ -177,33 +176,15 @@ class MegaDataCenter:
         # serialized del_rip referencing it may still be queued.
         self.rip_pool = PRIVATE_RIP_POOL(lazy_recycle=serialized_reconfig)
         self.pod_managers: dict[str, PodManager] = {}
-        max_servers = pod_max_servers or self.config.pod_max_servers
-        max_vms = pod_max_vms or self.config.pod_max_vms
-        # Optional physical fabric: servers map onto PortLand hosts, VM
-        # RIPs register with the fabric manager (flat address space — the
-        # Section III-B premise that makes logical pods location-free).
-        self.topology = topology
-        self._server_host: dict[str, str] = {}
-        self._vmid_counter = 0
-        if topology is not None:
-            hosts = sorted(h.name for h in topology.hosts)
-            needed = n_pods * servers_per_pod
-            if len(hosts) < needed:
-                raise ValueError(
-                    f"topology has {len(hosts)} hosts; need {needed} servers"
-                )
         spec = ServerSpec(
             cpu_capacity=self.config.server_cpu, mem_gb=self.config.server_mem_gb
         )
-        host_iter = iter(sorted(h.name for h in topology.hosts)) if topology else None
         for p in range(n_pods):
-            pod = Pod(f"pod-{p}", max_servers=max_servers, max_vms=max_vms)
+            pod = Pod(f"pod-{p}", max_servers=pod_max_servers, max_vms=pod_max_vms)
             for s in range(servers_per_pod):
                 server = PhysicalServer(f"pod-{p}-s{s}", spec)
                 pod.add_server(server)
                 self.state.register_server(server)
-                if host_iter is not None:
-                    self._server_host[server.name] = next(host_iter)
             controller = (
                 pod_controller_factory() if pod_controller_factory else None
             )
@@ -515,7 +496,6 @@ class MegaDataCenter:
         weight = (sum(siblings.values()) / len(siblings)) if siblings else 1.0
         self.state.switch_of_vip(vip).add_rip(vip, vm.rip, weight=max(weight, 1e-6))
         self.state.register_rip(vm.rip, vm.app, vip, vm)
-        self._fabric_register(vm)
         if self.viprip is not None:
             # Keep the manager's index authoritative for later del_rip.
             self.viprip.rip_index[vm.rip] = (vip, self.state.vips[vip].switch)
@@ -544,7 +524,6 @@ class MegaDataCenter:
             self.viprip.submit(VipRipRequest("del_rip", vm.app, rip=vm.rip))
             return
         self.state.register_rip(vm.rip, vm.app, vip, vm)
-        self._fabric_register(vm)
         self.state.reconfigurations += 1
         self._ensure_exposure(vm.app)
 
@@ -559,7 +538,6 @@ class MegaDataCenter:
             if vm.rip not in self.state.rips:
                 return
             self.state.unregister_rip(vm.rip)
-            self._fabric_unregister(vm)
             self.viprip.submit(VipRipRequest("del_rip", vm.app, rip=vm.rip))
             self.state.reconfigurations += 1
             self._ensure_exposure(vm.app)
@@ -573,34 +551,10 @@ class MegaDataCenter:
                 switch.remove_rip(info.vip, vm.rip)
         except KeyError:  # pragma: no cover - defensive
             pass
-        self._fabric_unregister(vm)
         if self.viprip is not None:
             self.viprip.rip_index.pop(vm.rip, None)
         self.state.reconfigurations += 1
         self._ensure_exposure(vm.app)
-
-
-    def _fabric_register(self, vm: VM) -> None:
-        """Register a serving RIP with the PortLand fabric manager."""
-        if self.topology is None or vm.rip is None or vm.host is None:
-            return
-        host = self._server_host.get(vm.host)
-        if host is None:
-            return
-        self._vmid_counter += 1
-        self.topology.register_vm(vm.rip, host, vmid=self._vmid_counter)
-
-    def _fabric_unregister(self, vm: VM) -> None:
-        if self.topology is None or vm.rip is None:
-            return
-        self.topology.fabric_manager.unregister(vm.rip)
-
-    def locate_rip(self, rip: str):
-        """Physical host currently serving *rip* per the fabric manager
-        (None when no topology is attached or the RIP is unknown)."""
-        if self.topology is None:
-            return None
-        return self.topology.locate(rip)
 
     def _ensure_exposure(self, app: str) -> None:
         """Never answer DNS with a VIP that cannot serve — no RIPs, a
@@ -917,12 +871,10 @@ class MegaDataCenter:
 
     # ------------------------------------------------------------------- run
     def close(self) -> None:
-        """Release the placement engine's worker pool (no-op when the
-        engine was passed in by the caller, who owns it) and detach the
+        """Release the placement engine's worker pool and detach the
         auditor, so a shared trace bus outlives this datacenter without
         stale subscriptions."""
-        if self._owns_engine:
-            self.engine.close()
+        self.engine.close()
         if self.auditor is not None:
             self.auditor.detach()
 

@@ -1,7 +1,8 @@
 """Knob K4: dynamic application deployment (Section IV-D).
 
-Replicate (clone) or migrate application instances into underloaded pods,
-or remove unnecessary instances from busy ones.  Deployments are
+Replicate (clone) or migrate application instances into underloaded pods.
+Removing surplus instances from busy pods is left to each pod manager's
+placement epoch, which stops VMs its demand no longer needs.  Deployments are
 "resource-intensive and can create turbulences", so every operation charges
 a :class:`MigrationStats` and the count is the primary cost experiment E7
 trades against relief.
@@ -124,32 +125,6 @@ class AppDeployment:
             to=target.name,
         )
         return True
-
-    def remove_instance(
-        self,
-        pod: Pod,
-        app: str,
-        on_stop: Optional[Callable[[VM], None]] = None,
-    ):
-        """Simulation process: stop the least-loaded instance of *app* in
-        *pod* ("remove unnecessary instances ... from the busier pods").
-
-        Returns the stopped VM, or None.
-        """
-        vms = pod.vms_of(app)
-        if not vms:
-            return None
-        vm = min(vms, key=lambda v: (v.cpu_slice, v.vm_id))
-        server = pod.server(vm.host)
-        yield self.env.timeout(5.0)  # orderly stop
-        server.detach(vm.vm_id)
-        vm.state = VMState.STOPPED
-        if vm.rip is not None:
-            self.rip_pool.release(vm.rip)
-        if on_stop is not None:
-            on_stop(vm)
-        self.log.record(self.env.now, "K4", "remove", app=app, pod=pod.name)
-        return vm
 
     @staticmethod
     def _pick_server(pod: Pod, cpu: float, mem: float, app: str):

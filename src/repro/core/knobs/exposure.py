@@ -76,35 +76,6 @@ class SelectiveVipExposure:
         )
         return weights
 
-    def reclaim_unused(
-        self,
-        bgp: BGPAnnouncer,
-        vip_usage_gbps: Callable[[str], float],
-        relocate_to: Callable[[str], str],
-        period_s: float = 3600.0,
-        idle_threshold_gbps: float = 1e-3,
-    ):
-        """Background process: periodically withdraw blocks of unused VIPs
-        from their old access routers and re-advertise them through
-        lightly-loaded links (Section IV-A's periodic reclamation).
-
-        Runs forever; start it with ``env.process(...)``.
-        """
-        while True:
-            yield self.env.timeout(period_s)
-            for vip in list(bgp.all_vips()):
-                if vip_usage_gbps(vip) > idle_threshold_gbps:
-                    continue
-                for link in bgp.links_for(vip, include_padded=True):
-                    target = relocate_to(vip)
-                    if target == link:
-                        continue
-                    yield from bgp.withdraw(vip, link)
-                    yield from bgp.advertise(vip, target)
-                    self.log.record(
-                        self.env.now, "K1", "reclaim", vip=vip, frm=link, to=target
-                    )
-
 
 class NaiveReadvertisement:
     """The baseline K1 replaces: move traffic by BGP route updates."""

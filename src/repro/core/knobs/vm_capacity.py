@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core.knobs.base import ActionLog
-from repro.hosts.hypervisor import Hypervisor
 from repro.hosts.server import PhysicalServer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,7 +53,6 @@ class VmCapacityAdjustment:
         One hypervisor round-trip total (slice changes batch through the
         same management call), shrink-first ordering.  Returns the plan.
         """
-        hv = Hypervisor(self.env, server, adjust_latency_s=self.adjust_latency_s)
         plan = self.plan_slices(server, cpu_demand_by_app)
         order = sorted(
             plan.items(), key=lambda kv: kv[1] - server.vm(kv[0]).cpu_slice

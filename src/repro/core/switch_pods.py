@@ -148,23 +148,3 @@ class SwitchPodManager:
             scanned * self.scan_cost_s,
             scanned,
         )
-
-    def rebalance(self) -> int:
-        """Redistribute switches so pods differ in size by at most one
-        (the top level "redistribute[s] the switches among the switch pods
-        to balance their size").  Returns number of switches moved."""
-        all_switches = [s for pod in self.pods for s in pod]
-        n = len(all_switches)
-        p = self.n_pods
-        base, extra = divmod(n, p)
-        moved = 0
-        new_pods: list[list[LBSwitch]] = []
-        idx = 0
-        for i in range(p):
-            size = base + (1 if i < extra else 0)
-            new_pods.append(all_switches[idx : idx + size])
-            idx += size
-        for old, new in zip(self.pods, new_pods):
-            moved += len(set(id(s) for s in new) - set(id(s) for s in old))
-        self.pods = new_pods
-        return moved

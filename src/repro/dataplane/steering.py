@@ -73,6 +73,8 @@ class ColumnarDataPlane:
     ):
         if stream.n_apps != len(apps):
             raise ValueError("request stream universe must match wired apps")
+        if chunk_requests is not None and chunk_requests < 1:
+            raise ValueError("chunk_requests must be positive")
         self.registry = registry
         self.apps = list(apps)
         self.stream = stream

@@ -1,8 +1,8 @@
-"""Physical servers, virtual machines, hypervisor operations, migration.
+"""Physical servers, virtual machines, migration.
 
-Applications run one per VM (Section II); a server pod manager manipulates
-VMs through the hypervisor: boot/stop instances, and — knob K5 — adjust a
-running VM's resource slice on the fly (VMware-ESX-style hot add, no
+Applications run one per VM (Section II); a server pod manager places VMs
+on servers, and — knob K5 (:mod:`repro.core.knobs.vm_capacity`) — resizes
+a running VM's resource slice on the fly (VMware-ESX-style hot add, no
 reboot, latency of seconds).  Migration and SnowFlock-style cloning carry
 explicit cost models because knob K4's trade-off is relief vs. deployment
 cost.
@@ -10,7 +10,6 @@ cost.
 
 from repro.hosts.server import PhysicalServer, ServerSpec
 from repro.hosts.vm import VM, VMState
-from repro.hosts.hypervisor import Hypervisor
 from repro.hosts.migration import CloneModel, MigrationModel, MigrationStats
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "ServerSpec",
     "VM",
     "VMState",
-    "Hypervisor",
     "MigrationModel",
     "CloneModel",
     "MigrationStats",

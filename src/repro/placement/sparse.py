@@ -41,6 +41,10 @@ import numpy as np
 from repro.placement.greedy import GreedyController
 from repro.placement.problem import PlacementProblem, PlacementSolution
 
+#: Rounds of bulk instance starts per solve; each round gives every
+#: still-starved app at most one new instance.
+START_ROUNDS = 48
+
 
 class SparsePlacement:
     """Boolean S x A placement matrix in CSR form (implicit True values).
@@ -399,10 +403,7 @@ class SparseGreedyController:
     """
 
     stop_idle: bool = True
-    packing: bool = False
     dense_limit: int = 1 << 22
-    rounds: int = 12
-    start_rounds: int = 48
     name: str = "greedy-sparse"
     _dense: Optional[GreedyController] = field(
         default=None, init=False, repr=False, compare=False
@@ -427,9 +428,7 @@ class SparseGreedyController:
             max_instances=problem.max_instances,
         )
         if self._dense is None:
-            self._dense = GreedyController(
-                stop_idle=self.stop_idle, packing=self.packing
-            )
+            self._dense = GreedyController(stop_idle=self.stop_idle)
         sol = SparseSolution.from_dense(self._dense.solve(dense_problem))
         sol.wall_time_s = time.perf_counter() - t0
         return sol
@@ -444,8 +443,7 @@ class SparseGreedyController:
         rows = cur.rows()
         cols = cur.indices
         load = sparse_waterfill(
-            problem.server_cpu, problem.app_cpu_demand, cur,
-            rounds=self.rounds, rows=rows,
+            problem.server_cpu, problem.app_cpu_demand, cur, rows=rows
         )
         residual = problem.app_cpu_demand - np.bincount(
             cols, weights=load, minlength=a_count
@@ -471,7 +469,7 @@ class SparseGreedyController:
             old_keys = rows * np.int64(a_count) + cols
             key_sorted = old_keys
 
-        for rnd in range(self.start_rounds):
+        for rnd in range(START_ROUNDS):
             needy = np.flatnonzero(residual > 1e-9)
             if problem.max_instances is not None and needy.size:
                 needy = needy[n_inst[needy] < problem.max_instances[needy]]

@@ -118,10 +118,11 @@ class RequestStream:
     def chunks(
         self, epoch: int, chunk_requests: Optional[int] = None
     ) -> Iterator[RequestChunk]:
-        """Yield epoch *e*'s requests in bounded slices (views)."""
+        """Yield epoch *e*'s requests in bounded slices (views); a
+        *chunk_requests* of ``None`` yields the whole epoch as one."""
         full = self.epoch_requests(epoch)
         n = len(full)
-        step = n if not chunk_requests else int(chunk_requests)
+        step = n if chunk_requests is None else int(chunk_requests)
         if step < 1:
             raise ValueError("chunk_requests must be positive")
         for lo in range(0, n, step):

@@ -138,13 +138,13 @@ def test_many_pods_few_servers_still_works():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PC(pod_max_servers=0)
+    # A zero pod limit is rejected, not replaced by the paper default.
+    for limits in ({"pod_max_servers": 0}, {"pod_max_vms": 0}):
+        with pytest.raises(ValueError):
+            MegaDataCenter(small_apps(2), n_pods=1, servers_per_pod=1, **limits)
     with pytest.raises(ValueError):
         PC(overload_threshold=0.0)
     with pytest.raises(ValueError):
         PC(donor_threshold=0.9, overload_threshold=0.8)
     with pytest.raises(ValueError):
         PC(epoch_s=0)
-    with pytest.raises(ValueError):
-        PC(mean_vips_per_app=0.5)

@@ -89,24 +89,6 @@ def test_k1_damping_converges_without_oscillation(env):
         SelectiveVipExposure(env, dns, damping=1.0)
 
 
-def test_k1_reclaim_unused_moves_idle_vips(env):
-    dns = AuthoritativeDNS(env)
-    bgp = BGPAnnouncer(env, convergence_s=5.0)
-    bgp.advertise_now("vip1", "old-link")
-    knob = SelectiveVipExposure(env, dns)
-    env.process(
-        knob.reclaim_unused(
-            bgp,
-            vip_usage_gbps=lambda vip: 0.0,
-            relocate_to=lambda vip: "new-link",
-            period_s=100.0,
-        )
-    )
-    env.run(until=250)
-    assert bgp.links_for("vip1") == ["new-link"]
-    assert bgp.log.withdrawals >= 1
-
-
 def test_naive_readvertisement_costs_three_updates(env):
     bgp = BGPAnnouncer(env, convergence_s=30.0)
     bgp.advertise_now("vip1", "link-a")
@@ -356,27 +338,6 @@ def test_k4_migrate_moves_vm_between_pods(env):
     assert server_a.is_empty
     assert knob.stats.migrations == 1
     assert env.now > 0  # migration took real time
-
-
-def test_k4_remove_instance_stops_least_loaded(env):
-    pod = Pod("p", 10, 20)
-    s0, s1 = PhysicalServer("p-s0"), PhysicalServer("p-s1")
-    pod.add_server(s0)
-    pod.add_server(s1)
-    pool = PRIVATE_RIP_POOL(10)
-    big = VM("app@p-s0", "app", 0.8, 4.0, state=VMState.RUNNING, rip=pool.allocate())
-    small = VM("app@p-s1", "app", 0.1, 4.0, state=VMState.RUNNING, rip=pool.allocate())
-    s0.attach(big)
-    s1.attach(small)
-    knob = AppDeployment(env, pool)
-
-    def run():
-        return (yield from knob.remove_instance(pod, "app"))
-
-    proc = env.process(run())
-    stopped = env.run(until=proc)
-    assert stopped is small
-    assert s1.is_empty and not s0.is_empty
 
 
 # ---------------------------------------------------------------- K5

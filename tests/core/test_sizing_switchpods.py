@@ -134,16 +134,6 @@ def test_switch_pod_manager_full_pods():
     assert hier.select_for_rip(hosting=[]).switch is None
 
 
-def test_switch_pod_rebalance():
-    switches = make_switches(10)
-    hier = SwitchPodManager(switches, pod_size=4)  # pods of 4, 4, 2
-    sizes_before = sorted(len(p) for p in hier.pods)
-    assert sizes_before == [2, 4, 4]
-    hier.rebalance()
-    sizes_after = sorted(len(p) for p in hier.pods)
-    assert sizes_after == [3, 3, 4]
-
-
 def test_switch_pod_validation():
     with pytest.raises(ValueError):
         SwitchPodManager([], pod_size=2)

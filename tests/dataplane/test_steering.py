@@ -49,6 +49,12 @@ def test_chunk_size_cannot_change_outcomes(chunk):
     other.close()
 
 
+def test_zero_chunk_size_is_rejected():
+    # Only None means "steer the whole epoch as one chunk".
+    with pytest.raises(ValueError, match="chunk_requests must be positive"):
+        make_driver(chunk_requests=0)
+
+
 def test_steer_reports_balance():
     with make_driver() as drv:
         for _ in range(3):

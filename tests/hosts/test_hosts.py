@@ -1,4 +1,4 @@
-"""Tests for servers, VMs, hypervisor operations and migration models."""
+"""Tests for servers, VMs and migration models."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.hosts import (
     CloneModel,
-    Hypervisor,
     MigrationModel,
     MigrationStats,
     PhysicalServer,
@@ -109,77 +108,6 @@ def test_server_never_oversubscribed(slices):
             with pytest.raises(ValueError):
                 s.attach(vm)
     assert s.cpu_allocated <= s.spec.cpu_capacity + 1e-9
-
-
-# --------------------------------------------------------------- hypervisor
-
-
-def test_hypervisor_boot_latency():
-    env = Environment()
-    s = PhysicalServer("s1")
-    hv = Hypervisor(env, s, boot_latency_s=60)
-    vm = make_vm()
-
-    def proc():
-        yield from hv.boot_vm(vm)
-
-    env.process(proc())
-    env.run(until=59)
-    assert vm.state == VMState.BOOTING
-    assert vm.host == "s1"  # placed immediately (reserves capacity)
-    env.run()
-    assert vm.state == VMState.RUNNING
-    assert hv.operations == 1
-
-
-def test_hypervisor_stop_vm():
-    env = Environment()
-    s = PhysicalServer("s1")
-    hv = Hypervisor(env, s, boot_latency_s=1, stop_latency_s=5)
-    vm = make_vm()
-
-    def proc():
-        yield from hv.boot_vm(vm)
-        stopped = yield from hv.stop_vm("vm-0")
-        assert stopped is vm
-
-    env.process(proc())
-    env.run()
-    assert env.now == 6
-    assert s.is_empty
-    assert vm.state == VMState.STOPPED
-
-
-def test_hypervisor_adjust_slice_agility():
-    env = Environment()
-    s = PhysicalServer("s1")
-    hv = Hypervisor(env, s, boot_latency_s=1, adjust_latency_s=2)
-    vm = make_vm(cpu=0.25)
-
-    def proc():
-        yield from hv.boot_vm(vm)
-        yield from hv.adjust_slice("vm-0", 0.75)
-
-    env.process(proc())
-    env.run()
-    assert env.now == 3  # boot 1s + adjust 2s: agile, no reboot
-    assert vm.cpu_slice == 0.75
-
-
-def test_hypervisor_adjust_rejects_overflow_up_front():
-    env = Environment()
-    s = PhysicalServer("s1", ServerSpec(cpu_capacity=1.0))
-    hv = Hypervisor(env, s, boot_latency_s=1)
-    vm0, vm1 = make_vm(0, cpu=0.5), make_vm(1, cpu=0.4)
-
-    def proc():
-        yield from hv.boot_vm(vm0)
-        yield from hv.boot_vm(vm1)
-        with pytest.raises(ValueError):
-            hv.adjust_slice("vm-0", 0.7).send(None)  # validation is eager
-
-    env.process(proc())
-    env.run()
 
 
 # ---------------------------------------------------------------- migration

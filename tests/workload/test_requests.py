@@ -48,6 +48,14 @@ def test_chunk_size_none_yields_one_chunk():
     assert len(chunks) == 1 and len(chunks[0]) == s.requests_per_epoch
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_chunk_size_must_be_positive(size):
+    # Only None means "whole epoch": zero is rejected like a negative size,
+    # matching StreamingWorkload.chunks.
+    with pytest.raises(ValueError, match="chunk_requests must be positive"):
+        list(make_stream().chunks(0, size))
+
+
 def test_draw_ranges():
     s = make_stream(max_duration_epochs=5)
     full = s.epoch_requests(0)
