@@ -3,9 +3,18 @@
 The object :class:`~repro.lbswitch.conntrack.ConnectionTable` keeps one
 ``Connection`` dataclass per session in a dict per switch.  At mega scale
 an epoch opens hundreds of thousands of sessions; this table keeps them
-as parallel columns (vip id, rip row, switch id, close epoch, alive bit)
-shared across *all* switches, with per-switch and per-VIP counters that
-make capacity rejection and K2 pause windows O(1) reads.
+as parallel columns (int32 vip id, rip row, switch id and close epoch,
+plus an alive bit: 17 bytes a row) shared across *all* switches, with
+per-switch and per-VIP counters that make capacity rejection and K2
+pause windows O(1) reads.  An id that would not fit int32 is refused
+with a ``ValueError`` naming its column, never wrapped.
+
+Memory follows the live sessions, not the sessions ever opened.  Closes
+and drops only clear alive bits; the one compaction path,
+:meth:`_compact`, runs when a batch does not fit.  It first drops the
+dead rows, keeping the live ones in their order, and grows the columns
+(by 1.5x) only if the live rows still leave no room, so the capacity
+stays within 1.5x of the peak live count.
 
 Sequential-fill contract: :meth:`try_open_batch` admits requests exactly
 as a per-request loop over the object tables would — request *k* is
@@ -20,6 +29,20 @@ fills up get their running per-switch positions.
 from __future__ import annotations
 
 import numpy as np
+
+#: The session columns.  "alive" comes last: an in-place compaction reads
+#: each block's kept rows off it before overwriting it.
+_COLUMNS = ("conn_vip", "conn_rip", "conn_switch", "close_epoch", "alive")
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_int32(column: str, top: int) -> None:
+    """Refuse a *column* value the int32 session columns would wrap."""
+    if top > _INT32_MAX:
+        raise ValueError(
+            f"{column}: value {top} does not fit the int32 column "
+            f"(max {_INT32_MAX})"
+        )
 
 
 def _group_positions(ids: np.ndarray) -> np.ndarray:
@@ -45,10 +68,13 @@ class ColumnarConnTable:
     """Session affinity columns with per-switch capacity enforcement."""
 
     _GROW = 1024
+    #: Rows :meth:`_compact` copies per step.
+    _BLOCK = 1 << 16
 
     def __init__(self, n_switches: int, switch_capacity, n_vips: int = 0):
         if n_switches < 1:
             raise ValueError("need at least one switch")
+        _check_int32("conn_switch", n_switches - 1)
         cap = np.broadcast_to(
             np.asarray(switch_capacity, dtype=np.int64), (n_switches,)
         ).copy()
@@ -56,36 +82,63 @@ class ColumnarConnTable:
             raise ValueError("switch capacities must be >= 1")
         self.switch_cap = cap
         self.switch_count = np.zeros(n_switches, dtype=np.int64)
-        self.vip_count = np.zeros(max(0, n_vips), dtype=np.int64)
+        self.vip_count = np.zeros(0, dtype=np.int64)
+        self.ensure_vips(n_vips)
         self.rejected_by_switch = np.zeros(n_switches, dtype=np.int64)
+        # Rows [0, _size) are sessions, live or dead; rows past _size are
+        # unused capacity and never read.
         n = self._GROW
-        self.conn_vip = np.full(n, -1, dtype=np.int64)
-        self.conn_rip = np.full(n, -1, dtype=np.int64)
-        self.conn_switch = np.full(n, -1, dtype=np.int64)
-        self.close_epoch = np.full(n, -1, dtype=np.int64)
-        self.alive = np.zeros(n, dtype=bool)
+        self.conn_vip = np.empty(n, dtype=np.int32)
+        self.conn_rip = np.empty(n, dtype=np.int32)
+        self.conn_switch = np.empty(n, dtype=np.int32)
+        self.close_epoch = np.empty(n, dtype=np.int32)
+        self.alive = np.empty(n, dtype=bool)
         self._size = 0
         self.opened = 0
         self.closed = 0
         self.dropped = 0
 
     # -- sizing -------------------------------------------------------
-    def _ensure(self, extra: int) -> None:
-        need = self._size + extra
-        cap = self.conn_vip.shape[0]
-        if need <= cap:
+    def _compact(self, extra: int) -> None:
+        """Make room for *extra* new rows: drop the dead rows first, and
+        grow by 1.5x only if the live rows still leave too little room.
+
+        Live rows keep their order either way.  A growth copies one
+        column at a time, so it holds a single old column beside the new
+        ones.
+        """
+        cap, size = self.conn_vip.shape[0], self._size
+        if size + extra <= cap:
             return
-        new = max(cap * 2, need)
-        for attr, fill in (
-            ("conn_vip", -1), ("conn_rip", -1), ("conn_switch", -1),
-            ("close_epoch", -1), ("alive", False),
-        ):
-            old = getattr(self, attr)
-            grown = np.full(new, fill, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, attr, grown)
+        n_live = int(np.count_nonzero(self.alive[:size]))
+        need = n_live + extra
+        if need <= cap:
+            cols = [getattr(self, attr) for attr in _COLUMNS]
+            self._copy_live(cols, cols, size)
+        else:
+            new = max(cap + cap // 2, need)
+            for attr in _COLUMNS:
+                old = getattr(self, attr)
+                col = np.empty(new, dtype=old.dtype)
+                self._copy_live([old], [col], size)
+                setattr(self, attr, col)
+        self._size = n_live
+
+    def _copy_live(self, src: list, dst: list, size: int) -> None:
+        """Copy the live rows of rows ``[0, size)`` of each *src* column
+        to the front of its *dst* column, in order, a block at a time so
+        the index temporaries stay small.  In place (``dst is src``), a
+        block's live rows land at or below its own start, never on a row
+        still to be read."""
+        w = 0
+        for lo in range(0, size, self._BLOCK):
+            keep = lo + np.flatnonzero(self.alive[lo : lo + self._BLOCK])
+            for old, col in zip(src, dst):
+                col[w : w + keep.size] = old[keep]
+            w += keep.size
 
     def ensure_vips(self, n_vips: int) -> None:
+        _check_int32("conn_vip", n_vips - 1)
         if n_vips > self.vip_count.shape[0]:
             grown = np.zeros(n_vips, dtype=np.int64)
             grown[: self.vip_count.shape[0]] = self.vip_count
@@ -97,6 +150,7 @@ class ColumnarConnTable:
         old = self.switch_cap.shape[0]
         if n_switches <= old:
             return
+        _check_int32("conn_switch", n_switches - 1)
         cap = np.full(n_switches, int(capacity), dtype=np.int64)
         cap[:old] = self.switch_cap
         self.switch_cap = cap
@@ -104,6 +158,15 @@ class ColumnarConnTable:
             grown = np.zeros(n_switches, dtype=np.int64)
             grown[:old] = getattr(self, attr)
             setattr(self, attr, grown)
+
+    def check_rips(self, n_rips: int) -> None:
+        """Refuse a RIP registry whose rows the int32 column would wrap."""
+        _check_int32("conn_rip", n_rips - 1)
+
+    def check_close_epoch(self, last: int) -> None:
+        """Refuse close epochs up to *last* that int32 would wrap (once
+        per epoch, with the latest close a session opened in it can get)."""
+        _check_int32("close_epoch", last)
 
     @property
     def alive_count(self) -> int:
@@ -149,17 +212,17 @@ class ColumnarConnTable:
             opened = wanted
         n_acc = int(opened.sum())
         if n_acc:
-            self._ensure(n_acc)
+            vip_acc = vip[acc]
+            self.ensure_vips(int(vip_acc.max()) + 1)
+            self._compact(n_acc)
             lo, hi = self._size, self._size + n_acc
-            self.conn_vip[lo:hi] = vip[acc]
+            self.conn_vip[lo:hi] = vip_acc
             self.conn_rip[lo:hi] = rip[acc]
             self.conn_switch[lo:hi] = switch[acc]
             self.close_epoch[lo:hi] = close_epoch[acc]
             self.alive[lo:hi] = True
             self._size = hi
             self.switch_count += opened
-            vip_acc = vip[acc]
-            self.ensure_vips(int(vip_acc.max()) + 1)
             self.vip_count += np.bincount(
                 vip_acc, minlength=self.vip_count.shape[0]
             )
@@ -187,7 +250,6 @@ class ColumnarConnTable:
         )
         n = self._retire(idx)
         self.closed += n
-        self._maybe_compact()
         return n
 
     def drop_vip(self, vip_id: int) -> int:
@@ -208,23 +270,6 @@ class ColumnarConnTable:
         self.dropped += n
         return n
 
-    def _maybe_compact(self) -> None:
-        """Shed dead rows once they dominate, keeping memory bounded by
-        the live session count rather than total sessions ever opened."""
-        if self._size < 4 * self._GROW:
-            return
-        live = self.alive[: self._size]
-        n_live = int(live.sum())
-        if n_live * 2 > self._size:
-            return
-        keep = np.flatnonzero(live)
-        for attr in (
-            "conn_vip", "conn_rip", "conn_switch", "close_epoch", "alive"
-        ):
-            col = getattr(self, attr)
-            col[: keep.size] = col[keep]
-        self._size = keep.size
-
     # -- reads --------------------------------------------------------
     def count_for_vip(self, vip_id: int) -> int:
         if vip_id >= self.vip_count.shape[0]:
@@ -234,6 +279,22 @@ class ColumnarConnTable:
     def is_paused(self, vip_id: int) -> bool:
         """True when the VIP has no live sessions (K2 transfer window)."""
         return self.count_for_vip(vip_id) == 0
+
+    def recount(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-switch and per-VIP live counts recounted from the rows (the
+        auditor's check on the counters), a block of rows at a time."""
+        by_switch = np.zeros(self.switch_cap.shape[0], dtype=np.int64)
+        by_vip = np.zeros(self.vip_count.shape[0], dtype=np.int64)
+        for lo in range(0, self._size, self._BLOCK):
+            hi = min(lo + self._BLOCK, self._size)
+            live = self.alive[lo:hi]
+            by_switch += np.bincount(
+                self.conn_switch[lo:hi][live], minlength=by_switch.shape[0]
+            )
+            by_vip += np.bincount(
+                self.conn_vip[lo:hi][live], minlength=by_vip.shape[0]
+            )
+        return by_switch, by_vip
 
     def live_pairs(self) -> dict[tuple[int, int], int]:
         """``(vip id, rip row) -> live session count`` (oracle surface)."""

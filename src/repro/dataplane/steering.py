@@ -163,6 +163,7 @@ class ColumnarDataPlane:
         self._vs_pad = padded_cdf(cdf, indptr)
         self._vip_switch = vip_switch
         self.conn.ensure_vips(n_vips)
+        self.conn.check_rips(n)
         self.conn.ensure_switches(
             max(1, len(reg.switches)), self._default_switch_cap
         )
@@ -223,6 +224,7 @@ class ColumnarDataPlane:
         t0 = time.perf_counter()
         self.refresh()
         rep = SteerReport(epoch=epoch, t=t)
+        self.conn.check_close_epoch(epoch + self.stream.max_duration_epochs)
         rep.closed = self.conn.close_due(epoch)
         hits0, miss0 = self.dns.cache_hits, self.dns.cache_misses
         rej0 = self.conn.rejected

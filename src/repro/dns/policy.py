@@ -53,6 +53,41 @@ def weighted_pick(
     return idx
 
 
+#: Bins of :func:`bucketed_pick`'s lookup table.  A power of two, so
+#: ``u * _BINS`` and ``b / _BINS`` are exact and bin edges never round.
+_BINS = 4096
+
+
+def bucketed_pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")``, bit for bit, mostly by table.
+
+    Bin ``b`` covers ``[b/K, (b+1)/K)``.  Every ``u`` in it has at least
+    ``lo[b] = count(cdf <= b/K)`` and fewer than ``hi[b] = count(cdf <
+    (b+1)/K)`` entries at or below it, so where ``lo[b] == hi[b]`` the
+    table is the answer; only the keys of bins holding a CDF step (about
+    3% for a 128-entry CDF) fall back to ``searchsorted``.  *u* must be a
+    float64 array in ``[0, 1)``, the generator's uniforms; it is consumed:
+    it is scaled in place and its buffer holds the int64 result, so the
+    draw allocates no array as large as *u* besides 32-bit bin ids.
+    """
+    cdf = np.asarray(cdf, dtype=float)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    edges = np.arange(_BINS + 1) / _BINS
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    ambiguous = lo != np.searchsorted(cdf, edges[1:], side="left")
+    np.multiply(u, _BINS, out=u)
+    b = u.astype(np.int32)
+    slow = np.flatnonzero(ambiguous[b])
+    u_slow = u[slow] / _BINS
+    out = u.view(np.int64)
+    # "clip" writes straight into *out* (the default mode buffers it);
+    # every b is already in range, or ambiguous[b] would have raised.
+    np.take(lo, b, out=out, mode="clip")
+    del b
+    out[slow] = np.searchsorted(cdf, u_slow, side="right")
+    return out
+
+
 def padded_cdf(cdf: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Segment CDFs as the columns of a ``+inf``-padded matrix.
 

@@ -251,24 +251,17 @@ class InvariantAuditor:
         and no switch may exceed its session capacity."""
         import numpy as np
 
-        live = conn.alive[: conn._size]
-        by_switch = np.bincount(
-            conn.conn_switch[: conn._size][live],
-            minlength=conn.switch_cap.shape[0],
-        )
-        by_vip = np.bincount(
-            conn.conn_vip[: conn._size][live],
-            minlength=conn.vip_count.shape[0],
-        )
+        by_switch, by_vip = conn.recount()
+        rows = int(by_switch.sum())
         if not np.array_equal(by_switch, conn.switch_count):
             self._flag(
                 t, "dataplane-conntrack", counter="switch_count",
-                rows=int(live.sum()), counted=int(conn.switch_count.sum()),
+                rows=rows, counted=int(conn.switch_count.sum()),
             )
         if not np.array_equal(by_vip, conn.vip_count):
             self._flag(
                 t, "dataplane-conntrack", counter="vip_count",
-                rows=int(live.sum()), counted=int(conn.vip_count.sum()),
+                rows=rows, counted=int(conn.vip_count.sum()),
             )
         over = conn.switch_count > conn.switch_cap
         if over.any():

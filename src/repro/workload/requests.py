@@ -16,6 +16,14 @@ through the object data plane (Resolver/LBSwitch/ConnectionTable) and the
 columnar one, which is what the differential harness does.  A request's
 ``u_dns`` belongs to the request, not to a shared stream: a DNS cache hit
 simply leaves it unconsumed on both sides.
+
+One request epoch is resident at a time: the stream caches the epoch it
+drew last (a repeated call returns the same arrays) and releases it
+before drawing the next, so its memory is one epoch's five arrays, not
+two.  The epoch is still drawn whole, field after field: the bounded
+integer draws consume a data-dependent number of generator words, so a
+later field's slice for one chunk cannot be reached without drawing the
+earlier fields in full.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.dns.policy import weighted_cdf
+from repro.dns.policy import bucketed_pick, weighted_cdf
 
 
 class RequestChunk:
@@ -102,10 +110,13 @@ class RequestStream:
         """All of epoch *e*'s requests as one chunk (drawn in fixed order)."""
         if self._cache is not None and self._cache[0] == epoch:
             return self._cache[1]
+        # Let the previous epoch go before drawing this one, so only one
+        # epoch of requests is ever resident.
+        self._cache = None
         n = self.requests_per_epoch
         rng = np.random.default_rng([self.seed, int(epoch)])
         resolver = rng.integers(0, self.n_resolvers, n, dtype=np.int64)
-        app = np.searchsorted(self._app_cdf, rng.random(n), side="right")
+        app = bucketed_pick(self._app_cdf, rng.random(n))
         u_dns = rng.random(n)
         u_rip = rng.random(n)
         duration = rng.integers(

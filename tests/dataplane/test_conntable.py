@@ -135,3 +135,118 @@ def test_validation():
         ColumnarConnTable(0, 5)
     with pytest.raises(ValueError):
         ColumnarConnTable(2, 0)
+
+
+def open_epoch(t, rng, epoch, n, chunk=500, n_vips=40, n_rips=300):
+    """Open *n* sessions lasting 1-3 epochs, *chunk* at a time."""
+    for lo in range(0, n, chunk):
+        k = min(chunk, n - lo)
+        vip = rng.integers(0, n_vips, k)
+        t.try_open_batch(
+            vip, rng.integers(0, n_rips, k), vip % t.switch_cap.shape[0],
+            epoch + rng.integers(1, 4, k),
+        )
+
+
+def test_capacity_follows_peak_live_sessions():
+    # Steady state: every epoch closes what is due, then opens a fresh
+    # batch of 1-3 epoch sessions.  The table only grows when its live
+    # rows do not fit, and then by 1.5x, so capacity tracks the peak live
+    # count, never the sessions ever opened.
+    t = ColumnarConnTable(4, 10**9, n_vips=40)
+    rng = np.random.default_rng(7)
+    peak = 0
+    for epoch in range(30):
+        t.close_due(epoch)
+        open_epoch(t, rng, epoch, 6000)
+        peak = max(peak, t.alive_count)
+    assert t.opened == 30 * 6000
+    assert t.conn_vip.shape[0] <= 1.5 * peak + ColumnarConnTable._GROW
+    for col in (t.conn_vip, t.conn_rip, t.conn_switch, t.close_epoch):
+        assert col.dtype == np.int32
+
+
+class _NeverCompacts(ColumnarConnTable):
+    _GROW = 1 << 20
+
+
+class _SmallBlocks(ColumnarConnTable):
+    _GROW = 8
+    _BLOCK = 16
+
+
+def live_rows(t):
+    alive = t.alive[: t._size]
+    return [
+        col[: t._size][alive].tolist()
+        for col in (t.conn_vip, t.conn_rip, t.conn_switch, t.close_epoch)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compaction_keeps_order_and_counts(seed):
+    # A table that compacts often (tiny start, many copy blocks) answers
+    # every close, drop and read exactly as one that never compacts, and
+    # holds its live rows in the same order.
+    rng = np.random.default_rng(seed)
+    small, ref = _SmallBlocks(3, 10**9, n_vips=12), _NeverCompacts(3, 10**9, n_vips=12)
+    for epoch in range(12):
+        assert small.close_due(epoch) == ref.close_due(epoch)
+        batch = [
+            rng.integers(0, 12, 70), rng.integers(0, 50, 70),
+            rng.integers(0, 3, 70), epoch + rng.integers(1, 4, 70),
+        ]
+        for lo in range(0, 70, 23):
+            part = [a[lo: lo + 23] for a in batch]
+            assert np.array_equal(small.try_open_batch(*part), ref.try_open_batch(*part))
+        mask = rng.random(50) < 0.1
+        assert small.drop_rips(mask) == ref.drop_rips(mask)
+        vip = int(rng.integers(0, 12))
+        assert small.drop_vip(vip) == ref.drop_vip(vip)
+        assert small.live_pairs() == ref.live_pairs()
+        assert live_rows(small) == live_rows(ref)
+        assert small.switch_count.tolist() == ref.switch_count.tolist()
+        assert small.vip_count.tolist() == ref.vip_count.tolist()
+    assert small.conn_vip.shape[0] < ref.conn_vip.shape[0]
+
+
+def test_recount_matches_counters():
+    t = _SmallBlocks(3, 10**9, n_vips=12)
+    open_epoch(t, np.random.default_rng(1), 0, 200, chunk=30, n_vips=12)
+    t.close_due(1)
+    by_switch, by_vip = t.recount()
+    assert by_switch.tolist() == t.switch_count.tolist()
+    assert by_vip.tolist() == t.vip_count.tolist()
+
+
+def test_vip_id_past_int32_is_refused():
+    t = ColumnarConnTable(1, 10)
+    with pytest.raises(ValueError, match="conn_vip"):
+        t.ensure_vips(2**31 + 1)
+    one = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="conn_vip"):
+        t.try_open_batch(np.array([2**31]), one, one, one + 1)
+    assert t.opened == 0 and t.alive_count == 0
+
+
+def test_rip_row_past_int32_is_refused():
+    t = ColumnarConnTable(1, 10)
+    t.check_rips(2**31)
+    with pytest.raises(ValueError, match="conn_rip"):
+        t.check_rips(2**31 + 1)
+
+
+def test_switch_id_past_int32_is_refused():
+    with pytest.raises(ValueError, match="conn_switch"):
+        ColumnarConnTable(2**31 + 1, 10)
+    t = ColumnarConnTable(1, 10)
+    with pytest.raises(ValueError, match="conn_switch"):
+        t.ensure_switches(2**31 + 1, 10)
+    assert t.switch_cap.shape[0] == 1
+
+
+def test_close_epoch_past_int32_is_refused():
+    t = ColumnarConnTable(1, 10)
+    t.check_close_epoch(2**31 - 1)
+    with pytest.raises(ValueError, match="close_epoch"):
+        t.check_close_epoch(2**31)

@@ -1,6 +1,7 @@
 """Steering kernels against the per-group forms they replace.
 
-The padded CDF count must equal a per-segment ``searchsorted``; the DNS
+The padded CDF count and the bucketed app draw must equal
+``searchsorted``; the DNS
 table's flat-cell resolve must equal the per-app loop it replaced, cache
 state and counters included; the session admit's whole-batch fast path
 must equal the running-position path at the capacity edge.
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from repro.dataplane.conntable import ColumnarConnTable, _group_positions
 from repro.dataplane.dnstable import VectorizedDnsTable
-from repro.dns.policy import padded_cdf, padded_pick, weighted_cdf
+from repro.dns.policy import (
+    _BINS,
+    bucketed_pick,
+    padded_cdf,
+    padded_pick,
+    weighted_cdf,
+)
 
 # -- padded pick ---------------------------------------------------------
 
@@ -66,6 +73,41 @@ def test_padded_pick_all_zero_segment_counts_zero():
     pad = padded_cdf(flat, indptr)
     got = padded_pick(pad, np.array([0, 0, 1]), np.array([0.0, 0.7, 0.5]))
     assert got.tolist() == [0, 0, 0]
+
+
+# -- bucketed pick -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.one_of(
+        st.lists(weight, min_size=1, max_size=200),
+        st.just([0.0, 0.0, 0.0]),  # all-zero: a NaN CDF
+    ),
+    data=st.data(),
+)
+def test_bucketed_pick_matches_searchsorted(weights, data):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cdf = weighted_cdf(np.asarray(weights, dtype=float))
+    edge = st.integers(0, _BINS - 1).map(lambda b: b / _BINS)
+    pool = st.one_of(st.floats(0.0, 1.0, exclude_max=True), edge)
+    on = [float(c) for c in cdf if c < 1.0]
+    if on:
+        pool = st.one_of(pool, st.sampled_from(on))
+    u = np.asarray(data.draw(st.lists(pool, min_size=1, max_size=80)))
+    want = np.searchsorted(cdf, u, side="right")
+    got = bucketed_pick(cdf, u.copy())
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_bucketed_pick_single_app_and_bulk():
+    assert bucketed_pick(weighted_cdf([3.0]), np.array([0.0, 0.5])).tolist() == [0, 0]
+    rng = np.random.default_rng(5)
+    cdf = weighted_cdf(rng.pareto(1.2, 128))
+    u = rng.random(200_000)
+    u[:_BINS] = np.arange(_BINS) / _BINS  # every bin edge
+    want = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(bucketed_pick(cdf, u), want)
 
 
 # -- DNS resolve ---------------------------------------------------------
@@ -184,7 +226,7 @@ def reference_open(table, vip, rip, switch, close_epoch):
     np.add.at(table.rejected_by_switch, switch[rej], 1)
     acc = np.flatnonzero(accepted)
     if acc.size:
-        table._ensure(acc.size)
+        table._compact(acc.size)
         lo, hi = table._size, table._size + acc.size
         table.conn_vip[lo:hi] = vip[acc]
         table.conn_rip[lo:hi] = rip[acc]

@@ -1,5 +1,7 @@
 """Determinism and chunking contracts of the request stream."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,27 @@ def test_chunks_are_views_of_the_full_epoch():
             assert np.array_equal(got, getattr(full, attr)[chunk.lo:chunk.hi])
         lo = chunk.hi
     assert lo == len(full)
+
+
+def test_one_epoch_is_resident_at_a_time(monkeypatch):
+    # Epoch e's arrays are gone before epoch e+1's draw starts, so the
+    # stream never holds two epochs; a repeat call does not redraw.
+    s = make_stream()
+    fields = ("resolver", "app", "u_dns", "u_rip", "duration")
+    full = s.epoch_requests(0)
+    refs = [weakref.ref(getattr(full, attr)) for attr in fields]
+    del full
+    alive_at_draw = []
+    real = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        alive_at_draw.append([r() is not None for r in refs])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    first = s.epoch_requests(1)
+    assert alive_at_draw == [[False] * len(fields)]
+    assert s.epoch_requests(1) is first and len(alive_at_draw) == 1
 
 
 def test_chunk_size_none_yields_one_chunk():
