@@ -34,7 +34,7 @@ Protocol (per journal source, i.e. per shard):
 Convergence argument for out-of-order shard interleavings: every journal
 record names a switch owned by the shard that journaled it, so per-switch
 operation order equals per-shard journal order; the mirror's mutations
-are switch-guarded (a deactivate/rehome only applies when the mirror
+are switch-guarded (an unwire/rehome only applies when the mirror
 still homes the RIP on the record's switch), which makes replaying the
 per-shard streams in any interleaving converge to the authority state.
 """
@@ -187,13 +187,8 @@ class RipJournalBridge:
         elif kind == "del_rip":
             self.registry.unwire(p["rip"], p.get("switch"))
         elif kind == "del_vip":
-            if "rips" in p:
-                for rip in p["rips"]:
-                    self.registry.unwire(rip, p.get("switch"))
-            else:
-                self.registry.deactivate_vip(p["vip"], p.get("switch"))
-        elif kind == "set_weight":
-            self.registry.reweigh(p["rip"], p["switch"], p["weight"])
+            for rip in p["rips"]:
+                self.registry.unwire(rip, p.get("switch"))
         elif kind == "move_vip":
             dst = p.get("dst")
             if dst is not None:

@@ -374,16 +374,3 @@ class AntiEntropyReconciler:
                         report.repaired += 1
 
     # ---------------------------------------------------------------- views
-    @property
-    def converged(self) -> bool:
-        """True when the latest pass found nothing to fix."""
-        return bool(self.reports) and self.reports[-1].clean
-
-    @property
-    def last_convergence_s(self) -> Optional[float]:
-        return self.convergence_times[-1] if self.convergence_times else None
-
-    @property
-    def stuck_vips(self) -> list[str]:
-        """VIPs the latest pass reported as stuck."""
-        return list(self.reports[-1].stuck_vips) if self.reports else []

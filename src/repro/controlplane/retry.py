@@ -84,16 +84,3 @@ class RetryPolicy:
             return raw
         unit = (stable_hash("retry-jitter", attempt, *key) % _JITTER_STEPS) / _JITTER_STEPS
         return raw * (1.0 + self.jitter_fraction * (2.0 * unit - 1.0))
-
-    def schedule(self, *key) -> list[float]:
-        """All backoffs the policy would pay for *key*, in order."""
-        return [self.backoff_s(k, *key) for k in range(1, self.max_attempts)]
-
-    @property
-    def worst_case_total_s(self) -> float:
-        """Upper bound on time spent backing off before giving up."""
-        total = 0.0
-        for k in range(1, self.max_attempts):
-            raw = min(self.base_backoff_s * self.multiplier ** (k - 1), self.max_backoff_s)
-            total += raw * (1.0 + self.jitter_fraction)
-        return total

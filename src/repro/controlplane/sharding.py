@@ -91,14 +91,6 @@ class ShardOwnershipMap:
         self._claims[app] = claim
         return claim
 
-    @property
-    def handoff_epoch(self) -> int:
-        """Highest claim epoch minted so far."""
-        return self._epoch
-
-    def overrides(self) -> dict[str, tuple[int, int]]:
-        return dict(self._claims)
-
 
 class ControlPlaneShard:
     """One VIP/RIP manager over a disjoint switch slice, with its own
@@ -171,9 +163,6 @@ class ControlPlaneShard:
     @property
     def switch_names(self) -> list[str]:
         return sorted(self.manager.switches)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ControlPlaneShard {self.name} switches={self.switch_names}>"
 
 
 @dataclass
@@ -387,10 +376,6 @@ class ShardedControlPlane:
         return self._sum("retries")
 
     @property
-    def transient_retries(self) -> int:
-        return self._sum("transient_retries") + self.transient_route_retries
-
-    @property
     def errored(self) -> int:
         return self._sum("errored")
 
@@ -405,14 +390,6 @@ class ShardedControlPlane:
     @property
     def crashes(self) -> int:
         return self._sum("crashes")
-
-    @property
-    def busy_s(self) -> float:
-        return sum(s.manager.busy_s for s in self.shards)
-
-    @property
-    def queue_length(self) -> int:
-        return self._sum("queue_length")
 
     @property
     def rip_index(self) -> _MergedRipIndex:
@@ -1149,18 +1126,3 @@ class ShardedControlPlane:
         return report
 
     # -- summary -------------------------------------------------------------
-    def stats(self) -> dict:
-        return {
-            "shards": self.n_shards,
-            "routed": self.routed,
-            "processed": self.processed,
-            "handoffs": self.handoffs,
-            "conflicts": self.conflicts,
-            "rollbacks": self.rollbacks,
-            "gossip_rounds": self.gossip_rounds,
-            "transient_retries": self.transient_retries,
-            "lost": self.lost,
-            "crashes": self.crashes,
-            "replayed": self.replayed,
-            "partitions_open": len(self.partitions),
-        }

@@ -180,16 +180,6 @@ class ColumnarPodState:
         cap = float(self.servers.cpu.sum())
         return float(self.load.sum()) / cap if cap > 0 else 0.0
 
-    def local_index(self, gids: np.ndarray) -> np.ndarray:
-        """Map global app ids to local column indices (must be covered)."""
-        gids = np.asarray(gids, dtype=np.int64)
-        pos = np.searchsorted(self.app_gids, gids)
-        clipped = np.minimum(pos, self.n_apps - 1) if self.n_apps else pos
-        ok = (pos < self.n_apps) & (self.app_gids[clipped] == gids)
-        if not np.all(ok):
-            raise KeyError("app id not covered by this pod")
-        return pos
-
     def mem_headroom(self) -> np.ndarray:
         """Per-server free memory under the current placement."""
         used = np.bincount(
@@ -329,10 +319,6 @@ class ColumnarPodState:
             load=load,
         )
 
-    def to_dense_current(self) -> np.ndarray:
-        """Dense boolean current matrix (small-scale reference view)."""
-        return self.placement.to_dense()
-
 
 class ColumnarRipRegistry:
     """Columnar mirror of RIP homing state: app -> RIP -> pod as columns.
@@ -345,7 +331,7 @@ class ColumnarRipRegistry:
     pod and weight, plus an ``active`` bit (ids are never reused, so a
     deleted RIP keeps its row and can be re-wired in place).
 
-    Mutations are *guarded by switch*: a deactivate/rehome only applies
+    Mutations are *guarded by switch*: an unwire/rehome only applies
     when the mirror's current home switch matches the operation's switch.
     Every journal record names a switch owned by the shard that journaled
     it, so per-switch operation order equals per-shard journal order —
@@ -369,7 +355,7 @@ class ColumnarRipRegistry:
         self.rip_pod = np.full(n, -1, dtype=np.int64)
         self.rip_weight = np.zeros(n, dtype=float)
         self.rip_active = np.zeros(n, dtype=bool)
-        #: Mutations applied (wire/unwire/rehome/reweigh), for sync stats.
+        #: Mutations applied (wire/unwire/rehome), for sync stats.
         self.ops_applied = 0
 
     # -- sizing -------------------------------------------------------
@@ -435,24 +421,6 @@ class ColumnarRipRegistry:
         self.ops_applied += 1
         return True
 
-    def deactivate_vip(self, vip: str, switch: Optional[str] = None) -> int:
-        """Deactivate every active RIP served by *vip* (a ``del_vip``
-        without the settled rip list); switch-guarded like :meth:`unwire`.
-        Returns how many were deactivated."""
-        if vip not in self.vips:
-            return 0
-        n = self.n_rips
-        mask = self.rip_active[:n] & (self.rip_vip[:n] == self.vips.get(vip))
-        if switch is not None:
-            if switch not in self.switches:
-                return 0
-            mask &= self.rip_switch[:n] == self.switches.get(switch)
-        dropped = int(mask.sum())
-        if dropped:
-            self.rip_active[:n][mask] = False
-            self.ops_applied += 1
-        return dropped
-
     def rehome_vip(self, vip: str, src: Optional[str], dst: str) -> int:
         """Move every active RIP served by *vip* from switch *src* to
         *dst* (a ``move_vip``); returns how many moved."""
@@ -470,20 +438,6 @@ class ColumnarRipRegistry:
             self.rip_switch[:n][mask] = self.switches.add(dst)
             self.ops_applied += 1
         return moved
-
-    def reweigh(self, rip: str, switch: str, weight: float) -> bool:
-        if rip not in self.rips:
-            return False
-        rid = self.rips.get(rip)
-        if not self.rip_active[rid]:
-            return False
-        if switch not in self.switches or (
-            self.rip_switch[rid] != self.switches.get(switch)
-        ):
-            return False
-        self.rip_weight[rid] = float(weight)
-        self.ops_applied += 1
-        return True
 
     @classmethod
     def from_authority(cls, homing: dict, pod_of=None) -> "ColumnarRipRegistry":
@@ -504,37 +458,6 @@ class ColumnarRipRegistry:
         return reg
 
     # -- views --------------------------------------------------------
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR app -> RIP mapping over active entries.
-
-        Returns ``(indptr, rip_ids)``: RIP ids of app *a* (sorted
-        ascending) are ``rip_ids[indptr[a]:indptr[a+1]]``.
-        """
-        n = self.n_rips
-        rids = np.flatnonzero(self.rip_active[:n])
-        apps = self.rip_app[rids]
-        order = np.lexsort((rids, apps))
-        rids, apps = rids[order], apps[order]
-        indptr = np.zeros(len(self.apps) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(apps, minlength=len(self.apps)), out=indptr[1:])
-        return indptr, rids
-
-    def rips_of_app(self, app: str) -> list[str]:
-        if app not in self.apps:
-            return []
-        indptr, rids = self.csr()
-        aid = self.apps.get(app)
-        return [self.rips.name(int(r)) for r in rids[indptr[aid] : indptr[aid + 1]]]
-
-    def pods_of_app(self, app: str) -> list[str]:
-        """Distinct pods hosting active RIPs of *app* (sorted)."""
-        if app not in self.apps:
-            return []
-        indptr, rids = self.csr()
-        aid = self.apps.get(app)
-        pids = np.unique(self.rip_pod[rids[indptr[aid] : indptr[aid + 1]]])
-        return sorted(self.pods.name(int(p)) for p in pids if p >= 0)
-
     def homing(self, rip: str) -> Optional[tuple]:
         """``(app, vip, switch, pod, weight)`` of an active RIP, else None."""
         if rip not in self.rips:
@@ -550,14 +473,6 @@ class ColumnarRipRegistry:
             self.pods.name(pod_id) if pod_id >= 0 else None,
             float(self.rip_weight[rid]),
         )
-
-    def snapshot(self) -> dict:
-        """Name-keyed view of the active rows (test/verify surface)."""
-        out = {}
-        for rid in np.flatnonzero(self.rip_active[: self.n_rips]):
-            rip = self.rips.name(int(rid))
-            out[rip] = self.homing(rip)
-        return out
 
     def fingerprint(self) -> int:
         """CRC32 witness over the canonical (name-sorted) active rows.

@@ -878,12 +878,6 @@ class MegaDataCenter:
         if self.auditor is not None:
             self.auditor.detach()
 
-    def __enter__(self) -> "MegaDataCenter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def run(self, duration_s: float) -> None:
         """Advance the simulation by *duration_s* seconds."""
         if not self._started:

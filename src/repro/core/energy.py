@@ -61,18 +61,6 @@ class EnergyAccountant:
         self.parked_server_hours: float = 0.0
 
     # -- parking ------------------------------------------------------------
-    def park(self, server: PhysicalServer) -> None:
-        """Power an *empty* server down."""
-        if not server.is_empty:
-            raise ValueError(f"{server.name} is not empty; cannot park")
-        self._parked.add(server.name)
-
-    def wake(self, server: PhysicalServer) -> None:
-        self._parked.discard(server.name)
-
-    def is_parked(self, server: PhysicalServer) -> bool:
-        return server.name in self._parked
-
     def park_all_empty(self, servers: Iterable[PhysicalServer]) -> int:
         """Park every empty server; wake any parked server that gained
         load (the pod manager placed a VM on it).  Returns parked count."""

@@ -272,7 +272,7 @@ class GlobalManager:
                     continue  # mid-K2-transfer
                 entry = switch.entry(vip)
                 rip_pod = {r: self.state.pod_of_rip(r) for r in entry.rips}
-                covering = {p for p in rip_pod.values() if p is not None}
+                covering = sorted({p for p in rip_pod.values() if p is not None})
                 if len(covering) < 2 or pod.name not in covering:
                     continue
                 capacity = {}
@@ -311,7 +311,7 @@ class GlobalManager:
         if not apps:
             return
         hottest = max(
-            apps,
+            sorted(apps),
             key=lambda a: sum(vm.cpu_slice for vm in pod.vms_of(a)),
         )
         targets = [

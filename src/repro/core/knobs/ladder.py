@@ -46,9 +46,3 @@ class KnobLadder:
             raise ValueError("persisted_epochs must be >= 0")
         rung = min(persisted_epochs // self.patience, len(self.order) - 1)
         return self.order[rung]
-
-    def rungs_up_to(self, persisted_epochs: int) -> list[str]:
-        """All knobs the ladder has unlocked so far (cheaper ones stay
-        available while escalating)."""
-        rung = min(persisted_epochs // self.patience, len(self.order) - 1)
-        return list(self.order[: rung + 1])

@@ -122,10 +122,6 @@ class MegaConfig:
         return self.n_pods * self.servers_per_pod
 
     @property
-    def n_vms_nominal(self) -> int:
-        return self.n_apps * min(self.vms_per_app, self.n_pods)
-
-    @property
     def cover(self) -> int:
         """Pods each app covers (instance count per app at bootstrap)."""
         return min(self.vms_per_app, self.n_pods)

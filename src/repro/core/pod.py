@@ -98,13 +98,3 @@ class Pod:
         for name in sorted(self._servers):
             out.extend(self._servers[name].vms_of(app))
         return out
-
-    def empty_servers(self) -> list[PhysicalServer]:
-        """Vacated servers ready to donate (knob K3)."""
-        return [s for s in self.servers if s.is_empty]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Pod {self.name}: servers={self.n_servers}/{self.max_servers} "
-            f"vms={self.n_vms}/{self.max_vms} util={self.utilization:.2f}>"
-        )

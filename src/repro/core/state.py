@@ -42,10 +42,6 @@ class PlatformState:
         self.switches = switches
         self.vips: dict[str, VipInfo] = {}
         self.rips: dict[str, RipInfo] = {}
-        #: Secondary index app -> its registered RIP names, maintained by
-        #: register_rip/unregister_rip so per-app queries (pods_covering,
-        #: the hottest PlatformState path at scale) never scan all RIPs.
-        self.app_rips: dict[str, set[str]] = {}
         self.app_vips: dict[str, list[str]] = {}
         self.servers: dict[str, PhysicalServer] = {}
         #: Per-epoch measured VIP traffic, written by the data-plane pass.
@@ -77,17 +73,10 @@ class PlatformState:
             raise ValueError(f"RIP {rip} already registered")
         info = RipInfo(rip, app, vip, vm)
         self.rips[rip] = info
-        self.app_rips.setdefault(app, set()).add(rip)
         return info
 
     def unregister_rip(self, rip: str) -> RipInfo:
-        info = self.rips.pop(rip)
-        members = self.app_rips.get(info.app)
-        if members is not None:
-            members.discard(rip)
-            if not members:
-                del self.app_rips[info.app]
-        return info
+        return self.rips.pop(rip)
 
     # -- checkpointing ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -144,19 +133,6 @@ class PlatformState:
         server = self.servers.get(info.vm.host)
         return server.pod if server is not None else None
 
-    def pods_covering(self, app: str) -> set[str]:
-        """Pods with at least one serving instance of *app*.
-
-        Walks only the app's own RIPs via the :attr:`app_rips` index; the
-        pod itself stays derived live from the server (K3 correctness).
-        """
-        pods = set()
-        for rip in self.app_rips.get(app, ()):
-            pod = self.pod_of_rip(rip)
-            if pod is not None:
-                pods.add(pod)
-        return pods
-
     def app_traffic_on_link(self, app: str, link: str) -> float:
         """This app's measured traffic arriving via *link*."""
         total = 0.0
@@ -166,8 +142,8 @@ class PlatformState:
         return total
 
     def apps_on_link(self, link: str) -> list[str]:
-        """Apps with at least one VIP on *link*, busiest first."""
+        """Apps with at least one VIP on *link*, busiest first (ties by name)."""
         apps = {info.app for info in self.vips.values() if info.link == link}
         return sorted(
-            apps, key=lambda a: -self.app_traffic_on_link(a, link)
+            apps, key=lambda a: (-self.app_traffic_on_link(a, link), a)
         )

@@ -68,8 +68,8 @@ class UnknownVipError(KeyError):
 class VipRipRequest:
     """One configuration request.
 
-    ``kind`` is one of ``new_vip``, ``new_rip``, ``del_vip``, ``del_rip``,
-    ``set_weight``, ``move_vip``.  Lower ``priority`` runs earlier.
+    ``kind`` is one of ``new_vip``, ``new_rip``, ``del_rip``,
+    ``move_vip``.  Lower ``priority`` runs earlier.
 
     Field combinations are validated at construction so a malformed
     request fails at submission, not deep inside the serialized
@@ -80,9 +80,7 @@ class VipRipRequest:
     ========== ============== ===============================
     new_vip    —              vip, rip
     new_rip    rip, weight>0  vip
-    del_vip    vip            rip
     del_rip    rip            vip
-    set_weight rip, weight>=0 vip
     move_vip   vip            rip  (``switch`` names the source)
     ========== ============== ===============================
     """
@@ -101,9 +99,9 @@ class VipRipRequest:
     done: Optional[Event] = field(default=None, repr=False)
     result: Any = None
 
-    _KINDS = ("new_vip", "new_rip", "del_vip", "del_rip", "set_weight", "move_vip")
-    _NEEDS_VIP = ("del_vip", "move_vip")
-    _NEEDS_RIP = ("new_rip", "del_rip", "set_weight")
+    _KINDS = ("new_vip", "new_rip", "del_rip", "move_vip")
+    _NEEDS_VIP = ("move_vip",)
+    _NEEDS_RIP = ("new_rip", "del_rip")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -118,8 +116,6 @@ class VipRipRequest:
             raise ValueError(f"{self.kind} request must not carry a rip")
         if self.kind == "new_rip" and self.weight <= 0:
             raise ValueError("new_rip weight must be positive")
-        if self.kind == "set_weight" and self.weight < 0:
-            raise ValueError("set_weight weight must be non-negative")
         if self.kind != "move_vip" and self.switch is not None:
             raise ValueError("only move_vip requests may name a source switch")
 
@@ -235,10 +231,6 @@ class VipRipManager:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
         return request.done
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
     def switch_of_vip(self, app: str, vip: str) -> LBSwitch:
         try:
@@ -579,20 +571,6 @@ class VipRipManager:
         self._journal_settle(rec, OP_APPLIED)
         req.result = (vip, selection.switch.name)
 
-    def _do_del_vip(self, req: VipRipRequest):
-        if req.vip is None or req.app not in self.registry:
-            self.rejected += 1
-            return
-        switch_name = self.registry[req.app].get(req.vip)
-        if switch_name is None:
-            self.rejected += 1
-            return
-        rec = self._journal_append("del_vip", req.app, vip=req.vip, switch=switch_name)
-        yield self.env.timeout(self.reconfig_s)
-        removed = self._apply_del_vip(req.app, req.vip, switch_name)
-        self._journal_settle(rec, OP_APPLIED, rips=removed)
-        req.result = switch_name
-
     def _do_del_rip(self, req: VipRipRequest):
         if req.rip is None or req.rip not in self.rip_index:
             self.rejected += 1
@@ -603,24 +581,6 @@ class VipRipManager:
         )
         yield self.env.timeout(self.reconfig_s)
         self._apply_del_rip(vip, req.rip, switch_name)
-        self._journal_settle(rec, OP_APPLIED)
-        req.result = (vip, switch_name)
-
-    def _do_set_weight(self, req: VipRipRequest):
-        if req.rip is None or req.rip not in self.rip_index:
-            self.rejected += 1
-            return
-        vip, switch_name = self.rip_index[req.rip]
-        rec = self._journal_append(
-            "set_weight",
-            req.app,
-            vip=vip,
-            rip=req.rip,
-            weight=req.weight,
-            switch=switch_name,
-        )
-        yield self.env.timeout(self.reconfig_s)
-        self.switches[switch_name].set_rip_weight(vip, req.rip, req.weight)
         self._journal_settle(rec, OP_APPLIED)
         req.result = (vip, switch_name)
 
@@ -727,19 +687,6 @@ class VipRipManager:
             sw.add_rip(vip, rip, weight)
         self.rip_index[rip] = (vip, switch_name)
 
-    def _apply_del_vip(self, app: str, vip: str, switch_name: str) -> list[str]:
-        sw = self.switches[switch_name]
-        removed: list[str] = []
-        if sw.has_vip(vip):
-            entry = sw.remove_vip(vip)
-            removed = sorted(entry.rips)
-        for rip in removed:
-            self.rip_index.pop(rip, None)
-        if self.vip_pool.is_allocated(vip):
-            self.vip_pool.release(vip)
-        self.registry.get(app, {}).pop(vip, None)
-        return removed
-
     def _apply_del_rip(self, vip: str, rip: str, switch_name: str) -> None:
         sw = self.switches[switch_name]
         if sw.has_vip(vip) and rip in sw.entry(vip).rips:
@@ -776,8 +723,9 @@ class VipRipManager:
         elif rec.kind == "new_rip":
             self.rip_index[p["rip"]] = (p["vip"], p["switch"])
         elif rec.kind == "del_vip":
+            # Written only by a shard rollback, already applied.
             self.registry.get(rec.app, {}).pop(p["vip"], None)
-            for rip in p.get("rips", []):
+            for rip in p["rips"]:
                 self.rip_index.pop(rip, None)
         elif rec.kind == "del_rip":
             self.rip_index.pop(p["rip"], None)
@@ -787,7 +735,6 @@ class VipRipManager:
             for rip in p.get("entry_rips", {}):
                 if rip in self.rip_index:
                     self.rip_index[rip] = (p["vip"], p["dst"])
-        # set_weight has no volatile bookkeeping.
 
     def _complete(self, rec: "JournalRecord"):
         """Finish an unsettled (INTENT/PREPARED) record after a crash."""
@@ -813,26 +760,9 @@ class VipRipManager:
             yield self.env.timeout(self.reconfig_s)
             self._apply_new_rip(p["vip"], p["rip"], p.get("weight", 1.0), sw.name)
             self._journal_settle(rec, OP_APPLIED)
-        elif kind == "del_vip":
-            yield self.env.timeout(self.reconfig_s)
-            removed = self._apply_del_vip(rec.app, p["vip"], p["switch"])
-            self._journal_settle(rec, OP_APPLIED, rips=removed)
         elif kind == "del_rip":
             yield self.env.timeout(self.reconfig_s)
             self._apply_del_rip(p["vip"], p["rip"], p["switch"])
-            self._journal_settle(rec, OP_APPLIED)
-        elif kind == "set_weight":
-            sw = self.switches.get(p["switch"])
-            if (
-                sw is None
-                or not sw.has_vip(p["vip"])
-                or p["rip"] not in sw.entry(p["vip"]).rips
-            ):
-                self.rejected += 1
-                self._journal_settle(rec, OP_ABORTED)
-                return
-            yield self.env.timeout(self.reconfig_s)
-            sw.set_rip_weight(p["vip"], p["rip"], p["weight"])
             self._journal_settle(rec, OP_APPLIED)
         elif kind == "move_vip":
             yield from self._complete_move(rec)
@@ -943,8 +873,6 @@ class VipRipManager:
     _HANDLERS = {
         "new_vip": _do_new_vip,
         "new_rip": _do_new_rip,
-        "del_vip": _do_del_vip,
         "del_rip": _do_del_rip,
-        "set_weight": _do_set_weight,
         "move_vip": _do_move_vip,
     }

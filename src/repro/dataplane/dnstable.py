@@ -119,16 +119,6 @@ class VectorizedDnsTable:
             for i, v in enumerate(self.vip_names[lo:hi])
         }
 
-    def flush(self, app: Optional[str] = None) -> None:
-        """Expire cached answers (all apps, or one app's column)."""
-        if app is None:
-            self.expires[:, :] = -np.inf
-            self.cached[:, :] = -1
-        else:
-            slot = self._app_slot[app]
-            self.expires[:, slot] = -np.inf
-            self.cached[:, slot] = -1
-
     # -- resolution ---------------------------------------------------
     def resolve_batch(
         self,
@@ -181,6 +171,3 @@ class VectorizedDnsTable:
         self.cache_misses += draw.size
         self.cache_hits += hits.size + (miss.size - draw.size)
         return out
-
-    def vip_name(self, slot: int) -> str:
-        return self.vip_names[slot]

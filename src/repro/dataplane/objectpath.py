@@ -166,11 +166,6 @@ class ObjectDataPlane:
         self.dropped += len(doomed)
         return len(doomed)
 
-    def switch_of_vip(self, vip: str) -> Optional[str]:
-        self.refresh()
-        home = self._vip_home.get(vip)
-        return home[0] if home else None
-
     # -- the epoch path ------------------------------------------------
     def _close_due(self, epoch: int) -> int:
         n = 0
@@ -251,7 +246,3 @@ class ObjectDataPlane:
         for _switch, vip, rip in self._conn_info.values():
             out[(vip, rip)] = out.get((vip, rip), 0) + 1
         return out
-
-    @property
-    def alive_count(self) -> int:
-        return len(self._conn_info)

@@ -51,10 +51,6 @@ class SteerReport:
     #: ``vip`` (name per request), ``rip`` (name or None), ``accepted``.
     outcomes: Optional[dict] = field(default=None, repr=False)
 
-    @property
-    def requests_per_s(self) -> float:
-        return self.requests / self.wall_s if self.wall_s > 0 else 0.0
-
 
 class ColumnarDataPlane:
     """Vectorized steering layer bound to a RIP-mirror registry."""

@@ -50,23 +50,11 @@ class AuthoritativeDNS:
             self._ttl[app] = ttl_s
         self.weight_updates += 1
 
-    def expose_only(self, app: str, vips: list[str]) -> None:
-        """Shorthand: uniform weight on *vips*, zero elsewhere (keeps the
-        full VIP set in the zone so it can be re-exposed later)."""
-        current = {r.vip for r in self._zones.get(app, [])} | set(vips)
-        self.configure(app, {v: (1.0 if v in vips else 0.0) for v in current})
-
     def weights(self, app: str) -> dict[str, float]:
         return {r.vip: r.weight for r in self._zones[app]}
 
-    def exposed_vips(self, app: str) -> list[str]:
-        return [r.vip for r in self._zones[app] if r.weight > 0]
-
     def ttl_for(self, app: str) -> float:
         return self._ttl.get(app, self.default_ttl_s)
-
-    def apps(self) -> list[str]:
-        return sorted(self._zones)
 
     # -- resolution (resolver facing) ---------------------------------------
     def resolve(self, app: str, rng: np.random.Generator) -> DNSAnswer:

@@ -114,7 +114,7 @@ class FluidDNSModel:
         self.ensure_app(app)
         v = self.violator_fraction
         comp, viol = self._compliant[app], self._violator[app]
-        vips = set(comp) | set(viol)
+        vips = sorted(set(comp) | set(viol))
         return {
             vip: (1 - v) * comp.get(vip, 0.0) + v * viol.get(vip, 0.0)
             for vip in vips
@@ -133,7 +133,7 @@ def _relax(
     current: Mapping[str, float], target: Mapping[str, float], alpha: float
 ) -> dict[str, float]:
     """One exponential-relaxation step current -> target."""
-    vips = set(current) | set(target)
+    vips = sorted(set(current) | set(target))
     return {
         vip: (1 - alpha) * current.get(vip, 0.0) + alpha * target.get(vip, 0.0)
         for vip in vips

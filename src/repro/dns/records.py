@@ -29,9 +29,3 @@ class DNSAnswer:
     vip: str
     ttl_s: float
     issued_at: float
-
-    def expires_at(self) -> float:
-        return self.issued_at + self.ttl_s
-
-    def fresh(self, now: float) -> bool:
-        return now < self.expires_at()

@@ -8,7 +8,7 @@ compliant one re-queries as soon as its cached answer expires.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,9 +56,3 @@ class Resolver:
         answer = self.authority.resolve(app, self.rng)
         self._cache[app] = answer
         return answer.vip
-
-    def flush(self, app: Optional[str] = None) -> None:
-        if app is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(app, None)

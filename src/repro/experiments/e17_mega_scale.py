@@ -87,10 +87,6 @@ class E17Result:
         )
         return t
 
-    @property
-    def satisfied_ok(self) -> bool:
-        return all(r.satisfied_fraction >= 0.98 for r in self.rows)
-
 
 @dataclass
 class MegaRun:

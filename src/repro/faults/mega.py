@@ -110,7 +110,3 @@ class MegaFaultInjector:
             )
         else:
             self.monitor.fault_repaired(t, ev.kind.fault_class, ev.target)
-
-    @property
-    def finished(self) -> bool:
-        return self._next >= len(self.schedule.events)

@@ -102,22 +102,11 @@ class RecoveryMonitor:
 
     # -- views --------------------------------------------------------------
     @property
-    def open_faults(self) -> int:
-        """Faults injected but not yet repaired."""
-        return len(self._open)
-
-    @property
     def responded(self) -> int:
         return sum(1 for r in self.records if r.t_responded is not None)
 
     def mttr(self, fault_class: str) -> Optional[Tally]:
         return self._mttr.get(fault_class)
-
-    def trace(self) -> list[tuple[float, str, str, Optional[float]]]:
-        """Deterministic recovery trace: (t_injected, kind, target, mttr)."""
-        return [
-            (r.t_injected, r.kind, r.target, r.mttr_s) for r in self.records
-        ]
 
     def table(self, reconfig_retries: int = 0) -> Table:
         table = Table(

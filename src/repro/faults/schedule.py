@@ -234,14 +234,3 @@ class FaultSchedule:
 
     def __iter__(self):
         return iter(self.events)
-
-    @property
-    def horizon_s(self) -> float:
-        """Time of the last event (0 for an empty schedule)."""
-        return self.events[-1].t if self.events else 0.0
-
-    def failures(self) -> list[FaultEvent]:
-        return [e for e in self.events if e.kind.is_failure]
-
-    def for_target(self, target: str) -> list[FaultEvent]:
-        return [e for e in self.events if e.target == target]

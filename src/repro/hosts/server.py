@@ -14,7 +14,6 @@ class ServerSpec:
 
     cpu_capacity: float = 1.0  # normalized CPU units
     mem_gb: float = 32.0
-    nic_gbps: float = 1.0
 
 
 class PhysicalServer:
@@ -109,9 +108,3 @@ class PhysicalServer:
                 f"{self.name}: resize of {vm_id} to {new_cpu_slice} exceeds capacity"
             )
         vm.cpu_slice = new_cpu_slice
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Server {self.name} pod={self.pod} vms={len(self._vms)} "
-            f"cpu={self.cpu_allocated:.2f}/{self.spec.cpu_capacity}>"
-        )

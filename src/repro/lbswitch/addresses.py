@@ -40,14 +40,6 @@ class AddressPool:
     def _to_str(value: int) -> str:
         return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
-    @property
-    def allocated_count(self) -> int:
-        return len(self._allocated)
-
-    @property
-    def available(self) -> int:
-        return self._size - self._next + len(self._freed)
-
     def allocate(self) -> str:
         """Hand out an unused address."""
         fresh_available = self._next < self._size

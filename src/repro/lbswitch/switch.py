@@ -22,7 +22,6 @@ class SwitchLimits:
     max_rips: int = 16000
     throughput_gbps: float = 4.0
     max_connections: int = 1_000_000
-    pps: float = 1.25e6
 
 
 @dataclass
@@ -166,14 +165,6 @@ class LBSwitch:
         self._entry(vip).traffic_gbps = gbps
         self._sync_monitor()
 
-    def rip_traffic(self, vip: str) -> dict[str, float]:
-        """Per-RIP traffic split of a VIP by normalized weight."""
-        entry = self._entry(vip)
-        return {
-            rip: share * entry.traffic_gbps
-            for rip, share in entry.normalized_weights().items()
-        }
-
     # -- queries ---------------------------------------------------------------
     def has_vip(self, vip: str) -> bool:
         return vip in self._vips
@@ -195,10 +186,3 @@ class LBSwitch:
     def _sync_monitor(self) -> None:
         if self.monitor is not None:
             self.monitor.set_load(self.traffic_gbps)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<LBSwitch {self.name}: vips={self.num_vips}/{self.limits.max_vips} "
-            f"rips={self.num_rips}/{self.limits.max_rips} "
-            f"traffic={self.traffic_gbps:.2f}/{self.limits.throughput_gbps}Gbps>"
-        )

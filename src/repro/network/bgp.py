@@ -65,9 +65,6 @@ class BGPAnnouncer:
             l for l, ad in ads.items() if include_padded or not ad.padded
         )
 
-    def is_advertised(self, vip: str, link: str) -> bool:
-        return link in self._routes.get(vip, {})
-
     def all_vips(self) -> list[str]:
         return sorted(self._routes)
 
@@ -105,11 +102,3 @@ class BGPAnnouncer:
         if count_update:
             self.log.advertisements += 1
         self._routes.setdefault(vip, {})[link] = Advertisement(vip, link)
-
-    def withdraw_now(self, vip: str, link: str, count_update: bool = True) -> None:
-        if count_update:
-            self.log.withdrawals += 1
-        ads = self._routes.get(vip, {})
-        ads.pop(link, None)
-        if not ads:
-            self._routes.pop(vip, None)

@@ -101,10 +101,6 @@ class BorderRouter:
     def add_link(self, link: AccessLink) -> None:
         self.access_links.append(link)
 
-    @property
-    def total_capacity_gbps(self) -> float:
-        return sum(l.capacity_gbps for l in self.access_links)
-
 
 class InternetSide:
     """The whole access connection layer: ISPs -> access links -> borders."""
@@ -143,14 +139,6 @@ class InternetSide:
 
     def utilizations(self) -> np.ndarray:
         return np.asarray([l.utilization for l in self.links.values()])
-
-    def imbalance(self) -> float:
-        """max/mean utilization across access links (1.0 = perfectly even)."""
-        u = self.utilizations()
-        mean = u.mean()
-        if mean <= 0:
-            return 1.0
-        return float(u.max() / mean)
 
     def total_cost_rate(self) -> float:
         return sum(l.cost_rate for l in self.links.values())

@@ -9,7 +9,7 @@ Typical use::
     dc = MegaDataCenter(apps, obs=obs, audit=True)
     dc.run(3600.0)
     print(obs.trace.digest)          # deterministic per seeded run
-    print(obs.metrics.to_json())
+    print(obs.metrics.snapshot())
     assert dc.auditor.ok
 
 ``Observability.disabled()`` gives a facade whose bus and registry are
@@ -82,10 +82,6 @@ class Observability:
             metrics=MetricsRegistry(enabled=False),
             trace=TraceBus(enabled=False),
         )
-
-    @property
-    def enabled(self) -> bool:
-        return self.trace.enabled or self.metrics.enabled
 
     def close(self) -> None:
         self.trace.close()

@@ -10,7 +10,6 @@ lookups.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from typing import Iterator, Optional
@@ -146,9 +145,6 @@ class _NullInstrument:
     def __exit__(self, *exc) -> None:
         pass
 
-    def snapshot(self) -> dict:
-        return {"type": "noop"}
-
 
 _NULL = _NullInstrument()
 
@@ -196,10 +192,3 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         return {name: inst.snapshot() for name, inst in self}
-
-    def to_json(self, path: Optional[str] = None, indent: int = 2) -> str:
-        text = json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text

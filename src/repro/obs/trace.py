@@ -195,14 +195,6 @@ class TraceBus:
     def count(self) -> int:
         return self._seq
 
-    def kind_counts(self) -> dict[str, int]:
-        return dict(Counter(ev.kind for ev in self.events))
-
-    def flush(self) -> None:
-        self._drain()
-        if self._fh is not None:
-            self._fh.flush()
-
     def close(self) -> None:
         self._drain()
         if self._fh is not None:

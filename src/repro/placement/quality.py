@@ -20,16 +20,6 @@ class SolutionQuality:
     instances: int
     wall_time_s: float
 
-    def row(self) -> dict:
-        return {
-            "satisfied": round(self.satisfied_fraction, 4),
-            "changes": self.changes,
-            "max_util": round(self.max_server_utilization, 3),
-            "mean_util": round(self.mean_server_utilization, 3),
-            "instances": self.instances,
-            "time_s": round(self.wall_time_s, 4),
-        }
-
 
 def evaluate_solution(
     problem: PlacementProblem, solution: PlacementSolution, validate: bool = True

@@ -130,10 +130,6 @@ class SparsePlacement:
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.indptr.nbytes + self.indices.nbytes)
-
     def tobytes(self) -> bytes:
         header = np.asarray(self.shape, dtype=np.int64).tobytes()
         return header + self.indptr.tobytes() + self.indices.tobytes()
@@ -144,13 +140,6 @@ class SparsePlacement:
         return np.repeat(
             np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
         )
-
-    def keys(self) -> np.ndarray:
-        """Sorted flat entry keys ``server * A + app``."""
-        return self.rows() * np.int64(self.shape[1]) + self.indices
-
-    def row(self, s: int) -> np.ndarray:
-        return self.indices[self.indptr[s] : self.indptr[s + 1]]
 
     def instance_counts(self) -> np.ndarray:
         return np.bincount(self.indices, minlength=self.shape[1])
@@ -205,27 +194,6 @@ class SparsePlacement:
             np.zeros(0, dtype=np.int64),
             check=False,
         )
-
-    def equals(self, other: "SparsePlacement") -> bool:
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SparsePlacement(shape={self.shape}, nnz={self.nnz})"
-
-
-def sparse_count_changes(before: SparsePlacement, after: SparsePlacement) -> int:
-    """Placement churn (starts + stops) between two CSR placements.
-
-    The bulk solver counts its changes directly; this general set
-    difference is the reference its tests compare against.
-    """
-    kb, ka = before.keys(), after.keys()
-    common = np.intersect1d(kb, ka, assume_unique=True).size
-    return int(kb.size + ka.size - 2 * common)
 
 
 @dataclass

@@ -55,10 +55,6 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._seq), event))
 
     # -- factories --------------------------------------------------------
-    def event(self) -> Event:
-        """Create a new, untriggered event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)

@@ -7,7 +7,7 @@ simulation; benchmarks never poke at component internals.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -16,9 +16,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Tally:
-    """Online statistics over discrete observations (Welford's algorithm).
+    """Online statistics over discrete observations.
 
-    Count, mean, variance, min and max are exact regardless of how many
+    Count, mean, min and max are exact regardless of how many
     values are observed.  Raw values — which percentiles are computed
     from — are retained in a *bounded reservoir* (uniform reservoir
     sampling, deterministic per tally name): exact up to
@@ -38,7 +38,6 @@ class Tally:
         self.name = name
         self._n = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._keep_values = keep_values
@@ -51,7 +50,6 @@ class Tally:
         self._n += 1
         delta = v - self._mean
         self._mean += delta / self._n
-        self._m2 += delta * (v - self._mean)
         self._min = min(self._min, v)
         self._max = max(self._max, v)
         if self._keep_values or self._n <= self._reservoir_size:
@@ -74,21 +72,8 @@ class Tally:
         return self._n
 
     @property
-    def total(self) -> float:
-        """Sum of all observations (0.0 when empty)."""
-        return self._mean * self._n
-
-    @property
     def mean(self) -> float:
         return self._mean if self._n else math.nan
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self._n - 1) if self._n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
     @property
     def minimum(self) -> float:
@@ -107,19 +92,10 @@ class Tally:
             return None
         return float(np.percentile(np.asarray(self._values), q))
 
-    @property
-    def retained_count(self) -> int:
-        """How many raw values are currently held (bounded unless
-        ``keep_values=True``)."""
-        return len(self._values)
-
     def values(self) -> np.ndarray:
         """The retained raw values (a reservoir sample once ``count``
         exceeds the reservoir size)."""
         return np.asarray(self._values, dtype=float)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Tally {self.name!r} n={self._n} mean={self.mean:.4g}>"
 
 
 class TimeSeries:
@@ -143,9 +119,6 @@ class TimeSeries:
         else:
             self._times.append(t)
             self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._times)
 
     @property
     def current(self) -> float:
@@ -181,29 +154,6 @@ class TimeSeries:
         total = float(np.dot(widths, vals))
         return total / (t1 - t0)
 
-    def maximum(self, t0: float = -math.inf, t1: float = math.inf) -> float:
-        if not self._times:
-            return math.nan
-        times = self.times()
-        vals = self.values()
-        mask = (times <= t1) & (np.append(times[1:], math.inf) >= t0)
-        if not mask.any():
-            return math.nan
-        return float(vals[mask].max())
-
-    def first_time_below(self, threshold: float, after: float = 0.0) -> float:
-        """First observation time >= *after* with value < threshold, or inf."""
-        for t, v in zip(self._times, self._values):
-            if t >= after and v < threshold:
-                return t
-        return math.inf
-
-    def first_time_above(self, threshold: float, after: float = 0.0) -> float:
-        for t, v in zip(self._times, self._values):
-            if t >= after and v > threshold:
-                return t
-        return math.inf
-
 
 class UtilizationMonitor:
     """Tracks a load level against a capacity as a step function.
@@ -229,22 +179,3 @@ class UtilizationMonitor:
 
     def set_load(self, load: float) -> None:
         self.series.observe(float(load))
-
-    def add_load(self, delta: float) -> None:
-        self.series.observe(self.series.current + float(delta))
-
-    def mean_utilization(self, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
-        return self.series.time_average(t0, t1) / self.capacity
-
-    def overloaded_fraction(self, threshold: float = 1.0) -> float:
-        """Fraction of elapsed time spent above threshold*capacity."""
-        if len(self.series) == 0:
-            return 0.0
-        times = np.append(self.series.times(), self.env.now)
-        vals = self.series.values()
-        widths = np.diff(times)
-        total = times[-1] - times[0]
-        if total <= 0:
-            return 0.0
-        over = widths[vals > threshold * self.capacity].sum()
-        return float(over / total)

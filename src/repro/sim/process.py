@@ -40,11 +40,6 @@ class Process(Event):
         """True while the generator has not terminated."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the next step.
 

@@ -52,11 +52,6 @@ class MMPPArrivals:
             state_left -= gap
             yield gap
 
-    @property
-    def mean_rate(self) -> float:
-        wc, wb = self.mean_calm_s, self.mean_burst_s
-        return (self.rate_calm * wc + self.rate_burst * wb) / (wc + wb)
-
 
 def lognormal_durations(
     rng: np.random.Generator, mean_s: float = 60.0, sigma: float = 1.0, size: int = 1

@@ -28,7 +28,6 @@ earlier fields in full.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator, Optional
 
 import numpy as np
@@ -143,11 +142,3 @@ class RequestStream:
                 full.resolver[lo:hi], full.app[lo:hi],
                 full.u_dns[lo:hi], full.u_rip[lo:hi], full.duration[lo:hi],
             )
-
-    def fingerprint(self, epoch: int) -> str:
-        """SHA-256 over epoch *e*'s exact request bytes."""
-        full = self.epoch_requests(epoch)
-        h = hashlib.sha256()
-        for arr in (full.resolver, full.app, full.u_dns, full.u_rip, full.duration):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()

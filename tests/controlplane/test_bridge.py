@@ -83,16 +83,46 @@ def test_sync_tracks_mutations_incrementally():
     bridge = RipJournalBridge(plane, pod_of=pod_of)
     bridge.sync()
     plane.submit(VipRipRequest("del_rip", APPS[0], rip=f"{APPS[0]}@pod-0"))
-    plane.submit(VipRipRequest("set_weight", APPS[1], rip=f"{APPS[1]}@pod-1", weight=2.5))
+    plane.submit(VipRipRequest("new_rip", APPS[1], rip=f"{APPS[1]}@pod-8", weight=2.5))
     plane.submit(VipRipRequest("new_rip", APPS[2], rip=f"{APPS[2]}@pod-9"))
     env.run()
     stats = bridge.sync()
     assert stats["applied"] >= 3 and not stats["rebuilt"]
     assert bridge.registry.homing(f"{APPS[0]}@pod-0") is None
-    assert bridge.registry.homing(f"{APPS[1]}@pod-1")[4] == 2.5
+    assert bridge.registry.homing(f"{APPS[1]}@pod-8")[4] == 2.5
     assert bridge.registry.homing(f"{APPS[2]}@pod-9")[3] == "pod-9"
     assert bridge.verify()
     assert bridge.rebuilds == 0
+
+
+def test_cross_shard_move_migrates_the_app_and_the_mirror_follows():
+    """A ``move_vip`` whose owner shard has no healthy target hands the
+    app to another live shard.  Every entry moves: the old owner
+    journals a ``del_vip`` record carrying the entry's RIPs, the new one
+    ``new_vip``/``new_rip``, and the mirror follows from those records."""
+    env, plane = build_plane()
+    seed(env, plane)
+    bridge = RipJournalBridge(plane, pod_of=pod_of)
+    bridge.sync()
+    app = APPS[0]
+    owner = plane.owner_shard(app)
+    (vip, src), = owner.manager.registry[app].items()
+    for name in owner.switch_names:
+        if name != src:
+            plane.mark_failed(name)
+    done = plane.submit(VipRipRequest("move_vip", app, vip=vip, switch=src))
+    env.run()
+    new_owner = plane.owner_shard(app)
+    assert new_owner is not owner and plane.handoffs == 1
+    assert done.value in new_owner.switch_names
+    assert app not in owner.manager.registry
+    dropped = [r for r in owner.journal if r.kind == "del_vip"]
+    assert [r.payload["rips"] for r in dropped] == [[f"{app}@pod-0", f"{app}@pod-1"]]
+    stats = bridge.sync()
+    assert stats["applied"] > 0 and not stats["rebuilt"]
+    assert mirror_matches_authority(bridge)
+    assert bridge.registry.homing(f"{app}@pod-0")[2] == done.value
+    assert bridge.verify()
 
 
 # -- pending records --------------------------------------------------------
@@ -191,8 +221,7 @@ def test_bridge_requires_a_journal():
 _MIRROR_OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["wire", "unwire", "deactivate_vip", "rehome_vip", "reweigh",
-             "sync", "repair"]
+            ["wire", "unwire", "rehome_vip", "sync", "repair"]
         ),
         st.integers(0, 5),  # rip
         st.integers(0, 2),  # vip
@@ -220,12 +249,8 @@ def test_sync_fingerprint_memo_matches_fresh(ops):
             reg.wire(rip, f"app-{v}", vip, switch, pod_of(rip), weight)
         elif op == "unwire":
             reg.unwire(rip, switch if w else None)
-        elif op == "deactivate_vip":
-            reg.deactivate_vip(vip, switch if w else None)
         elif op == "rehome_vip":
             reg.rehome_vip(vip, None, switch)
-        elif op == "reweigh":
-            reg.reweigh(rip, switch, weight)
         elif op == "repair":
             bridge.verify(repair=True)
         else:

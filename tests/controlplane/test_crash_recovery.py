@@ -53,7 +53,7 @@ def test_crash_drops_queue_and_completes_done_with_none():
     mgr.crash()
     assert mgr.crashed
     assert mgr.lost == 4  # in-flight + queue
-    assert mgr.queue_length == 0
+    assert not mgr._heap
     # clients are unblocked, not wedged: every done fired with None
     for ev in [first] + queued:
         assert ev.triggered and ev.value is None
@@ -124,6 +124,31 @@ def test_mid_move_crash_finishes_move_from_prepared_record():
     assert rec.settled
 
 
+def test_mid_move_crash_repicks_when_the_pinned_target_died():
+    env, switches, mgr = build_cs(reconfig_s=3.0, cutover_s=5.0)
+    d = mgr.submit(VipRipRequest("new_vip", "app"))
+    env.run(until=d)
+    vip, src_name = d.value
+    mgr.submit(VipRipRequest("move_vip", "app", vip=vip))
+    env.run(until=env.now + mgr.reconfig_s + 0.5 * mgr.cutover_s)
+    rec = mgr.journal.unsettled[-1]
+    pinned = rec.payload["dst"]
+    mgr.crash()
+    done = []
+
+    def driver():
+        done.append((yield from mgr.recover(failed={pinned})))
+
+    env.process(driver())
+    env.run()
+    # The pinned target is down, so replay re-decides: the VIP lands on
+    # the one switch that is neither the source nor the dead target.
+    (spare,) = {sw.name for sw in switches} - {src_name, pinned}
+    assert [sw.name for sw in switches if sw.has_vip(vip)] == [spare]
+    assert mgr.registry["app"][vip] == spare
+    assert rec.settled
+
+
 # -- facade integration ----------------------------------------------------
 def build_dc(seed=0):
     apps = WorkloadBuilder(
@@ -152,6 +177,19 @@ def test_facade_manager_crash_reports_mttr_and_lost_reconfigs():
     assert tally is not None and tally.count == 1
     # MTTR covers restart delay + checkpoint restore at minimum
     assert tally.mean >= dc.config.manager_restart_s + dc.viprip.restore_s
+    assert dc.invariants_ok()
+
+
+def test_facade_recover_manager_restarts_a_crashed_manager_early():
+    """A scheduled ``manager_recover`` brings the manager back before the
+    supervisor's restart timer would."""
+    dc = build_dc()
+    dc.run(50.0)
+    dc.crash_manager()
+    assert dc.viprip.crashed
+    ev = dc.recover_manager()
+    dc.run(50.0 + 0.5 * dc.config.manager_restart_s)
+    assert ev.triggered and not dc.viprip.crashed
     assert dc.invariants_ok()
 
 

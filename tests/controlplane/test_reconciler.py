@@ -152,7 +152,7 @@ def test_unrepaired_drift_reports_stuck_vips(dc):
     # pass K+1: the streak crosses the threshold
     report = dc.reconciler.run_pass()
     assert report.stuck_vips == [vip]
-    assert dc.reconciler.stuck_vips == [vip]
+    assert dc.reconciler.reports[-1].stuck_vips == [vip]
     assert any("stuck" in note for note in report.notes)
     assert monitor.stuck_vips == {vip}
     assert monitor.stuck_vip_reports == 1
@@ -160,7 +160,7 @@ def test_unrepaired_drift_reports_stuck_vips(dc):
     # a successful repair resets the streak and clears the report
     dc.reconciler.repair = True
     report = dc.reconciler.run_pass()
-    assert report.stuck_vips == [] and dc.reconciler.stuck_vips == []
+    assert report.stuck_vips == [] and dc.reconciler.reports[-1].stuck_vips == []
     assert dc.reconciler.run_pass().clean
 
 
@@ -187,5 +187,5 @@ def test_convergence_interval_recorded(dc):
     before = len(dc.reconciler.convergence_times)
     dc.run(dc.env.now + 2.5 * dc.reconciler.interval_s)
     assert len(dc.reconciler.convergence_times) > before
-    assert dc.reconciler.converged
-    assert dc.reconciler.last_convergence_s <= 2 * dc.reconciler.interval_s
+    assert dc.reconciler.reports[-1].clean
+    assert dc.reconciler.convergence_times[-1] <= 2 * dc.reconciler.interval_s

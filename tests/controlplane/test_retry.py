@@ -45,15 +45,20 @@ def test_should_retry_budget_counts_the_first_try():
 
 def test_schedule_and_worst_case_bound():
     p = RetryPolicy(max_attempts=4)
-    sched = p.schedule("kind", "app")
+    steps = range(1, p.max_attempts)
+    sched = [p.backoff_s(k, "kind", "app") for k in steps]
+    worst = sum(
+        min(p.base_backoff_s * p.multiplier ** (k - 1), p.max_backoff_s)
+        * (1.0 + p.jitter_fraction)
+        for k in steps
+    )
     assert len(sched) == 3
-    assert sched == [p.backoff_s(k, "kind", "app") for k in (1, 2, 3)]
-    assert sum(sched) <= p.worst_case_total_s
+    assert sum(sched) <= worst
 
 
 def test_zero_jitter_is_exactly_exponential():
     p = RetryPolicy(jitter_fraction=0.0, base_backoff_s=0.5)
-    assert p.schedule("any") == [0.5, 1.0, 2.0]
+    assert [p.backoff_s(k, "any") for k in (1, 2, 3)] == [0.5, 1.0, 2.0]
 
 
 def test_jitter_resolution_covers_the_band():

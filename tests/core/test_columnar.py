@@ -21,9 +21,13 @@ from repro.placement.sparse import (
     SparseGreedyController,
     SparsePlacement,
     SparseSolution,
-    sparse_count_changes,
 )
 from repro.workload.apps import AppSpec
+from tests.placement.sparse_ref import (
+    placement_keys,
+    same_placement,
+    sparse_count_changes,
+)
 from repro.workload.demand import ConstantDemand
 
 
@@ -53,7 +57,7 @@ def test_from_pod_matches_build_problem_current():
         pod.servers, apps, {a: 0.0 for a in apps}, specs
     ).current
     state = ColumnarPodState.from_pod(pod, specs, apps=apps)
-    assert np.array_equal(state.to_dense_current(), np.asarray(dense_ref))
+    assert np.array_equal(state.placement.to_dense(), np.asarray(dense_ref))
     # Per-entry loads come from the live cpu slices.
     assert state.load.sum() == pytest.approx(pod.cpu_allocated)
     assert state.n_vms == pod.n_vms
@@ -102,13 +106,6 @@ def make_state(dense, load=None, cpu=8.0):
     )
 
 
-def test_local_index_maps_and_rejects():
-    state = make_state(np.eye(3, dtype=bool))
-    assert np.array_equal(state.local_index(np.array([0, 20])), [0, 2])
-    with pytest.raises(KeyError):
-        state.local_index(np.array([5]))  # not a covered gid
-
-
 def test_mem_headroom_and_utilization():
     state = make_state([[1, 1], [0, 1]])
     assert np.allclose(state.mem_headroom(), [60.0, 62.0])
@@ -130,7 +127,7 @@ def test_apply_diffs_entry_sets():
         "satisfied_cpu": 6.0,
     }
     assert state.epochs_applied == 1
-    assert state.placement.equals(new)
+    assert same_placement(state.placement, new)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +146,8 @@ def test_apply_counts_equal_key_set_difference(
     rng = np.random.default_rng(seed)
     state = make_state(rng.random(shape) < old_density)
     new = SparsePlacement.from_dense(rng.random(shape) < new_density)
-    old_keys = set(state.placement.keys().tolist())
-    new_keys = set(new.keys().tolist())
+    old_keys = set(placement_keys(state.placement).tolist())
+    new_keys = set(placement_keys(new).tolist())
     sol = SparseSolution(
         placement=new,
         load=np.zeros(new.nnz),
@@ -286,8 +283,8 @@ def test_registry_wire_and_homing():
     reg = make_registry()
     assert reg.n_active == 3
     assert reg.homing("a@pod-1") == ("a", "vip-a", "lb-0", "pod-1", 1.0)
-    assert reg.rips_of_app("a") == ["a@pod-0", "a@pod-1"]
-    assert reg.pods_of_app("b") == ["pod-0"]
+    assert reg.homing("b@pod-0") == ("b", "vip-b", "lb-0", "pod-0", 1.0)
+    assert reg.homing("c@pod-0") is None
 
 
 def test_registry_ids_stable_across_rewire():
@@ -308,27 +305,9 @@ def test_registry_switch_guard():
     # A stale op naming the wrong home switch must not apply.
     assert not reg.unwire("a@pod-0", switch="lb-9")
     assert reg.homing("a@pod-0") is not None
-    assert not reg.reweigh("a@pod-0", "lb-9", 3.0)
-    assert reg.homing("a@pod-0")[4] == 1.0
     assert reg.rehome_vip("vip-a", "lb-9", "lb-2") == 0
     assert reg.rehome_vip("vip-a", "lb-0", "lb-2") == 2
     assert reg.homing("a@pod-1")[2] == "lb-2"
-
-
-def test_registry_deactivate_vip_bulk():
-    reg = make_registry()
-    assert reg.deactivate_vip("vip-a") == 2
-    assert reg.n_active == 1
-    assert reg.rips_of_app("a") == []
-
-
-def test_registry_csr_groups_by_app():
-    reg = make_registry()
-    indptr, rip_ids = reg.csr()
-    a, b = reg.apps.get("a"), reg.apps.get("b")
-    assert indptr[a + 1] - indptr[a] == 2
-    assert indptr[b + 1] - indptr[b] == 1
-    assert rip_ids.size == 3
 
 
 def test_registry_fingerprint_is_name_canonical():
@@ -341,7 +320,7 @@ def test_registry_fingerprint_is_name_canonical():
     for app, pod in (("b", "pod-0"), ("a", "pod-1"), ("a", "pod-0")):
         other.wire(f"{app}@{pod}", app, f"vip-{app}", "lb-0", pod)
     assert reg.fingerprint() == other.fingerprint()
-    other.reweigh("b@pod-0", "lb-0", 2.0)
+    other.wire("b@pod-0", "b", "vip-b", "lb-0", "pod-0", 2.0)
     assert reg.fingerprint() != other.fingerprint()
 
 
@@ -358,7 +337,9 @@ def test_registry_from_authority_round_trip():
         homing, lambda rip: rip.partition("@")[2] or None
     )
     assert rebuilt.fingerprint() == reg.fingerprint()
-    assert rebuilt.snapshot() == reg.snapshot()
+    assert rebuilt.n_active == reg.n_active == 2
+    for rip in ("a@pod-0", "a@pod-1", "b@pod-0"):
+        assert rebuilt.homing(rip) == reg.homing(rip)
 
 
 def test_sparse_row_surgery_primitives():

@@ -55,7 +55,7 @@ def test_build_wires_everything():
         for vip in vips:
             info = dc.state.vips[vip]
             assert dc.switches[info.switch].has_vip(vip)
-            assert dc.bgp.is_advertised(vip, info.link)
+            assert info.link in dc.bgp.links_for(vip, include_padded=True)
     # bootstrap created serving instances with RIPs
     assert len(dc.state.rips) > 0
     assert dc.invariants_ok()
@@ -144,7 +144,7 @@ def test_monitor_series_populated():
     dc.run(5 * 60.0)
     assert len(dc.reports_history) >= 5
     for name, series in dc.pod_util.items():
-        assert len(series) >= 1
+        assert series.times().size >= 1
     assert dc.link_imbalance.current >= 1.0
     assert dc.switch_imbalance.current >= 1.0
 

@@ -49,20 +49,6 @@ def test_accountant_integrates_energy():
     assert acct.energy_kwh == pytest.approx(0.2)
 
 
-def test_accountant_park_requires_empty():
-    env = Environment()
-    acct = EnergyAccountant(env)
-    s = PhysicalServer("s")
-    s.attach(VM("v", "a", 0.1, 1.0))
-    with pytest.raises(ValueError, match="not empty"):
-        acct.park(s)
-    s.detach("v")
-    acct.park(s)
-    assert acct.is_parked(s)
-    acct.wake(s)
-    assert not acct.is_parked(s)
-
-
 def test_accountant_park_all_empty_wakes_loaded():
     env = Environment()
     acct = EnergyAccountant(env)
@@ -71,12 +57,12 @@ def test_accountant_park_all_empty_wakes_loaded():
     busy.attach(VM("v", "a", 0.1, 1.0))
     n = acct.park_all_empty([empty, busy])
     assert n == 1
-    assert acct.is_parked(empty) and not acct.is_parked(busy)
+    assert acct._parked == {"empty"}
     # busy server drains, empty one fills: parking flips
     busy.detach("v")
     empty.attach(VM("v2", "b", 0.1, 1.0))
     acct.park_all_empty([empty, busy])
-    assert acct.is_parked(busy) and not acct.is_parked(empty)
+    assert acct._parked == {"busy"}
 
 
 def test_parked_server_uses_parked_power():
@@ -84,7 +70,7 @@ def test_parked_server_uses_parked_power():
     model = PowerModel(idle_w=100, peak_w=200, parked_w=10)
     acct = EnergyAccountant(env, model)
     s = PhysicalServer("s")
-    acct.park(s)
+    acct.park_all_empty([s])
     power = acct.sample([s])
     assert power == 10
 

@@ -46,7 +46,7 @@ def test_day_invariants_hold(day_run):
 
 def test_day_no_rip_pool_leak(day_run):
     live_vms = sum(m.pod.n_vms for m in day_run.pod_managers.values())
-    assert day_run.rip_pool.allocated_count == live_vms
+    assert len(day_run.rip_pool._allocated) == live_vms
 
 
 def test_day_reconfiguration_rate_bounded(day_run):

@@ -31,7 +31,6 @@ def test_config_arithmetic():
     cfg = MegaConfig.full()
     assert cfg.n_servers == 300_000
     assert cfg.cover == 20
-    assert cfg.n_vms_nominal == 6_000_000
     assert cfg.total_cpu_demand == pytest.approx(
         0.55 * 300_000 * 32.0
     )

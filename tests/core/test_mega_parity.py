@@ -115,12 +115,12 @@ def request_sequences(draw):
     for _ in range(draw(st.integers(0, 8))):
         epoch = draw(st.integers(0, 3))
         app = apps[draw(st.integers(0, len(apps) - 1))]
-        op = draw(st.sampled_from(["new_rip", "del_rip", "set_weight"]))
+        op = draw(st.sampled_from(["new_rip", "del_rip"]))
         rip = f"{app}@{PODS[draw(st.integers(0, len(PODS) - 1))]}"
-        if op == "set_weight":
+        if op == "new_rip":
             req = VipRipRequest(
-                "set_weight", app, rip=rip,
-                weight=draw(st.floats(0.0, 4.0, allow_nan=False)),
+                "new_rip", app, rip=rip,
+                weight=draw(st.floats(0.25, 4.0, allow_nan=False)),
             )
         else:
             req = VipRipRequest(op, app, rip=rip)

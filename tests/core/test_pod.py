@@ -57,7 +57,7 @@ def test_pod_covered_apps_and_vms():
     assert pod.apps_covered() == {"appA"}
     assert pod.vms_of("appA") == [vm]
     assert pod.n_vms == 1
-    assert len(pod.empty_servers()) == 1
+    assert sum(s.is_empty for s in pod.servers) == 1
 
 
 def test_pod_at_capacity_limit():
@@ -110,7 +110,7 @@ def test_pod_manager_scales_down_and_releases_rips():
     pm.run_epoch({"a": 0.2}, specs)
     assert pod.n_vms < high_vms
     assert pod.n_vms >= 1
-    assert pool.allocated_count == pod.n_vms
+    assert len(pool._allocated) == pod.n_vms
 
 
 def test_pod_manager_callbacks_fire():

@@ -28,7 +28,7 @@ def check_invariants(pod, pool):
             assert vm.rip is not None
             assert vm.host == server.name
     # RIP pool accounting matches live VM count exactly.
-    assert pool.allocated_count == pod.n_vms
+    assert len(pool._allocated) == pod.n_vms
 
 
 @settings(max_examples=30, deadline=None)

@@ -63,19 +63,6 @@ def test_state_pod_of_rip_is_live():
     assert state.pod_of_rip("unknown") is None
 
 
-def test_state_pods_covering():
-    env, state = make_state()
-    for i, pod in enumerate(("p1", "p2")):
-        server = PhysicalServer(f"s{i}")
-        server.pod = pod
-        state.register_server(server)
-        vm = VM(f"vm{i}", "app", 0.1, 1.0, state=VMState.RUNNING, rip=f"10.0.0.{i}")
-        server.attach(vm)
-        state.register_rip(f"10.0.0.{i}", "app", "v1", vm)
-    assert state.pods_covering("app") == {"p1", "p2"}
-    assert state.pods_covering("ghost") == set()
-
-
 def test_state_app_traffic_on_link():
     env, state = make_state()
     state.register_vip("v1", "app", "lb-0", "link-a")

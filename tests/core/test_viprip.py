@@ -82,39 +82,22 @@ def test_vip_balancing_across_switches():
     assert counts == [2, 2, 2]  # spread evenly
 
 
-def test_del_vip_releases_address_and_rips():
-    env, switches, mgr = build()
-    d1 = mgr.submit(VipRipRequest("new_vip", "app"))
-    env.run(until=d1)
-    vip, switch_name = d1.value
-    d2 = mgr.submit(VipRipRequest("new_rip", "app", rip="10.0.0.9"))
-    env.run(until=d2)
-    d3 = mgr.submit(VipRipRequest("del_vip", "app", vip=vip))
-    env.run(until=d3)
-    assert d3.value == switch_name
-    assert not mgr.switches[switch_name].has_vip(vip)
-    assert "10.0.0.9" not in mgr.rip_index
-    assert mgr.vip_pool.is_allocated(vip) is False
-
-
-def test_del_rip_and_set_weight():
+def test_del_rip():
     env, switches, mgr = build()
     d1 = mgr.submit(VipRipRequest("new_vip", "app"))
     env.run(until=d1)
     vip, sw = d1.value
-    d2 = mgr.submit(VipRipRequest("new_rip", "app", rip="10.0.0.5"))
+    d2 = mgr.submit(VipRipRequest("new_rip", "app", rip="10.0.0.5", weight=4.0))
     env.run(until=d2)
-    d3 = mgr.submit(VipRipRequest("set_weight", "app", rip="10.0.0.5", weight=4.0))
-    env.run(until=d3)
     assert mgr.switches[sw].entry(vip).rips["10.0.0.5"] == 4.0
-    d4 = mgr.submit(VipRipRequest("del_rip", "app", rip="10.0.0.5"))
-    env.run(until=d4)
+    d3 = mgr.submit(VipRipRequest("del_rip", "app", rip="10.0.0.5"))
+    env.run(until=d3)
     assert mgr.switches[sw].entry(vip).rips == {}
 
 
-def test_set_weight_unknown_rip_rejected():
+def test_del_rip_unknown_rip_rejected():
     env, switches, mgr = build()
-    done = mgr.submit(VipRipRequest("set_weight", "app", rip="10.9.9.9", weight=2.0))
+    done = mgr.submit(VipRipRequest("del_rip", "app", rip="10.9.9.9"))
     env.run(until=done)
     assert mgr.rejected == 1
 

@@ -58,13 +58,6 @@ def test_authority_zero_weight_never_answered(env, authority):
     assert all(
         authority.resolve("foo.com", rng).vip == "vip1" for _ in range(200)
     )
-    assert authority.exposed_vips("foo.com") == ["vip1"]
-
-
-def test_authority_expose_only_keeps_zone(env, authority):
-    authority.expose_only("foo.com", ["vip2"])
-    assert authority.weights("foo.com") == {"vip1": 0.0, "vip2": 1.0}
-    assert authority.answer_distribution("foo.com") == {"vip1": 0.0, "vip2": 1.0}
 
 
 def test_authority_validation(env, authority):
@@ -119,17 +112,6 @@ def test_violator_stretches_ttl(env, authority):
 
     env.process(later())
     env.run()
-
-
-def test_resolver_flush(env, authority):
-    r = Resolver(env, authority, RngHub(6).stream("r"))
-    r.lookup("foo.com")
-    r.flush("foo.com")
-    r.lookup("foo.com")
-    assert authority.queries == 2
-    r.flush()
-    r.lookup("foo.com")
-    assert authority.queries == 3
 
 
 def test_resolver_validation(env, authority):

@@ -1,4 +1,4 @@
-"""Client-side resolver: TTL caching, violator stretch, flush."""
+"""Client-side resolver: TTL caching and violator stretch."""
 
 import numpy as np
 import pytest
@@ -63,18 +63,6 @@ def test_effective_ttl():
     assert compliant.effective_ttl(answer_c) == 30.0
     answer_v = violator.authority.resolve("app", violator.rng)
     assert violator.effective_ttl(answer_v) == 120.0
-
-
-def test_flush_forces_requery():
-    env, authority, resolver = make()
-    resolver.lookup("app")
-    resolver.flush("app")
-    resolver.lookup("app")
-    assert authority.queries == 2
-    resolver.flush()  # full flush
-    resolver.lookup("app")
-    assert authority.queries == 3
-    resolver.flush("never-cached")  # flushing an unknown app is a no-op
 
 
 def test_weighted_answers_follow_authority_weights():

@@ -236,7 +236,8 @@ def test_e18_fault_cycle_quick():
 
     result = e18.run(epochs=6)
     assert result.faults_injected == 12
-    assert result.recovered and result.satisfied_ok
+    assert result.recovered
+    assert all(r.satisfied_fraction >= 0.98 for r in result.rows)
     assert result.auditor_ok and result.rip_verified
     assert result.mttr_pod_s == pytest.approx(result.config.epoch_s)
     assert result.mttr_server_s == pytest.approx(result.config.epoch_s)

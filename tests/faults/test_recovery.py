@@ -247,7 +247,7 @@ def _trace_for(seed):
     monitor = RecoveryMonitor()
     FaultInjector(dc, schedule, monitor)
     dc.run(1800.0)
-    return monitor.trace()
+    return monitor.records
 
 
 def test_same_seed_same_recovery_trace():

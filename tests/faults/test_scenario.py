@@ -25,7 +25,7 @@ def test_scripted_scenario_recovers():
 def test_scenario_is_deterministic():
     a = run(seed=42, duration_s=1800.0)
     b = run(seed=42, duration_s=1800.0)
-    assert a.monitor.trace() == b.monitor.trace()
+    assert a.monitor.records == b.monitor.records
     assert a.crashed_servers == b.crashed_servers
     assert a.failed_switch == b.failed_switch
     assert a.monitor.dropped_gb == b.monitor.dropped_gb

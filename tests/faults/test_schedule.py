@@ -14,7 +14,6 @@ def test_events_sorted_by_time():
         ]
     )
     assert [e.t for e in sched] == [50.0, 100.0, 200.0]
-    assert sched.horizon_s == 200.0
     assert len(sched) == 3
 
 
@@ -51,8 +50,8 @@ def test_fail_recover_cycles_allowed():
             (30.0, "link_down", "link-a"),
         ]
     )
-    assert len(sched.failures()) == 2
-    assert len(sched.for_target("link-a")) == 3
+    assert sum(e.kind.is_failure for e in sched) == 2
+    assert sum(e.target == "link-a" for e in sched) == 3
 
 
 def test_distinct_classes_do_not_collide():
@@ -110,7 +109,7 @@ def test_random_schedule_alternates_and_validates():
     )
     assert len(sched) > 0
     for target in {e.target for e in sched}:
-        kinds = [e.kind for e in sched.for_target(target)]
+        kinds = [e.kind for e in sched if e.target == target]
         assert kinds[0] is FaultKind.SERVER_CRASH
         for prev, cur in zip(kinds, kinds[1:]):
             assert prev.is_failure != cur.is_failure

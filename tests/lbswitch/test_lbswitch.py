@@ -26,7 +26,7 @@ def test_pool_sequential_allocation():
     assert ips[0] == "10.0.0.0"
     assert ips[255] == "10.0.0.255"
     assert ips[256] == "10.0.1.0"
-    assert pool.allocated_count == 258
+    assert len(pool._allocated) == 258
 
 
 def test_pool_release_and_recycle():
@@ -141,11 +141,11 @@ def test_switch_weights_and_traffic_split():
     sw.add_rip("v0", "r1", weight=1.0)
     sw.add_rip("v0", "r2", weight=3.0)
     sw.set_vip_traffic("v0", 8.0)
-    split = sw.rip_traffic("v0")
-    assert split["r1"] == pytest.approx(2.0)
-    assert split["r2"] == pytest.approx(6.0)
+    entry = sw.entry("v0")
+    assert entry.traffic_gbps == pytest.approx(8.0)
+    assert entry.normalized_weights() == pytest.approx({"r1": 0.25, "r2": 0.75})
     sw.set_rip_weight("v0", "r2", 1.0)
-    assert sw.rip_traffic("v0")["r2"] == pytest.approx(4.0)
+    assert sw.entry("v0").normalized_weights()["r2"] == pytest.approx(0.5)
 
 
 def test_switch_weight_validation():

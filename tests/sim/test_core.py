@@ -89,7 +89,7 @@ def test_negative_delay_rejected():
 
 def test_event_succeed_once():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.succeed(1)
     with pytest.raises(RuntimeError):
         ev.succeed(2)
@@ -99,7 +99,7 @@ def test_event_succeed_once():
 
 def test_event_value_before_trigger_raises():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     with pytest.raises(AttributeError):
         _ = ev.value
     with pytest.raises(AttributeError):
@@ -108,7 +108,7 @@ def test_event_value_before_trigger_raises():
 
 def test_process_waits_on_event():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     got = []
 
     def waiter():
@@ -127,7 +127,7 @@ def test_process_waits_on_event():
 
 def test_process_receives_failure_as_exception():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     caught = []
 
     def waiter():

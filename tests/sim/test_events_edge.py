@@ -8,7 +8,7 @@ from repro.sim import Environment, Event, Interrupt
 def test_fail_requires_exception():
     env = Environment()
     with pytest.raises(TypeError):
-        env.event().fail("not an exception")
+        Event(env).fail("not an exception")
 
 
 def test_interrupt_before_first_resume():
@@ -71,7 +71,7 @@ def test_double_interrupt_delivers_both():
 
 def test_run_until_untriggered_event_with_empty_agenda_raises():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     with pytest.raises(RuntimeError, match="finished before"):
         env.run(until=ev)
 
@@ -85,7 +85,7 @@ def test_run_until_already_processed_event_returns_value():
 
 def test_run_until_failed_event_raises():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
 
     def failer():
         yield env.timeout(1)

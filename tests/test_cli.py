@@ -6,6 +6,7 @@ Output is captured via redirect_stdout because the suite runs with ``-s``
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
@@ -114,3 +115,50 @@ def test_bench_command_quick(tmp_path, monkeypatch):
     for filename in ("BENCH_placement.json", "BENCH_controlplane.json"):
         payload = json.loads((tmp_path / filename).read_text())
         assert payload["quick"] is True and payload["workloads"]
+
+
+def _e06_output(hash_seed: str) -> list[str]:
+    """``repro run e06`` under one ``PYTHONHASHSEED``, with the wall-clock
+    column and the "finished in" line masked."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "e06"],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    lines, wall = [], None
+    for line in result.stdout.splitlines():
+        cells = line.split("|")
+        if wall is None and "max pod decision (ms)" in line:
+            wall = [c.strip() for c in cells].index("max pod decision (ms)")
+        elif wall is not None and len(cells) > wall and not line.startswith("-"):
+            cells[wall] = "*"
+        if "finished in" not in line:
+            lines.append("|".join(cells))
+    assert wall is not None
+    return lines
+
+
+def test_e06_does_not_depend_on_the_hash_seed():
+    assert _e06_output("1") == _e06_output("2")
+
+
+def test_trace_summary_and_diff_commands(tmp_path):
+    from repro.obs import TraceBus
+
+    pa, pb = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    with TraceBus(path=pa) as a:
+        a.emit("x", t=0.0, v=1)
+        a.emit("y", t=1.0, v=2)
+    with TraceBus(path=pb) as b:
+        b.emit("x", t=0.0, v=1)
+        b.emit("y", t=1.0, v=3)
+    code, out, _ = run_main(["trace", "summary", pa])
+    assert code == 0
+    assert "2 events, t=[0, 1]" in out
+    code, out, _ = run_main(["trace", "diff", pa, pa])
+    assert code == 0 and "traces identical" in out
+    code, out, _ = run_main(["trace", "diff", pa, pb])
+    assert code == 1 and "first divergence at event #1" in out
+    code, _, err = run_main(["trace", "summary", str(tmp_path / "missing.jsonl")])
+    assert code == 2 and "error" in err

@@ -15,10 +15,23 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.controlplane.retry import RetryPolicy
 from repro.core.config import PlatformConfig
 from repro.core.mega import MegaConfig, MegaControlPlaneConfig, MegaSteeringConfig
+from repro.hosts.server import ServerSpec
+from repro.lbswitch.switch import SwitchLimits
+from repro.workload.apps import AppSpec
 
-CONFIGS = (PlatformConfig, MegaConfig, MegaControlPlaneConfig, MegaSteeringConfig)
+CONFIGS = (
+    PlatformConfig,
+    MegaConfig,
+    MegaControlPlaneConfig,
+    MegaSteeringConfig,
+    SwitchLimits,
+    ServerSpec,
+    RetryPolicy,
+    AppSpec,
+)
 
 
 class _Reads(ast.NodeVisitor):

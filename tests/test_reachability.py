@@ -12,11 +12,18 @@ is, and then the imports that definition uses are followed too.
 
 ``repro.testing`` is the one allowlisted package: the differential
 oracle lives there and the tests import it.
+
+One grain finer, every function, method and class outside
+``repro.testing`` must be named somewhere in ``src/``, ``bench/``,
+``benchmarks/`` or ``examples/`` outside its own body.  The match is by
+name, not by call site, so it is a floor: a definition no run path names
+fails it, one that shares its name with a live one does not.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import functools
 import pathlib
 
@@ -90,16 +97,17 @@ def _names_defined_by(node: ast.stmt) -> list[str]:
     return []
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _own_definitions(tree: ast.Module) -> list[ast.stmt]:
     """Top-level statements that define a name other than a dunder
     (``__all__``, ``__version__``, a lazy-import ``__getattr__``)."""
     return [
         node
         for node in tree.body
-        if any(
-            not (n.startswith("__") and n.endswith("__"))
-            for n in _names_defined_by(node)
-        )
+        if any(not _is_dunder(n) for n in _names_defined_by(node))
     ]
 
 
@@ -179,4 +187,48 @@ def test_every_module_is_reached_from_a_run_path():
     assert not unreached, (
         "modules no run path imports (delete them, or wire them into a "
         f"run path): {unreached}"
+    )
+
+
+def _references(tree: ast.AST):
+    """Names one tree uses: loads (``name`` and ``x.name``), the names an
+    import binds, and string constants that are identifiers
+    (``getattr(obj, "name")``, the ``EXPERIMENTS`` table)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            yield node.value
+
+
+def test_every_definition_is_referenced():
+    """Every function, method and class outside ``repro.testing`` is used
+    by name somewhere in ``src/``, ``bench/``, ``benchmarks/`` or
+    ``examples/``, outside its own body.  A name only tests use is code
+    no run path calls."""
+    paths = [p for d in ("src", *ROOT_DIRS) for p in sorted((ROOT / d).rglob("*.py"))]
+    uses = collections.Counter(n for p in paths for n in _references(_parse(p)))
+    unused = []
+    for module, path in MODULES.items():
+        if module.startswith(ALLOWLIST):
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or _is_dunder(node.name):
+                continue
+            own = sum(n == node.name for n in _references(node))
+            if uses[node.name] == own:
+                unused.append(f"{module}:{node.lineno}:{node.name}")
+    assert not unused, (
+        "definitions nothing outside tests/ uses (delete them, or call them "
+        f"from a run path): {unused}"
     )

@@ -1,5 +1,6 @@
 """Determinism and chunking contracts of the request stream."""
 
+import hashlib
 import weakref
 
 import numpy as np
@@ -16,18 +17,27 @@ def make_stream(**over):
     return RequestStream(**over)
 
 
+def fingerprint(stream, epoch):
+    """SHA-256 over one epoch's exact request bytes."""
+    full = stream.epoch_requests(epoch)
+    h = hashlib.sha256()
+    for arr in (full.resolver, full.app, full.u_dns, full.u_rip, full.duration):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
 def test_same_seed_same_epoch_is_identical():
     a, b = make_stream(), make_stream()
     fa, fb = a.epoch_requests(2), b.epoch_requests(2)
     for attr in ("resolver", "app", "u_dns", "u_rip", "duration"):
         assert np.array_equal(getattr(fa, attr), getattr(fb, attr))
-    assert a.fingerprint(2) == b.fingerprint(2)
+    assert fingerprint(a, 2) == fingerprint(b, 2)
 
 
 def test_epochs_and_seeds_differ():
     s = make_stream()
-    assert s.fingerprint(0) != s.fingerprint(1)
-    assert make_stream(seed=4).fingerprint(0) != s.fingerprint(0)
+    assert fingerprint(s, 0) != fingerprint(s, 1)
+    assert fingerprint(make_stream(seed=4), 0) != fingerprint(s, 0)
 
 
 def test_chunks_are_views_of_the_full_epoch():
