@@ -22,9 +22,9 @@ Memory stays bounded by O(total VM entries + one per-app demand vector
 
 Pod coverage uses an arithmetic rule: app ``i`` covers the ``cover =
 min(vms_per_app, n_pods)`` pods ``(i + j) % n_pods``; its demand splits
-evenly across them.  That makes per-pod app membership a vectorised
-modular predicate instead of 6M routing records, while still giving every
-pod the paper's ~100k-VM occupancy.
+evenly across them.  That makes per-pod app membership ``cover``
+residue classes mod ``n_pods`` instead of 6M routing records, while
+still giving every pod the paper's ~100k-VM occupancy.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Container, Optional
 
 import numpy as np
 
@@ -116,6 +116,12 @@ class MegaConfig:
             raise ValueError("target_utilization must be in (0, 1)")
         if self.vms_per_app < 1:
             raise ValueError("vms_per_app must be positive")
+        if not 0 < self.bootstrap_fill <= 1:
+            raise ValueError("bootstrap_fill must be in (0, 1]")
+        if not self.epoch_s > 0:
+            raise ValueError("epoch_s must be positive")
+        if self.chunk_apps < 1:
+            raise ValueError("chunk_apps must be at least 1")
 
     @property
     def n_servers(self) -> int:
@@ -208,6 +214,28 @@ class MegaEpochReport:
         return self.satisfied_cpu / self.demand_cpu
 
 
+class _ServerNames:
+    """``name in`` over a driver's present and crashed server names.
+
+    A name is known only if it round-trips to the canonical
+    ``pod-XXX-sNNNNNN`` of a server the driver holds, so ``pod-000-s3``
+    is not ``pod-000-s000003``."""
+
+    def __init__(self, driver: "MegaScaleDriver"):
+        self._driver = driver
+
+    def __contains__(self, name: object) -> bool:
+        driver = self._driver
+        if name in driver._crashed_servers:
+            return True
+        try:
+            pod_name, sid = driver._parse_server(name)
+            servers = driver.pods[driver._pod_index[pod_name]].servers
+            return servers.name(servers.row_of(sid)) == name
+        except (KeyError, ValueError):
+            return False
+
+
 class MegaScaleDriver:
     """Run placement epochs at mega scale with bounded memory.
 
@@ -282,9 +310,17 @@ class MegaScaleDriver:
 
     # -- construction -------------------------------------------------
     def _pod_app_gids(self, p: int) -> np.ndarray:
-        """Global ids of apps covering pod *p* (sorted ascending)."""
-        gids = np.arange(self.config.n_apps, dtype=np.int64)
-        return gids[((p - gids) % self.config.n_pods) < self.config.cover]
+        """Global ids of apps covering pod *p* (sorted ascending).
+
+        App ``i`` covers *p* iff ``(p - i) % n_pods < cover``: the ids are
+        the ``cover`` residue classes ``(p - j) % n_pods``, enumerated
+        block by block of ``n_pods`` ids instead of testing every app."""
+        cfg = self.config
+        residues = np.sort((p - np.arange(cfg.cover, dtype=np.int64)) % cfg.n_pods)
+        blocks = np.arange(-(-cfg.n_apps // cfg.n_pods), dtype=np.int64) * cfg.n_pods
+        gids = (blocks[:, None] + residues).ravel()
+        # Copy: a view would keep the whole padded block alive per pod.
+        return gids[: np.searchsorted(gids, cfg.n_apps)].copy()
 
     def _bootstrap(self) -> None:
         """Seed every pod's placement proportionally to t=0 demand.
@@ -303,15 +339,7 @@ class MegaScaleDriver:
             n_inst = np.clip(
                 np.ceil(local_demand / per_inst).astype(np.int64), 1, s_count
             )
-            total = int(n_inst.sum())
-            cols = np.repeat(np.arange(gids.size, dtype=np.int64), n_inst)
-            # Round-robin over the flat entry index: an app's instances sit
-            # on consecutive servers (distinct while n_inst <= S) and the
-            # per-server VM count is uniform to within one.
-            rows = np.arange(total, dtype=np.int64) % s_count
-            placement, _order = SparsePlacement.from_entries(
-                (s_count, gids.size), rows, cols, check=False
-            )
+            placement = self._round_robin(s_count, gids.size, n_inst)
             state = ColumnarPodState(
                 pod=f"pod-{p:03d}",
                 servers=ColumnarServers.uniform(
@@ -336,6 +364,32 @@ class MegaScaleDriver:
             self.controllers.append(
                 SparseGreedyController(dense_limit=cfg.dense_limit)
             )
+
+    @staticmethod
+    def _round_robin(
+        s_count: int, n_apps: int, n_inst: np.ndarray
+    ) -> SparsePlacement:
+        """CSR of app ``a``'s ``n_inst[a]`` instances dealt round-robin.
+
+        Flat entry *k* (apps in order, each app's instances consecutive)
+        sits on server ``k % S``: an app's instances land on consecutive,
+        distinct servers (``n_inst <= S``) and the per-server VM count is
+        uniform to within one.  Row *r* holds entries ``r, r + S, ...``,
+        already column-sorted, so the CSR is written in place with no
+        sort: with ``total = q * S + rem``, the first ``rem`` rows hold
+        ``q + 1`` entries and the rest ``q``.
+        """
+        cols = np.repeat(np.arange(n_apps, dtype=np.int64), n_inst)
+        q, rem = divmod(cols.size, s_count)
+        by_row = cols[: q * s_count].reshape(q, s_count).T
+        indices = np.empty_like(cols)
+        head = indices[: rem * (q + 1)].reshape(rem, q + 1)
+        head[:, :q] = by_row[:rem]
+        head[:, q] = cols[q * s_count :]
+        indices[rem * (q + 1) :].reshape(s_count - rem, q)[:] = by_row[rem:]
+        r = np.arange(s_count + 1, dtype=np.int64)
+        indptr = r * q + np.minimum(r, rem)
+        return SparsePlacement((s_count, n_apps), indptr, indices, check=False)
 
     # -- control plane -------------------------------------------------
     @staticmethod
@@ -589,16 +643,12 @@ class MegaScaleDriver:
                 break
 
     # -- fault surgery -------------------------------------------------
-    def fault_targets(self) -> dict[str, set[str]]:
+    def fault_targets(self) -> dict[str, Container[str]]:
         """Target inventory for :meth:`FaultSchedule.validate_targets`:
         every pod and server name this driver can resolve (crashed
-        servers stay valid — they are recovery targets)."""
-        servers: set[str] = set(self._crashed_servers)
-        for pod in self.pods:
-            servers.update(
-                pod.servers.name(i) for i in range(pod.servers.cpu.shape[0])
-            )
-        return {"pod": set(self._pod_index), "server": servers}
+        servers stay valid — they are recovery targets).  Server names
+        are tested by parsing, not by listing every server."""
+        return {"pod": set(self._pod_index), "server": _ServerNames(self)}
 
     def _emit_fault(self, kind: str, target: str, t: float, **extra) -> None:
         if self.trace is not None and self.trace.enabled:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from repro.sim.rng import RngHub
 
@@ -127,23 +127,23 @@ class FaultSchedule:
                     )
                 down.discard(key)
 
-    def validate_targets(self, known: dict[str, Iterable[str]]) -> None:
+    def validate_targets(self, known: dict[str, Container[str]]) -> None:
         """Reject events whose target the platform cannot resolve.
 
         *known* maps a fault class (``server`` / ``switch`` / ``link`` /
-        ``manager`` / ``shard`` / ``pod``) to the valid target names of
-        that class — the output of ``fault_targets()`` on the facade or
-        the mega driver.  Classes absent from *known* are not injectable
-        there at all, so naming one is an error too.  Raises
+        ``manager`` / ``shard`` / ``pod``) to a container of the valid
+        target names of that class, tested with ``in`` only — the output
+        of ``fault_targets()`` on the facade or the mega driver.  Classes
+        absent from *known* are not injectable there at all, so naming
+        one is an error too.  Raises
         :class:`UnknownFaultTarget` naming every bad event; a platform
         that cannot resolve a target must fail the schedule up front
         instead of silently no-oping at injection time.
         """
-        sets = {cls_: frozenset(targets) for cls_, targets in known.items()}
         bad = [
             ev
             for ev in self.events
-            if ev.target not in sets.get(ev.kind.fault_class, frozenset())
+            if ev.target not in known.get(ev.kind.fault_class, ())
         ]
         if bad:
             shown = ", ".join(

@@ -63,6 +63,9 @@ class LBSwitch:
         #: that adds or removes a VIP, so lookups never scan the table).
         self._app_vips: dict[str, set[str]] = {}
         self._rip_entries = 0  # total (vip, rip) table entries
+        #: The table's traffic, re-summed by every mutation that adds,
+        #: removes or re-rates a VIP (``_retotal``), so reads are O(1).
+        self._traffic_gbps = 0
         self.monitor: Optional[UtilizationMonitor] = (
             UtilizationMonitor(env, limits.throughput_gbps, name) if env else None
         )
@@ -86,7 +89,7 @@ class LBSwitch:
 
     @property
     def traffic_gbps(self) -> float:
-        return sum(e.traffic_gbps for e in self._vips.values())
+        return self._traffic_gbps
 
     @property
     def utilization(self) -> float:
@@ -101,6 +104,7 @@ class LBSwitch:
         entry = VipEntry(vip=vip, app=app)
         self._vips[vip] = entry
         self._app_vips.setdefault(app, set()).add(vip)
+        self._retotal()
         return entry
 
     def remove_vip(self, vip: str) -> VipEntry:
@@ -183,6 +187,12 @@ class LBSwitch:
             raise KeyError(f"{self.name}: VIP {vip} not configured")
         return self._vips[vip]
 
+    def _retotal(self) -> None:
+        # A fresh sum in table order, not a running total: adding and
+        # subtracting floats would drift from it in the last bits.
+        self._traffic_gbps = sum(e.traffic_gbps for e in self._vips.values())
+
     def _sync_monitor(self) -> None:
+        self._retotal()
         if self.monitor is not None:
-            self.monitor.set_load(self.traffic_gbps)
+            self.monitor.set_load(self._traffic_gbps)

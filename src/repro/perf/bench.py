@@ -43,8 +43,9 @@ from repro.placement import DistributedController, GreedyController
 
 SCHEMA = 2
 #: Metrics guarded by the regression gate (wall times, plus the mega
-#: suite's per-epoch wall and peak RSS).
+#: suite's construction time, per-epoch wall and peak RSS).
 GUARDED_METRICS = (
+    "bootstrap_wall_s",
     "serial_wall_s",
     "parallel_wall_s",
     "wall_s",

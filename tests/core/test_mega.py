@@ -7,11 +7,15 @@ mega-smoke job.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import MegaConfig, MegaScaleDriver
+from repro.placement.sparse import SparsePlacement
 
 
 def tiny(**over):
@@ -43,6 +47,15 @@ def test_config_validation():
         MegaConfig(target_utilization=1.5)
     with pytest.raises(ValueError):
         MegaConfig(vms_per_app=0)
+    for fill in (0.0, -1.0, 1.5):
+        with pytest.raises(ValueError, match="bootstrap_fill"):
+            MegaConfig(bootstrap_fill=fill)
+    MegaConfig(bootstrap_fill=1.0)  # a whole server per instance is fine
+    for epoch_s in (0.0, -60.0):
+        with pytest.raises(ValueError, match="epoch_s"):
+            MegaConfig(epoch_s=epoch_s)
+    with pytest.raises(ValueError, match="chunk_apps"):
+        MegaConfig(chunk_apps=0)
 
 
 def test_quick_still_uses_bulk_sparse_path():
@@ -72,6 +85,51 @@ def test_pod_app_gids_partition_is_balanced():
     with MegaScaleDriver(tiny()) as driver:
         sizes = {p.n_apps for p in driver.pods}
         assert max(sizes) - min(sizes) <= 1
+
+
+_RAGGED = [
+    tiny(n_apps=61),  # n_apps % n_pods != 0
+    tiny(vms_per_app=4),  # cover == n_pods
+    tiny(vms_per_app=9, n_apps=37),  # cover clipped to n_pods
+    tiny(n_apps=3),  # n_apps < n_pods
+    MegaConfig.quick(n_apps=29_999, vms_per_app=7),
+]
+
+
+@pytest.mark.parametrize("cfg", _RAGGED, ids=lambda c: f"{c.n_apps}x{c.cover}")
+def test_pod_app_gids_match_modular_predicate(cfg):
+    """The residue-class enumeration returns exactly the apps the cover
+    rule assigns, sorted, as a compact array of its own."""
+    driver = SimpleNamespace(config=cfg)
+    gids = np.arange(cfg.n_apps, dtype=np.int64)
+    for p in range(cfg.n_pods):
+        got = MegaScaleDriver._pod_app_gids(driver, p)
+        want = gids[((p - gids) % cfg.n_pods) < cfg.cover]
+        assert got.dtype == np.int64 and got.base is None
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s_count=st.integers(1, 9),
+    n_inst=st.lists(st.integers(1, 9), max_size=15),
+)
+@example(s_count=7, n_inst=[1, 2])  # total < S
+@example(s_count=4, n_inst=[3, 4, 2])  # total % S != 0
+@example(s_count=3, n_inst=[])
+def test_round_robin_csr_matches_sorted_entries(s_count, n_inst):
+    """The sort-free bootstrap CSR equals sorting the round-robin entry
+    list: flat entry k on server k % S."""
+    n_inst = np.minimum(np.asarray(n_inst, dtype=np.int64), s_count)
+    cols = np.repeat(np.arange(n_inst.size, dtype=np.int64), n_inst)
+    rows = np.arange(cols.size, dtype=np.int64) % s_count
+    want, _ = SparsePlacement.from_entries((s_count, n_inst.size), rows, cols)
+    got = MegaScaleDriver._round_robin(s_count, n_inst.size, n_inst)
+    got._validate()
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.indptr.dtype == got.indices.dtype == np.int64
 
 
 # ----------------------------------------------------------- epoch loop

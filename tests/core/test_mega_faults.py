@@ -110,6 +110,35 @@ def test_injector_rejects_unknown_targets():
             MegaFaultInjector(driver, schedule)
 
 
+def test_server_targets_are_canonical_names_of_held_servers():
+    """Server names are validated by parsing: only the canonical
+    ``pod-XXX-sNNNNNN`` of a present or crashed server is known."""
+    with MegaScaleDriver(tiny()) as driver:  # 4 pods x 12 servers
+        driver.crash_server("pod-001-s000003", t=0.0)
+        servers = driver.fault_targets()["server"]
+        for name in ("pod-000-s000000", "pod-003-s000011", "pod-001-s000003"):
+            assert name in servers
+        for name in (
+            "pod-000-s5",  # not zero-padded
+            "pod-000-s0000005",  # over-padded
+            "pod-000-s+00005",
+            "pod-000-s 00005",
+            "pod-000-s000012",  # past the pod's last server
+            "pod-000-s-00001",
+            "pod-004-s000000",  # no such pod
+            "pod-0-s000000",
+            "pod-000-sabc",
+            "pod-000",
+            "",
+        ):
+            assert name not in servers, name
+        schedule = FaultSchedule(
+            [FaultEvent(0.0, FaultKind.SERVER_CRASH, "pod-000-s5")]
+        )
+        with pytest.raises(UnknownFaultTarget, match="pod-000-s5"):
+            MegaFaultInjector(driver, schedule)
+
+
 def test_mttr_is_one_epoch_and_faults_tracked():
     with MegaScaleDriver(tiny()) as driver:
         schedule = FaultSchedule(

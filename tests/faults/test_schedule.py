@@ -213,6 +213,24 @@ def test_validate_targets_accepts_known_names():
         sched.validate_targets({"server": {"s9"}, "pod": {"pod-000"}})
 
 
+def test_validate_targets_only_tests_membership():
+    """The inventory may be any container: a platform can answer ``in``
+    by parsing a name instead of listing every target."""
+    from repro.faults import UnknownFaultTarget
+
+    class Canonical:
+        def __contains__(self, name):
+            head, _, num = name.partition("-")
+            return head == "s" and num.isdigit() and f"s-{int(num):03d}" == name
+
+    good = FaultSchedule([FaultEvent(1.0, FaultKind.SERVER_CRASH, "s-007")])
+    good.validate_targets({"server": Canonical()})
+    for name in ("s-7", "s-0007", "s-abc", "s-"):
+        bad = FaultSchedule([FaultEvent(1.0, FaultKind.SERVER_CRASH, name)])
+        with pytest.raises(UnknownFaultTarget, match=repr(name)):
+            bad.validate_targets({"server": Canonical()})
+
+
 def test_validate_targets_rejects_uninjectable_class():
     """A class absent from the inventory is not injectable there at all —
     naming it is an error, not a silent no-op."""

@@ -180,6 +180,48 @@ def test_switch_vips_of_app():
     assert sw.vips() == ["v0", "v1", "v2"]
 
 
+# Traffic values whose sums round differently in different orders.
+_GBPS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1e-17, 1.0, 3.3, 1e16])
+_SWITCH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 5)),
+        st.tuples(st.just("remove"), st.integers(0, 5)),
+        st.tuples(st.just("install"), st.integers(0, 5), _GBPS),
+        st.tuples(st.just("traffic"), st.integers(0, 5), _GBPS),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_SWITCH_OPS)
+def test_switch_traffic_memo_is_a_fresh_sum(ops):
+    """After any interleaving of the mutations that change the table's
+    traffic, ``traffic_gbps`` is bit for bit the left-to-right sum over
+    the VIPs in insertion order (kept here as an independent model)."""
+    from repro.lbswitch.switch import VipEntry
+
+    sw = LBSwitch("lb", None, SwitchLimits(max_vips=8, max_rips=64))
+    model: dict[str, float] = {}  # vip -> traffic, in table order
+    for op, i, *gbps in ops:
+        vip = f"v{i}"
+        if op in ("add", "install") and vip not in model:
+            if op == "add":
+                sw.add_vip(vip, "a")
+            else:
+                sw.install_entry(VipEntry(vip, "a", {"r": 1.0}, gbps[0]))
+            model[vip] = gbps[0] if gbps else 0.0
+        elif op == "remove" and vip in model:
+            sw.remove_vip(vip)
+            del model[vip]
+        elif op == "traffic" and vip in model:
+            sw.set_vip_traffic(vip, gbps[0])
+            model[vip] = gbps[0]
+        fresh = sum(model.values())
+        assert sw.vips() == sorted(model)
+        assert repr(sw.traffic_gbps) == repr(fresh)
+
+
 # ---------------------------------------------------------------- conntrack
 
 

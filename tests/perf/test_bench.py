@@ -220,6 +220,17 @@ def test_compare_to_baseline_names_metric_and_units():
     assert " MB " in by_metric["peak_rss_mb"]
 
 
+def test_compare_to_baseline_gates_construction_time():
+    """The mega lanes' ``bootstrap_wall_s`` is gated like a wall time."""
+    baseline = {"workloads": {"mega[1]": {"bootstrap_wall_s": 0.08}}}
+    slow = {"workloads": {"mega[1]": {"bootstrap_wall_s": 0.17}}}
+    violations, _ = bench.compare_to_baseline(slow, baseline, max_ratio=2.0)
+    assert len(violations) == 1
+    assert "metric 'bootstrap_wall_s' regressed" in violations[0]
+    fine = {"workloads": {"mega[1]": {"bootstrap_wall_s": 0.15}}}
+    assert bench.compare_to_baseline(fine, baseline, max_ratio=2.0) == ([], [])
+
+
 def test_run_suite_records_peak_rss(tiny_fixtures):
     result = bench.run_suite("placement", quick=True)
     for metrics in result["workloads"].values():
