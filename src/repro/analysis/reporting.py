@@ -42,10 +42,6 @@ class Table:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
 
-    def print(self) -> None:
-        print()
-        print(self.render())
-
 
 def table_to_dict(table: "Table") -> dict:
     """Machine-readable form of a table (cells keep the rendered strings,

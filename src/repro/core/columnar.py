@@ -175,11 +175,6 @@ class ColumnarPodState:
     def n_vms(self) -> int:
         return self.placement.nnz
 
-    @property
-    def utilization(self) -> float:
-        cap = float(self.servers.cpu.sum())
-        return float(self.load.sum()) / cap if cap > 0 else 0.0
-
     def mem_headroom(self) -> np.ndarray:
         """Per-server free memory under the current placement."""
         used = np.bincount(

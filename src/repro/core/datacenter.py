@@ -50,7 +50,7 @@ from repro.lbswitch.addresses import PRIVATE_RIP_POOL, PUBLIC_VIP_POOL
 from repro.lbswitch.switch import LBSwitch
 from repro.network.bgp import BGPAnnouncer
 from repro.network.links import InternetSide
-from repro.obs import InvariantAuditor, Observability
+from repro.obs import InvariantAuditor, TraceBus
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.sim.monitor import TimeSeries
@@ -98,27 +98,26 @@ class MegaDataCenter:
         crash_safe_manager: bool = False,
         control_plane_shards: int = 1,
         parallelism: int = 1,
-        obs: Optional[Observability] = None,
+        trace: Optional[TraceBus] = None,
         audit: bool = False,
     ):
         if not apps:
             raise ValueError("need at least one application")
         self.config = config if config is not None else PlatformConfig()
-        # Observability spine: every subsystem below emits onto obs.trace
-        # and counts into obs.metrics.  The default is the disabled
-        # facade, whose emit/inc are no-ops, so instrumented code paths
-        # are unconditional.
-        self.obs = obs if obs is not None else Observability.disabled()
+        # Every subsystem below emits onto this one bus.  The default is
+        # a disabled bus, whose emit is a no-op, so instrumented code
+        # paths are unconditional.
+        self.trace = trace if trace is not None else TraceBus(enabled=False)
         self.auditor: Optional[InvariantAuditor] = None
         if audit:
-            if not self.obs.trace.enabled:
+            if not self.trace.enabled:
                 raise ValueError("audit=True needs an enabled trace bus")
-            self.auditor = InvariantAuditor(dc=self).attach(self.obs.trace)
+            self.auditor = InvariantAuditor(dc=self).attach(self.trace)
         # Pod epochs are embarrassingly parallel (Section III-A): the pure
         # solve stage of every pod fans across the engine's persistent
         # worker pool; parallelism=1 is the exact serial fallback.
         self.engine = PlacementEngine(parallelism)
-        self.engine.trace = self.obs.trace
+        self.engine.trace = self.trace
         # Crash safety only makes sense for the serialized control plane:
         # it journals the VIP/RIP manager's operations and runs the
         # anti-entropy reconciler against its registries.
@@ -194,7 +193,7 @@ class MegaDataCenter:
                 controller=controller,
                 on_start=self._wire_rip,
                 on_stop=self._unwire_rip,
-                trace=self.obs.trace,
+                trace=self.trace,
                 trace_clock=lambda: self.env.now,
             )
             # Out-of-band solves (fault-path re-placements) also go
@@ -217,7 +216,7 @@ class MegaDataCenter:
         self.checkpoints: Optional[CheckpointStore] = None
         if crash_safe_manager and not sharded:
             self.journal = WriteAheadJournal(
-                trace=self.obs.trace, clock=lambda: self.env.now
+                trace=self.trace, clock=lambda: self.env.now
             )
             self.checkpoints = CheckpointStore()
         if sharded:
@@ -238,7 +237,7 @@ class MegaDataCenter:
                 cutover_s=self.config.manager_cutover_s,
                 replay_record_s=self.config.journal_replay_s,
                 gossip_interval_s=self.config.shard_gossip_interval_s,
-                trace=self.obs.trace,
+                trace=self.trace,
             )
         elif serialized_reconfig:
             self.viprip = VipRipManager(
@@ -266,7 +265,7 @@ class MegaDataCenter:
                     self.state.snapshot if crash_safe_manager else None
                 ),
             )
-            self.viprip.trace = self.obs.trace
+            self.viprip.trace = self.trace
         # RIPs whose wiring request is queued but not applied yet; maps
         # rip -> VM (dropped if the VM stops before the request lands).
         self._pending_wirings: dict[str, VM] = {}
@@ -296,7 +295,7 @@ class MegaDataCenter:
                 wire_rip=self._wire_rip,
                 unwire_rip=self._unwire_rip,
                 proactive_exposure=proactive_exposure,
-                trace=self.obs.trace,
+                trace=self.trace,
             )
 
         # --- monitors -----------------------------------------------------------------------
@@ -424,7 +423,7 @@ class MegaDataCenter:
                     ),
                     trace_ctx=(
                         {"t": t, "epoch": str(epoch_tag)}
-                        if self.obs.trace.enabled
+                        if self.trace.enabled
                         else None
                     ),
                 )
@@ -887,14 +886,13 @@ class MegaDataCenter:
 
     def _epoch_loop(self):
         while True:
-            with self.obs.metrics.timer("epoch.wall_s").time():
-                self._run_epoch(self.env.now)
+            self._run_epoch(self.env.now)
             yield self.env.timeout(self.config.epoch_s)
             self.fluid_dns.advance(self.config.epoch_s)
 
     def _run_epoch(self, t: float) -> None:
-        if self.obs.trace.enabled:
-            self.obs.trace.emit("epoch.start", t=t, epoch=self.epochs)
+        if self.trace.enabled:
+            self.trace.emit("epoch.start", t=t, epoch=self.epochs)
         pod_demand: dict[str, dict[str, float]] = {
             p: defaultdict(float) for p in self.pod_managers
         }
@@ -974,10 +972,10 @@ class MegaDataCenter:
 
         if self.global_manager is not None:
             self.global_manager.react(reports, t)
-        if self.obs.trace.enabled:
+        if self.trace.enabled:
             # Emitted after the global manager reacted: this is the
             # quiescent point where the auditor's structural sweep runs.
-            self.obs.trace.emit(
+            self.trace.emit(
                 "epoch.end", t=t, epoch=self.epochs,
                 blackholed=round(blackholed, 6),
                 satisfied=round(
@@ -985,7 +983,6 @@ class MegaDataCenter:
                 ),
                 reconfigurations=self.state.reconfigurations,
             )
-        self.obs.metrics.counter("epochs").inc()
         self.epochs += 1
 
     # ------------------------------------------------------------- accessors

@@ -37,9 +37,6 @@ class ActionLog:
             )
         return rec
 
-    def by_knob(self, knob: str) -> list[ActionRecord]:
-        return [r for r in self.records if r.knob == knob]
-
     def count(self, knob: Optional[str] = None, action: Optional[str] = None) -> int:
         return sum(
             1

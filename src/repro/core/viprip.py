@@ -56,14 +56,6 @@ class UnknownRequestKind(LookupError):
     """
 
 
-class UnknownVipError(KeyError):
-    """A VIP lookup against the manager's registry found nothing.
-
-    Subclasses :class:`KeyError` for backwards compatibility with callers
-    that guarded the old bare-``KeyError`` behaviour.
-    """
-
-
 @dataclass
 class VipRipRequest:
     """One configuration request.
@@ -231,12 +223,6 @@ class VipRipManager:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
         return request.done
-
-    def switch_of_vip(self, app: str, vip: str) -> LBSwitch:
-        try:
-            return self.switches[self.registry[app][vip]]
-        except KeyError:
-            raise UnknownVipError(f"no VIP {vip!r} registered for app {app!r}") from None
 
     def vips_of(self, app: str) -> dict[str, str]:
         """app's VIPs -> hosting switch name."""

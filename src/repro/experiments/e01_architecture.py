@@ -74,7 +74,7 @@ def run(
     n_switches: int = 8,
     duration_s: float = 3600.0,
     seed: int = 0,
-    obs=None,
+    trace=None,
     audit: bool = False,
     parallelism: int = 1,
 ) -> E1Result:
@@ -91,7 +91,7 @@ def run(
         n_pods=n_pods,
         servers_per_pod=servers_per_pod,
         n_switches=n_switches,
-        obs=obs,
+        trace=trace,
         audit=audit,
         parallelism=parallelism,
     )

@@ -143,20 +143,19 @@ class SwitchBalanceScenario:
         hotspot_at: float = 600.0,
         overload_threshold: float = 0.85,
         seed: int = 0,
-        obs=None,
+        trace=None,
     ):
         self.use_k2 = use_k2
         self.hotspot_factor = hotspot_factor
         self.hotspot_at = hotspot_at
         self.threshold = overload_threshold
-        self.obs = obs
         self.env = Environment()
         self.authority = AuthoritativeDNS(self.env, 30.0)
         self.fluid = FluidDNSModel(self.authority, violator_fraction=0.1)
         self.switches = [LBSwitch(f"lb-{i}", self.env) for i in range(n_switches)]
         self.transfer = VipTransfer(
             self.env, self.authority, self.fluid, drain_timeout_s=240.0,
-            log=ActionLog(trace=obs.trace) if obs is not None else None,
+            log=ActionLog(trace=trace) if trace is not None else None,
         )
         self.app_demand = {
             f"app-{i:02d}": base_total_gbps / n_apps for i in range(n_apps)

@@ -90,6 +90,8 @@ def _run_one(
     enable_gm: bool,
     pod_max_servers: int,
     duration_s: float,
+    trace=None,
+    audit: bool = False,
 ) -> E6Row:
     apps = build_apps()
     dc = MegaDataCenter(
@@ -102,6 +104,8 @@ def _run_one(
         enable_global_manager=enable_gm,
         pod_max_servers=pod_max_servers,
         pod_max_vms=10_000,
+        trace=trace,
+        audit=audit,
     )
     if enable_gm and ladder is not None:
         dc.global_manager.ladder = ladder

@@ -151,7 +151,7 @@ def _run_case(
     duration_s: float,
     checkpoint_interval_s: float,
     config: PlatformConfig,
-    obs=None,
+    trace=None,
     audit: bool = False,
 ) -> tuple[E14Case, RecoveryMonitor]:
     hub = RngHub(seed)
@@ -168,7 +168,7 @@ def _run_case(
         servers_per_pod=8,
         n_switches=4,
         crash_safe_manager=True,
-        obs=obs,
+        trace=trace,
         audit=audit,
     )
 
@@ -269,12 +269,12 @@ def run(
     seed: int = 42,
     duration_s: float = 1800.0,
     checkpoint_intervals: tuple[float, ...] = DEFAULT_INTERVALS,
-    obs=None,
+    trace=None,
     audit: bool = False,
 ) -> E14Result:
     """Sweep the checkpoint interval over the scripted crash scenario.
 
-    With *obs*/*audit*, every case emits onto the same trace bus and is
+    With *trace*/*audit*, every case emits onto the same trace bus and is
     audited online (each case's auditor detaches at case end, so sweeps
     do not cross-talk)."""
     if duration_s < MIN_DURATION_S:
@@ -288,7 +288,7 @@ def run(
         config = PlatformConfig(checkpoint_interval_s=interval, manager_cutover_s=4.0)
         result.reconcile_interval_s = config.reconcile_interval_s
         case, monitor = _run_case(
-            seed, duration_s, interval, config, obs=obs, audit=audit
+            seed, duration_s, interval, config, trace=trace, audit=audit
         )
         result.cases.append(case)
         result.monitors.append(monitor)

@@ -212,13 +212,12 @@ class IntegratedCase:
 
 
 def _integrated_case(seed: int, n_shards: int = 4) -> IntegratedCase:
-    from repro.obs import Observability
+    from repro.obs import TraceBus
 
     hub = RngHub(seed)
     apps = WorkloadBuilder(
         n_apps=12, total_gbps=6.0, diurnal_fraction=0.0, rng_hub=hub.spawn("workload")
     ).build()
-    obs = Observability()
     dc = MegaDataCenter(
         apps,
         config=PlatformConfig(),
@@ -226,7 +225,7 @@ def _integrated_case(seed: int, n_shards: int = 4) -> IntegratedCase:
         servers_per_pod=8,
         n_switches=2 * n_shards,
         control_plane_shards=n_shards,
-        obs=obs,
+        trace=TraceBus(),
         audit=True,
     )
     schedule = FaultSchedule.from_events(
@@ -259,7 +258,6 @@ def _integrated_case(seed: int, n_shards: int = 4) -> IntegratedCase:
         mttr_manager_s=tally.mean if tally is not None and tally.count else 0.0,
     )
     dc.close()
-    obs.close()
     return case
 
 

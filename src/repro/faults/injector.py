@@ -53,15 +53,12 @@ class FaultInjector:
 
     def _dispatch(self, ev: FaultEvent) -> None:
         env = self.dc.env
-        obs = getattr(self.dc, "obs", None)
-        if obs is not None and obs.trace.enabled:
-            obs.trace.emit(
+        trace = self.dc.trace
+        if trace.enabled:
+            trace.emit(
                 "fault.inject" if ev.kind.is_failure else "fault.recover",
                 t=env.now, fault=ev.kind.value, target=ev.target,
             )
-            obs.metrics.counter(
-                "faults.injected" if ev.kind.is_failure else "faults.recovered"
-            ).inc()
         handler = {
             FaultKind.SERVER_CRASH: self.dc.crash_server,
             FaultKind.SERVER_RECOVER: self.dc.recover_server,

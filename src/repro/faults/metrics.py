@@ -47,9 +47,7 @@ class RecoveryMonitor:
     drift_detected: int = 0
     drift_repaired: int = 0
     #: Drift-to-clean convergence intervals of the reconciler (seconds).
-    convergence_s: Tally = field(
-        default_factory=lambda: Tally("reconciler-convergence")
-    )
+    convergence_s: Tally = field(default_factory=Tally)
     #: VIPs the reconciler reported stuck (drift unrepaired for more than
     #: its ``stuck_after_rounds`` consecutive passes).
     stuck_vips: set[str] = field(default_factory=set)
@@ -69,7 +67,7 @@ class RecoveryMonitor:
         if rec.t_responded is not None:
             return
         rec.t_responded = t
-        tally = self._mttr.setdefault(rec.fault_class, Tally(f"mttr:{rec.fault_class}"))
+        tally = self._mttr.setdefault(rec.fault_class, Tally())
         tally.observe(rec.mttr_s)
 
     def fault_repaired(self, t: float, fault_class: str, target: str) -> None:

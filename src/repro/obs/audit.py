@@ -356,14 +356,3 @@ class InvariantAuditor:
                     t, "switch-caps", switch=switch.name, resource="rips",
                     used=switch.num_rips, limit=switch.limits.max_rips,
                 )
-
-    def report(self) -> dict:
-        return {
-            "ok": self.ok,
-            "events_seen": self.events_seen,
-            "audits_run": self.audits_run,
-            "violations": [
-                {"t": v.t, "invariant": v.invariant, "detail": v.detail}
-                for v in self.violations
-            ],
-        }

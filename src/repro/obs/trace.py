@@ -52,6 +52,39 @@ def canonical_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _str_keyed(value: Any) -> bool:
+    """Whether every dict inside *value* is keyed by ``str`` only.
+
+    JSON keys are strings, so a reader of the file sorts ``{2: .., 10: ..}``
+    as ``"10" < "2"`` where a sorted dump of the int keys wrote 2 first.
+    Payloads with other keys take the :func:`_jsonable` path, which
+    stringifies keys before sorting.
+    """
+    if isinstance(value, dict):
+        return all(
+            isinstance(k, str) and _str_keyed(v) for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return all(_str_keyed(v) for v in value)
+    return True
+
+
+def _encode(seq: int, t: float, kind: str, data: dict) -> str:
+    """One event's canonical line, as the bus digests and writes it.
+
+    Fast path first: most payloads are plain JSON types with str keys,
+    and json.dumps (C-speed) is far cheaper than the _jsonable recursion
+    — sanitize only when a key is not a str or dumps rejects a value
+    (numpy scalars, sets, arbitrary objects).
+    """
+    if _str_keyed(data):
+        try:
+            return canonical_line({"seq": seq, "t": t, "kind": kind, **data})
+        except (TypeError, ValueError):
+            pass
+    return canonical_line({"seq": seq, "t": t, "kind": kind, **_jsonable(data)})
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One typed, timestamped trace record.
@@ -65,22 +98,8 @@ class TraceEvent:
     kind: str
     data: dict
 
-    def payload(self) -> dict:
-        return {"seq": self.seq, "t": self.t, "kind": self.kind, **self.data}
-
     def line(self) -> str:
-        try:
-            return canonical_line(self.payload())
-        except (TypeError, ValueError):
-            # Non-JSON payload values (numpy scalars, sets, objects) get
-            # the same deterministic coercion the bus digest applies.
-            sanitized = {
-                "seq": self.seq,
-                "t": self.t,
-                "kind": self.kind,
-                **_jsonable(self.data),
-            }
-            return canonical_line(sanitized)
+        return _encode(self.seq, self.t, self.kind, self.data)
 
 
 class TraceBus:
@@ -157,27 +176,10 @@ class TraceBus:
         return ev
 
     def _drain(self) -> None:
-        """Serialize buffered records into the digest (and file sink).
-
-        Fast path first: most payloads are plain JSON types and
-        json.dumps (C-speed) is far cheaper than the _jsonable
-        recursion — sanitize only when dumps rejects a value (numpy
-        scalars, sets, arbitrary objects).
-        """
+        """Serialize buffered records into the digest (and file sink)."""
         if not self._pending:
             return
-        dumps = json.dumps
-        parts = []
-        for seq, t, kind, data in self._pending:
-            payload = {"seq": seq, "t": t, "kind": kind}
-            payload.update(data)
-            try:
-                line = dumps(payload, sort_keys=True, separators=(",", ":"))
-            except (TypeError, ValueError):
-                payload = {"seq": seq, "t": t, "kind": kind}
-                payload.update(_jsonable(data))
-                line = dumps(payload, sort_keys=True, separators=(",", ":"))
-            parts.append(line)
+        parts = [_encode(*record) for record in self._pending]
         self._pending.clear()
         blob = "\n".join(parts) + "\n"
         self._sha.update(blob.encode())
@@ -234,7 +236,8 @@ def read_trace(path: str) -> list[TraceEvent]:
 
 def digest_of(events) -> str:
     """Digest of an event sequence (re-canonicalized, so it tolerates
-    whitespace-normalized files and equals the emitting bus's digest)."""
+    whitespace-normalized files and equals the emitting bus's digest,
+    for live events and for events read back from its file alike)."""
     sha = hashlib.sha256()
     for ev in events:
         sha.update(ev.line().encode())

@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from repro.placement.problem import PlacementProblem, PlacementSolution
-from repro.placement.sparse import SparsePlacement
 
 
 @dataclass
@@ -88,9 +87,7 @@ def solve_placement_task(task: PlacementTask) -> PlacementSolution:
 
 
 def _crc(arr) -> int:
-    """CRC32 over an array's exact bytes (dense ndarray or CSR placement)."""
-    if isinstance(arr, SparsePlacement):
-        return zlib.crc32(arr.tobytes())
+    """CRC32 over a dense array's exact bytes."""
     return zlib.crc32(np.ascontiguousarray(arr))
 
 

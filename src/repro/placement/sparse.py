@@ -50,9 +50,7 @@ class SparsePlacement:
     """Boolean S x A placement matrix in CSR form (implicit True values).
 
     ``indices[indptr[s]:indptr[s+1]]`` are the app columns placed on server
-    ``s``, strictly increasing within each row.  ``shape``, ``tobytes``
-    and ``nbytes`` mirror the ndarray surface, so solution CRCs treat
-    dense and CSR placements alike.
+    ``s``, strictly increasing within each row.
     """
 
     __slots__ = ("shape", "indptr", "indices")
@@ -129,10 +127,6 @@ class SparsePlacement:
     @property
     def nnz(self) -> int:
         return int(self.indices.shape[0])
-
-    def tobytes(self) -> bytes:
-        header = np.asarray(self.shape, dtype=np.int64).tobytes()
-        return header + self.indptr.tobytes() + self.indices.tobytes()
 
     # -- views --------------------------------------------------------
     def rows(self) -> np.ndarray:

@@ -33,13 +33,9 @@ LOW = 2
 class Interrupt(Exception):
     """Raised inside a process when another process interrupts it.
 
-    The optional *cause* passed to :meth:`repro.sim.process.Process.interrupt`
-    is available as :attr:`cause`.
+    The *cause* passed to :meth:`repro.sim.process.Process.interrupt` is
+    its one argument, ``args[0]``.
     """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:

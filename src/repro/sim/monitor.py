@@ -16,56 +16,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Tally:
-    """Online statistics over discrete observations.
+    """Online count, mean and maximum over discrete observations."""
 
-    Count, mean, min and max are exact regardless of how many
-    values are observed.  Raw values — which percentiles are computed
-    from — are retained in a *bounded reservoir* (uniform reservoir
-    sampling, deterministic per tally name): exact up to
-    ``reservoir_size`` observations, an unbiased sample beyond that.
-    Pass ``keep_values=True`` to opt into unbounded retention and exact
-    percentiles at any count.
-    """
-
-    def __init__(
-        self,
-        name: str = "",
-        keep_values: bool = False,
-        reservoir_size: int = 4096,
-    ):
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
-        self.name = name
+    def __init__(self):
         self._n = 0
         self._mean = 0.0
-        self._min = math.inf
         self._max = -math.inf
-        self._keep_values = keep_values
-        self._reservoir_size = int(reservoir_size)
-        self._values: list[float] = []
-        self._rng: Optional[np.random.Generator] = None
 
     def observe(self, value: float) -> None:
         v = float(value)
         self._n += 1
-        delta = v - self._mean
-        self._mean += delta / self._n
-        self._min = min(self._min, v)
+        self._mean += (v - self._mean) / self._n
         self._max = max(self._max, v)
-        if self._keep_values or self._n <= self._reservoir_size:
-            self._values.append(v)
-        else:
-            # Algorithm R: each of the n values seen so far has equal
-            # probability reservoir_size/n of being retained.
-            if self._rng is None:
-                from repro.sim.rng import stable_hash
-
-                self._rng = np.random.default_rng(
-                    stable_hash("tally-reservoir", self.name, self._reservoir_size)
-                )
-            j = int(self._rng.integers(0, self._n))
-            if j < self._reservoir_size:
-                self._values[j] = v
 
     @property
     def count(self) -> int:
@@ -76,26 +38,8 @@ class Tally:
         return self._mean if self._n else math.nan
 
     @property
-    def minimum(self) -> float:
-        return self._min if self._n else math.nan
-
-    @property
     def maximum(self) -> float:
         return self._max if self._n else math.nan
-
-    def percentile(self, q: float) -> Optional[float]:
-        """q in [0, 100].  Exact while the reservoir has not overflowed
-        (or with ``keep_values=True``); a sample estimate beyond that.
-        Returns ``None`` when no values have been observed — callers
-        report "no data" rather than propagating NaN into summaries."""
-        if not self._values:
-            return None
-        return float(np.percentile(np.asarray(self._values), q))
-
-    def values(self) -> np.ndarray:
-        """The retained raw values (a reservoir sample once ``count``
-        exceeds the reservoir size)."""
-        return np.asarray(self._values, dtype=float)
 
 
 class TimeSeries:

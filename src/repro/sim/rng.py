@@ -44,11 +44,6 @@ class RngHub:
             self._streams[key] = np.random.default_rng(ss)
         return self._streams[key]
 
-    def fresh(self, *key: Any) -> np.random.Generator:
-        """A brand-new generator for *key* (not cached, same derivation)."""
-        ss = np.random.SeedSequence(entropy=(self.seed, stable_hash(*key)))
-        return np.random.default_rng(ss)
-
     def spawn(self, *key: Any) -> "RngHub":
         """A child hub whose streams are independent of this hub's."""
         return RngHub(stable_hash(self.seed, *key))

@@ -12,8 +12,6 @@ import abc
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class DemandProcess(abc.ABC):
     """Offered load as a function of time."""
@@ -21,11 +19,6 @@ class DemandProcess(abc.ABC):
     @abc.abstractmethod
     def rate(self, t: float) -> float:
         """Demand at time *t* (>= 0)."""
-
-    def peak(self, t0: float, t1: float, samples: int = 200) -> float:
-        """Max demand over a window (sampled)."""
-        ts = np.linspace(t0, t1, samples)
-        return max(self.rate(float(t)) for t in ts)
 
 
 @dataclass

@@ -98,11 +98,3 @@ def test_table_to_dict_mirrors_render():
     # Mutating the dict must not touch the table.
     d["rows"].append(["x", "y"])
     assert len(t.rows) == 1
-
-
-def test_table_print(capsys):
-    t = Table("x", ["v"])
-    t.add_row(1)
-    t.print()
-    out = capsys.readouterr().out
-    assert "== x ==" in out

@@ -106,10 +106,9 @@ def make_state(dense, load=None, cpu=8.0):
     )
 
 
-def test_mem_headroom_and_utilization():
+def test_mem_headroom():
     state = make_state([[1, 1], [0, 1]])
     assert np.allclose(state.mem_headroom(), [60.0, 62.0])
-    assert state.utilization == pytest.approx(3.0 / 16.0)
 
 
 def test_apply_diffs_entry_sets():

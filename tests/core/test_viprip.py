@@ -177,19 +177,3 @@ def test_unknown_kind_raises_typed_error_not_attribute_error():
     ok = mgr.submit(VipRipRequest("new_vip", "app"))
     env.run(until=ok)
     assert ok.value is not None
-
-
-def test_switch_of_vip_raises_typed_error():
-    from repro.core.viprip import UnknownVipError
-
-    env, switches, mgr = build()
-    done = mgr.submit(VipRipRequest("new_vip", "app"))
-    env.run(until=done)
-    vip, switch_name = done.value
-    assert mgr.switch_of_vip("app", vip).name == switch_name
-    with pytest.raises(UnknownVipError, match="no VIP"):
-        mgr.switch_of_vip("app", "198.51.100.99")
-    with pytest.raises(UnknownVipError, match="unknown-app"):
-        mgr.switch_of_vip("unknown-app", vip)
-    # UnknownVipError subclasses KeyError so legacy except-clauses hold
-    assert issubclass(UnknownVipError, KeyError)

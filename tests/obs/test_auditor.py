@@ -4,12 +4,7 @@ caught, event-driven checks fire, strict mode raises."""
 import pytest
 
 from repro.core.datacenter import MegaDataCenter
-from repro.obs import (
-    InvariantAuditor,
-    InvariantViolation,
-    Observability,
-    TraceBus,
-)
+from repro.obs import InvariantAuditor, InvariantViolation, TraceBus
 from repro.sim.rng import RngHub
 from repro.workload.generator import WorkloadBuilder
 
@@ -23,7 +18,7 @@ def small_dc(seed=3, audit=True, **kwargs):
         n_pods=2,
         servers_per_pod=8,
         n_switches=3,
-        obs=Observability(),
+        trace=TraceBus(),
         audit=audit,
         **kwargs,
     )
@@ -114,16 +109,6 @@ def test_strict_mode_raises_at_first_violation():
         bus.emit("journal.commit", t=2.0, epoch=4, op="add_vip", app="b")
 
 
-def test_report_shape():
-    dc = small_dc()
-    dc.run(120.0)
-    report = dc.auditor.report()
-    assert report["ok"] is True
-    assert report["violations"] == []
-    assert report["audits_run"] == dc.auditor.audits_run
-    dc.close()
-
-
 def test_audit_requires_enabled_trace():
     apps = WorkloadBuilder(
         n_apps=4, total_gbps=2.0, rng_hub=RngHub(0)
@@ -131,7 +116,7 @@ def test_audit_requires_enabled_trace():
     with pytest.raises(ValueError, match="enabled trace bus"):
         MegaDataCenter(
             apps, n_pods=2, servers_per_pod=4, n_switches=2,
-            obs=Observability.disabled(), audit=True,
+            trace=TraceBus(enabled=False), audit=True,
         )
 
 
@@ -142,8 +127,8 @@ def test_e14_crash_scenario_audits_clean():
     with zero violations."""
     from repro.experiments import e14_control_plane as e14
 
-    obs = Observability(trace=TraceBus(keep_events=False))
-    result = e14.run(obs=obs, audit=True)
+    trace = TraceBus(keep_events=False)
+    result = e14.run(trace=trace, audit=True)
     assert result.recovered
     assert all(c.violations == 0 for c in result.cases)
-    assert obs.trace.count > 0
+    assert trace.count > 0

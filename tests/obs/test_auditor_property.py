@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.datacenter import MegaDataCenter
 from repro.faults import FaultInjector, FaultSchedule
-from repro.obs import InvariantAuditor, Observability, TraceBus
+from repro.obs import InvariantAuditor, TraceBus
 from repro.sim.rng import RngHub
 from repro.workload.generator import WorkloadBuilder
 
@@ -72,7 +72,7 @@ def test_random_fault_sequences_no_false_positives(seed, data):
     ).build()
     dc = MegaDataCenter(
         apps, n_pods=2, servers_per_pod=8, n_switches=3,
-        obs=Observability(trace=TraceBus(keep_events=False)), audit=True,
+        trace=TraceBus(keep_events=False), audit=True,
     )
     duration = 600.0
     n_server_faults = data.draw(st.integers(min_value=0, max_value=2))
@@ -110,7 +110,7 @@ def test_injected_corruption_is_always_caught(kind, seed):
     ).build()
     dc = MegaDataCenter(
         apps, n_pods=2, servers_per_pod=8, n_switches=3,
-        obs=Observability(trace=TraceBus(keep_events=False)), audit=True,
+        trace=TraceBus(keep_events=False), audit=True,
     )
     dc.run(120.0)
     assert dc.auditor.ok  # clean before the tampering

@@ -11,7 +11,7 @@ engines agree, which is the cross-process determinism contract.
 import json
 import pathlib
 
-from repro.obs import Observability, TraceBus
+from repro.obs import TraceBus
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -20,33 +20,45 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 def run_e01(parallelism: int = 1) -> str:
     from repro.experiments import e01_architecture as e01
 
-    obs = Observability(trace=TraceBus(keep_events=False))
+    trace = TraceBus(keep_events=False)
     e01.run(
         n_apps=16, total_gbps=8.0, n_pods=2, servers_per_pod=8,
-        n_switches=4, duration_s=600.0, seed=0, obs=obs, audit=True,
+        n_switches=4, duration_s=600.0, seed=0, trace=trace, audit=True,
         parallelism=parallelism,
     )
-    return obs.trace.digest
+    return trace.digest
 
 
 def run_e05() -> str:
     from repro.experiments.e05_vip_transfer import SwitchBalanceScenario
 
-    obs = Observability(trace=TraceBus(keep_events=False))
-    scenario = SwitchBalanceScenario(use_k2=True, seed=0, obs=obs)
+    trace = TraceBus(keep_events=False)
+    scenario = SwitchBalanceScenario(use_k2=True, seed=0, trace=trace)
     scenario.run(1800.0)
-    return obs.trace.digest
+    return trace.digest
+
+
+def run_e06() -> str:
+    from repro.core.knobs.ladder import KnobLadder
+    from repro.experiments.e06_server_transfer import _run_one
+
+    trace = TraceBus(keep_events=False)
+    _run_one(
+        "capped ladder", KnobLadder(), enable_gm=True, pod_max_servers=12,
+        duration_s=3600.0, trace=trace, audit=True,
+    )
+    return trace.digest
 
 
 def run_e14() -> str:
     from repro.experiments import e14_control_plane as e14
 
-    obs = Observability(trace=TraceBus(keep_events=False))
+    trace = TraceBus(keep_events=False)
     e14.run(
         seed=42, duration_s=1500.0, checkpoint_intervals=(240.0,),
-        obs=obs, audit=True,
+        trace=trace, audit=True,
     )
-    return obs.trace.digest
+    return trace.digest
 
 
 def run_e15(workers: int = 1) -> str:
@@ -97,6 +109,12 @@ def test_e05_golden_digest():
     assert run_e05() == GOLDEN["e05_balance_seed0"]
 
 
+def test_e06_golden_digest():
+    """E6's capped knob ladder (K6 -> K5 -> K4 -> K3) under audit; the
+    run once depended on the string hash seed."""
+    assert run_e06() == GOLDEN["e06_capped_seed0"]
+
+
 def test_e14_golden_digest():
     assert run_e14() == GOLDEN["e14_ckpt240_seed42"]
 
@@ -121,6 +139,7 @@ if __name__ == "__main__":  # regenerate the goldens
     fresh = {
         "e01_small_seed0": run_e01(),
         "e05_balance_seed0": run_e05(),
+        "e06_capped_seed0": run_e06(),
         "e14_ckpt240_seed42": run_e14(),
         "e15_pods4_seed0": run_e15(),
         "e18_mega_faults_seed3": run_mega(),

@@ -116,15 +116,19 @@ def test_file_sink_round_trip(tmp_path):
     with TraceBus(path=str(path)) as bus:
         bus.emit("a", t=0.0, x=1)
         bus.emit("b", t=2.5, y="s")
+        # Int keys come back as strings, which sort "10" < "2".
+        bus.emit("c", t=3.0, fired={2: 1, 10: 3})
         live_digest = bus.digest
+    assert digest_of(bus.events) == live_digest
     events = read_trace(str(path))
-    assert [ev.kind for ev in events] == ["a", "b"]
+    assert [ev.kind for ev in events] == ["a", "b", "c"]
     assert events[1].data == {"y": "s"}
+    assert events[2].data == {"fired": {"2": 1, "10": 3}}
     assert digest_of(events) == live_digest
     summary = summarize_trace(str(path))
-    assert summary["events"] == 2
+    assert summary["events"] == 3
     assert summary["digest"] == live_digest
-    assert summary["t_first"] == 0.0 and summary["t_last"] == 2.5
+    assert summary["t_first"] == 0.0 and summary["t_last"] == 3.0
 
 
 def test_diff_traces_reports_divergence(tmp_path):

@@ -201,7 +201,7 @@ def test_interrupt_delivers_cause():
         try:
             yield env.timeout(100)
         except Interrupt as exc:
-            log.append((env.now, exc.cause))
+            log.append((env.now, exc.args[0]))
 
     def attacker(proc):
         yield env.timeout(3)

@@ -19,7 +19,7 @@ def test_interrupt_before_first_resume():
         try:
             yield env.timeout(10)
         except Interrupt as exc:
-            log.append(("interrupted", env.now, exc.cause))
+            log.append(("interrupted", env.now, exc.args[0]))
 
     proc = env.process(victim())
     # Interrupt in the same instant, before the victim ever ran.
@@ -40,11 +40,6 @@ def test_process_cannot_interrupt_itself():
         env.run()
 
 
-def test_interrupt_cause_none():
-    assert Interrupt().cause is None
-    assert Interrupt("x").cause == "x"
-
-
 def test_double_interrupt_delivers_both():
     env = Environment()
     hits = []
@@ -54,7 +49,7 @@ def test_double_interrupt_delivers_both():
             try:
                 yield env.timeout(100)
             except Interrupt as exc:
-                hits.append(exc.cause)
+                hits.append(exc.args[0])
 
     proc = env.process(victim())
 

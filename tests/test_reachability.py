@@ -7,8 +7,8 @@ experiment module its ``EXPERIMENTS`` table imports by name),
 anywhere in a reached module, except one guarded by ``TYPE_CHECKING``.
 ``from pkg import Name`` resolves to the module that defines ``Name``: a
 re-export in a package ``__init__`` is not a use of that ``__init__``,
-but a name the ``__init__`` defines itself (``repro.obs.Observability``)
-is, and then the imports that definition uses are followed too.
+but a name the ``__init__`` defines itself (a function or class in its
+own body) is, and then the imports that definition uses are followed too.
 
 ``repro.testing`` is the one allowlisted package: the differential
 oracle lives there and the tests import it.

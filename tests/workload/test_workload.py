@@ -113,11 +113,6 @@ def test_flash_crowd_phases():
         FlashCrowdDemand(base=1.0, spike_factor=0.5)
 
 
-def test_demand_peak_sampling():
-    f = FlashCrowdDemand(base=1.0, spike_factor=4.0, start_s=100, ramp_s=10, hold_s=100)
-    assert f.peak(0, 300) == pytest.approx(4.0, rel=0.05)
-
-
 # ----------------------------------------------------------------- arrivals
 
 
