@@ -48,6 +48,9 @@ class E6Row:
     max_decision_ms: float
     k3_actions: int
     k4_actions: int
+    #: Violations the online invariant auditor recorded (0 when the run
+    #: is not audited).
+    auditor_violations: int = 0
 
 
 @dataclass
@@ -132,6 +135,9 @@ def _run_one(
         max_decision_ms=round(decision_ms, 2),
         k3_actions=log.count("K3") if log else 0,
         k4_actions=log.count("K4") if log else 0,
+        auditor_violations=(
+            len(dc.auditor.violations) if dc.auditor is not None else 0
+        ),
     )
 
 

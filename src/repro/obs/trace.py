@@ -53,19 +53,21 @@ def canonical_line(payload: dict) -> str:
 
 
 def _str_keyed(value: Any) -> bool:
-    """Whether every dict inside *value* is keyed by ``str`` only.
+    """Whether every dict nested in *value* (a dict, list or tuple) is
+    keyed by ``str`` only.
 
     JSON keys are strings, so a reader of the file sorts ``{2: .., 10: ..}``
     as ``"10" < "2"`` where a sorted dump of the int keys wrote 2 first.
     Payloads with other keys take the :func:`_jsonable` path, which
-    stringifies keys before sorting.
+    stringifies keys before sorting.  *value*'s own keys are not checked:
+    a payload's are :meth:`TraceBus.emit`'s keyword names.
     """
-    if isinstance(value, dict):
-        return all(
-            isinstance(k, str) and _str_keyed(v) for k, v in value.items()
-        )
-    if isinstance(value, (list, tuple)):
-        return all(_str_keyed(v) for v in value)
+    for v in value.values() if isinstance(value, dict) else value:
+        if isinstance(v, dict):
+            if not all(isinstance(k, str) for k in v) or not _str_keyed(v):
+                return False
+        elif isinstance(v, (list, tuple)) and not _str_keyed(v):
+            return False
     return True
 
 

@@ -43,10 +43,11 @@ def run_e06() -> str:
     from repro.experiments.e06_server_transfer import _run_one
 
     trace = TraceBus(keep_events=False)
-    _run_one(
+    row = _run_one(
         "capped ladder", KnobLadder(), enable_gm=True, pod_max_servers=12,
         duration_s=3600.0, trace=trace, audit=True,
     )
+    assert row.auditor_violations == 0
     return trace.digest
 
 
@@ -110,8 +111,9 @@ def test_e05_golden_digest():
 
 
 def test_e06_golden_digest():
-    """E6's capped knob ladder (K6 -> K5 -> K4 -> K3) under audit; the
-    run once depended on the string hash seed."""
+    """E6's capped knob ladder (K6 -> K5 -> K4 -> K3): the online auditor
+    records no violation and the digest matches.  The run once depended
+    on the string hash seed."""
     assert run_e06() == GOLDEN["e06_capped_seed0"]
 
 
