@@ -31,6 +31,8 @@ import numpy as np
 from repro.placement.problem import PlacementProblem
 from repro.placement.sparse import SparsePlacement, SparseSolution
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
 
 class IdIndex:
     """Append-only stable string <-> integer id mapping.
@@ -129,7 +131,8 @@ class ColumnarServers:
 class ColumnarPodState:
     """One pod's placement state as sharded arrays.
 
-    ``app_gids`` is sorted ascending; placement columns are *local* app
+    ``app_gids`` is sorted ascending and stored as int32 (an id past
+    int32 is refused, not wrapped); placement columns are *local* app
     indices (positions in ``app_gids``), so two pods covering different
     app subsets keep small dense-free column spaces while global ids stay
     stable datacenter-wide.
@@ -144,7 +147,14 @@ class ColumnarPodState:
     epochs_applied: int = 0
 
     def __post_init__(self):
-        self.app_gids = np.ascontiguousarray(self.app_gids, dtype=np.int64)
+        gids = np.asarray(self.app_gids)
+        top = int(gids.max()) if gids.size else 0
+        if top > _INT32_MAX:
+            raise ValueError(
+                f"app_gids: value {top} does not fit the int32 column "
+                f"(max {_INT32_MAX})"
+            )
+        self.app_gids = np.ascontiguousarray(gids, dtype=np.int32)
         mem = np.asarray(self.app_mem_gb, dtype=float)
         # A uniform column may come as a zero-stride view of one float;
         # keep it (a contiguous copy costs one float per app).

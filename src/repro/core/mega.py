@@ -67,6 +67,12 @@ class MegaControlPlaneConfig:
     #: DNS weight shifts then actually move traffic between switches).
     vips_per_app: int = 1
 
+    def __post_init__(self):
+        if self.vips_per_app < 1:
+            raise ValueError(
+                f"vips_per_app must be >= 1, got {self.vips_per_app}"
+            )
+
 
 @dataclass
 class MegaSteeringConfig:
@@ -425,7 +431,8 @@ class MegaScaleDriver:
         self.control_plane = ShardedControlPlane(
             self._cp_env,
             switches,
-            PUBLIC_VIP_POOL(max(1000, cp.wired_apps * 2)),
+            # Room for every wired VIP, and at least 2 per app and 1,000.
+            PUBLIC_VIP_POOL(max(1000, cp.wired_apps * max(2, cp.vips_per_app))),
             cp.n_shards,
             reconfig_s=cp.reconfig_s,
             trace=self.trace,
@@ -434,23 +441,27 @@ class MegaScaleDriver:
             min(cp.wired_apps, cfg.n_apps), dtype=np.int64
         )
         self._VipRipRequest = VipRipRequest
-        n_vips = max(1, cp.vips_per_app)
-        for gid in self._wired_gids:
-            for _ in range(n_vips):
-                self.control_plane.submit(
-                    VipRipRequest("new_vip", self._app_name(gid))
-                )
+        n_vips = cp.vips_per_app
+        done = [
+            self.control_plane.submit(
+                VipRipRequest("new_vip", self._app_name(gid))
+            )
+            for gid in self._wired_gids
+            for _ in range(n_vips)
+        ]
         self._cp_env.run()
         self._check_wired(
             "max_vips",
             lambda app, gid: len(self.control_plane.vips_of(app)) < n_vips,
+            done,
         )
+        done = []
         for gid in self._wired_gids:
             app = self._app_name(gid)
             for pod_name in self._covering_pods(int(gid)):
-                self.control_plane.submit(
+                done.append(self.control_plane.submit(
                     VipRipRequest("new_rip", app, rip=f"{app}@{pod_name}")
-                )
+                ))
         self._cp_env.run()
         rip_index = self.control_plane.rip_index
         self._check_wired(
@@ -459,6 +470,7 @@ class MegaScaleDriver:
                 f"{app}@{pod}" not in rip_index
                 for pod in self._covering_pods(gid)
             ),
+            done,
         )
         self.bridge = RipJournalBridge(
             self.control_plane,
@@ -468,24 +480,33 @@ class MegaScaleDriver:
         )
         self.bridge.sync()
 
-    def _check_wired(self, limit: str, unplaced) -> None:
+    def _check_wired(self, limit: str, unplaced, done: list) -> None:
         """Raise if the wiring requests just run left anything unplaced.
 
         The shards reject a VIP or RIP that no switch has room for;
         without this check the gap first surfaces much later, as a data
-        plane with unwired apps.  *unplaced* is ``(app, gid) -> bool``.
+        plane with unwired apps.  *unplaced* is ``(app, gid) -> bool``;
+        *done* holds the requests' completion events.  A request that
+        errored (an exhausted address pool, say) is reported by its
+        error, since raising *limit* would not help it.
         """
         cp = self.control_plane
         if not (cp.rejected or cp.errored):
             return
         apps = ((self._app_name(g), int(g)) for g in self._wired_gids)
         first = next((app for app, gid in apps if unplaced(app, gid)), None)
+        error = next((ev.value for ev in done if ev.triggered and not ev.ok), None)
+        fix = (
+            f"first error: {error}"
+            if error is not None
+            else f"raise MegaControlPlaneConfig.{limit} "
+            f"(= {getattr(self._cp_config, limit)} per switch) or wire "
+            f"fewer apps"
+        )
         raise ValueError(
             f"control-plane wiring failed: {cp.rejected} request(s) "
             f"rejected, {cp.errored} errored; first app left unplaced: "
-            f"{first}; raise MegaControlPlaneConfig.{limit} "
-            f"(= {getattr(self._cp_config, limit)} per switch) or wire "
-            f"fewer apps"
+            f"{first}; {fix}"
         )
 
     def _covering_pods(self, gid: int) -> list[str]:

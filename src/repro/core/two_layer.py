@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.lbswitch.switch import SwitchLimits
 
@@ -82,6 +81,8 @@ class TwoLayerFabric:
         ``sum_v w_v*mix_v(p) * D / cap_p <= t`` for every pod,
         ``sum w = 1, w >= 0``.
         """
+        from scipy.optimize import linprog
+
         if demand_gbps < 0:
             raise ValueError("demand must be non-negative")
         links = sorted(self.links)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.analysis.reporting import Table
 from repro.core.sizing import switches_needed
@@ -37,6 +36,8 @@ def optimal_link_balance(
     Variables: w_{a,j} (one per VIP of each app) and t; constraints
     ``sum w_{a,.} = 1`` per app and per-link utilization <= t.
     """
+    from scipy.optimize import linprog
+
     n_apps = len(demands)
     n_links = len(link_caps)
     offsets = np.cumsum([0] + [len(v) for v in vip_links])

@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import TraceBus, TraceEvent
 
 _EPS = 1e-6
+#: Relative CPU slack for ``mega-cpu``: the waterfill's float sums may
+#: land a few ulps past a server's capacity (bench/worker.py's
+#: ``cpu_capacity`` check allows the same).
+_CPU_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,7 @@ class InvariantAuditor:
         * ``mega-csr`` — every pod's CSR placement is well-formed and its
           load vector matches the entry count;
         * ``mega-mem`` — no server's memory is overcommitted;
+        * ``mega-cpu`` — no server's summed entry load exceeds its CPU;
         * ``mega-cover`` — the per-app alive-cover accounting matches the
           pod liveness mask (the K3 spill denominators);
         * ``mega-rip-row`` — every active RIP-mirror row resolves to
@@ -209,11 +214,12 @@ class InvariantAuditor:
         for pod in driver.pods:
             p = pod.placement
             n_servers = pod.servers.cpu.shape[0]
-            if (
+            malformed = (
                 p.indptr.shape[0] != n_servers + 1
                 or pod.load.shape[0] != p.nnz
                 or (np.diff(p.indptr) < 0).any()
-            ):
+            )
+            if malformed:
                 self._flag(
                     t, "mega-csr", pod=pod.pod,
                     servers=n_servers, nnz=int(p.nnz),
@@ -221,6 +227,11 @@ class InvariantAuditor:
                 )
             if (pod.mem_headroom() < -_EPS).any():
                 self._flag(t, "mega-mem", pod=pod.pod)
+            if not malformed:
+                used = np.bincount(p.rows(), weights=pod.load, minlength=n_servers)
+                over = int((used > pod.servers.cpu * (1 + _CPU_REL)).sum())
+                if over:
+                    self._flag(t, "mega-cpu", pod=pod.pod, servers_over=over)
         cover = getattr(driver, "_app_alive_cover", None)
         if cover is not None:
             expected = np.zeros_like(cover)

@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import networkx as nx
 
 from repro.placement.problem import (
     PlacementProblem,
@@ -94,6 +93,8 @@ class TangController:
         self, problem: PlacementProblem, placement: np.ndarray
     ) -> np.ndarray:
         """Max-flow on a fresh bipartite graph for the fixed placement."""
+        import networkx as nx
+
         demand_int = (problem.app_cpu_demand * _SCALE).astype(np.int64)
         cpu_int = (problem.server_cpu * _SCALE).astype(np.int64)
         self.maxflow_calls += 1

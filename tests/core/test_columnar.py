@@ -225,6 +225,23 @@ def test_post_init_validation():
         )
 
 
+def test_app_gids_are_int32_and_refuse_ids_past_int32():
+    sp = SparsePlacement.from_dense(np.eye(2, dtype=bool))
+    kw = dict(
+        pod="p",
+        servers=ColumnarServers.uniform(2, 1.0, 1.0),
+        app_mem_gb=np.ones(2),
+        placement=sp,
+        load=np.ones(2),
+    )
+    top = np.iinfo(np.int32).max
+    state = ColumnarPodState(app_gids=np.array([1, top], dtype=np.int64), **kw)
+    assert state.app_gids.dtype == np.int32
+    assert state.app_gids.tolist() == [1, top]
+    with pytest.raises(ValueError, match="app_gids: value 2147483648"):
+        ColumnarPodState(app_gids=np.array([1, top + 1], dtype=np.int64), **kw)
+
+
 # -- fault row surgery ------------------------------------------------------
 def test_clear_placement_loses_all_vms_keeps_capacity():
     state = make_state([[1, 0], [0, 1]], load=[2.0, 3.0])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import MegaConfig, MegaScaleDriver
+from repro.core import MegaConfig, MegaControlPlaneConfig, MegaScaleDriver
 from repro.placement.sparse import SparsePlacement
 from tests.placement.sparse_ref import same_placement
 
@@ -51,6 +51,36 @@ def test_config_validation():
             MegaConfig(epoch_s=epoch_s)
     with pytest.raises(ValueError, match="chunk_apps"):
         MegaConfig(chunk_apps=0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="vips_per_app"):
+            MegaControlPlaneConfig(vips_per_app=n)
+
+
+def test_vip_pool_is_sized_for_every_wired_vip():
+    # 600 apps x 3 VIPs = 1,800 VIPs: more than the old pool's
+    # max(1000, 2 per app) = 1,200, well inside 4 switches x 1,000 slots.
+    cfg = tiny(n_apps=600, servers_per_pod=60)
+    cp = MegaControlPlaneConfig(wired_apps=600, vips_per_app=3, max_vips=1000)
+    with MegaScaleDriver(cfg, control_plane=cp) as driver:
+        plane = driver.control_plane
+        assert plane.errored == 0 and plane.rejected == 0
+        apps = [driver._app_name(g) for g in range(600)]
+        assert sum(len(plane.vips_of(app)) for app in apps) == 1800
+        assert len(plane.rip_index) == 600 * cfg.cover
+
+
+def test_wiring_error_names_the_exhausted_pool(monkeypatch):
+    import repro.lbswitch.addresses as addresses
+
+    def five_addresses(size):
+        return addresses.AddressPool("203.0.0.0", 5, label="vip")
+
+    monkeypatch.setattr(addresses, "PUBLIC_VIP_POOL", five_addresses)
+    cp = MegaControlPlaneConfig(wired_apps=8)
+    with pytest.raises(ValueError, match="address pool 'vip' exhausted") as err:
+        MegaScaleDriver(tiny(), control_plane=cp)
+    assert "3 errored" in str(err.value)
+    assert "max_vips" not in str(err.value)
 
 
 def test_quick_still_uses_bulk_sparse_path():

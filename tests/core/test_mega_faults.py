@@ -89,6 +89,26 @@ def test_vacate_witness_feeds_auditor():
         assert auditor.ok
 
 
+def test_cpu_overcommit_is_flagged():
+    """``mega-cpu``: a server whose entries' load sums past its CPU is
+    caught; the slack (1e-9 relative) forgives float rounding only."""
+    driver, auditor = audited_driver()
+    with driver:
+        driver.run_epoch()
+        assert not auditor.audit_now(60.0)
+        pod = driver.pods[1]
+        row = pod.placement.rows()
+        entry = int(np.flatnonzero(row == 3)[0])
+        used = pod.load[row == 3].sum()
+        pod.load[entry] += pod.servers.cpu[3] * (1 + 1e-12) - used
+        assert not auditor.audit_now(60.0)  # within the slack
+        pod.load[entry] += 0.5
+        found = auditor.audit_now(60.0)
+        assert [(v.invariant, v.detail) for v in found] == [
+            ("mega-cpu", {"pod": pod.pod, "servers_over": 1})
+        ]
+
+
 # ------------------------------------------------- injector semantics
 
 
