@@ -8,10 +8,14 @@ afford a Python object per VM on the epoch hot path.  This module keeps
 the same state as flat NumPy arrays with stable integer ids:
 
 * servers: parallel ``cpu`` / ``mem_gb`` capacity arrays (row index = id);
-* apps: a sorted array of *global* app ids the pod covers, plus aligned
-  per-instance memory;
+* apps: *local* column ids ``0..A-1`` with per-instance memory; the
+  owner maps them to global app ids (the mega driver by the pod's
+  residue classes, see
+  :meth:`~repro.core.mega.MegaScaleDriver._pod_app_gids`), so the pod
+  stores no per-app id column;
 * VMs: exactly the entries of a CSR :class:`SparsePlacement` — one
-  (server, app) pair per instance — with a per-entry CPU-slice array.
+  (server, app) pair per instance, an int32 column id — with a per-entry
+  float64 CPU slice: 12 bytes per VM.
 
 :meth:`ColumnarPodState.from_pod` builds a columnar twin of an object pod
 (the thin-view bridge: tests assert its matrices are bit-identical to what
@@ -30,8 +34,6 @@ import numpy as np
 
 from repro.placement.problem import PlacementProblem
 from repro.placement.sparse import SparsePlacement, SparseSolution
-
-_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class IdIndex:
@@ -131,30 +133,20 @@ class ColumnarServers:
 class ColumnarPodState:
     """One pod's placement state as sharded arrays.
 
-    ``app_gids`` is sorted ascending and stored as int32 (an id past
-    int32 is refused, not wrapped); placement columns are *local* app
-    indices (positions in ``app_gids``), so two pods covering different
-    app subsets keep small dense-free column spaces while global ids stay
-    stable datacenter-wide.
+    Placement columns are *local* app indices ``0..n_apps-1``, so pods
+    covering different app subsets keep small column spaces.  The column
+    count is ``placement.shape[1]``; the mapping from local to global app
+    ids is the owner's, not stored here.
     """
 
     pod: str
     servers: ColumnarServers
-    app_gids: np.ndarray
     app_mem_gb: np.ndarray
     placement: SparsePlacement
     load: np.ndarray
     epochs_applied: int = 0
 
     def __post_init__(self):
-        gids = np.asarray(self.app_gids)
-        top = int(gids.max()) if gids.size else 0
-        if top > _INT32_MAX:
-            raise ValueError(
-                f"app_gids: value {top} does not fit the int32 column "
-                f"(max {_INT32_MAX})"
-            )
-        self.app_gids = np.ascontiguousarray(gids, dtype=np.int32)
         mem = np.asarray(self.app_mem_gb, dtype=float)
         # A uniform column may come as a zero-stride view of one float;
         # keep it (a contiguous copy costs one float per app).
@@ -162,13 +154,10 @@ class ColumnarPodState:
             mem = np.ascontiguousarray(mem)
         self.app_mem_gb = mem
         self.load = np.ascontiguousarray(self.load, dtype=float)
-        if self.app_gids.size > 1 and (np.diff(self.app_gids) <= 0).any():
-            raise ValueError("app_gids must be strictly increasing")
-        if self.app_mem_gb.shape != self.app_gids.shape:
-            raise ValueError("app_mem_gb must align with app_gids")
-        expect = (self.servers.n, int(self.app_gids.shape[0]))
-        if self.placement.shape != expect:
-            raise ValueError(f"placement must be {expect}")
+        if self.placement.shape[0] != self.servers.n:
+            raise ValueError(f"placement must have {self.servers.n} server rows")
+        if self.app_mem_gb.shape != (self.placement.shape[1],):
+            raise ValueError("app_mem_gb must hold one value per placement column")
         if self.load.shape != (self.placement.nnz,):
             raise ValueError("load must hold one value per placement entry")
 
@@ -179,7 +168,7 @@ class ColumnarPodState:
 
     @property
     def n_apps(self) -> int:
-        return int(self.app_gids.shape[0])
+        return self.placement.shape[1]
 
     @property
     def n_vms(self) -> int:
@@ -189,7 +178,7 @@ class ColumnarPodState:
         """Per-server free memory under the current placement."""
         used = np.bincount(
             self.placement.rows(),
-            weights=self.app_mem_gb[self.placement.indices],
+            weights=self.app_mem_gb[self.placement.cols()],
             minlength=self.n_servers,
         )
         return self.servers.mem_gb - used
@@ -289,7 +278,7 @@ class ColumnarPodState:
 
         ``apps`` fixes the column universe (defaults to the pod's covered
         apps, sorted — the same ordering ``PodManager.prepare_epoch``
-        uses); local ids double as global ids for the twin.
+        uses); column *j* is ``apps[j]``.
         """
         from repro.hosts.vm import VMState
 
@@ -318,7 +307,6 @@ class ColumnarPodState:
         return cls(
             pod=pod.name,
             servers=columns,
-            app_gids=np.arange(len(apps), dtype=np.int64),
             app_mem_gb=np.asarray([specs[a].vm_mem_gb for a in apps]),
             placement=placement,
             load=load,

@@ -17,14 +17,17 @@ materialized matrix.  This driver composes the three mega-scale pieces:
   own pod manager would (Section III-A).
 
 Memory stays bounded by O(total VM entries + one per-app demand vector
-+ one pod's working state), under 300 MB at full scale against the
-< 8 GB acceptance target.
++ one pod's working state): 12 bytes per VM (an int32 CSR column and a
+float64 load), ~0.15 GB peak at full scale against the < 8 GB
+acceptance target.
 
 Pod coverage uses an arithmetic rule: app ``i`` covers the ``cover =
 min(vms_per_app, n_pods)`` pods ``(i + j) % n_pods``; its demand splits
 evenly across them.  That makes per-pod app membership ``cover``
-residue classes mod ``n_pods`` instead of 6M routing records, while
-still giving every pod the paper's ~100k-VM occupancy.
+residue classes mod ``n_pods``, which is all the driver stores of it:
+a pod's local column *k* is its *k*-th covered app in ascending global
+id, so per-app vectors reach a pod by a residue-column gather, and
+alive-cover counts are kept per residue, not per app.
 """
 
 from __future__ import annotations
@@ -248,7 +251,8 @@ class MegaScaleDriver:
     The driver owns one :class:`ColumnarPodState` shard per pod, one
     :class:`SparseGreedyController` per pod, a fleet-wide per-app demand
     vector and one local demand buffer shared by every pod (sized to the
-    widest).  ``trace`` (a
+    widest).  Pod membership is each pod's ``cover`` residue classes
+    (``_residues``).  ``trace`` (a
     :class:`~repro.obs.trace.TraceBus`) gets ``mega.chunk`` events as
     demand chunks are scattered and a ``mega.epoch`` summary per epoch.
     """
@@ -280,10 +284,20 @@ class MegaScaleDriver:
         #: Liveness mask over pods; dead pods host nothing and solve
         #: nothing until restored.
         self.pod_alive = np.ones(config.n_pods, dtype=bool)
-        #: Per-app count of *alive* covering pods; demand splits across
+        #: Row *p*: the residues mod ``n_pods`` of the apps covering pod
+        #: *p*, ascending — ``(p - j) % n_pods`` for ``j < cover``.
+        self._residues = np.sort(
+            (np.arange(config.n_pods)[:, None] - np.arange(config.cover))
+            % config.n_pods,
+            axis=1,
+        )
+        #: Per-residue count of *alive* covering pods (every app of a
+        #: residue has the same covering pods); demand splits across
         #: these (K3 spill: survivors absorb a dead pod's share).  Apps at
         #: zero are black-holed and tallied as dropped demand.
-        self._app_alive_cover = np.full(config.n_apps, config.cover, dtype=np.int64)
+        self._residue_alive_cover = np.full(
+            config.n_pods, config.cover, dtype=np.int64
+        )
         #: Crashed mega servers parked for recovery:
         #: name -> (pod name, server id, cpu, mem_gb).
         self._crashed_servers: dict[str, tuple[str, int, float, float]] = {}
@@ -291,9 +305,13 @@ class MegaScaleDriver:
         self.fault_injector = None
         #: Optional RecoveryMonitor fed dropped demand + MTTR.
         self.monitor = None
+        #: One pod's local demand at a time; pods solve one by one.  The
+        #: widest pod has every full block's apps plus the most tail ones.
+        blocks, tail = divmod(config.n_apps, config.n_pods)
+        self._local_demand = np.empty(
+            blocks * config.cover + min(config.cover, tail)
+        )
         self._bootstrap()
-        #: One pod's local demand at a time; pods solve one by one.
-        self._local_demand = np.empty(max(pod.n_apps for pod in self.pods))
         self._pod_index = {pod.pod: i for i, pod in enumerate(self.pods)}
         # -- control plane -----------------------------------------------
         self.control_plane = None
@@ -328,6 +346,27 @@ class MegaScaleDriver:
         # Copy: a view would keep the whole padded block alive per pod.
         return gids[: np.searchsorted(gids, cfg.n_apps)].copy()
 
+    def _gather(self, vec: np.ndarray, p: int) -> np.ndarray:
+        """Pod *p*'s entries of the per-app vector *vec*, in local order,
+        written into the shared local buffer.
+
+        Local order is ascending global id, i.e. block by block of
+        ``n_pods`` ids, the pod's residues within each block; the tail
+        block (when ``n_apps % n_pods != 0``) holds only the residues
+        below its length.  Equals ``vec[self._pod_app_gids(p)]``."""
+        n = self.config.n_pods
+        blocks, tail = divmod(vec.shape[0], n)
+        res = self._residues[p]
+        body = blocks * res.size
+        out = self._local_demand
+        np.take(
+            vec[: blocks * n].reshape(blocks, n), res, axis=1,
+            out=out[:body].reshape(blocks, res.size), mode="clip",
+        )
+        head = res[: np.searchsorted(res, tail)]
+        out[body : body + head.size] = vec[blocks * n + head]
+        return out[: body + head.size]
+
     def _bootstrap(self) -> None:
         """Seed every pod's placement proportionally to t=0 demand.
 
@@ -340,12 +379,13 @@ class MegaScaleDriver:
         per_inst = cfg.server_cpu * cfg.bootstrap_fill
         s_count = cfg.servers_per_pod
         for p in range(cfg.n_pods):
-            gids = self._pod_app_gids(p)
-            local_demand = demand0[gids] / cfg.cover
+            local_demand = self._gather(demand0, p)
+            n_apps = local_demand.size
+            np.divide(local_demand, cfg.cover, out=local_demand)
             n_inst = np.clip(
                 np.ceil(local_demand / per_inst).astype(np.int64), 1, s_count
             )
-            placement = self._round_robin(s_count, gids.size, n_inst)
+            placement = self._round_robin(s_count, n_apps, n_inst)
             state = ColumnarPodState(
                 pod=f"pod-{p:03d}",
                 servers=ColumnarServers.uniform(
@@ -354,10 +394,9 @@ class MegaScaleDriver:
                     cfg.server_mem_gb,
                     name_prefix=f"pod-{p:03d}-s",
                 ),
-                app_gids=gids,
                 # Every VM has the same memory: one float as a view.
                 app_mem_gb=np.broadcast_to(
-                    np.float64(cfg.vm_mem_gb), (gids.size,)
+                    np.float64(cfg.vm_mem_gb), (n_apps,)
                 ),
                 placement=placement,
                 load=np.zeros(placement.nnz),
@@ -385,7 +424,7 @@ class MegaScaleDriver:
         sort: with ``total = q * S + rem``, the first ``rem`` rows hold
         ``q + 1`` entries and the rest ``q``.
         """
-        cols = np.repeat(np.arange(n_apps, dtype=np.int64), n_inst)
+        cols = np.repeat(np.arange(n_apps, dtype=np.int32), n_inst)
         q, rem = divmod(cols.size, s_count)
         by_row = cols[: q * s_count].reshape(q, s_count).T
         indices = np.empty_like(cols)
@@ -698,7 +737,7 @@ class MegaScaleDriver:
         before = pod.n_vms
         lost = pod.clear_placement()
         self.pod_alive[p] = False
-        self._app_alive_cover[self._pod_app_gids(p)] -= 1
+        self._residue_alive_cover[self._residues[p]] -= 1
         self._emit_fault("pod_loss", name, t, lost_vms=lost)
         self._emit_vacate(name, t, before, lost)
         self._cp_pod_event(name, up=False)
@@ -715,7 +754,7 @@ class MegaScaleDriver:
         if self.pod_alive[p]:
             return
         self.pod_alive[p] = True
-        self._app_alive_cover[self._pod_app_gids(p)] += 1
+        self._residue_alive_cover[self._residues[p]] += 1
         self._emit_fault("pod_restore", name, t)
         self._cp_pod_event(name, up=True)
         if self.bridge is not None:
@@ -767,7 +806,8 @@ class MegaScaleDriver:
         black-holed, and this is the epoch's dropped CPU."""
         cfg = self.config
         tracing = self.trace is not None and self.trace.enabled
-        all_alive = bool(self.pod_alive.all())
+        dead = self._residue_alive_cover == 0
+        any_dead = bool(dead.any())
         dropped = 0.0
         for lo, hi, vals in self.workload.chunks(t, cfg.chunk_apps):
             if tracing:
@@ -776,10 +816,9 @@ class MegaScaleDriver:
                     nbytes=int(vals.nbytes),
                 )
             self._demand[lo:hi] = vals
-            if not all_alive:
-                dead = self._app_alive_cover[lo:hi] == 0
-                if dead.any():
-                    dropped += float(vals[dead].sum())
+            if any_dead:
+                in_dead = dead[np.arange(lo, hi) % cfg.n_pods]
+                dropped += float(vals[in_dead].sum())
         return dropped
 
     def _pod_demand(self, p: int, all_alive: bool) -> np.ndarray:
@@ -788,14 +827,20 @@ class MegaScaleDriver:
         With every pod alive each app's demand splits evenly, ``/cover``,
         over its covering pods.  Under pod loss it splits across its
         *alive* covering pods only — the K3 spill; an alive covering pod
-        implies a count of at least one for each of its apps."""
-        gids = self.pods[p].app_gids
-        buf = self._local_demand[: gids.size]
-        # Indices are in range by construction; "clip" lets take write
-        # straight into buf instead of through a temporary.
-        np.take(self._demand, gids, out=buf, mode="clip")
-        cover = self.config.cover if all_alive else self._app_alive_cover[gids]
-        return np.divide(buf, cover, out=buf)
+        implies a count of at least one for each of its residues."""
+        cfg = self.config
+        buf = self._gather(self._demand, p)
+        if all_alive:
+            return np.divide(buf, cfg.cover, out=buf)
+        # Per-residue counts in the gather's order: one row per full
+        # block, then the tail block's leading residues.
+        cover = self._residue_alive_cover[self._residues[p]]
+        body = cfg.n_apps // cfg.n_pods * cover.size
+        rows = buf[:body].reshape(-1, cover.size)
+        np.divide(rows, cover, out=rows)
+        tail = buf[body:]
+        np.divide(tail, cover[: tail.size], out=tail)
+        return buf
 
     def run_epoch(self, epoch: Optional[int] = None) -> MegaEpochReport:
         """One unified epoch: inject due faults, stream demand (spilling

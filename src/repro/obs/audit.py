@@ -36,10 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import TraceBus, TraceEvent
 
 _EPS = 1e-6
-#: Relative CPU slack for ``mega-cpu``: the waterfill's float sums may
-#: land a few ulps past a server's capacity (bench/worker.py's
-#: ``cpu_capacity`` check allows the same).
-_CPU_REL = 1e-9
+#: Relative slack for ``mega-cpu`` and ``mega-demand``: the waterfill's
+#: float sums may land a few ulps past a server's capacity or an app's
+#: demand (bench/worker.py's ``cpu_capacity`` and ``satisfied_le_demand``
+#: checks allow the same).
+_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,11 @@ class InvariantAuditor:
           load vector matches the entry count;
         * ``mega-mem`` — no server's memory is overcommitted;
         * ``mega-cpu`` — no server's summed entry load exceeds its CPU;
-        * ``mega-cover`` — the per-app alive-cover accounting matches the
-          pod liveness mask (the K3 spill denominators);
+        * ``mega-cover`` — the per-residue alive-cover accounting matches
+          the pod liveness mask (the K3 spill denominators);
+        * ``mega-demand`` — no app's load, summed over its covering pods,
+          exceeds its epoch demand (skipped before the first epoch, when
+          there is no epoch demand yet);
         * ``mega-rip-row`` — every active RIP-mirror row resolves to
           known app/vip/switch ids.
         """
@@ -229,18 +233,19 @@ class InvariantAuditor:
                 self._flag(t, "mega-mem", pod=pod.pod)
             if not malformed:
                 used = np.bincount(p.rows(), weights=pod.load, minlength=n_servers)
-                over = int((used > pod.servers.cpu * (1 + _CPU_REL)).sum())
+                over = int((used > pod.servers.cpu * (1 + _REL)).sum())
                 if over:
                     self._flag(t, "mega-cpu", pod=pod.pod, servers_over=over)
-        cover = getattr(driver, "_app_alive_cover", None)
-        if cover is not None:
-            expected = np.zeros_like(cover)
-            for p in range(driver.config.n_pods):
-                if driver.pod_alive[p]:
-                    expected[driver._pod_app_gids(p)] += 1
-            if not np.array_equal(cover, expected):
-                bad = int((cover != expected).sum())
-                self._flag(t, "mega-cover", apps_wrong=bad)
+        n_pods = driver.config.n_pods
+        expected = np.bincount(
+            driver._residues[driver.pod_alive].ravel(), minlength=n_pods
+        )
+        cover = driver._residue_alive_cover
+        if not np.array_equal(cover, expected):
+            bad = int((cover != expected).sum())
+            self._flag(t, "mega-cover", residues_wrong=bad)
+        if driver.epochs_run:
+            self._audit_demand(t, driver)
         bridge = getattr(driver, "bridge", None)
         if bridge is not None:
             reg = bridge.registry
@@ -255,6 +260,36 @@ class InvariantAuditor:
         dataplane = getattr(driver, "dataplane", None)
         if dataplane is not None:
             self._audit_conntrack(t, dataplane.conn)
+
+    def _audit_demand(self, t: float, driver) -> None:
+        """``mega-demand``: each app's placed load, summed over its
+        covering pods, stays within its epoch demand.  Pod *p*'s per-column
+        load is added back through the residue layout of
+        :meth:`~repro.core.mega.MegaScaleDriver._gather`: one row per
+        block of ``n_pods`` ids, the pod's residues as columns, then the
+        tail block's leading residues."""
+        import numpy as np
+
+        demand = driver._demand
+        n_pods = driver.config.n_pods
+        blocks = demand.shape[0] // n_pods
+        placed = np.zeros(demand.shape[0])
+        grid = placed[: blocks * n_pods].reshape(blocks, n_pods)
+        for p, pod in enumerate(driver.pods):
+            local = np.bincount(
+                pod.placement.cols(), weights=pod.load, minlength=pod.n_apps
+            )
+            res = driver._residues[p]
+            body = blocks * res.size
+            grid[:, res] += local[:body].reshape(blocks, res.size)
+            placed[blocks * n_pods + res[: local.size - body]] += local[body:]
+        over = placed > demand * (1 + _REL)
+        if over.any():
+            worst = int(np.argmax(placed - demand))
+            self._flag(
+                t, "mega-demand", apps_over=int(over.sum()), app=worst,
+                placed=float(placed[worst]), demand=float(demand[worst]),
+            )
 
     def _audit_conntrack(self, t: float, conn) -> None:
         """``dataplane-conntrack``: the columnar conn table's per-switch

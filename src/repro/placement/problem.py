@@ -90,7 +90,7 @@ class PlacementProblem:
         if _is_sparse(placement):
             return np.bincount(
                 placement.rows(),
-                weights=self.app_mem[placement.indices],
+                weights=self.app_mem[placement.cols()],
                 minlength=self.n_servers,
             )
         return placement.astype(float) @ self.app_mem

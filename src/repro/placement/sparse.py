@@ -46,11 +46,21 @@ from repro.placement.problem import PlacementProblem, PlacementSolution
 START_ROUNDS = 48
 
 
+#: Largest column id the int32 ``indices`` can hold.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 class SparsePlacement:
     """Boolean S x A placement matrix in CSR form (implicit True values).
 
     ``indices[indptr[s]:indptr[s+1]]`` are the app columns placed on server
-    ``s``, strictly increasing within each row.
+    ``s``, strictly increasing within each row.  ``indptr`` is int64;
+    ``indices`` is int32, half the bytes of the one column per VM a pod
+    keeps (a placement whose column ids would not fit is refused, not
+    wrapped).  ``np.bincount`` and fancy indexing cast int32 ids to intp
+    on every call, several times slower than on intp ids, so a consumer
+    that reads ``indices`` more than once casts it once
+    (:meth:`cols`) and reuses that copy.
     """
 
     __slots__ = ("shape", "indptr", "indices")
@@ -63,8 +73,13 @@ class SparsePlacement:
         check: bool = True,
     ):
         self.shape = (int(shape[0]), int(shape[1]))
+        if self.shape[1] - 1 > _INT32_MAX:
+            raise ValueError(
+                f"{self.shape[1]} app columns: column ids past {_INT32_MAX} "
+                f"do not fit the int32 indices"
+            )
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
         if check:
             self._validate()
 
@@ -98,7 +113,7 @@ class SparsePlacement:
         np.cumsum(
             np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:]
         )
-        return cls(dense.shape, indptr, cols.astype(np.int64), check=False)
+        return cls(dense.shape, indptr, cols, check=False)
 
     @classmethod
     def from_entries(
@@ -135,12 +150,16 @@ class SparsePlacement:
             np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
         )
 
+    def cols(self) -> np.ndarray:
+        """``indices`` as intp, for code that indexes or bins by them."""
+        return self.indices.astype(np.intp)
+
     def instance_counts(self) -> np.ndarray:
-        return np.bincount(self.indices, minlength=self.shape[1])
+        return np.bincount(self.cols(), minlength=self.shape[1])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=bool)
-        out[self.rows(), self.indices] = True
+        out[self.rows(), self.cols()] = True
         return out
 
     # -- row surgery (mega-scale fault paths) -------------------------
@@ -185,7 +204,7 @@ class SparsePlacement:
         return cls(
             shape,
             np.zeros(shape[0] + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
             check=False,
         )
 
@@ -205,7 +224,7 @@ class SparseSolution:
 
     def satisfied(self) -> np.ndarray:
         return np.bincount(
-            self.placement.indices,
+            self.placement.cols(),
             weights=self.load,
             minlength=self.placement.shape[1],
         )
@@ -238,12 +257,7 @@ class SparseSolution:
             raise ValueError("negative load assignment")
         if (self.server_load() > problem.server_cpu + atol).any():
             raise ValueError("server CPU capacity exceeded")
-        mem = np.bincount(
-            self.placement.rows(),
-            weights=problem.app_mem[self.placement.indices],
-            minlength=self.placement.shape[0],
-        )
-        if (mem > problem.server_mem + 1e-9).any():
+        if not problem.placement_feasible(self.placement):
             raise ValueError("server memory capacity exceeded")
         if (self.satisfied() > problem.app_cpu_demand + atol).any():
             raise ValueError("app served more than its demand")
@@ -258,6 +272,7 @@ def sparse_waterfill(
     placement: SparsePlacement,
     rounds: int = 12,
     rows: Optional[np.ndarray] = None,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Waterfill over a CSR placement, O(entries still in play) per round.
 
@@ -267,8 +282,9 @@ def sparse_waterfill(
     open servers, and each server scales its entries' wants down to its
     free CPU.  Segment sums run over entry lists via ``bincount`` instead
     of dense axis reductions, so the float associativity differs from the
-    dense kernel (see module docstring).  *rows* is ``placement.rows()``,
-    passed in when the caller already has it.
+    dense kernel (see module docstring).  *rows* is ``placement.rows()``
+    and *cols* is ``placement.cols()``, passed in when the caller already
+    has them.
 
     Only *live* entries — open server, unmet app — take part in a round.
     ``free`` and ``remaining`` only shrink, so each round filters the
@@ -284,7 +300,8 @@ def sparse_waterfill(
     s_count, a_count = placement.shape
     if rows is None:
         rows = placement.rows()
-    cols = placement.indices
+    if cols is None:
+        cols = placement.cols()
     n_entries = cols.size
     remaining = np.asarray(app_cpu_demand, dtype=float).copy()
     free = np.asarray(server_cpu, dtype=float).copy()
@@ -403,9 +420,10 @@ class SparseGreedyController:
             cur = SparsePlacement.from_dense(cur)
         s_count, a_count = cur.shape
         rows = cur.rows()
-        cols = cur.indices
+        # One intp copy of the int32 columns serves the whole solve.
+        cols = cur.cols()
         load = sparse_waterfill(
-            problem.server_cpu, problem.app_cpu_demand, cur, rows=rows
+            problem.server_cpu, problem.app_cpu_demand, cur, rows=rows, cols=cols
         )
         residual = problem.app_cpu_demand - np.bincount(
             cols, weights=load, minlength=a_count
@@ -424,7 +442,7 @@ class SparseGreedyController:
             free_mem = problem.server_mem - np.bincount(
                 rows, weights=problem.app_mem[cols], minlength=s_count
             )
-            n_inst = cur.instance_counts()
+            n_inst = np.bincount(cols, minlength=a_count)
             # CSR rows are row-major with strictly increasing columns, so
             # the entry keys arrive sorted; each round merges its few new
             # keys in, keeping every set operation O(nnz) per pod.
@@ -500,7 +518,7 @@ class SparseGreedyController:
             # An all-true mask keeps every app's instances: no rescue.
             if not keep.all():
                 if n_inst is None:
-                    n_inst = cur.instance_counts()
+                    n_inst = np.bincount(cols, minlength=a_count)
                 kept_counts = np.bincount(all_cols[keep], minlength=a_count)
                 # n_inst == bincount(all_cols) here, so it marks the
                 # placed apps.
@@ -539,7 +557,7 @@ class SparseGreedyController:
         placement = SparsePlacement(
             (s_count, a_count),
             indptr,
-            np.insert(cols[keep_old], at, add_cols[by_key]),
+            np.insert(cur.indices[keep_old], at, add_cols[by_key]),
             check=False,
         )
         solution = SparseSolution(

@@ -179,7 +179,7 @@ class ObjectTwin:
             rows = cpod.placement.rows()
             cols = cpod.placement.indices
             local_names = [
-                self._app_names[int(g)] for g in cpod.app_gids
+                self._app_names[int(g)] for g in driver._pod_app_gids(p)
             ]
             for k in range(cpod.placement.nnz):
                 server = servers[int(rows[k])]
@@ -338,7 +338,7 @@ def compare_states(
         if names != twin_names:
             out.append(f"{tag}{cpod.pod}: server roster {names} != {twin_names}")
             continue
-        universe = [twin._app_names[int(g)] for g in cpod.app_gids]
+        universe = [twin._app_names[int(g)] for g in driver._pod_app_gids(p)]
         bridged = ColumnarPodState.from_pod(opod, twin.specs, apps=universe)
         if not np.array_equal(
             bridged.placement.indptr, cpod.placement.indptr

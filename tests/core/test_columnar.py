@@ -99,7 +99,6 @@ def make_state(dense, load=None, cpu=8.0):
     return ColumnarPodState(
         pod="p",
         servers=ColumnarServers.uniform(dense.shape[0], cpu, 64.0),
-        app_gids=np.arange(dense.shape[1], dtype=np.int64) * 10,
         app_mem_gb=np.full(dense.shape[1], 2.0),
         placement=sp,
         load=np.ones(sp.nnz) if load is None else np.asarray(load, float),
@@ -205,41 +204,35 @@ def test_build_problem_reuses_columns():
 
 def test_post_init_validation():
     sp = SparsePlacement.from_dense(np.eye(2, dtype=bool))
-    with pytest.raises(ValueError):
-        ColumnarPodState(
-            pod="p",
-            servers=ColumnarServers.uniform(2, 1.0, 1.0),
-            app_gids=np.array([3, 1]),  # not increasing
-            app_mem_gb=np.ones(2),
-            placement=sp,
-            load=np.ones(2),
-        )
-    with pytest.raises(ValueError):
-        ColumnarPodState(
-            pod="p",
-            servers=ColumnarServers.uniform(2, 1.0, 1.0),
-            app_gids=np.array([1, 3]),
-            app_mem_gb=np.ones(2),
-            placement=sp,
-            load=np.ones(5),  # wrong entry count
-        )
-
-
-def test_app_gids_are_int32_and_refuse_ids_past_int32():
-    sp = SparsePlacement.from_dense(np.eye(2, dtype=bool))
-    kw = dict(
-        pod="p",
+    kw = dict(pod="p", placement=sp)
+    state = ColumnarPodState(
         servers=ColumnarServers.uniform(2, 1.0, 1.0),
         app_mem_gb=np.ones(2),
-        placement=sp,
         load=np.ones(2),
+        **kw,
     )
-    top = np.iinfo(np.int32).max
-    state = ColumnarPodState(app_gids=np.array([1, top], dtype=np.int64), **kw)
-    assert state.app_gids.dtype == np.int32
-    assert state.app_gids.tolist() == [1, top]
-    with pytest.raises(ValueError, match="app_gids: value 2147483648"):
-        ColumnarPodState(app_gids=np.array([1, top + 1], dtype=np.int64), **kw)
+    assert state.n_apps == 2  # the column count is the placement's
+    with pytest.raises(ValueError, match="one value per placement column"):
+        ColumnarPodState(
+            servers=ColumnarServers.uniform(2, 1.0, 1.0),
+            app_mem_gb=np.ones(3),  # three values for two columns
+            load=np.ones(2),
+            **kw,
+        )
+    with pytest.raises(ValueError, match="server rows"):
+        ColumnarPodState(
+            servers=ColumnarServers.uniform(3, 1.0, 1.0),  # 3 servers, 2 rows
+            app_mem_gb=np.ones(2),
+            load=np.ones(2),
+            **kw,
+        )
+    with pytest.raises(ValueError, match="one value per placement entry"):
+        ColumnarPodState(
+            servers=ColumnarServers.uniform(2, 1.0, 1.0),
+            app_mem_gb=np.ones(2),
+            load=np.ones(5),  # wrong entry count
+            **kw,
+        )
 
 
 # -- fault row surgery ------------------------------------------------------

@@ -97,11 +97,11 @@ def test_quick_still_uses_bulk_sparse_path():
 def test_bootstrap_covers_every_app_and_fits_memory():
     with MegaScaleDriver(tiny()) as driver:
         covered = np.zeros(driver.config.n_apps, dtype=int)
-        for pod in driver.pods:
+        for p, pod in enumerate(driver.pods):
             assert (pod.mem_headroom() >= 0).all()
             counts = pod.placement.instance_counts()
             assert (counts >= 1).all()  # every covered app has an instance
-            covered[pod.app_gids] += 1
+            covered[driver._pod_app_gids(p)] += 1
         # The arithmetic cover rule: each app appears in exactly `cover` pods.
         assert (covered == driver.config.cover).all()
 
@@ -154,7 +154,7 @@ def test_round_robin_csr_matches_sorted_entries(s_count, n_inst):
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
-    assert got.indptr.dtype == got.indices.dtype == np.int64
+    assert got.indptr.dtype == np.int64 and got.indices.dtype == np.int32
 
 
 # ----------------------------------------------------------- epoch loop
@@ -220,7 +220,7 @@ def test_uniform_vm_memory_is_a_zero_stride_view():
         driver.run(1)
         for pod in driver.pods:
             assert pod.app_mem_gb.strides == (0,)
-            assert pod.app_mem_gb.shape == pod.app_gids.shape
+            assert pod.app_mem_gb.shape == (pod.n_apps,)
             assert (pod.app_mem_gb == driver.config.vm_mem_gb).all()
 
 

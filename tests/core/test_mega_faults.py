@@ -91,22 +91,109 @@ def test_vacate_witness_feeds_auditor():
 
 def test_cpu_overcommit_is_flagged():
     """``mega-cpu``: a server whose entries' load sums past its CPU is
-    caught; the slack (1e-9 relative) forgives float rounding only."""
+    caught; the slack (1e-9 relative) forgives float rounding only.  The
+    server's capacity shrinks under its load rather than the load
+    growing, so no app is pushed past its demand (``mega-demand``)."""
     driver, auditor = audited_driver()
     with driver:
         driver.run_epoch()
         assert not auditor.audit_now(60.0)
         pod = driver.pods[1]
-        row = pod.placement.rows()
-        entry = int(np.flatnonzero(row == 3)[0])
-        used = pod.load[row == 3].sum()
-        pod.load[entry] += pod.servers.cpu[3] * (1 + 1e-12) - used
+        used = pod.load[pod.placement.rows() == 3].sum()
+        assert used > 1.0
+        pod.servers.cpu[3] = used / (1 + 1e-12)
         assert not auditor.audit_now(60.0)  # within the slack
-        pod.load[entry] += 0.5
+        pod.servers.cpu[3] = used - 0.5
         found = auditor.audit_now(60.0)
         assert [(v.invariant, v.detail) for v in found] == [
             ("mega-cpu", {"pod": pod.pod, "servers_over": 1})
         ]
+
+
+def _placed_per_app(driver) -> np.ndarray:
+    """Each app's load summed over its covering pods, through the
+    per-app ids of ``_pod_app_gids`` (not the auditor's residue layout)."""
+    placed = np.zeros(driver.config.n_apps)
+    for p, pod in enumerate(driver.pods):
+        per_col = np.bincount(
+            pod.placement.indices, weights=pod.load, minlength=pod.n_apps
+        )
+        placed[driver._pod_app_gids(p)] += per_col
+    return placed
+
+
+def test_overplaced_app_is_flagged():
+    """``mega-demand``: an app whose load over its covering pods exceeds
+    its epoch demand is caught; the slack (1e-9 relative) forgives float
+    rounding only.  The corrupted entry's server keeps spare CPU, so only
+    ``mega-demand`` fires."""
+    driver, auditor = audited_driver()
+    with driver:
+        driver.run_epoch()
+        assert not auditor.audit_now(60.0)
+        pod = driver.pods[2]
+        rows = pod.placement.rows()
+        spare = pod.servers.cpu - np.bincount(
+            rows, weights=pod.load, minlength=pod.n_servers
+        )
+        entry = int(np.flatnonzero(spare[rows] > 1.0)[0])
+        gid = int(driver._pod_app_gids(2)[pod.placement.indices[entry]])
+        demand = driver._demand[gid]
+        pod.load[entry] += demand * (1 + 1e-12) - _placed_per_app(driver)[gid]
+        assert not auditor.audit_now(60.0)  # within the slack
+        pod.load[entry] += 0.5
+        placed = _placed_per_app(driver)[gid]
+        found = auditor.audit_now(60.0)
+        assert [(v.invariant, v.detail) for v in found] == [
+            ("mega-demand", {
+                "apps_over": 1, "app": gid,
+                "placed": pytest.approx(placed, rel=1e-12),
+                "demand": demand,
+            })
+        ]
+
+
+def test_demand_check_waits_for_the_first_epoch():
+    """Before the first epoch there is no epoch demand to check against
+    (the vector is uninitialised), so ``mega-demand`` is skipped."""
+    driver, auditor = audited_driver()
+    with driver:
+        driver._demand[:] = -1.0
+        assert not auditor.audit_now(0.0)
+        driver.run_epoch()
+        assert auditor.ok and auditor.audits_run == 2
+
+
+def test_alive_cover_corruption_is_flagged():
+    """``mega-cover``: the per-residue alive cover is recounted from the
+    pod liveness mask every sweep."""
+    driver, auditor = audited_driver()
+    with driver:
+        driver.lose_pod("pod-001")
+        assert not auditor.audit_now(0.0)
+        driver._residue_alive_cover[2] += 1
+        found = auditor.audit_now(0.0)
+        assert [(v.invariant, v.detail) for v in found] == [
+            ("mega-cover", {"residues_wrong": 1})
+        ]
+
+
+def test_quick_run_with_pod_loss_places_within_demand():
+    """A clean quick-scale run (bulk placement path) through a pod loss
+    and restore keeps every app's placed load within its demand, checked
+    by the strict auditor at every epoch end."""
+    trace = TraceBus()
+    with MegaScaleDriver(MegaConfig.quick(seed=5), trace=trace) as driver:
+        auditor = InvariantAuditor(columnar=driver, strict=True).attach(trace)
+        driver.run_epoch()
+        driver.lose_pod("pod-013", t=60.0)
+        driver.run_epoch()
+        driver.restore_pod("pod-013", t=120.0)
+        driver.run_epoch()
+        assert auditor.ok and auditor.audits_run == 3
+        placed = _placed_per_app(driver)
+        assert (placed <= driver._demand * (1 + 1e-9)).all()
+        assert placed.sum() > 0.5 * driver._demand.sum()
 
 
 # ------------------------------------------------- injector semantics

@@ -91,6 +91,28 @@ def test_validation_rejects_malformed():
         SparsePlacement((1, 3), np.array([0, 2]), np.array([1, 1]))
 
 
+def test_indices_are_int32_and_refuse_columns_past_int32():
+    """Column ids are stored as int32 (row pointers stay int64); a
+    placement whose column ids would not fit is refused, not wrapped."""
+    top = int(np.iinfo(np.int32).max)
+    sp = SparsePlacement(
+        (1, top + 1), np.array([0, 1]), np.array([top], dtype=np.int64)
+    )
+    assert sp.indices.dtype == np.int32 and sp.indptr.dtype == np.int64
+    assert sp.indices.tolist() == [top]
+    assert sp.cols().dtype == np.intp and sp.cols().tolist() == [top]
+    for made in (
+        SparsePlacement.from_dense(np.eye(3, dtype=bool)),
+        SparsePlacement.from_entries((2, 3), [1, 0], [2, 1])[0],
+        SparsePlacement.empty((2, 3)),
+    ):
+        assert made.indices.dtype == np.int32
+    with pytest.raises(ValueError, match="do not fit the int32 indices"):
+        SparsePlacement(
+            (1, top + 2), np.array([0, 1]), np.array([top + 1], dtype=np.int64)
+        )
+
+
 def test_sparse_count_changes():
     before = SparsePlacement.from_dense(
         np.array([[1, 0], [1, 1]], dtype=bool)
@@ -420,7 +442,7 @@ def test_bulk_path_quick_scale_pin():
     digest = hashlib.sha256()
     with MegaScaleDriver(cfg) as driver:
         assert all(
-            cfg.servers_per_pod * pod.app_gids.size > cfg.dense_limit
+            cfg.servers_per_pod * pod.n_apps > cfg.dense_limit
             for pod in driver.pods
         )
         server = driver.pods[11].servers.name(42)
@@ -435,7 +457,8 @@ def test_bulk_path_quick_scale_pin():
             digest.update(np.int64(report.changes).tobytes())
             for pod in driver.pods:
                 digest.update(pod.placement.indptr.tobytes())
-                digest.update(pod.placement.indices.tobytes())
+                # Hashed as int64, the dtype the pin was recorded with.
+                digest.update(pod.placement.indices.astype(np.int64).tobytes())
                 digest.update(pod.load.tobytes())
     assert digest.hexdigest() == BULK_QUICK_PIN
 
