@@ -7,7 +7,8 @@ paper's scale (Section I: ~300k servers, ~6M VMs datacenter-wide) cannot
 afford a Python object per VM on the epoch hot path.  This module keeps
 the same state as flat NumPy arrays with stable integer ids:
 
-* servers: parallel ``cpu`` / ``mem_gb`` capacity arrays (row index = id);
+* servers: parallel ``cpu`` / ``mem_gb`` capacity arrays (row index = id),
+  zero-stride views of one float when every server is alike;
 * apps: *local* column ids ``0..A-1`` with per-instance memory; the
   owner maps them to global app ids (the mega driver by the pod's
   residue classes, see
@@ -34,6 +35,15 @@ import numpy as np
 
 from repro.placement.problem import PlacementProblem
 from repro.placement.sparse import SparsePlacement, SparseSolution
+
+
+def _column(values) -> np.ndarray:
+    """A float64 column: a zero-stride view of one value (a uniform
+    column) is kept as it is; anything else is made contiguous."""
+    col = np.asarray(values, dtype=float)
+    if col.ndim == 1 and col.strides == (0,):
+        return col
+    return np.ascontiguousarray(col)
 
 
 class IdIndex:
@@ -80,6 +90,11 @@ class ColumnarServers:
     ``ids`` carries each row's *original* server number so names survive
     fault-path removals: when row 3 is crashed out of the pod, the old
     row 4 shifts down but keeps its ``...000004`` name.
+
+    A uniform column is a read-only zero-stride view of one float
+    (:meth:`uniform`), and ``ids`` may be one read-only array shared by
+    many pods: every change to a pod's servers builds new columns
+    (``np.delete`` / ``np.insert`` copy), so nothing writes in place.
     """
 
     cpu: np.ndarray
@@ -88,8 +103,8 @@ class ColumnarServers:
     ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.cpu = np.ascontiguousarray(self.cpu, dtype=float)
-        self.mem_gb = np.ascontiguousarray(self.mem_gb, dtype=float)
+        self.cpu = _column(self.cpu)
+        self.mem_gb = _column(self.mem_gb)
         if self.cpu.shape != self.mem_gb.shape:
             raise ValueError("cpu / mem_gb must be aligned")
         if (self.cpu <= 0).any() or (self.mem_gb <= 0).any():
@@ -105,12 +120,19 @@ class ColumnarServers:
 
     @classmethod
     def uniform(
-        cls, n: int, cpu: float, mem_gb: float, name_prefix: str = "s"
+        cls,
+        n: int,
+        cpu: float,
+        mem_gb: float,
+        name_prefix: str = "s",
+        ids: Optional[np.ndarray] = None,
     ) -> "ColumnarServers":
+        """*n* alike servers: each capacity column is one stored float."""
         return cls(
-            cpu=np.full(n, float(cpu)),
-            mem_gb=np.full(n, float(mem_gb)),
+            cpu=np.broadcast_to(np.float64(cpu), (n,)),
+            mem_gb=np.broadcast_to(np.float64(mem_gb), (n,)),
             name_prefix=name_prefix,
+            ids=ids,
         )
 
     @property
@@ -147,12 +169,9 @@ class ColumnarPodState:
     epochs_applied: int = 0
 
     def __post_init__(self):
-        mem = np.asarray(self.app_mem_gb, dtype=float)
         # A uniform column may come as a zero-stride view of one float;
         # keep it (a contiguous copy costs one float per app).
-        if mem.ndim != 1 or mem.strides != (0,):
-            mem = np.ascontiguousarray(mem)
-        self.app_mem_gb = mem
+        self.app_mem_gb = _column(self.app_mem_gb)
         self.load = np.ascontiguousarray(self.load, dtype=float)
         if self.placement.shape[0] != self.servers.n:
             raise ValueError(f"placement must have {self.servers.n} server rows")
@@ -175,12 +194,20 @@ class ColumnarPodState:
         return self.placement.nnz
 
     def mem_headroom(self) -> np.ndarray:
-        """Per-server free memory under the current placement."""
-        used = np.bincount(
-            self.placement.rows(),
-            weights=self.app_mem_gb[self.placement.cols()],
-            minlength=self.n_servers,
-        )
+        """Per-server free memory under the current placement.
+
+        With one VM size (a zero-stride ``app_mem_gb``) a server's use is
+        its entry count times that size, O(servers); mixed sizes sum
+        per entry."""
+        mem = self.app_mem_gb
+        if mem.size and mem.strides == (0,):
+            used = np.diff(self.placement.indptr) * mem[0]
+        else:
+            used = np.bincount(
+                self.placement.rows(),
+                weights=mem[self.placement.cols()],
+                minlength=self.n_servers,
+            )
         return self.servers.mem_gb - used
 
     # -- epoch hot path -----------------------------------------------
@@ -204,6 +231,11 @@ class ColumnarPodState:
         stops without diffing the key sets again, since
         ``started + stopped = changes`` and
         ``started - stopped = new nnz - old nnz``.
+
+        When the solution's placement *is* the current one (a solve that
+        started and stopped nothing), its loads are copied into the
+        pod's ``load`` buffer, so a steady epoch allocates no per-VM
+        state; a new placement brings its own load array.
         """
         old_n, new_n = self.placement.nnz, solution.placement.nnz
         twice_started = int(solution.changes) + new_n - old_n
@@ -214,8 +246,16 @@ class ColumnarPodState:
                 f"solution changes={solution.changes} inconsistent with "
                 f"{old_n} -> {new_n} placement entries"
             )
-        self.placement = solution.placement
-        self.load = np.ascontiguousarray(solution.load, dtype=float)
+        if solution.placement is self.placement:
+            if solution.load.shape != self.load.shape:
+                raise ValueError(
+                    f"solution load has {solution.load.shape[0]} entries "
+                    f"for {self.load.shape[0]} placement entries"
+                )
+            np.copyto(self.load, solution.load)
+        else:
+            self.placement = solution.placement
+            self.load = np.ascontiguousarray(solution.load, dtype=float)
         self.epochs_applied += 1
         return {
             "started": started,

@@ -18,8 +18,10 @@ materialized matrix.  This driver composes the three mega-scale pieces:
 
 Memory stays bounded by O(total VM entries + one per-app demand vector
 + one pod's working state): 12 bytes per VM (an int32 CSR column and a
-float64 load), ~0.15 GB peak at full scale against the < 8 GB
-acceptance target.
+float64 load), ~0.13 GB peak at full scale against the < 8 GB
+acceptance target.  That state is allocation-stable: each pod's per-VM
+columns are allocated before its bootstrap temporaries, and a steady
+epoch copies loads into the pod's existing buffer.
 
 Pod coverage uses an arithmetic rule: app ``i`` covers the ``cover =
 min(vms_per_app, n_pods)`` pods ``(i + j) % n_pods``; its demand splits
@@ -373,19 +375,33 @@ class MegaScaleDriver:
         Instance counts are sized so one instance never needs more than
         ``bootstrap_fill`` of a server's CPU — the greedy controller then
         only has to patch drift, not mass-start 6M instances.
+
+        Each pod's long-lived columns (``indices`` and ``load``) are
+        allocated before any of its temporaries: the instance counts are
+        computed in place in the shared local buffer, so freeing the
+        round-robin's short-lived arrays leaves no holes between the
+        pods' per-VM columns.  All pods share one read-only server-id
+        column and zero-stride capacity columns.
         """
         cfg = self.config
         demand0 = self.workload.cpu_demand(0.0)  # one O(n_apps) vector
         per_inst = cfg.server_cpu * cfg.bootstrap_fill
         s_count = cfg.servers_per_pod
+        ids = np.arange(s_count, dtype=np.int64)
+        ids.flags.writeable = False
         for p in range(cfg.n_pods):
-            local_demand = self._gather(demand0, p)
-            n_apps = local_demand.size
-            np.divide(local_demand, cfg.cover, out=local_demand)
-            n_inst = np.clip(
-                np.ceil(local_demand / per_inst).astype(np.int64), 1, s_count
-            )
-            placement = self._round_robin(s_count, n_apps, n_inst)
+            # Instance counts as floats, in place: the ceil and clip of
+            # the same quotient, exact as integers below 2**53.
+            n_inst = self._gather(demand0, p)
+            n_apps = n_inst.size
+            np.divide(n_inst, cfg.cover, out=n_inst)
+            np.divide(n_inst, per_inst, out=n_inst)
+            np.ceil(n_inst, out=n_inst)
+            np.clip(n_inst, 1, s_count, out=n_inst)
+            nnz = int(n_inst.sum())
+            indices = np.empty(nnz, dtype=np.int32)
+            load = np.zeros(nnz)
+            placement = self._round_robin(s_count, n_apps, n_inst, indices)
             state = ColumnarPodState(
                 pod=f"pod-{p:03d}",
                 servers=ColumnarServers.uniform(
@@ -393,13 +409,14 @@ class MegaScaleDriver:
                     cfg.server_cpu,
                     cfg.server_mem_gb,
                     name_prefix=f"pod-{p:03d}-s",
+                    ids=ids,
                 ),
                 # Every VM has the same memory: one float as a view.
                 app_mem_gb=np.broadcast_to(
                     np.float64(cfg.vm_mem_gb), (n_apps,)
                 ),
                 placement=placement,
-                load=np.zeros(placement.nnz),
+                load=load,
             )
             if (state.mem_headroom() < 0).any():
                 raise RuntimeError(
@@ -412,7 +429,7 @@ class MegaScaleDriver:
 
     @staticmethod
     def _round_robin(
-        s_count: int, n_apps: int, n_inst: np.ndarray
+        s_count: int, n_apps: int, n_inst: np.ndarray, indices: np.ndarray
     ) -> SparsePlacement:
         """CSR of app ``a``'s ``n_inst[a]`` instances dealt round-robin.
 
@@ -422,12 +439,15 @@ class MegaScaleDriver:
         uniform to within one.  Row *r* holds entries ``r, r + S, ...``,
         already column-sorted, so the CSR is written in place with no
         sort: with ``total = q * S + rem``, the first ``rem`` rows hold
-        ``q + 1`` entries and the rest ``q``.
+        ``q + 1`` entries and the rest ``q``.  *n_inst* may hold
+        integer-valued floats; the columns are written into *indices*,
+        an int32 array with one slot per instance.
         """
-        cols = np.repeat(np.arange(n_apps, dtype=np.int32), n_inst)
+        cols = np.repeat(
+            np.arange(n_apps, dtype=np.int32), n_inst.astype(np.int64)
+        )
         q, rem = divmod(cols.size, s_count)
         by_row = cols[: q * s_count].reshape(q, s_count).T
-        indices = np.empty_like(cols)
         head = indices[: rem * (q + 1)].reshape(rem, q + 1)
         head[:, :q] = by_row[:rem]
         head[:, q] = cols[q * s_count :]

@@ -91,6 +91,11 @@ def test_columnar_servers_validation():
         ColumnarServers(cpu=np.zeros(2), mem_gb=np.ones(2))
     s = ColumnarServers.uniform(4, 8.0, 64.0, name_prefix="x")
     assert s.n == 4 and s.name(2) == "x000002"
+    # A uniform column stays one float; any other layout is made contiguous.
+    assert s.cpu.strides == s.mem_gb.strides == (0,)
+    strided = ColumnarServers(cpu=np.arange(1.0, 7.0)[::2], mem_gb=s.mem_gb[:3])
+    assert strided.cpu.flags.c_contiguous and strided.mem_gb.strides == (0,)
+    np.testing.assert_array_equal(strided.cpu, [1.0, 3.0, 5.0])
 
 
 def make_state(dense, load=None, cpu=8.0):
@@ -166,8 +171,9 @@ def test_apply_rejects_changes_from_another_current():
 def test_noop_solve_adopts_the_current_placement():
     """A servable problem with no idle entry changes nothing: the bulk
     solve hands back the current placement object itself, apply counts
-    no starts or stops, and later fault surgery on the pod replaces its
-    arrays instead of writing through the solution's."""
+    no starts or stops and copies the loads into the pod's own buffer,
+    and later fault surgery on the pod replaces its arrays instead of
+    writing through the solution's."""
     dense = np.array(
         [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=bool
     )
@@ -183,14 +189,25 @@ def test_noop_solve_adopts_the_current_placement():
         sol.placement.indices.copy(),
         sol.load.copy(),
     )
+    buffer = state.load
     stats = state.apply(sol)
     assert stats["started"] == stats["stopped"] == 0
     assert stats["vms"] == dense.sum()
+    assert state.placement is sol.placement
+    assert state.load is buffer and state.load is not sol.load
+    assert state.load.tobytes() == sol.load.tobytes()
     assert state.remove_server(1) == 2
     assert state.clear_placement() == 6
     after = (sol.placement.indptr, sol.placement.indices, sol.load)
     assert all(np.array_equal(b, a) for b, a in zip(before, after))
     assert sol.placement.shape == dense.shape
+
+
+def test_apply_refuses_a_misaligned_load_for_the_current_placement():
+    state = make_state([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="load"):
+        state.apply(SparseSolution(placement=state.placement, load=np.ones(1)))
+    assert state.load.shape == (3,) and state.epochs_applied == 0
 
 
 def test_build_problem_reuses_columns():

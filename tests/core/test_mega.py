@@ -144,12 +144,18 @@ def test_pod_app_gids_match_modular_predicate(cfg):
 @example(s_count=3, n_inst=[])
 def test_round_robin_csr_matches_sorted_entries(s_count, n_inst):
     """The sort-free bootstrap CSR equals sorting the round-robin entry
-    list: flat entry k on server k % S."""
+    list: flat entry k on server k % S.  The counts come as floats, as
+    the bootstrap computes them, and the columns land in the given
+    buffer."""
     n_inst = np.minimum(np.asarray(n_inst, dtype=np.int64), s_count)
     cols = np.repeat(np.arange(n_inst.size, dtype=np.int64), n_inst)
     rows = np.arange(cols.size, dtype=np.int64) % s_count
     want, _ = SparsePlacement.from_entries((s_count, n_inst.size), rows, cols)
-    got = MegaScaleDriver._round_robin(s_count, n_inst.size, n_inst)
+    indices = np.empty(cols.size, dtype=np.int32)
+    got = MegaScaleDriver._round_robin(
+        s_count, n_inst.size, n_inst.astype(float), indices
+    )
+    assert got.indices is indices
     got._validate()
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.indptr, want.indptr)

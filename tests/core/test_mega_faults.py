@@ -93,7 +93,9 @@ def test_cpu_overcommit_is_flagged():
     """``mega-cpu``: a server whose entries' load sums past its CPU is
     caught; the slack (1e-9 relative) forgives float rounding only.  The
     server's capacity shrinks under its load rather than the load
-    growing, so no app is pushed past its demand (``mega-demand``)."""
+    growing, so no app is pushed past its demand (``mega-demand``).  The
+    pod gets a private copy of its (shared, zero-stride) CPU column
+    first."""
     driver, auditor = audited_driver()
     with driver:
         driver.run_epoch()
@@ -101,6 +103,7 @@ def test_cpu_overcommit_is_flagged():
         pod = driver.pods[1]
         used = pod.load[pod.placement.rows() == 3].sum()
         assert used > 1.0
+        pod.servers.cpu = pod.servers.cpu.copy()
         pod.servers.cpu[3] = used / (1 + 1e-12)
         assert not auditor.audit_now(60.0)  # within the slack
         pod.servers.cpu[3] = used - 0.5
