@@ -13,7 +13,9 @@ the same state as flat NumPy arrays with stable integer ids:
   owner maps them to global app ids (the mega driver by the pod's
   residue classes, see
   :meth:`~repro.core.mega.MegaScaleDriver._pod_app_gids`), so the pod
-  stores no per-app id column;
+  stores no per-app id column.  Its per-app demand arrives as a local
+  vector too: the mega driver splits demand once per epoch over the
+  whole fleet and hands each pod the gather of its columns' shares;
 * VMs: exactly the entries of a CSR :class:`SparsePlacement` — one
   (server, app) pair per instance, an int32 column id — with a per-entry
   float64 CPU slice: 12 bytes per VM.

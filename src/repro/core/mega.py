@@ -25,11 +25,14 @@ epoch copies loads into the pod's existing buffer.
 
 Pod coverage uses an arithmetic rule: app ``i`` covers the ``cover =
 min(vms_per_app, n_pods)`` pods ``(i + j) % n_pods``; its demand splits
-evenly across them.  That makes per-pod app membership ``cover``
-residue classes mod ``n_pods``, which is all the driver stores of it:
-a pod's local column *k* is its *k*-th covered app in ascending global
-id, so per-app vectors reach a pod by a residue-column gather, and
-alive-cover counts are kept per residue, not per app.
+evenly across the alive ones.  That makes per-pod app membership
+``cover`` residue classes mod ``n_pods``, which is all the driver stores
+of it: a pod's local column *k* is its *k*-th covered app in ascending
+global id, and alive-cover counts are kept per residue, not per app.
+The split runs once per epoch over the whole fleet, as demand chunks
+stream in, into one per-app share vector; pods and the auditor only
+gather it, by one residue-column gather (``_gather``), the one place
+the layout is written.
 """
 
 from __future__ import annotations
@@ -251,10 +254,10 @@ class MegaScaleDriver:
     """Run placement epochs at mega scale with bounded memory.
 
     The driver owns one :class:`ColumnarPodState` shard per pod, one
-    :class:`SparseGreedyController` per pod, a fleet-wide per-app demand
-    vector and one local demand buffer shared by every pod (sized to the
-    widest).  Pod membership is each pod's ``cover`` residue classes
-    (``_residues``).  ``trace`` (a
+    :class:`SparseGreedyController` per pod, a fleet-wide per-app share
+    vector (``_share``) and one local demand buffer shared by every pod
+    (sized to the widest).  Pod membership is each pod's ``cover``
+    residue classes (``_residues``).  ``trace`` (a
     :class:`~repro.obs.trace.TraceBus`) gets ``mega.chunk`` events as
     demand chunks are scattered and a ``mega.epoch`` summary per epoch.
     """
@@ -278,8 +281,10 @@ class MegaScaleDriver:
         self.engine = PlacementEngine(1)
         self.pods: list[ColumnarPodState] = []
         self.controllers: list[SparseGreedyController] = []
-        #: This epoch's demand per global app id, filled chunk by chunk.
-        self._demand = np.empty(config.n_apps)
+        #: This epoch's per-pod share of each app's demand, by global app
+        #: id, split chunk by chunk as demand streams in (the whole
+        #: demand for an app with no alive covering pod).
+        self._share = np.empty(config.n_apps)
         self.epochs_run = 0
         self.demand_fingerprint: Optional[str] = None
         # -- fault state -------------------------------------------------
@@ -350,7 +355,9 @@ class MegaScaleDriver:
 
     def _gather(self, vec: np.ndarray, p: int) -> np.ndarray:
         """Pod *p*'s entries of the per-app vector *vec*, in local order,
-        written into the shared local buffer.
+        written into the shared local buffer.  Pods build their problems
+        from ``_gather(_share, p)`` and the auditor checks their loads
+        against it; nothing else reads a per-app vector by pod.
 
         Local order is ascending global id, i.e. block by block of
         ``n_pods`` ids, the pod's residues within each block; the tail
@@ -378,13 +385,15 @@ class MegaScaleDriver:
 
         Each pod's long-lived columns (``indices`` and ``load``) are
         allocated before any of its temporaries: the instance counts are
-        computed in place in the shared local buffer, so freeing the
+        computed in place in the shared local buffer from the t=0 shares
+        (demand split ``/cover`` once, fleet-wide), so freeing the
         round-robin's short-lived arrays leaves no holes between the
         pods' per-VM columns.  All pods share one read-only server-id
         column and zero-stride capacity columns.
         """
         cfg = self.config
-        demand0 = self.workload.cpu_demand(0.0)  # one O(n_apps) vector
+        share0 = self.workload.cpu_demand(0.0)  # one O(n_apps) vector
+        np.divide(share0, cfg.cover, out=share0)
         per_inst = cfg.server_cpu * cfg.bootstrap_fill
         s_count = cfg.servers_per_pod
         ids = np.arange(s_count, dtype=np.int64)
@@ -392,9 +401,8 @@ class MegaScaleDriver:
         for p in range(cfg.n_pods):
             # Instance counts as floats, in place: the ceil and clip of
             # the same quotient, exact as integers below 2**53.
-            n_inst = self._gather(demand0, p)
+            n_inst = self._gather(share0, p)
             n_apps = n_inst.size
-            np.divide(n_inst, cfg.cover, out=n_inst)
             np.divide(n_inst, per_inst, out=n_inst)
             np.ceil(n_inst, out=n_inst)
             np.clip(n_inst, 1, s_count, out=n_inst)
@@ -820,14 +828,17 @@ class MegaScaleDriver:
         return sum(pod.n_vms for pod in self.pods)
 
     def _scatter_demand(self, t: float, epoch: int) -> float:
-        """Stream demand chunks into the fleet-wide per-app vector.
+        """Stream demand chunks and split each app's demand into the
+        fleet-wide per-app share vector, once per epoch.
 
-        Returns the demand of apps with no alive covering pod: they are
-        black-holed, and this is the epoch's dropped CPU."""
+        With every pod alive an app's demand splits evenly, ``/cover``,
+        over its covering pods.  Under pod loss it splits across its
+        *alive* covering pods only — the K3 spill.  An app with no alive
+        covering pod keeps its demand unsplit: it is black-holed, and the
+        returned sum of those demands is the epoch's dropped CPU."""
         cfg = self.config
         tracing = self.trace is not None and self.trace.enabled
-        dead = self._residue_alive_cover == 0
-        any_dead = bool(dead.any())
+        all_alive = bool(self.pod_alive.all())
         dropped = 0.0
         for lo, hi, vals in self.workload.chunks(t, cfg.chunk_apps):
             if tracing:
@@ -835,32 +846,15 @@ class MegaScaleDriver:
                     "mega.chunk", t=t, epoch=epoch, lo=lo, hi=hi,
                     nbytes=int(vals.nbytes),
                 )
-            self._demand[lo:hi] = vals
-            if any_dead:
-                in_dead = dead[np.arange(lo, hi) % cfg.n_pods]
-                dropped += float(vals[in_dead].sum())
+            share = self._share[lo:hi]
+            if all_alive:
+                np.divide(vals, cfg.cover, out=share)
+                continue
+            count = self._residue_alive_cover[np.arange(lo, hi) % cfg.n_pods]
+            share[:] = vals
+            np.divide(share, count, out=share, where=count > 0)
+            dropped += float(vals[count == 0].sum())
         return dropped
-
-    def _pod_demand(self, p: int, all_alive: bool) -> np.ndarray:
-        """Pod *p*'s local demand, written into the shared buffer.
-
-        With every pod alive each app's demand splits evenly, ``/cover``,
-        over its covering pods.  Under pod loss it splits across its
-        *alive* covering pods only — the K3 spill; an alive covering pod
-        implies a count of at least one for each of its residues."""
-        cfg = self.config
-        buf = self._gather(self._demand, p)
-        if all_alive:
-            return np.divide(buf, cfg.cover, out=buf)
-        # Per-residue counts in the gather's order: one row per full
-        # block, then the tail block's leading residues.
-        cover = self._residue_alive_cover[self._residues[p]]
-        body = cfg.n_apps // cfg.n_pods * cover.size
-        rows = buf[:body].reshape(-1, cover.size)
-        np.divide(rows, cover, out=rows)
-        tail = buf[body:]
-        np.divide(tail, cover[: tail.size], out=tail)
-        return buf
 
     def run_epoch(self, epoch: Optional[int] = None) -> MegaEpochReport:
         """One unified epoch: inject due faults, stream demand (spilling
@@ -882,12 +876,11 @@ class MegaScaleDriver:
         if self.fault_injector is not None:
             self.fault_injector.advance(t)
         dropped = self._scatter_demand(t, epoch)
-        all_alive = bool(self.pod_alive.all())
         alive = [p for p in range(cfg.n_pods) if self.pod_alive[p]]
         demand_sums = []
 
         def build(p: int):
-            local = self._pod_demand(p, all_alive)
+            local = self._gather(self._share, p)
             demand_sums.append(local.sum())
             return self.pods[p].build_problem(local)
 

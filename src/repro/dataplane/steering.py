@@ -103,7 +103,7 @@ class ColumnarDataPlane:
         self._vip_switch = np.zeros(0, dtype=np.int64)
         self.epochs_steered = 0
         self.last_report: Optional[SteerReport] = None
-        #: When set, driver-internal steers record per-request outcomes
+        #: When set, steers record per-request outcomes in the report
         #: (the differential oracle flips this on).
         self.record_outcomes = False
         self.refresh()
@@ -205,9 +205,7 @@ class ColumnarDataPlane:
         return self.conn.drop_rips(mask)
 
     # -- the epoch hot path -------------------------------------------
-    def steer_epoch(
-        self, epoch: int, t: float, record: Optional[bool] = None
-    ) -> SteerReport:
+    def steer_epoch(self, epoch: int, t: float) -> SteerReport:
         """Steer one epoch's request stream; returns the outcome report.
 
         Order of operations matches the object path: expire finished
@@ -215,8 +213,7 @@ class ColumnarDataPlane:
         chunk size cannot change any outcome; see the conn table's
         sequential-fill contract).
         """
-        if record is None:
-            record = self.record_outcomes
+        record = self.record_outcomes
         t0 = time.perf_counter()
         self.refresh()
         rep = SteerReport(epoch=epoch, t=t)

@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EPS = 1e-6
 #: Relative slack for ``mega-cpu`` and ``mega-demand``: the waterfill's
-#: float sums may land a few ulps past a server's capacity or an app's
-#: demand (bench/worker.py's ``cpu_capacity`` and ``satisfied_le_demand``
-#: checks allow the same).
+#: float sums may land a few ulps past a server's capacity or a pod's
+#: share of an app's demand (bench/worker.py's ``cpu_capacity`` and
+#: ``satisfied_le_demand`` checks allow the same).
 _REL = 1e-9
 
 
@@ -206,9 +206,11 @@ class InvariantAuditor:
         * ``mega-cpu`` — no server's summed entry load exceeds its CPU;
         * ``mega-cover`` — the per-residue alive-cover accounting matches
           the pod liveness mask (the K3 spill denominators);
-        * ``mega-demand`` — no app's load, summed over its covering pods,
-          exceeds its epoch demand (skipped before the first epoch, when
-          there is no epoch demand yet);
+        * ``mega-demand`` — no pod's load on an app exceeds the app's
+          share for that pod: the driver splits demand once per epoch
+          over the whole fleet and the check only gathers each pod's
+          shares (skipped before the first epoch, when there are no
+          shares yet);
         * ``mega-rip-row`` — every active RIP-mirror row resolves to
           known app/vip/switch ids.
         """
@@ -262,34 +264,28 @@ class InvariantAuditor:
             self._audit_conntrack(t, dataplane.conn)
 
     def _audit_demand(self, t: float, driver) -> None:
-        """``mega-demand``: each app's placed load, summed over its
-        covering pods, stays within its epoch demand.  Pod *p*'s per-column
-        load is added back through the residue layout of
-        :meth:`~repro.core.mega.MegaScaleDriver._gather`: one row per
-        block of ``n_pods`` ids, the pod's residues as columns, then the
-        tail block's leading residues."""
+        """``mega-demand``: no pod's load on an app exceeds the share of
+        the app's demand it was given this epoch, ``_gather(_share, p)``;
+        a dead pod was given none.  An app's shares are equal across its
+        alive covering pods, so an app placed past its demand in total is
+        over its share on at least one pod."""
         import numpy as np
 
-        demand = driver._demand
-        n_pods = driver.config.n_pods
-        blocks = demand.shape[0] // n_pods
-        placed = np.zeros(demand.shape[0])
-        grid = placed[: blocks * n_pods].reshape(blocks, n_pods)
         for p, pod in enumerate(driver.pods):
-            local = np.bincount(
+            placed = np.bincount(
                 pod.placement.cols(), weights=pod.load, minlength=pod.n_apps
             )
-            res = driver._residues[p]
-            body = blocks * res.size
-            grid[:, res] += local[:body].reshape(blocks, res.size)
-            placed[blocks * n_pods + res[: local.size - body]] += local[body:]
-        over = placed > demand * (1 + _REL)
-        if over.any():
-            worst = int(np.argmax(placed - demand))
-            self._flag(
-                t, "mega-demand", apps_over=int(over.sum()), app=worst,
-                placed=float(placed[worst]), demand=float(demand[worst]),
-            )
+            share = driver._gather(driver._share, p)
+            if not driver.pod_alive[p]:
+                share[:] = 0.0
+            over = placed > share * (1 + _REL)
+            if over.any():
+                col = int(np.argmax(placed - share))
+                self._flag(
+                    t, "mega-demand", pod=pod.pod, apps_over=int(over.sum()),
+                    app=int(driver._pod_app_gids(p)[col]),
+                    placed=float(placed[col]), share=float(share[col]),
+                )
 
     def _audit_conntrack(self, t: float, conn) -> None:
         """``dataplane-conntrack``: the columnar conn table's per-switch

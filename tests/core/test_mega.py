@@ -204,16 +204,18 @@ def test_trace_events_emitted():
 
 
 def test_demand_scatter_splits_across_cover():
-    """Each pod's local demand is the app's global demand / cover; the
-    per-epoch total equals the workload total exactly."""
+    """Each pod gathers its apps' global demand / cover; the per-epoch
+    total over the pods equals the workload total exactly."""
     with MegaScaleDriver(tiny()) as driver:
-        driver._scatter_demand(0.0, 0)
-        total = sum(
-            float(driver._pod_demand(p, True).sum())
-            for p in range(len(driver.pods))
-        )
-        expect = float(driver.workload.cpu_demand(0.0).sum())
-        assert total == pytest.approx(expect, rel=1e-12)
+        assert driver._scatter_demand(0.0, 0) == 0.0
+        demand = driver.workload.cpu_demand(0.0)
+        total = 0.0
+        for p in range(len(driver.pods)):
+            got = driver._gather(driver._share, p)
+            want = demand[driver._pod_app_gids(p)] / driver.config.cover
+            assert got.tobytes() == want.tobytes()
+            total += float(got.sum())
+        assert total == pytest.approx(float(demand.sum()), rel=1e-12)
 
 
 # ------------------------------------------------------- memory shape

@@ -113,47 +113,114 @@ def test_cpu_overcommit_is_flagged():
         ]
 
 
+def _placed_per_col(pod) -> np.ndarray:
+    """A pod's load summed per local column."""
+    return np.bincount(
+        pod.placement.indices, weights=pod.load, minlength=pod.n_apps
+    )
+
+
 def _placed_per_app(driver) -> np.ndarray:
     """Each app's load summed over its covering pods, through the
-    per-app ids of ``_pod_app_gids`` (not the auditor's residue layout)."""
+    per-app ids of ``_pod_app_gids`` (not the residue gather)."""
     placed = np.zeros(driver.config.n_apps)
     for p, pod in enumerate(driver.pods):
-        per_col = np.bincount(
-            pod.placement.indices, weights=pod.load, minlength=pod.n_apps
-        )
-        placed[driver._pod_app_gids(p)] += per_col
+        placed[driver._pod_app_gids(p)] += _placed_per_col(pod)
     return placed
 
 
+def _spare_entry(pod, need: float) -> int:
+    """The first entry whose server has more than *need* spare CPU."""
+    rows = pod.placement.rows()
+    spare = pod.servers.cpu - np.bincount(
+        rows, weights=pod.load, minlength=pod.n_servers
+    )
+    return int(np.flatnonzero(spare[rows] > need)[0])
+
+
 def test_overplaced_app_is_flagged():
-    """``mega-demand``: an app whose load over its covering pods exceeds
-    its epoch demand is caught; the slack (1e-9 relative) forgives float
-    rounding only.  The corrupted entry's server keeps spare CPU, so only
-    ``mega-demand`` fires."""
+    """``mega-demand``: a pod whose load on an app exceeds the app's
+    share for that pod (demand / cover, every pod alive) is caught; the
+    slack (1e-9 relative) forgives float rounding only.  The corrupted
+    entry's server keeps spare CPU, so only ``mega-demand`` fires."""
     driver, auditor = audited_driver()
     with driver:
         driver.run_epoch()
         assert not auditor.audit_now(60.0)
         pod = driver.pods[2]
-        rows = pod.placement.rows()
-        spare = pod.servers.cpu - np.bincount(
-            rows, weights=pod.load, minlength=pod.n_servers
-        )
-        entry = int(np.flatnonzero(spare[rows] > 1.0)[0])
-        gid = int(driver._pod_app_gids(2)[pod.placement.indices[entry]])
-        demand = driver._demand[gid]
-        pod.load[entry] += demand * (1 + 1e-12) - _placed_per_app(driver)[gid]
+        entry = _spare_entry(pod, 1.0)
+        col = int(pod.placement.indices[entry])
+        gid = int(driver._pod_app_gids(2)[col])
+        share = driver.workload.cpu_demand(0.0)[gid] / driver.config.cover
+        pod.load[entry] += share * (1 + 1e-12) - _placed_per_col(pod)[col]
         assert not auditor.audit_now(60.0)  # within the slack
         pod.load[entry] += 0.5
-        placed = _placed_per_app(driver)[gid]
+        placed = _placed_per_col(pod)[col]
         found = auditor.audit_now(60.0)
         assert [(v.invariant, v.detail) for v in found] == [
             ("mega-demand", {
-                "apps_over": 1, "app": gid,
+                "pod": pod.pod, "apps_over": 1, "app": gid,
                 "placed": pytest.approx(placed, rel=1e-12),
-                "demand": demand,
+                "share": share,
             })
         ]
+
+
+def test_pod_over_its_share_is_flagged_within_app_demand():
+    """``mega-demand`` holds each pod to its share, not only each app to
+    its demand: moving all of one covering pod's load on an app onto
+    another covering pod keeps the app's total within demand, yet the
+    receiving pod now serves more than its share and is flagged."""
+    driver, auditor = audited_driver()
+    with driver:
+        driver.run_epoch()
+        assert not auditor.audit_now(60.0)
+        cfg = driver.config
+        dst = driver.pods[2]
+        entry = _spare_entry(dst, cfg.server_cpu / 2)
+        col = int(dst.placement.indices[entry])
+        gid = int(driver._pod_app_gids(2)[col])
+        covering = [(gid + j) % cfg.n_pods for j in range(cfg.cover)]
+        q = next(c for c in covering if c != 2)
+        src = driver.pods[q]
+        src_col = int(np.searchsorted(driver._pod_app_gids(q), gid))
+        assert driver._pod_app_gids(q)[src_col] == gid
+        src_entries = src.placement.indices == src_col
+        moved = float(src.load[src_entries].sum())
+        assert 0.0 < moved < cfg.server_cpu / 2
+        src.load[src_entries] = 0.0
+        dst.load[entry] += moved
+        demand = driver.workload.cpu_demand(0.0)[gid]
+        share = demand / cfg.cover
+        assert _placed_per_app(driver)[gid] <= demand * (1 + 1e-9)
+        placed = _placed_per_col(dst)[col]
+        assert placed > share * (1 + 1e-9)
+        found = auditor.audit_now(60.0)
+        assert [(v.invariant, v.detail) for v in found] == [
+            ("mega-demand", {
+                "pod": dst.pod, "apps_over": 1, "app": gid,
+                "placed": pytest.approx(placed, rel=1e-12),
+                "share": share,
+            })
+        ]
+
+
+def test_dead_pod_holding_load_is_flagged():
+    """A dead pod was given no share: if it still held load (here its
+    pre-loss placement put back after the survivors took its spill),
+    ``mega-demand`` flags that pod."""
+    driver, auditor = audited_driver()
+    with driver:
+        driver.run_epoch()
+        pod = driver.pods[1]
+        held = pod.placement, pod.load
+        driver.lose_pod(pod.pod, t=60.0)
+        driver.run_epoch()
+        assert not auditor.audit_now(60.0)
+        pod.placement, pod.load = held
+        found = auditor.audit_now(60.0)
+        got = [(v.invariant, v.detail["pod"], v.detail["share"]) for v in found]
+        assert got == [("mega-demand", pod.pod, 0.0)]
 
 
 def test_demand_check_waits_for_the_first_epoch():
@@ -161,7 +228,7 @@ def test_demand_check_waits_for_the_first_epoch():
     (the vector is uninitialised), so ``mega-demand`` is skipped."""
     driver, auditor = audited_driver()
     with driver:
-        driver._demand[:] = -1.0
+        driver._share[:] = -1.0
         assert not auditor.audit_now(0.0)
         driver.run_epoch()
         assert auditor.ok and auditor.audits_run == 2
@@ -195,8 +262,9 @@ def test_quick_run_with_pod_loss_places_within_demand():
         driver.run_epoch()
         assert auditor.ok and auditor.audits_run == 3
         placed = _placed_per_app(driver)
-        assert (placed <= driver._demand * (1 + 1e-9)).all()
-        assert placed.sum() > 0.5 * driver._demand.sum()
+        demand = driver.workload.cpu_demand(120.0)
+        assert (placed <= demand * (1 + 1e-9)).all()
+        assert placed.sum() > 0.5 * demand.sum()
 
 
 # ------------------------------------------------- injector semantics

@@ -5,7 +5,8 @@ apps of its ``cover`` residue classes mod ``n_pods`` in ascending global
 id, per-app vectors reach a pod through one residue-column gather, and
 alive-cover counts are kept per residue.  These tests hold that layout
 to the per-app arithmetic definition, ``_pod_app_gids``, on configs
-whose app count is and is not a multiple of the pod count.
+whose app count is and is not a multiple of the pod count, and the
+fleet-wide demand split (``_share``) to a per-app alive recount.
 
 The pods' long-lived state is also allocation-stable: a steady epoch
 writes loads into each pod's existing buffer, uniform server columns
@@ -56,32 +57,62 @@ def test_residue_gather_equals_take_by_app_ids(cfg):
             assert got.tobytes() == want.tobytes()
 
 
+#: Three pod losses and a restore; every config has at least four pods.
+_FAULT_STEPS = [("lose", 0), ("lose", 1), ("lose", 2), ("restore", 1)]
+
+
+def _step(driver, step: tuple[str, int]) -> None:
+    name = f"pod-{step[1]:03d}"
+    if step[0] == "lose":
+        driver.lose_pod(name)
+    else:
+        driver.restore_pod(name)
+
+
 @pytest.mark.parametrize("cfg", _CONFIGS[1:5], ids=_ids)
 def test_residue_alive_cover_matches_per_app_recount(cfg):
     """Pod loss and restore keep the per-residue alive cover equal to a
-    per-app recount, and the spilled pod demand divides by it."""
-    lost = [0, 1, 2] if cfg.n_pods > 3 else [0]
+    per-app recount, and each alive pod gathers its apps' demand divided
+    by that recount."""
     with MegaScaleDriver(cfg) as driver:
         driver.run_epoch()
         residue = np.arange(cfg.n_apps) % cfg.n_pods
-        for step in [("lose", p) for p in lost] + [("restore", lost[1])]:
-            if step[0] == "lose":
-                driver.lose_pod(f"pod-{step[1]:03d}")
-            else:
-                driver.restore_pod(f"pod-{step[1]:03d}")
+        for step in _FAULT_STEPS:
+            _step(driver, step)
             count = _per_app_cover(driver)
             np.testing.assert_array_equal(
                 driver._residue_alive_cover[residue], count
             )
-            dropped = driver._scatter_demand(60.0, 1)
-            demand = driver._demand
-            assert dropped == pytest.approx(
-                float(demand[count == 0].sum()), rel=1e-12, abs=0.0
-            )
+            driver._scatter_demand(60.0, 1)
+            demand = driver.workload.cpu_demand(60.0)
             for p in np.flatnonzero(driver.pod_alive):
                 gids = driver._pod_app_gids(int(p))
-                got = driver._pod_demand(int(p), all_alive=False)
+                got = driver._gather(driver._share, int(p))
                 assert got.tobytes() == (demand[gids] / count[gids]).tobytes()
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=_ids)
+def test_share_is_demand_over_alive_recount(cfg):
+    """The fleet-wide split writes each app's demand divided by its
+    per-app alive recount, byte for byte, with every pod alive and
+    through three pod losses and a restore.  An app with no alive
+    covering pod keeps its demand unsplit, and that demand is the
+    epoch's dropped CPU."""
+    with MegaScaleDriver(cfg) as driver:
+        for epoch, step in enumerate([None] + _FAULT_STEPS):
+            if step is not None:
+                _step(driver, step)
+            t = epoch * cfg.epoch_s
+            dropped = driver._scatter_demand(t, epoch)
+            demand = driver.workload.cpu_demand(t)
+            count = _per_app_cover(driver)
+            want = demand.copy()
+            split = count > 0
+            want[split] = demand[split] / count[split]
+            assert driver._share.tobytes() == want.tobytes()
+            assert dropped == pytest.approx(
+                float(demand[~split].sum()), rel=1e-12, abs=0.0
+            )
 
 
 def _arrays(obj, prefix: str = "") -> dict:
