@@ -48,15 +48,13 @@ from repro.core.columnar import ColumnarRipRegistry
 
 
 class _Source:
-    """One journal feed: a control-plane shard or a bare manager."""
+    """One journal feed: a control-plane shard."""
 
-    __slots__ = ("name", "journal", "checkpoints", "manager", "cursor", "pending")
+    __slots__ = ("journal", "checkpoints", "cursor", "pending")
 
-    def __init__(self, name, journal, checkpoints, manager):
-        self.name = name
+    def __init__(self, journal, checkpoints):
         self.journal = journal
         self.checkpoints = checkpoints
-        self.manager = manager
         self.cursor = 0
         self.pending: list[JournalRecord] = []
 
@@ -71,22 +69,15 @@ class RipJournalBridge:
         trace=None,
         clock=None,
     ):
-        #: ``ShardedControlPlane`` (``.shards``) or a bare ``VipRipManager``.
+        #: The ``ShardedControlPlane`` whose shard journals feed the mirror.
         self.plane = plane
         self.pod_of = pod_of
         self.trace = trace
         self.clock = clock
         self.registry = ColumnarRipRegistry()
         self._sources = [
-            _Source(s.name, s.journal, s.checkpoints, s.manager)
-            for s in getattr(plane, "shards", [])
+            _Source(s.journal, s.checkpoints) for s in plane.shards
         ]
-        if not self._sources:  # single unsharded manager
-            if plane.journal is None:
-                raise ValueError("bridge needs a journaling control plane")
-            self._sources = [
-                _Source("manager", plane.journal, plane.checkpoints, plane)
-            ]
         #: Settled records applied across all syncs.
         self.records_applied = 0
         #: Full rebuilds (truncation gaps + verify repairs).
@@ -100,12 +91,7 @@ class RipJournalBridge:
 
     # -- authority reads ----------------------------------------------------
     def _authority_homing(self) -> dict:
-        if hasattr(self.plane, "rip_homing"):
-            return self.plane.rip_homing()
-        homing: dict = {}
-        for src in self._sources:
-            homing.update(src.manager.rip_homing())
-        return homing
+        return self.plane.rip_homing()
 
     def rebuild(self) -> None:
         """Replace the mirror with a fresh build from the authority's

@@ -28,17 +28,17 @@ min(vms_per_app, n_pods)`` pods ``(i + j) % n_pods``; its demand splits
 evenly across the alive ones.  That makes per-pod app membership
 ``cover`` residue classes mod ``n_pods``, which is all the driver stores
 of it: a pod's local column *k* is its *k*-th covered app in ascending
-global id, and alive-cover counts are kept per residue, not per app.
-The split runs once per epoch over the whole fleet, as demand chunks
-stream in, into one per-app share vector; pods and the auditor only
-gather it, by one residue-column gather (``_gather``), the one place
-the layout is written.
+global id, and alive-cover counts are derived per residue, not per
+app, from the pod liveness mask.  The split runs once per epoch over the
+whole fleet, as demand chunks stream in, into one per-app share vector;
+pods and the auditor only gather it, by one residue-column gather
+(``_gather``), the one place the layout is written.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Container, Optional
 
@@ -49,6 +49,17 @@ from repro.perf.engine import PlacementEngine, PlacementTask
 from repro.perf.rss import peak_rss_mb
 from repro.placement.sparse import SparseGreedyController, SparsePlacement
 from repro.workload.streaming import StreamingWorkload
+
+#: Memory of every mega VM (GB); the object twin uses the same value.
+VM_MEM_GB = 4.0
+#: Bootstrap sizes instance counts so one instance needs at most this
+#: fraction of a server's CPU.
+BOOTSTRAP_FILL = 0.5
+#: Shards of the wired control plane, LB switches per shard, and each
+#: switch's reconfiguration time (s).
+CP_SHARDS = 2
+CP_SWITCHES_PER_SHARD = 2
+CP_RECONFIG_S = 1.0
 
 
 @dataclass
@@ -65,10 +76,7 @@ class MegaControlPlaneConfig:
     columnar registry synced from the shard journals every epoch.
     """
 
-    n_shards: int = 2
-    switches_per_shard: int = 2
     wired_apps: int = 32
-    reconfig_s: float = 1.0
     max_vips: int = 256
     max_rips: int = 16_384
     #: VIPs each wired app exposes (>1 makes K1 re-steers meaningful:
@@ -86,16 +94,16 @@ class MegaControlPlaneConfig:
 class MegaSteeringConfig:
     """Traffic data plane riding on the mega loop (requires a wired
     control plane): every epoch the driver steers a seeded request stream
-    through the columnar data plane against the RIP mirror.
+    through the columnar data plane against the RIP mirror.  Session
+    lengths, the violator share and the violators' TTL factor are the
+    defaults of :class:`~repro.workload.requests.RequestStream` and
+    :class:`~repro.dataplane.steering.ColumnarDataPlane`.
     """
 
     requests_per_epoch: int = 200_000
     n_resolvers: int = 10_000
     chunk_requests: int = 65_536
     ttl_s: float = 120.0
-    violator_fraction: float = 0.1
-    violation_factor: float = 10.0
-    max_duration_epochs: int = 3
     switch_max_connections: int = 1_000_000
     #: Drive K1 (DNS re-steer) + K2 (VIP re-home when paused) every this
     #: many epochs; 0 disables the automatic knob schedule.
@@ -105,7 +113,12 @@ class MegaSteeringConfig:
 
 @dataclass
 class MegaConfig:
-    """Scale knobs for one mega run; defaults are the paper's Section I."""
+    """Scale knobs for one mega run; defaults are the paper's Section I.
+
+    Every VM has ``VM_MEM_GB`` of memory, demand follows
+    :class:`StreamingWorkload`'s default popularity and diurnal mix, and
+    each pod's solver keeps :class:`SparseGreedyController`'s own
+    ``dense_limit``."""
 
     n_pods: int = 60
     servers_per_pod: int = 5000
@@ -113,15 +126,10 @@ class MegaConfig:
     vms_per_app: int = 20
     server_cpu: float = 32.0
     server_mem_gb: float = 256.0
-    vm_mem_gb: float = 4.0
     target_utilization: float = 0.55
-    zipf_s: float = 0.8
-    diurnal_fraction: float = 0.5
     chunk_apps: int = 65_536
     epoch_s: float = 60.0
     seed: int = 0
-    dense_limit: int = 1 << 22
-    bootstrap_fill: float = 0.5
 
     def __post_init__(self):
         if min(self.n_pods, self.servers_per_pod, self.n_apps) < 1:
@@ -130,8 +138,6 @@ class MegaConfig:
             raise ValueError("target_utilization must be in (0, 1)")
         if self.vms_per_app < 1:
             raise ValueError("vms_per_app must be positive")
-        if not 0 < self.bootstrap_fill <= 1:
-            raise ValueError("bootstrap_fill must be in (0, 1]")
         if not self.epoch_s > 0:
             raise ValueError("epoch_s must be positive")
         if self.chunk_apps < 1:
@@ -273,9 +279,7 @@ class MegaScaleDriver:
         self.trace = trace
         self.workload = StreamingWorkload(
             n_apps=config.n_apps,
-            total_gbps=config.total_cpu_demand,  # gbps_per_cpu = 1
-            zipf_s=config.zipf_s,
-            diurnal_fraction=config.diurnal_fraction,
+            total_gbps=config.total_cpu_demand,  # 1 Gbps per CPU
             seed=config.seed,
         )
         self.engine = PlacementEngine(1)
@@ -297,13 +301,6 @@ class MegaScaleDriver:
             (np.arange(config.n_pods)[:, None] - np.arange(config.cover))
             % config.n_pods,
             axis=1,
-        )
-        #: Per-residue count of *alive* covering pods (every app of a
-        #: residue has the same covering pods); demand splits across
-        #: these (K3 spill: survivors absorb a dead pod's share).  Apps at
-        #: zero are black-holed and tallied as dropped demand.
-        self._residue_alive_cover = np.full(
-            config.n_pods, config.cover, dtype=np.int64
         )
         #: Crashed mega servers parked for recovery:
         #: name -> (pod name, server id, cpu, mem_gb).
@@ -380,7 +377,7 @@ class MegaScaleDriver:
         """Seed every pod's placement proportionally to t=0 demand.
 
         Instance counts are sized so one instance never needs more than
-        ``bootstrap_fill`` of a server's CPU — the greedy controller then
+        ``BOOTSTRAP_FILL`` of a server's CPU — the greedy controller then
         only has to patch drift, not mass-start 6M instances.
 
         Each pod's long-lived columns (``indices`` and ``load``) are
@@ -394,7 +391,7 @@ class MegaScaleDriver:
         cfg = self.config
         share0 = self.workload.cpu_demand(0.0)  # one O(n_apps) vector
         np.divide(share0, cfg.cover, out=share0)
-        per_inst = cfg.server_cpu * cfg.bootstrap_fill
+        per_inst = cfg.server_cpu * BOOTSTRAP_FILL
         s_count = cfg.servers_per_pod
         ids = np.arange(s_count, dtype=np.int64)
         ids.flags.writeable = False
@@ -421,7 +418,7 @@ class MegaScaleDriver:
                 ),
                 # Every VM has the same memory: one float as a view.
                 app_mem_gb=np.broadcast_to(
-                    np.float64(cfg.vm_mem_gb), (n_apps,)
+                    np.float64(VM_MEM_GB), (n_apps,)
                 ),
                 placement=placement,
                 load=load,
@@ -431,9 +428,7 @@ class MegaScaleDriver:
                     f"bootstrap placement overcommits memory in pod {p}"
                 )
             self.pods.append(state)
-            self.controllers.append(
-                SparseGreedyController(dense_limit=cfg.dense_limit)
-            )
+            self.controllers.append(SparseGreedyController())
 
     @staticmethod
     def _round_robin(
@@ -486,7 +481,7 @@ class MegaScaleDriver:
         cfg = self.config
         self._cp_config = cp
         self._cp_env = Environment()
-        n_switches = cp.n_shards * cp.switches_per_shard
+        n_switches = CP_SHARDS * CP_SWITCHES_PER_SHARD
         switches = [
             LBSwitch(
                 f"lb-{i:02d}",
@@ -500,8 +495,8 @@ class MegaScaleDriver:
             switches,
             # Room for every wired VIP, and at least 2 per app and 1,000.
             PUBLIC_VIP_POOL(max(1000, cp.wired_apps * max(2, cp.vips_per_app))),
-            cp.n_shards,
-            reconfig_s=cp.reconfig_s,
+            CP_SHARDS,
+            reconfig_s=CP_RECONFIG_S,
             trace=self.trace,
         )
         self._wired_gids = np.arange(
@@ -620,15 +615,12 @@ class MegaScaleDriver:
             app_weights,
             sc.requests_per_epoch,
             seed=sc.seed,
-            max_duration_epochs=sc.max_duration_epochs,
-            violator_fraction=sc.violator_fraction,
         )
         self.dataplane = ColumnarDataPlane(
             self.bridge.registry,
             [self._app_name(int(g)) for g in self._wired_gids],
             self.request_stream,
             ttl_s=sc.ttl_s,
-            violation_factor=sc.violation_factor,
             switch_max_connections=sc.switch_max_connections,
             chunk_requests=sc.chunk_requests,
             trace=self.trace,
@@ -765,7 +757,6 @@ class MegaScaleDriver:
         before = pod.n_vms
         lost = pod.clear_placement()
         self.pod_alive[p] = False
-        self._residue_alive_cover[self._residues[p]] -= 1
         self._emit_fault("pod_loss", name, t, lost_vms=lost)
         self._emit_vacate(name, t, before, lost)
         self._cp_pod_event(name, up=False)
@@ -782,7 +773,6 @@ class MegaScaleDriver:
         if self.pod_alive[p]:
             return
         self.pod_alive[p] = True
-        self._residue_alive_cover[self._residues[p]] += 1
         self._emit_fault("pod_restore", name, t)
         self._cp_pod_event(name, up=True)
         if self.bridge is not None:
@@ -833,12 +823,19 @@ class MegaScaleDriver:
 
         With every pod alive an app's demand splits evenly, ``/cover``,
         over its covering pods.  Under pod loss it splits across its
-        *alive* covering pods only — the K3 spill.  An app with no alive
-        covering pod keeps its demand unsplit: it is black-holed, and the
-        returned sum of those demands is the epoch's dropped CPU."""
+        *alive* covering pods only — the K3 spill.  Every app of a residue
+        mod ``n_pods`` has the same covering pods, so the alive count is
+        derived once per epoch, per residue, from the liveness mask.  An
+        app with no alive covering pod keeps its demand unsplit: it is
+        black-holed, and the returned sum of those demands is the epoch's
+        dropped CPU."""
         cfg = self.config
         tracing = self.trace is not None and self.trace.enabled
         all_alive = bool(self.pod_alive.all())
+        if not all_alive:
+            alive_cover = np.bincount(
+                self._residues[self.pod_alive].ravel(), minlength=cfg.n_pods
+            )
         dropped = 0.0
         for lo, hi, vals in self.workload.chunks(t, cfg.chunk_apps):
             if tracing:
@@ -850,7 +847,7 @@ class MegaScaleDriver:
             if all_alive:
                 np.divide(vals, cfg.cover, out=share)
                 continue
-            count = self._residue_alive_cover[np.arange(lo, hi) % cfg.n_pods]
+            count = alive_cover[np.arange(lo, hi) % cfg.n_pods]
             share[:] = vals
             np.divide(share, count, out=share, where=count > 0)
             dropped += float(vals[count == 0].sum())
@@ -892,7 +889,6 @@ class MegaScaleDriver:
                 key=self.pods[p].pod,
                 problem=partial(build, p),
                 controller=self.controllers[p],
-                trace_ctx={"t": t, "epoch": epoch},
             )
             for p in alive
         ]

@@ -60,6 +60,7 @@ class VectorizedDnsTable:
         self.n_apps = len(self.apps)
         self.n_resolvers = int(n_resolvers)
         self.ttl_s = float(ttl_s)
+        self.violation_factor = float(violation_factor)
         self._app_slot = {a: i for i, a in enumerate(self.apps)}
         counts = np.zeros(self.n_apps, dtype=np.int64)
         names: list[str] = []

@@ -57,7 +57,7 @@ class ObjectDataPlane:
         stream: RequestStream,
         *,
         ttl_s: float,
-        violation_factor: float = 10.0,
+        violation_factor: float,
         switch_max_connections: int = 1_000_000,
     ):
         if stream.n_apps != len(apps):
@@ -103,7 +103,7 @@ class ObjectDataPlane:
     def twin_of(cls, driver) -> "ObjectDataPlane":
         """The object twin of a mega driver's columnar data plane: the
         same live switches, wired apps, current DNS zones, request
-        stream and steering limits."""
+        stream, TTL, violator TTL factor and connection cap."""
         dp, sc = driver.dataplane, driver.steering
         return cls(
             driver.dataplane_switches(),
@@ -111,7 +111,7 @@ class ObjectDataPlane:
             {app: dp.dns.zone(app) for app in dp.apps},
             driver.request_stream,
             ttl_s=sc.ttl_s,
-            violation_factor=sc.violation_factor,
+            violation_factor=dp.dns.violation_factor,
             switch_max_connections=sc.switch_max_connections,
         )
 

@@ -101,7 +101,6 @@ class ColumnarDataPlane:
         self._vs_rids = np.zeros(0, dtype=np.int64)
         self._vs_pad = np.zeros((0, 0))
         self._vip_switch = np.zeros(0, dtype=np.int64)
-        self.epochs_steered = 0
         self.last_report: Optional[SteerReport] = None
         #: When set, steers record per-request outcomes in the report
         #: (the differential oracle flips this on).
@@ -274,7 +273,6 @@ class ColumnarDataPlane:
                     else np.zeros(0, dtype=bool)
                 ),
             }
-        self.epochs_steered += 1
         self.last_report = rep
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(

@@ -204,8 +204,6 @@ class InvariantAuditor:
           load vector matches the entry count;
         * ``mega-mem`` — no server's memory is overcommitted;
         * ``mega-cpu`` — no server's summed entry load exceeds its CPU;
-        * ``mega-cover`` — the per-residue alive-cover accounting matches
-          the pod liveness mask (the K3 spill denominators);
         * ``mega-demand`` — no pod's load on an app exceeds the app's
           share for that pod: the driver splits demand once per epoch
           over the whole fleet and the check only gathers each pod's
@@ -238,17 +236,9 @@ class InvariantAuditor:
                 over = int((used > pod.servers.cpu * (1 + _REL)).sum())
                 if over:
                     self._flag(t, "mega-cpu", pod=pod.pod, servers_over=over)
-        n_pods = driver.config.n_pods
-        expected = np.bincount(
-            driver._residues[driver.pod_alive].ravel(), minlength=n_pods
-        )
-        cover = driver._residue_alive_cover
-        if not np.array_equal(cover, expected):
-            bad = int((cover != expected).sum())
-            self._flag(t, "mega-cover", residues_wrong=bad)
         if driver.epochs_run:
             self._audit_demand(t, driver)
-        bridge = getattr(driver, "bridge", None)
+        bridge = driver.bridge
         if bridge is not None:
             reg = bridge.registry
             n = reg.n_rips
@@ -259,9 +249,8 @@ class InvariantAuditor:
                 or (reg.rip_switch[:n][active] < 0).any()
             ):
                 self._flag(t, "mega-rip-row", active=int(active.sum()))
-        dataplane = getattr(driver, "dataplane", None)
-        if dataplane is not None:
-            self._audit_conntrack(t, dataplane.conn)
+        if driver.dataplane is not None:
+            self._audit_conntrack(t, driver.dataplane.conn)
 
     def _audit_demand(self, t: float, driver) -> None:
         """``mega-demand``: no pod's load on an app exceeds the share of

@@ -50,7 +50,6 @@ GUARDED_METRICS = (
     "parallel_wall_s",
     "wall_s",
     "off_wall_s",
-    "noop_wall_s",
     "on_wall_s",
     "wall_per_epoch_s",
     "steer_wall_s",
@@ -156,14 +155,12 @@ def bench_obs(
 ) -> tuple[str, dict]:
     """Trace-bus overhead + trace determinism on a datacenter run.
 
-    Times the same seeded epoch workload three ways: no bus passed
-    (``off``), an explicitly disabled bus (``noop``) and a digest-only
-    bus that keeps no events (``on``).  No timed run attaches the
-    auditor, and ``on`` buffers fewer events than one drain batch, so
-    its cost is emission only: encoding and hashing fall outside the
-    timed section.  ``off`` and ``noop`` build the same disabled bus, so
-    ``noop_overhead_pct`` measures the noise floor of the estimate, not
-    a cost.  ``overhead_ok`` is the acceptance gate: the digest-only bus
+    Times the same seeded epoch workload two ways: no bus passed
+    (``off``, which builds a disabled bus) and a digest-only bus that
+    keeps no events (``on``).  No timed run attaches the auditor, and
+    ``on`` buffers fewer events than one drain batch, so its cost is
+    emission only: encoding and hashing fall outside the timed section.
+    ``overhead_ok`` is the acceptance gate: the digest-only bus
     must stay within 5% of the ``off`` wall time, estimated from
     position-balanced interleaved rounds with best-of-3 retry on noisy
     runners (see the measurement comment below).  Separately, two
@@ -201,9 +198,9 @@ def bench_obs(
         dc.close()
         return wall
 
-    # One untimed warm-up run, then 9 interleaved rounds with the mode
+    # One untimed warm-up run, then 10 interleaved rounds with the mode
     # order rotated so every mode occupies every within-round position
-    # exactly 3 times (a position-balanced design: on CPU-quota'd
+    # exactly 5 times (a position-balanced design: on CPU-quota'd
     # runners the later runs of a round are systematically slower, and
     # an unbalanced rotation turns that into fake overhead).  Each
     # estimate compares per-mode *sums* over all rounds: position
@@ -216,7 +213,6 @@ def bench_obs(
     one_run(None)
     factories = {
         "off": lambda: None,
-        "noop": lambda: TraceBus(enabled=False),
         "on": lambda: TraceBus(keep_events=False),
     }
     order = list(factories)
@@ -224,27 +220,23 @@ def bench_obs(
     def estimate():
         walls = {mode: float("inf") for mode in factories}
         totals = {mode: 0.0 for mode in factories}
-        for r in range(9):
-            for mode in order[r % 3:] + order[: r % 3]:
+        for r in range(10):
+            for mode in order[r % 2:] + order[: r % 2]:
                 wall = one_run(factories[mode]())
                 walls[mode] = min(walls[mode], wall)
                 totals[mode] += wall
-        return (
-            (totals["on"] / totals["off"] - 1.0) * 100.0,
-            (totals["noop"] / totals["off"] - 1.0) * 100.0,
-            walls,
-        )
+        return (totals["on"] / totals["off"] - 1.0) * 100.0, walls
 
     attempts = 0
-    overhead_pct, noop_pct, walls = float("inf"), float("inf"), {}
+    overhead_pct, walls = float("inf"), {}
     while attempts < 3:
         attempts += 1
-        oh, noop, w = estimate()
+        oh, w = estimate()
         if oh < overhead_pct:
-            overhead_pct, noop_pct, walls = oh, noop, w
+            overhead_pct, walls = oh, w
         if overhead_pct <= 5.0:
             break
-    off_wall, noop_wall, on_wall = walls["off"], walls["noop"], walls["on"]
+    off_wall, on_wall = walls["off"], walls["on"]
 
     # Determinism witness: same seed, serial vs parallel engine, digests
     # must match byte-for-byte.  The serial run also produces the JSONL
@@ -262,9 +254,7 @@ def bench_obs(
         "apps": n_apps,
         "epochs": epochs,
         "off_wall_s": round(off_wall, 4),
-        "noop_wall_s": round(noop_wall, 4),
         "on_wall_s": round(on_wall, 4),
-        "noop_overhead_pct": round(noop_pct, 2),
         "overhead_pct": round(overhead_pct, 2),
         "overhead_ok": overhead_pct <= 5.0,
         "estimate_attempts": attempts,

@@ -50,6 +50,7 @@ from repro.core.mega import (
     MegaControlPlaneConfig,
     MegaScaleDriver,
     MegaSteeringConfig,
+    VM_MEM_GB,
 )
 from repro.core.pod import Pod
 from repro.core.pod_manager import PodManager
@@ -132,8 +133,6 @@ class ObjectTwin:
         self.workload = StreamingWorkload(
             n_apps=cfg.n_apps,
             total_gbps=cfg.total_cpu_demand,
-            zipf_s=cfg.zipf_s,
-            diurnal_fraction=cfg.diurnal_fraction,
             seed=cfg.seed,
         )
         self._app_names = [f"app-{g:06d}" for g in range(cfg.n_apps)]
@@ -142,7 +141,7 @@ class ObjectTwin:
                 name,
                 popularity=1.0,
                 demand=ConstantDemand(0.0),
-                vm_mem_gb=cfg.vm_mem_gb,
+                vm_mem_gb=VM_MEM_GB,
             )
             for name in self._app_names
         }
@@ -187,7 +186,7 @@ class ObjectTwin:
                         vm_id=f"{app}@{server.name}",
                         app=app,
                         cpu_slice=float(cpod.load[k]),
-                        mem_gb=cfg.vm_mem_gb,
+                        mem_gb=VM_MEM_GB,
                         image_gb=self.specs[app].vm_image_gb,
                         state=VMState.RUNNING,
                         rip=self.rip_pool.allocate(),

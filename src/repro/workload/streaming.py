@@ -9,9 +9,12 @@ evaluates demand *by index range*, so an epoch driver can consume demand
 in bounded-size chunks without ever materializing the full app x epoch
 matrix.
 
+Demand is in Gbps, and one Gbps needs one CPU unit, so the same vector is
+an app's CPU demand.
+
 Chunking contract: every demand formula here is purely elementwise in the
-app index, so ``demand_gbps(t, lo, hi)`` is bit-identical to
-``demand_gbps(t)[lo:hi]`` for any split — :meth:`fingerprint` hashes the
+app index, so ``cpu_demand(t, lo, hi)`` is bit-identical to
+``cpu_demand(t)[lo:hi]`` for any split — :meth:`fingerprint` hashes the
 chunk stream so tests (and the mega driver) can assert chunked ≡
 materialized cheaply.
 """
@@ -26,6 +29,9 @@ import numpy as np
 
 from repro.workload.popularity import zipf_weights
 
+#: Period of the diurnal demand curve (s): one day.
+PERIOD_S = 86400.0
+
 
 @dataclass
 class StreamingWorkload:
@@ -33,7 +39,7 @@ class StreamingWorkload:
 
     Per-app demand at time ``t`` (seconds):
 
-    * diurnal apps: ``mean * (1 + amplitude * cos(2*pi*(t - peak)/period))``
+    * diurnal apps: ``mean * (1 + amplitude * cos(2*pi*(t - peak)/PERIOD_S))``
       — the same curve as :class:`~repro.workload.demand.DiurnalDemand`;
     * the rest: constant ``mean``.
 
@@ -45,8 +51,6 @@ class StreamingWorkload:
     total_gbps: float
     zipf_s: float = 0.8
     diurnal_fraction: float = 0.5
-    period_s: float = 86400.0
-    gbps_per_cpu: float = 1.0
     seed: int = 0
     mean_gbps: np.ndarray = field(init=False, repr=False)
     amplitude: np.ndarray = field(init=False, repr=False)
@@ -67,10 +71,10 @@ class StreamingWorkload:
         self.amplitude = np.where(
             diurnal, rng.uniform(0.2, 0.6, self.n_apps), 0.0
         )
-        self.peak_time_s = rng.uniform(0.0, self.period_s, self.n_apps)
+        self.peak_time_s = rng.uniform(0.0, PERIOD_S, self.n_apps)
 
     # -- demand evaluation --------------------------------------------
-    def demand_gbps(
+    def cpu_demand(
         self, t: float, lo: int = 0, hi: Optional[int] = None
     ) -> np.ndarray:
         """Demand of apps ``[lo, hi)`` at time *t* (full range by default)."""
@@ -81,17 +85,11 @@ class StreamingWorkload:
             2.0
             * np.pi
             * (t - self.peak_time_s[lo:hi])
-            / self.period_s
+            / PERIOD_S
         )
         return self.mean_gbps[lo:hi] * (
             1.0 + self.amplitude[lo:hi] * np.cos(phase)
         )
-
-    def cpu_demand(
-        self, t: float, lo: int = 0, hi: Optional[int] = None
-    ) -> np.ndarray:
-        """Demand converted to CPU units via the platform's gbps/cpu ratio."""
-        return self.demand_gbps(t, lo, hi) / self.gbps_per_cpu
 
     def chunks(
         self, t: float, chunk_apps: int
@@ -103,22 +101,18 @@ class StreamingWorkload:
             hi = min(lo + chunk_apps, self.n_apps)
             yield lo, hi, self.cpu_demand(t, lo, hi)
 
-    def materialized(self, t: float) -> np.ndarray:
-        """The full demand vector in one array (small-scale reference)."""
-        return self.cpu_demand(t)
-
     def fingerprint(self, t: float, chunk_apps: Optional[int] = None) -> str:
         """SHA-256 over the exact bytes of the demand stream at *t*.
 
         With ``chunk_apps`` the stream is hashed chunk by chunk; without,
-        the materialized vector is hashed whole.  Chunked generation is
+        the full vector is hashed whole.  Chunked generation is
         elementwise in the app index, so the two agree for every chunk
         size — the mega driver asserts this once per run.
         """
         h = hashlib.sha256()
         h.update(np.float64(t).tobytes())
         if chunk_apps is None:
-            h.update(np.ascontiguousarray(self.materialized(t)).tobytes())
+            h.update(self.cpu_demand(t).tobytes())
         else:
             for _lo, _hi, vals in self.chunks(t, chunk_apps):
                 h.update(np.ascontiguousarray(vals).tobytes())

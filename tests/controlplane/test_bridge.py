@@ -8,17 +8,12 @@ the truncation-gap full rebuild, and fingerprint verify/repair after
 un-journaled anti-entropy mutations.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.controlplane import (
-    CheckpointStore,
-    RipJournalBridge,
-    WriteAheadJournal,
-)
+from repro.controlplane import RipJournalBridge
 from repro.controlplane.sharding import ShardedControlPlane
-from repro.core.viprip import VipRipManager, VipRipRequest
+from repro.core.viprip import VipRipRequest
 from repro.lbswitch.addresses import PUBLIC_VIP_POOL
 from repro.lbswitch.switch import LBSwitch, SwitchLimits
 from repro.sim import Environment
@@ -183,38 +178,6 @@ def test_verify_repairs_unjournaled_mutation():
     assert not bridge.verify(repair=True)  # reports divergence, swaps in shadow
     assert bridge.verify()
     assert mirror_matches_authority(bridge)
-
-
-# -- bare manager sources ---------------------------------------------------
-def test_bare_manager_bridge():
-    env = Environment()
-    switches = [
-        LBSwitch(f"lb-{i}", env, SwitchLimits(max_vips=16, max_rips=64))
-        for i in range(2)
-    ]
-    mgr = VipRipManager(
-        env,
-        switches,
-        PUBLIC_VIP_POOL(1000),
-        reconfig_s=1.0,
-        journal=WriteAheadJournal(),
-        checkpoints=CheckpointStore(),
-    )
-    mgr.submit(VipRipRequest("new_vip", "app-0"))
-    mgr.submit(VipRipRequest("new_rip", "app-0", rip="app-0@pod-3"))
-    env.run()
-    bridge = RipJournalBridge(mgr, pod_of=pod_of)
-    bridge.sync()
-    assert bridge.registry.homing("app-0@pod-3") is not None
-    assert bridge.verify()
-
-
-def test_bridge_requires_a_journal():
-    env = Environment()
-    switches = [LBSwitch("lb-0", env, SwitchLimits(max_vips=4, max_rips=8))]
-    mgr = VipRipManager(env, switches, PUBLIC_VIP_POOL(100))
-    with pytest.raises(ValueError, match="journaling"):
-        RipJournalBridge(mgr)
 
 
 # -- fingerprint memo -------------------------------------------------------

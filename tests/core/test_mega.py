@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MegaConfig, MegaControlPlaneConfig, MegaScaleDriver
-from repro.placement.sparse import SparsePlacement
+from repro.core.mega import VM_MEM_GB
+from repro.placement.sparse import SparseGreedyController, SparsePlacement
 from tests.placement.sparse_ref import same_placement
 
 
@@ -42,10 +43,6 @@ def test_config_validation():
         MegaConfig(target_utilization=1.5)
     with pytest.raises(ValueError):
         MegaConfig(vms_per_app=0)
-    for fill in (0.0, -1.0, 1.5):
-        with pytest.raises(ValueError, match="bootstrap_fill"):
-            MegaConfig(bootstrap_fill=fill)
-    MegaConfig(bootstrap_fill=1.0)  # a whole server per instance is fine
     for epoch_s in (0.0, -60.0):
         with pytest.raises(ValueError, match="epoch_s"):
             MegaConfig(epoch_s=epoch_s)
@@ -88,7 +85,8 @@ def test_quick_still_uses_bulk_sparse_path():
     # Per-pod S x A above the dense limit: quick really smokes the
     # O(nnz) path, not the small-scale delegation.
     per_pod_apps = cfg.n_apps * cfg.cover // cfg.n_pods
-    assert cfg.servers_per_pod * per_pod_apps > cfg.dense_limit
+    dense_limit = SparseGreedyController().dense_limit
+    assert cfg.servers_per_pod * per_pod_apps > dense_limit
 
 
 # ------------------------------------------------------------ bootstrap
@@ -188,7 +186,7 @@ def test_reports_are_sane():
         assert 0.0 < r.satisfied_fraction <= 1.0 + 1e-9
         assert r.peak_rss_mb > 0
         assert r.wall_s >= 0
-    # Chunked demand fingerprint was verified against materialized.
+    # Chunked demand fingerprint was verified against the whole vector.
     assert driver.demand_fingerprint is not None
 
 
@@ -222,14 +220,14 @@ def test_demand_scatter_splits_across_cover():
 
 
 def test_uniform_vm_memory_is_a_zero_stride_view():
-    """Every VM has ``vm_mem_gb``: each pod keeps one float as a view,
+    """Every VM has ``VM_MEM_GB``: each pod keeps one float as a view,
     not one float per app."""
     with MegaScaleDriver(tiny()) as driver:
         driver.run(1)
         for pod in driver.pods:
             assert pod.app_mem_gb.strides == (0,)
             assert pod.app_mem_gb.shape == (pod.n_apps,)
-            assert (pod.app_mem_gb == driver.config.vm_mem_gb).all()
+            assert (pod.app_mem_gb == VM_MEM_GB).all()
 
 
 def test_epoch_working_set_is_one_pod():

@@ -442,8 +442,8 @@ def test_bulk_path_quick_scale_pin():
     digest = hashlib.sha256()
     with MegaScaleDriver(cfg) as driver:
         assert all(
-            cfg.servers_per_pod * pod.n_apps > cfg.dense_limit
-            for pod in driver.pods
+            cfg.servers_per_pod * pod.n_apps > c.dense_limit
+            for pod, c in zip(driver.pods, driver.controllers)
         )
         server = driver.pods[11].servers.name(42)
         for epoch in range(3):

@@ -1,4 +1,4 @@
-"""Streaming workload: chunked generation must equal materialized, bitwise.
+"""Streaming workload: chunked generation must equal the whole vector, bitwise.
 
 The mega driver's memory bound rests on consuming demand in chunks; these
 properties pin the contract that chunking is *exactly* free — every chunk
@@ -33,7 +33,7 @@ def build(n_apps=200, seed=0, **over):
 def test_chunked_equals_materialized_bitwise(n_apps, chunk_apps, seed, epoch):
     w = build(n_apps=n_apps, seed=seed)
     t = epoch * 1800.0
-    whole = w.materialized(t)
+    whole = w.cpu_demand(t)
     rebuilt = np.concatenate(
         [vals for _lo, _hi, vals in w.chunks(t, chunk_apps)]
     )
@@ -86,21 +86,15 @@ def test_different_times_differ():
 
 def test_demand_positive_and_total_conserved_at_mean():
     w = build(n_apps=1000, seed=7)
-    d = w.demand_gbps(12345.0)
+    d = w.cpu_demand(12345.0)
     assert (d > 0).all()  # amplitude <= 0.6 < 1
     assert w.mean_gbps.sum() == pytest.approx(100.0)
 
 
-def test_cpu_demand_respects_ratio():
-    w = build(gbps_per_cpu=4.0)
-    t = 300.0
-    assert np.allclose(w.cpu_demand(t), w.demand_gbps(t) / 4.0)
-
-
 def test_slice_matches_full_vector():
     w = build(n_apps=50, seed=9)
-    full = w.demand_gbps(777.0)
-    assert w.demand_gbps(777.0, 10, 30).tobytes() == full[10:30].tobytes()
+    full = w.cpu_demand(777.0)
+    assert w.cpu_demand(777.0, 10, 30).tobytes() == full[10:30].tobytes()
 
 
 def test_validation():
@@ -112,6 +106,6 @@ def test_validation():
         StreamingWorkload(n_apps=5, total_gbps=1.0, diurnal_fraction=1.5)
     w = build()
     with pytest.raises(ValueError):
-        w.demand_gbps(0.0, 10, 5)
+        w.cpu_demand(0.0, 10, 5)
     with pytest.raises(ValueError):
         list(w.chunks(0.0, 0))
