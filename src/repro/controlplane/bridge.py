@@ -90,15 +90,17 @@ class RipJournalBridge:
         self._fingerprint_memo: Optional[tuple] = None
 
     # -- authority reads ----------------------------------------------------
-    def _authority_homing(self) -> dict:
-        return self.plane.rip_homing()
-
     def rebuild(self) -> None:
         """Replace the mirror with a fresh build from the authority's
         switch tables and re-fence every cursor."""
-        self.registry = ColumnarRipRegistry.from_authority(
-            self._authority_homing(), self.pod_of
+        self._adopt(
+            ColumnarRipRegistry.from_authority(self.plane.rip_homing(), self.pod_of)
         )
+
+    def _adopt(self, registry: ColumnarRipRegistry) -> None:
+        """Make *registry* (built from the authority) the mirror, count the
+        rebuild and re-fence every cursor."""
+        self.registry = registry
         self.rebuilds += 1
         for src in self._sources:
             src.cursor = src.journal.last_epoch
@@ -188,15 +190,11 @@ class RipJournalBridge:
         *repair*, a divergent mirror is replaced by the rebuild — the
         recovery path for un-journaled anti-entropy repairs."""
         shadow = ColumnarRipRegistry.from_authority(
-            self._authority_homing(), self.pod_of
+            self.plane.rip_homing(), self.pod_of
         )
         ok = shadow.fingerprint() == self.registry.fingerprint()
         if not ok and repair:
-            self.registry = shadow
-            self.rebuilds += 1
-            for src in self._sources:
-                src.cursor = src.journal.last_epoch
-                src.pending = list(src.journal.unsettled)
+            self._adopt(shadow)
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(
                 "ripmap.verify",

@@ -34,11 +34,11 @@ class Checkpoint:
 class CheckpointStore:
     """Durable storage holding the most recent checkpoint."""
 
-    latest: Optional[Checkpoint] = None
-    taken: int = 0
+    latest: Optional[Checkpoint] = field(default=None, init=False)
+    taken: int = field(default=0, init=False)
     #: Journal records discarded by post-checkpoint truncation.
-    truncated: int = 0
-    history_epochs: list[int] = field(default_factory=list)
+    truncated: int = field(default=0, init=False)
+    history_epochs: list[int] = field(default_factory=list, init=False)
 
     def capture(
         self,

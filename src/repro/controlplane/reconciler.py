@@ -22,7 +22,10 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.datacenter import MegaDataCenter
-    from repro.faults.metrics import RecoveryMonitor
+
+#: A VIP whose drift went unrepaired in more than this many consecutive
+#: passes is stuck.
+STUCK_AFTER_ROUNDS = 3
 
 
 @dataclass
@@ -49,7 +52,7 @@ class DriftReport:
     #: Repairs actually performed (<= detected when repair is impossible,
     #: e.g. no healthy switch has slots for a stranded VIP).
     repaired: int = 0
-    #: VIPs whose drift went unrepaired for more than ``stuck_after_rounds``
+    #: VIPs whose drift went unrepaired for more than ``STUCK_AFTER_ROUNDS``
     #: consecutive passes — reported loudly instead of silently skipped.
     stuck_vips: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -79,20 +82,12 @@ class AntiEntropyReconciler:
         self,
         dc: "MegaDataCenter",
         interval_s: float = 30.0,
-        monitor: Optional["RecoveryMonitor"] = None,
-        repair: bool = True,
-        stuck_after_rounds: int = 3,
     ):
         if interval_s <= 0:
             raise ValueError("reconciler interval must be positive")
-        if stuck_after_rounds < 1:
-            raise ValueError("stuck_after_rounds must be at least 1")
         self.dc = dc
         self.env = dc.env
         self.interval_s = interval_s
-        self.monitor = monitor
-        #: With repair off the reconciler is a pure drift detector.
-        self.repair = repair
         self.passes = 0
         self.drift_detected = 0
         self.drift_repaired = 0
@@ -102,10 +97,9 @@ class AntiEntropyReconciler:
         self._dirty_since: Optional[float] = None
         self._busy: set[str] = set()
         #: A VIP detected as drifted but *not* repaired in K consecutive
-        #: passes (K > stuck_after_rounds) is stuck — something structural
+        #: passes (K > STUCK_AFTER_ROUNDS) is stuck — something structural
         #: (no healthy switch, no free slots) keeps the repair from
         #: landing, and retrying quietly forever would hide it.
-        self.stuck_after_rounds = stuck_after_rounds
         self._unresolved_streak: dict[str, int] = {}
         self._unresolved: set[str] = set()
         self._proc = self.env.process(self._run())
@@ -146,17 +140,17 @@ class AntiEntropyReconciler:
         report.stuck_vips = sorted(
             vip
             for vip, streak in self._unresolved_streak.items()
-            if streak > self.stuck_after_rounds
+            if streak > STUCK_AFTER_ROUNDS
         )
 
         self.passes += 1
         self.reports.append(report)
         self.drift_detected += report.detected
         self.drift_repaired += report.repaired
-        monitor = self._monitor()
+        monitor = self.dc.recovery_monitor
         if report.stuck_vips:
             report.notes.append(
-                f"stuck >{self.stuck_after_rounds} rounds: "
+                f"stuck >{STUCK_AFTER_ROUNDS} rounds: "
                 + ", ".join(report.stuck_vips)
             )
             if monitor is not None:
@@ -174,13 +168,6 @@ class AntiEntropyReconciler:
         if monitor is not None and report.detected > 0:
             monitor.note_drift(report.detected, report.repaired)
         return report
-
-    def _monitor(self) -> Optional["RecoveryMonitor"]:
-        """Explicit monitor if one was given, else whatever RecoveryMonitor
-        the fault injector attached to the facade."""
-        if self.monitor is not None:
-            return self.monitor
-        return getattr(self.dc, "recovery_monitor", None)
 
     # ------------------------------------------------------------ VIP checks
     def _busy_vips(self) -> set[str]:
@@ -211,9 +198,6 @@ class AntiEntropyReconciler:
                 continue
             if len(actual) > 1:
                 report.vip_duplicate += 1
-                if not self.repair:
-                    self._unresolved.add(vip)
-                    continue
                 keep = info.switch if info.switch in actual else actual[0]
                 for name in actual:
                     if name != keep:
@@ -225,20 +209,14 @@ class AntiEntropyReconciler:
                 # The data plane is authoritative for *where* the entry
                 # lives; realign the registry (and DNS) to it.
                 report.vip_misplaced += 1
-                if self.repair:
-                    dc._on_vip_rehomed(vip, actual[0])
-                    report.repaired += 1
-                else:
-                    self._unresolved.add(vip)
+                dc._on_vip_rehomed(vip, actual[0])
+                report.repaired += 1
             else:
                 # Stranded: on no switch and not in transfer (e.g. an
                 # aborted half-configured move).  Recreate the group on a
                 # healthy switch; the RIP pass refills it from the
                 # registry.
                 report.vip_missing += 1
-                if not self.repair:
-                    self._unresolved.add(vip)
-                    continue
                 candidates = [
                     sw
                     for name, sw in sorted(dc.switches.items())
@@ -270,9 +248,6 @@ class AntiEntropyReconciler:
             if rip in entry.rips:
                 continue
             report.rip_missing += 1
-            if not self.repair:
-                self._unresolved.add(info.vip)
-                continue
             if sw.rip_slots_free <= 0:
                 report.notes.append(f"no RIP slot on {sw.name} for {rip}")
                 self._unresolved.add(info.vip)
@@ -301,10 +276,9 @@ class AntiEntropyReconciler:
                     if dc.viprip is not None and rip in dc.viprip.rip_index:
                         continue  # a queued del_rip will collect it
                     report.rip_orphaned += 1
-                    if self.repair:
-                        sw.remove_rip(vip, rip)
-                        dc.state.reconfigurations += 1
-                        report.repaired += 1
+                    sw.remove_rip(vip, rip)
+                    dc.state.reconfigurations += 1
+                    report.repaired += 1
 
     def _reconcile_manager_index(self, report: DriftReport) -> None:
         """The VIP/RIP manager's rip_index must match the tables it feeds."""
@@ -331,8 +305,6 @@ class AntiEntropyReconciler:
             if location == (vip, switch_name):
                 continue
             report.index_stale += 1
-            if not self.repair:
-                continue
             if location is not None:
                 dc.viprip.rip_index[rip] = location
             elif rip not in dc.state.rips and rip not in dc._pending_wirings:
@@ -369,8 +341,7 @@ class AntiEntropyReconciler:
                     if vm.rip in dc.state.rips or vm.rip in dc._pending_wirings:
                         continue
                     report.vm_unregistered += 1
-                    if self.repair:
-                        dc._wire_rip(vm)
-                        report.repaired += 1
+                    dc._wire_rip(vm)
+                    report.repaired += 1
 
     # ---------------------------------------------------------------- views

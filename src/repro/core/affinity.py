@@ -19,6 +19,9 @@ from typing import Callable, Iterable, Mapping
 
 from repro.workload.apps import AppSpec
 
+#: Backend flow between two tiers as a share of the smaller tier's demand.
+BACKEND_FACTOR = 0.5
+
 
 def pod_fractions(
     pods: Mapping[str, object], app: str
@@ -49,12 +52,11 @@ def cross_pod_backend_gbps(
     groups: Mapping[str, list[AppSpec]],
     fractions: Callable[[str], Mapping[str, float]],
     t: float,
-    backend_factor: float = 0.5,
 ) -> tuple[float, float]:
     """(cross-pod, total) backend traffic across all affinity groups.
 
     Backend flow between two tiers of one group is modelled as
-    ``backend_factor * min(D_a, D_b)`` (the smaller tier bounds the
+    ``BACKEND_FACTOR * min(D_a, D_b)`` (the smaller tier bounds the
     exchange); the cross-pod share of each flow is
     ``1 - colocation_probability``.
     """
@@ -62,7 +64,7 @@ def cross_pod_backend_gbps(
     for members in groups.values():
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
-                flow = backend_factor * min(a.traffic_gbps(t), b.traffic_gbps(t))
+                flow = BACKEND_FACTOR * min(a.traffic_gbps(t), b.traffic_gbps(t))
                 if flow <= 0:
                     continue
                 total += flow

@@ -168,7 +168,6 @@ class ColumnarPodState:
     app_mem_gb: np.ndarray
     placement: SparsePlacement
     load: np.ndarray
-    epochs_applied: int = 0
 
     def __post_init__(self):
         # A uniform column may come as a zero-stride view of one float;
@@ -258,7 +257,6 @@ class ColumnarPodState:
         else:
             self.placement = solution.placement
             self.load = np.ascontiguousarray(solution.load, dtype=float)
-        self.epochs_applied += 1
         return {
             "started": started,
             "stopped": stopped,

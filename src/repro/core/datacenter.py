@@ -66,11 +66,14 @@ DEFAULT_LINKS = (
     ("link-d", "isp-2", "AR4", "br-2", 10.0, 1.5),
 )
 
+#: VMs per pod before it counts as an elephant (Section III-A).
+POD_MAX_VMS = 10_000
+
 
 class MegaDataCenter:
     """Build and run a simulated mega data center.
 
-    *pod_max_servers* and *pod_max_vms* are Section III-A's pod size
+    *pod_max_servers* and :data:`POD_MAX_VMS` are Section III-A's pod size
     limits: "about 5,000 servers and 10,000 VMs (whichever comes first)".
     Experiments run scaled-down pods; the *ratio* of these limits to
     total size is what matters.  *control_plane_shards* is the number of
@@ -91,7 +94,6 @@ class MegaDataCenter:
         pod_controller_factory: Optional[Callable[[], object]] = None,
         enable_global_manager: bool = True,
         pod_max_servers: int = 5000,
-        pod_max_vms: int = 10_000,
         exposure_policy: Optional[ExposurePolicy] = None,
         proactive_exposure: bool = False,
         serialized_reconfig: bool = False,
@@ -179,7 +181,7 @@ class MegaDataCenter:
             cpu_capacity=self.config.server_cpu, mem_gb=self.config.server_mem_gb
         )
         for p in range(n_pods):
-            pod = Pod(f"pod-{p}", max_servers=pod_max_servers, max_vms=pod_max_vms)
+            pod = Pod(f"pod-{p}", max_servers=pod_max_servers, max_vms=POD_MAX_VMS)
             for s in range(servers_per_pod):
                 server = PhysicalServer(f"pod-{p}-s{s}", spec)
                 pod.add_server(server)
@@ -941,7 +943,7 @@ class MegaDataCenter:
                     if pod is None:
                         blackholed += traffic * w
                         continue
-                    pod_demand[pod][app_id] += traffic * w / spec.gbps_per_cpu
+                    pod_demand[pod][app_id] += traffic * w
 
         for name, load in link_loads.items():
             if self.internet.link(name).is_up:

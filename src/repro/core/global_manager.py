@@ -41,6 +41,10 @@ from repro.workload.apps import AppSpec
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
+#: K1 re-weights at most this many apps per overloaded link (or, with
+#: proactive exposure, per epoch).
+MAX_K1_APPS_PER_EPOCH = 20
+
 
 class GlobalManager:
     """Epoch-driven datacenter-wide controller."""
@@ -56,10 +60,8 @@ class GlobalManager:
         specs: Mapping[str, AppSpec],
         rip_pool: AddressPool,
         exposure_policy: Optional[ExposurePolicy] = None,
-        ladder: Optional[KnobLadder] = None,
         wire_rip=None,
         unwire_rip=None,
-        max_k1_apps_per_epoch: int = 20,
         proactive_exposure: bool = False,
         trace=None,
     ):
@@ -71,8 +73,7 @@ class GlobalManager:
         self.pod_managers = dict(pod_managers)
         self.specs = dict(specs)
         self.log = ActionLog(trace=trace)
-        self.ladder = ladder if ladder is not None else KnobLadder()
-        self.max_k1_apps_per_epoch = max_k1_apps_per_epoch
+        self.ladder = KnobLadder()
         #: With proactive exposure, K1 re-weights the busiest apps every
         #: epoch (business-cost steering, Section IV-A), not only when a
         #: link overloads.
@@ -140,14 +141,12 @@ class GlobalManager:
                     self.state.vip_traffic.get(v, 0.0)
                     for v in self.state.app_vips[a]
                 ),
-            )[: self.max_k1_apps_per_epoch]
+            )[:MAX_K1_APPS_PER_EPOCH]
         else:
             overloaded = self.state.internet.overloaded(self.config.overload_threshold)
             apps = []
             for link in overloaded:
-                apps.extend(
-                    self.state.apps_on_link(link.name)[: self.max_k1_apps_per_epoch]
-                )
+                apps.extend(self.state.apps_on_link(link.name)[:MAX_K1_APPS_PER_EPOCH])
         for app in apps:
             vip_links = self.state.vip_links_of(app)
             if len(set(i.name for i in vip_links.values())) < 2:

@@ -31,34 +31,27 @@ class AppDeployment:
         env: "Environment",
         rip_pool: AddressPool,
         log: Optional[ActionLog] = None,
-        clone_model: Optional[CloneModel] = None,
-        migration_model: Optional[MigrationModel] = None,
-        stats: Optional[MigrationStats] = None,
         fabric_gbps: float = 1.0,
     ):
         self.env = env
         self.rip_pool = rip_pool
         self.log = log if log is not None else ActionLog()
-        self.clone_model = clone_model if clone_model is not None else CloneModel()
-        self.migration_model = (
-            migration_model if migration_model is not None else MigrationModel()
-        )
-        self.stats = stats if stats is not None else MigrationStats()
+        self.clone_model = CloneModel()
+        self.migration_model = MigrationModel()
+        self.stats = MigrationStats()
         self.fabric_gbps = fabric_gbps
 
     def replicate(
         self,
         spec: AppSpec,
         target: Pod,
-        cpu_slice: Optional[float] = None,
         on_start: Optional[Callable[[VM], None]] = None,
     ):
         """Simulation process: clone one instance of *spec* into *target*.
 
         Returns the new VM, or None if no server in the pod can host it.
         """
-        slice_ = spec.vm_cpu if cpu_slice is None else cpu_slice
-        server = self._pick_server(target, slice_, spec.vm_mem_gb, spec.app_id)
+        server = self._pick_server(target, spec.vm_cpu, spec.vm_mem_gb, spec.app_id)
         if server is None:
             self.log.record(
                 self.env.now, "K4", "replicate-failed", app=spec.app_id, pod=target.name
@@ -67,7 +60,7 @@ class AppDeployment:
         vm = VM(
             vm_id=f"{spec.app_id}@{server.name}",
             app=spec.app_id,
-            cpu_slice=slice_,
+            cpu_slice=spec.vm_cpu,
             mem_gb=spec.vm_mem_gb,
             image_gb=spec.vm_image_gb,
             state=VMState.BOOTING,
@@ -88,13 +81,7 @@ class AppDeployment:
         )
         return vm
 
-    def migrate(
-        self,
-        vm: VM,
-        source: Pod,
-        target: Pod,
-        on_moved: Optional[Callable[[VM], None]] = None,
-    ):
+    def migrate(self, vm: VM, source: Pod, target: Pod):
         """Simulation process: live-migrate *vm* from *source* to *target*.
 
         Returns True on success.
@@ -114,8 +101,6 @@ class AppDeployment:
         vm.vm_id = f"{vm.app}@{server_to.name}"
         server_to.attach(vm)
         vm.state = VMState.RUNNING
-        if on_moved is not None:
-            on_moved(vm)
         self.log.record(
             self.env.now,
             "K4",

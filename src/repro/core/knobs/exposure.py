@@ -26,6 +26,9 @@ from repro.network.links import AccessLink
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
+#: Old-route traffic (Gbps) at or below which a naive move counts as drained.
+DRAINED_THRESHOLD_GBPS = 1e-3
+
 
 class SelectiveVipExposure:
     """K1: steer client demand among an app's VIPs via DNS weights."""
@@ -100,7 +103,6 @@ class NaiveReadvertisement:
         from_link: str,
         to_link: str,
         old_route_traffic_gbps: Callable[[], float],
-        drained_threshold_gbps: float = 1e-3,
     ):
         """Move *vip*'s route: advertise new, pad old, drain, withdraw old.
 
@@ -115,7 +117,7 @@ class NaiveReadvertisement:
         # routers" — wait for the old route's traffic to die out.
         deadline = started + self.drain_timeout_s
         while (
-            old_route_traffic_gbps() > drained_threshold_gbps
+            old_route_traffic_gbps() > DRAINED_THRESHOLD_GBPS
             and self.env.now < deadline
         ):
             yield self.env.timeout(self.drain_poll_s)

@@ -22,6 +22,9 @@ from repro.lbswitch.switch import LBSwitch
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
+#: How far an intra-pod reweighting may move the pod's weight total.
+WEIGHT_TOTAL_TOLERANCE = 1e-9
+
 
 class RipWeightAdjustment:
     """K6 executor."""
@@ -65,7 +68,6 @@ class RipWeightAdjustment:
         pod_of_rip: Callable[[str], Optional[str]],
         pod: str,
         new_weights: Mapping[str, float],
-        tolerance: float = 1e-9,
     ):
         """Simulation process: reweight the RIPs of *vip* that live in
         *pod*, enforcing weight-total conservation.
@@ -82,7 +84,7 @@ class RipWeightAdjustment:
             )
         old_total = sum(entry.rips[r] for r in pod_rips)
         new_total = sum(new_weights.values())
-        if abs(new_total - old_total) > tolerance:
+        if abs(new_total - old_total) > WEIGHT_TOTAL_TOLERANCE:
             raise ValueError(
                 f"{vip}: pod {pod} weight total changed "
                 f"({old_total:.6f} -> {new_total:.6f}); other pods would be affected"

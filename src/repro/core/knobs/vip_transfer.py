@@ -7,7 +7,8 @@ the original switch.  The transfer therefore:
 
 1. uses selective exposure to stop DNS from answering with this VIP;
 2. waits for the VIP's residual traffic (laggard clients violating TTL)
-   to fall below a drain threshold, or for a timeout;
+   to fall below a drain threshold, or gives up at a timeout and restores
+   the exposure;
 3. removes the entry from the source switch and installs it on the target
    (one reconfiguration each), notifying the border router;
 4. restores the VIP's exposure.
@@ -30,10 +31,12 @@ from repro.lbswitch.switch import LBSwitch
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
+#: Seconds between residual-traffic checks while a VIP drains.
+DRAIN_POLL_S = 5.0
+
 
 class TransferOutcome(enum.Enum):
     CLEAN = "clean"  # drained fully; no session broken
-    FORCED = "forced"  # timeout; moved anyway, residual sessions broken
     ABORTED = "aborted"  # timeout; gave up
 
 
@@ -57,8 +60,6 @@ class VipTransfer:
         reconfig_s: float = 3.0,
         drain_epsilon: float = 0.02,
         drain_timeout_s: float = 600.0,
-        drain_poll_s: float = 5.0,
-        force_on_timeout: bool = False,
     ):
         self.env = env
         self.authority = authority
@@ -67,8 +68,6 @@ class VipTransfer:
         self.reconfig_s = reconfig_s
         self.drain_epsilon = drain_epsilon
         self.drain_timeout_s = drain_timeout_s
-        self.drain_poll_s = drain_poll_s
-        self.force_on_timeout = force_on_timeout
 
     def transfer(
         self,
@@ -99,10 +98,10 @@ class VipTransfer:
             self.fluid_dns.residual_share(app, vip) > self.drain_epsilon
             and self.env.now < deadline
         ):
-            yield self.env.timeout(self.drain_poll_s)
+            yield self.env.timeout(DRAIN_POLL_S)
         residual = self.fluid_dns.residual_share(app, vip)
 
-        if residual > self.drain_epsilon and not self.force_on_timeout:
+        if residual > self.drain_epsilon:
             # Give up; restore exposure.
             self.authority.configure(app, old_weights)
             result = TransferResult(
@@ -124,12 +123,9 @@ class VipTransfer:
 
         # 4. Restore exposure.
         self.authority.configure(app, old_weights)
-        outcome = (
-            TransferOutcome.CLEAN
-            if residual <= self.drain_epsilon
-            else TransferOutcome.FORCED
+        result = TransferResult(
+            vip, TransferOutcome.CLEAN, self.env.now - started, residual
         )
-        result = TransferResult(vip, outcome, self.env.now - started, residual)
         self.log.record(
             self.env.now,
             "K2",
@@ -137,7 +133,7 @@ class VipTransfer:
             vip=vip,
             frm=src.name,
             to=dst.name,
-            outcome=outcome.value,
+            outcome=result.outcome.value,
             duration_s=round(result.duration_s, 2),
             residual=round(residual, 4),
         )

@@ -341,12 +341,11 @@ class MegaScaleDriver:
         """Global ids of apps covering pod *p* (sorted ascending).
 
         App ``i`` covers *p* iff ``(p - i) % n_pods < cover``: the ids are
-        the ``cover`` residue classes ``(p - j) % n_pods``, enumerated
-        block by block of ``n_pods`` ids instead of testing every app."""
+        the ``cover`` residue classes ``_residues[p]``, enumerated block by
+        block of ``n_pods`` ids instead of testing every app."""
         cfg = self.config
-        residues = np.sort((p - np.arange(cfg.cover, dtype=np.int64)) % cfg.n_pods)
         blocks = np.arange(-(-cfg.n_apps // cfg.n_pods), dtype=np.int64) * cfg.n_pods
-        gids = (blocks[:, None] + residues).ravel()
+        gids = (blocks[:, None] + self._residues[p]).ravel()
         # Copy: a view would keep the whole padded block alive per pod.
         return gids[: np.searchsorted(gids, cfg.n_apps)].copy()
 

@@ -62,7 +62,6 @@ class ColumnarDataPlane:
         stream: RequestStream,
         *,
         ttl_s: float,
-        violation_factor: float = 10.0,
         switch_max_connections: int = 1_000_000,
         chunk_requests: Optional[int] = None,
         trace=None,
@@ -83,7 +82,6 @@ class ColumnarDataPlane:
             stream.n_resolvers,
             ttl_s=ttl_s,
             violators=stream.violators(),
-            violation_factor=violation_factor,
         )
         # DNS table slots -> registry vip ids (the bridge between the
         # answer draw and the serving view).

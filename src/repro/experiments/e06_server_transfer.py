@@ -106,7 +106,6 @@ def _run_one(
         pod_controller_factory=lambda: TangController(),
         enable_global_manager=enable_gm,
         pod_max_servers=pod_max_servers,
-        pod_max_vms=10_000,
         trace=trace,
         audit=audit,
     )

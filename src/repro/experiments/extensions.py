@@ -205,7 +205,7 @@ def run_coplacement(
             apps = [
                 AppSpec(
                     a.app_id, a.popularity, a.demand, a.vm_cpu, a.vm_mem_gb,
-                    a.vm_image_gb, a.gbps_per_cpu, a.min_instances, a.n_vips,
+                    a.vm_image_gb, a.min_instances, a.n_vips,
                     affinity_group=None,
                 )
                 for a in apps

@@ -38,23 +38,23 @@ class FaultRecord:
 class RecoveryMonitor:
     """Aggregates fault lifecycles into per-class recovery statistics."""
 
-    records: list[FaultRecord] = field(default_factory=list)
+    records: list[FaultRecord] = field(default_factory=list, init=False)
     #: Demand-seconds lost while traffic black-holed (Gb, i.e. Gbps*s).
-    dropped_gb: float = 0.0
+    dropped_gb: float = field(default=0.0, init=False)
     #: Queued/in-flight reconfigurations dropped by control-plane crashes.
-    lost_reconfigurations: int = 0
+    lost_reconfigurations: int = field(default=0, init=False)
     #: Drift instances the anti-entropy reconciler found / repaired.
-    drift_detected: int = 0
-    drift_repaired: int = 0
+    drift_detected: int = field(default=0, init=False)
+    drift_repaired: int = field(default=0, init=False)
     #: Drift-to-clean convergence intervals of the reconciler (seconds).
-    convergence_s: Tally = field(default_factory=Tally)
+    convergence_s: Tally = field(default_factory=Tally, init=False)
     #: VIPs the reconciler reported stuck (drift unrepaired for more than
-    #: its ``stuck_after_rounds`` consecutive passes).
-    stuck_vips: set[str] = field(default_factory=set)
+    #: ``STUCK_AFTER_ROUNDS`` consecutive passes).
+    stuck_vips: set[str] = field(default_factory=set, init=False)
     #: How many times a stuck-VIP report came in (a vip can re-stick).
-    stuck_vip_reports: int = 0
-    _open: dict[tuple[str, str], FaultRecord] = field(default_factory=dict)
-    _mttr: dict[str, Tally] = field(default_factory=dict)
+    stuck_vip_reports: int = field(default=0, init=False)
+    _open: dict[tuple[str, str], FaultRecord] = field(default_factory=dict, init=False)
+    _mttr: dict[str, Tally] = field(default_factory=dict, init=False)
 
     # -- lifecycle hooks (called by the injector / facade) -----------------
     def fault_started(self, t: float, kind: str, target: str, fault_class: str) -> FaultRecord:

@@ -24,6 +24,9 @@ from repro.hosts.vm import VM
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
+#: Share of a clone's image actually fetched in the background.
+BACKGROUND_FETCH_FRACTION = 0.4
+
 
 @dataclass
 class MigrationStats:
@@ -68,10 +71,9 @@ class CloneModel:
     """SnowFlock-style fast instantiation of an additional replica."""
 
     activation_s: float = 3.0  # clone is serving after this long
-    background_fetch_fraction: float = 0.4  # image fraction actually fetched
 
     def clone(self, env: "Environment", vm: VM, stats: MigrationStats):
         """Simulation process: activate a clone; background bytes accounted."""
         yield env.timeout(self.activation_s)
         stats.clones += 1
-        stats.bytes_copied_gb += vm.image_gb * self.background_fetch_fraction
+        stats.bytes_copied_gb += vm.image_gb * BACKGROUND_FETCH_FRACTION

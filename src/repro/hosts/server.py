@@ -25,10 +25,10 @@ class PhysicalServer:
     and touches no topology.
     """
 
-    def __init__(self, name: str, spec: ServerSpec = ServerSpec(), pod: Optional[str] = None):
+    def __init__(self, name: str, spec: ServerSpec = ServerSpec()):
         self.name = name
         self.spec = spec
-        self.pod = pod
+        self.pod: Optional[str] = None
         self._vms: dict[str, VM] = {}
         #: Monotonic counter bumped on every attach/detach.  Lets callers
         #: that cache derived views of the VM set (e.g. the pod manager's

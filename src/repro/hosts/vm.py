@@ -43,7 +43,7 @@ class VM:
     image_gb: float = 4.0
     state: VMState = VMState.BOOTING
     rip: Optional[str] = None
-    host: Optional[str] = None  # physical server name
+    host: Optional[str] = field(default=None, init=False)  # physical server name
 
     def __post_init__(self):
         if self.cpu_slice < 0:

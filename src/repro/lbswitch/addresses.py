@@ -63,9 +63,9 @@ class AddressPool:
         return ip in self._allocated
 
 
-def PUBLIC_VIP_POOL(size: int = 1 << 20, lazy_recycle: bool = False) -> AddressPool:
+def PUBLIC_VIP_POOL(size: int = 1 << 20) -> AddressPool:
     """Factory: the platform's public VIP block."""
-    return AddressPool("203.0.0.0", size, label="vip", lazy_recycle=lazy_recycle)
+    return AddressPool("203.0.0.0", size, label="vip")
 
 
 def PRIVATE_RIP_POOL(size: int = 1 << 24, lazy_recycle: bool = False) -> AddressPool:

@@ -26,9 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class RouteUpdateLog:
     """Counts route updates by kind (the churn the paper wants to avoid)."""
 
-    advertisements: int = 0
-    withdrawals: int = 0
-    paddings: int = 0
+    advertisements: int = field(default=0, init=False)
+    withdrawals: int = field(default=0, init=False)
+    paddings: int = field(default=0, init=False)
 
     @property
     def total(self) -> int:
@@ -97,8 +97,6 @@ class BGPAnnouncer:
             ads[link] = Advertisement(vip, link, padded=True)
 
     # -- synchronous variants for non-simulated (setup) use ------------------
-    def advertise_now(self, vip: str, link: str, count_update: bool = False) -> None:
+    def advertise_now(self, vip: str, link: str) -> None:
         """Install a route instantly (initial configuration, not churn)."""
-        if count_update:
-            self.log.advertisements += 1
         self._routes.setdefault(vip, {})[link] = Advertisement(vip, link)

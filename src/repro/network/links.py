@@ -43,9 +43,11 @@ class AccessLink:
     access_router: str
     capacity_gbps: float
     cost_per_gbps: float = 1.0
-    monitor: Optional[UtilizationMonitor] = field(default=None, repr=False)
+    monitor: Optional[UtilizationMonitor] = field(
+        default=None, init=False, repr=False
+    )
     #: Operational state; a down link carries no traffic (fault injection).
-    up: bool = True
+    up: bool = field(default=True, init=False)
 
     def attach(self, env: "Environment") -> "AccessLink":
         """Create the utilization monitor once a simulation exists."""
@@ -96,7 +98,7 @@ class BorderRouter:
     """
 
     name: str
-    access_links: list[AccessLink] = field(default_factory=list)
+    access_links: list[AccessLink] = field(default_factory=list, init=False)
 
     def add_link(self, link: AccessLink) -> None:
         self.access_links.append(link)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class DistributedController:
 
     sample_size: int = 4
     rng: Optional[np.random.Generator] = None
-    name: str = "distributed"
+    name: ClassVar[str] = "distributed"
     _ring: _BufferRing = field(
         default_factory=_BufferRing, init=False, repr=False, compare=False
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from repro.placement.problem import (
     PlacementSolution,
     count_changes,
 )
+
+#: Proportional-filling rounds of :func:`waterfill_load`.
+WATERFILL_ROUNDS = 12
 
 
 class _BufferRing:
@@ -53,9 +57,7 @@ class _BufferRing:
         return buf
 
 
-def waterfill_load(
-    problem: PlacementProblem, placement: np.ndarray, rounds: int = 12
-) -> np.ndarray:
+def waterfill_load(problem: PlacementProblem, placement: np.ndarray) -> np.ndarray:
     """Distribute divisible app demand over placed instances.
 
     Iterative proportional filling: each round every unsatisfied app asks
@@ -69,7 +71,7 @@ def waterfill_load(
     load = np.zeros((s_count, a_count))
     remaining = problem.app_cpu_demand.copy()
     free = problem.server_cpu.astype(float).copy()
-    for _ in range(rounds):
+    for _ in range(WATERFILL_ROUNDS):
         open_servers = free > 1e-12
         p = placement & open_servers[:, None]
         counts = p.sum(axis=0)
@@ -104,7 +106,7 @@ class GreedyController:
 
     stop_idle: bool = True
     packing: bool = False
-    name: str = "greedy-agile"
+    name: ClassVar[str] = "greedy-agile"
     _ring: _BufferRing = field(
         default_factory=_BufferRing, init=False, repr=False, compare=False
     )

@@ -14,6 +14,10 @@ from typing import Optional
 
 import numpy as np
 
+#: Slack a solution's loads and capacities may exceed their bounds by in
+#: ``validate``, for float round-off.
+VALIDATE_ATOL = 1e-6
+
 
 def _is_sparse(placement) -> bool:
     """True when *placement* is a CSR :class:`SparsePlacement`.
@@ -129,19 +133,19 @@ class PlacementSolution:
     def server_load(self) -> np.ndarray:
         return self.load.sum(axis=1)
 
-    def validate(self, problem: PlacementProblem, atol: float = 1e-6) -> None:
+    def validate(self, problem: PlacementProblem) -> None:
         """Raise if the solution violates any hard constraint."""
         if self.placement.shape != problem.current.shape:
             raise ValueError("placement shape mismatch")
-        if (self.load < -atol).any():
+        if (self.load < -VALIDATE_ATOL).any():
             raise ValueError("negative load assignment")
-        if ((self.load > atol) & ~self.placement).any():
+        if ((self.load > VALIDATE_ATOL) & ~self.placement).any():
             raise ValueError("load assigned to a server without an instance")
-        if (self.server_load() > problem.server_cpu + atol).any():
+        if (self.server_load() > problem.server_cpu + VALIDATE_ATOL).any():
             raise ValueError("server CPU capacity exceeded")
         if not problem.placement_feasible(self.placement):
             raise ValueError("server memory capacity exceeded")
-        if (self.satisfied() > problem.app_cpu_demand + atol).any():
+        if (self.satisfied() > problem.app_cpu_demand + VALIDATE_ATOL).any():
             raise ValueError("app served more than its demand")
         if problem.max_instances is not None:
             if (self.placement.sum(axis=0) > problem.max_instances).any():

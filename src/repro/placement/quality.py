@@ -22,11 +22,10 @@ class SolutionQuality:
 
 
 def evaluate_solution(
-    problem: PlacementProblem, solution: PlacementSolution, validate: bool = True
+    problem: PlacementProblem, solution: PlacementSolution
 ) -> SolutionQuality:
     """Validate a solution and compute its quality metrics."""
-    if validate:
-        solution.validate(problem)
+    solution.validate(problem)
     total_demand = problem.total_demand
     satisfied = solution.satisfied().sum()
     util = solution.server_load() / problem.server_cpu

@@ -34,12 +34,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from repro.placement.greedy import GreedyController
-from repro.placement.problem import PlacementProblem, PlacementSolution
+from repro.placement.problem import (
+    VALIDATE_ATOL,
+    PlacementProblem,
+    PlacementSolution,
+)
 
 #: Rounds of bulk instance starts per solve; each round gives every
 #: still-starved app at most one new instance.
@@ -121,9 +125,9 @@ class SparsePlacement:
         shape: Tuple[int, int],
         rows: np.ndarray,
         cols: np.ndarray,
-        check: bool = True,
     ) -> Tuple["SparsePlacement", np.ndarray]:
-        """Build from (server, app) entry lists in any order.
+        """Build from (server, app) entry lists in any order; the result is
+        always validated.
 
         Returns ``(placement, order)`` where ``order`` is the permutation
         that row-major-sorted the entries — apply it to any per-entry
@@ -136,7 +140,7 @@ class SparsePlacement:
         cols = cols[order]
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return cls(shape, indptr, cols, check=check), order
+        return cls(shape, indptr, cols), order
 
     # -- ndarray-ish surface ------------------------------------------
     @property
@@ -248,18 +252,18 @@ class SparseSolution:
             wall_time_s=sol.wall_time_s,
         )
 
-    def validate(self, problem: PlacementProblem, atol: float = 1e-6) -> None:
+    def validate(self, problem: PlacementProblem) -> None:
         """Sparse hard-constraint check (mirrors PlacementSolution)."""
         cur = problem.current
         if self.placement.shape != cur.shape:
             raise ValueError("placement shape mismatch")
-        if (self.load < -atol).any():
+        if (self.load < -VALIDATE_ATOL).any():
             raise ValueError("negative load assignment")
-        if (self.server_load() > problem.server_cpu + atol).any():
+        if (self.server_load() > problem.server_cpu + VALIDATE_ATOL).any():
             raise ValueError("server CPU capacity exceeded")
         if not problem.placement_feasible(self.placement):
             raise ValueError("server memory capacity exceeded")
-        if (self.satisfied() > problem.app_cpu_demand + atol).any():
+        if (self.satisfied() > problem.app_cpu_demand + VALIDATE_ATOL).any():
             raise ValueError("app served more than its demand")
         if problem.max_instances is not None:
             if (self.placement.instance_counts() > problem.max_instances).any():
@@ -383,7 +387,7 @@ class SparseGreedyController:
 
     stop_idle: bool = True
     dense_limit: int = 1 << 22
-    name: str = "greedy-sparse"
+    name: ClassVar[str] = "greedy-sparse"
     _dense: Optional[GreedyController] = field(
         default=None, init=False, repr=False, compare=False
     )

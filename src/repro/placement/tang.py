@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,16 +57,15 @@ class TangController:
     ----------
     max_iterations:
         Load-shift / placement-change rounds.
-    name:
-        Label used in experiment tables.
     """
 
     max_iterations: int = 10
-    name: str = "tang-centralized"
+    #: Label used in experiment tables.
+    name: ClassVar[str] = "tang-centralized"
     #: Max-flow solves performed (one per load-shift call).
-    maxflow_calls: int = field(default=0, compare=False)
+    maxflow_calls: int = field(default=0, init=False, compare=False)
     #: Load-shift rounds of the most recent :meth:`solve`.
-    last_solve_iterations: int = field(default=0, compare=False)
+    last_solve_iterations: int = field(default=0, init=False, compare=False)
 
     def solve(self, problem: PlacementProblem) -> PlacementSolution:
         t0 = time.perf_counter()

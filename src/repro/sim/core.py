@@ -24,15 +24,12 @@ class StopSimulation(Exception):
 class Environment:
     """A discrete-event simulation environment.
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulation clock (default 0.0).  Clock units
-        are seconds throughout this repository.
+    The clock starts at 0.0; its units are seconds throughout this
+    repository.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = count()
         self._active_proc: Optional[Process] = None

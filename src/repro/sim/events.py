@@ -84,16 +84,16 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Attach *value*, mark success, and schedule the event now."""
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay=0.0, priority=priority)
+        self.env.schedule(self, delay=0.0)
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Attach a failure and schedule the event now.
 
         If no waiter handles (defuses) the failure, the exception propagates
@@ -106,7 +106,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, delay=0.0, priority=priority)
+        self.env.schedule(self, delay=0.0)
         return self
 
     def defuse(self) -> None:

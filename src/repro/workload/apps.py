@@ -24,9 +24,6 @@ class AppSpec:
         Nominal CPU slice of one instance VM.
     vm_mem_gb / vm_image_gb:
         Memory reservation and image size of one instance.
-    gbps_per_cpu:
-        Traffic one normalized CPU unit can serve — converts traffic demand
-        into CPU demand (``cpu_demand = traffic / gbps_per_cpu``).
     min_instances:
         Floor on active instances (availability requirement).
     n_vips:
@@ -43,14 +40,13 @@ class AppSpec:
     vm_cpu: float = 0.25
     vm_mem_gb: float = 4.0
     vm_image_gb: float = 4.0
-    gbps_per_cpu: float = 1.0
     min_instances: int = 1
     n_vips: int = 3
     affinity_group: Optional[str] = None
 
     def __post_init__(self):
-        if self.vm_cpu <= 0 or self.gbps_per_cpu <= 0:
-            raise ValueError(f"{self.app_id}: vm_cpu and gbps_per_cpu must be positive")
+        if self.vm_cpu <= 0:
+            raise ValueError(f"{self.app_id}: vm_cpu must be positive")
         if self.min_instances < 1:
             raise ValueError(f"{self.app_id}: min_instances must be >= 1")
         if self.n_vips < 1:
@@ -60,8 +56,9 @@ class AppSpec:
         return self.demand.rate(t)
 
     def cpu_demand(self, t: float) -> float:
-        """Total CPU units needed to serve the demand at time *t*."""
-        return self.traffic_gbps(t) / self.gbps_per_cpu
+        """Total CPU units needed to serve the demand at time *t*: one
+        normalized CPU unit serves one Gbps."""
+        return self.traffic_gbps(t)
 
     def instances_needed(self, t: float, headroom: float = 1.2) -> int:
         """Instances required at nominal slice size with *headroom*."""

@@ -2,8 +2,8 @@
 
 A :class:`DemandProcess` maps simulation time (seconds) to offered load.
 Units are caller-defined — the system uses Gbps for traffic demand and
-normalized CPU units for compute demand (the two are tied together by an
-application's ``gbps_per_cpu``).
+normalized CPU units for compute demand (one CPU unit serves one Gbps,
+see :meth:`repro.workload.apps.AppSpec.cpu_demand`).
 """
 
 from __future__ import annotations

@@ -45,8 +45,6 @@ class WorkloadBuilder:
     zipf_s: float = 0.8
     mean_vips: float = 3.0
     diurnal_fraction: float = 0.5
-    vm_cpu: float = 0.25
-    gbps_per_cpu: float = 1.0
     rng_hub: RngHub = field(default_factory=lambda: RngHub(0))
 
     def build(self) -> list[AppSpec]:
@@ -71,8 +69,6 @@ class WorkloadBuilder:
                     app_id=f"app-{i:05d}",
                     popularity=float(pop[i]),
                     demand=demand,
-                    vm_cpu=self.vm_cpu,
-                    gbps_per_cpu=self.gbps_per_cpu,
                     n_vips=int(vips[i]),
                 )
             )
@@ -105,7 +101,6 @@ class WorkloadBuilder:
                 vm_cpu=out[i].vm_cpu,
                 vm_mem_gb=out[i].vm_mem_gb,
                 vm_image_gb=out[i].vm_image_gb,
-                gbps_per_cpu=out[i].gbps_per_cpu,
                 min_instances=out[i].min_instances,
                 n_vips=out[i].n_vips,
             )

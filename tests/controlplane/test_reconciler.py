@@ -1,7 +1,10 @@
 """Anti-entropy reconciler: every drift class detected and repaired."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.controlplane.reconciler import STUCK_AFTER_ROUNDS
 from repro.core import MegaDataCenter, PlatformConfig
 from repro.core.viprip import VipRipRequest
 from repro.sim import RngHub
@@ -127,27 +130,32 @@ def test_pass_skipped_while_manager_down(dc):
     assert not any(s.has_vip(vip) for s in dc.switches.values())
 
 
-def test_detector_only_mode_repairs_nothing(dc):
-    dc.reconciler.repair = False
+def strand_without_slots(dc):
+    """Strand a VIP while every switch's VIP table is full, so no healthy
+    switch can take it and the drift persists unrepaired."""
     vip, info, sw = some_vip(dc)
-    sw.add_rip(vip, "rip-ghost", 1.0)
-    report = dc.reconciler.run_pass()
-    assert report.rip_orphaned == 1 and report.repaired == 0
-    assert "rip-ghost" in sw.entry(vip).rips
+    sw.remove_vip(vip)
+    saved = {name: s.limits for name, s in dc.switches.items()}
+    for s in dc.switches.values():
+        s.limits = replace(s.limits, max_vips=s.num_vips)
+    return vip, saved
+
+
+def restore_slots(dc, saved):
+    for name, limits in saved.items():
+        dc.switches[name].limits = limits
 
 
 def test_unrepaired_drift_reports_stuck_vips(dc):
     from repro.faults import RecoveryMonitor
 
     monitor = RecoveryMonitor()
-    dc.reconciler.monitor = monitor
-    dc.reconciler.repair = False  # nothing ever lands: drift persists
-    vip, info, sw = some_vip(dc)
-    sw.remove_vip(vip)
-    threshold = dc.reconciler.stuck_after_rounds
-    for _ in range(threshold):
+    dc.recovery_monitor = monitor
+    vip, saved = strand_without_slots(dc)
+    for _ in range(STUCK_AFTER_ROUNDS):
         report = dc.reconciler.run_pass()
         assert report.vip_missing == 1
+        assert f"no healthy switch for stranded {vip}" in report.notes
         assert report.stuck_vips == []  # streak still within threshold
     # pass K+1: the streak crosses the threshold
     report = dc.reconciler.run_pass()
@@ -158,18 +166,15 @@ def test_unrepaired_drift_reports_stuck_vips(dc):
     assert monitor.stuck_vip_reports == 1
     assert "stuck VIPs" in monitor.table().render()
     # a successful repair resets the streak and clears the report
-    dc.reconciler.repair = True
+    restore_slots(dc, saved)
     report = dc.reconciler.run_pass()
     assert report.stuck_vips == [] and dc.reconciler.reports[-1].stuck_vips == []
     assert dc.reconciler.run_pass().clean
 
 
 def test_skipped_passes_do_not_advance_stuck_streaks(dc):
-    dc.reconciler.repair = False
-    vip, info, sw = some_vip(dc)
-    sw.remove_vip(vip)
-    threshold = dc.reconciler.stuck_after_rounds
-    for _ in range(threshold):
+    vip, _ = strand_without_slots(dc)
+    for _ in range(STUCK_AFTER_ROUNDS):
         dc.reconciler.run_pass()
     # a manager crash makes every pass a skip; the streak must freeze
     dc.viprip.crash()
@@ -177,7 +182,7 @@ def test_skipped_passes_do_not_advance_stuck_streaks(dc):
         report = dc.reconciler.run_pass()
         assert "recovery owns the state" in report.notes[0]
         assert report.stuck_vips == []
-    assert dc.reconciler._unresolved_streak[vip] == threshold
+    assert dc.reconciler._unresolved_streak[vip] == STUCK_AFTER_ROUNDS
 
 
 def test_convergence_interval_recorded(dc):

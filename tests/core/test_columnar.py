@@ -129,7 +129,6 @@ def test_apply_diffs_entry_sets():
         "vms": 3,
         "satisfied_cpu": 6.0,
     }
-    assert state.epochs_applied == 1
     assert same_placement(state.placement, new)
 
 
@@ -207,7 +206,7 @@ def test_apply_refuses_a_misaligned_load_for_the_current_placement():
     state = make_state([[1, 1], [0, 1]])
     with pytest.raises(ValueError, match="load"):
         state.apply(SparseSolution(placement=state.placement, load=np.ones(1)))
-    assert state.load.shape == (3,) and state.epochs_applied == 0
+    assert state.load.shape == (3,)
 
 
 def test_build_problem_reuses_columns():

@@ -139,9 +139,8 @@ def test_many_pods_few_servers_still_works():
 
 def test_config_validation():
     # A zero pod limit is rejected, not replaced by the paper default.
-    for limits in ({"pod_max_servers": 0}, {"pod_max_vms": 0}):
-        with pytest.raises(ValueError):
-            MegaDataCenter(small_apps(2), n_pods=1, servers_per_pod=1, **limits)
+    with pytest.raises(ValueError):
+        MegaDataCenter(small_apps(2), n_pods=1, servers_per_pod=1, pod_max_servers=0)
     with pytest.raises(ValueError):
         PC(overload_threshold=0.0)
     with pytest.raises(ValueError):

@@ -116,7 +116,7 @@ def test_naive_readvertisement_costs_three_updates(env):
 # ---------------------------------------------------------------- K2
 
 
-def k2_setup(env, violator_fraction=0.0, force=False, timeout=600.0):
+def k2_setup(env, violator_fraction=0.0, timeout=600.0):
     dns = AuthoritativeDNS(env, default_ttl_s=30.0)
     dns.configure("foo", {"vip1": 1.0, "vip2": 1.0})
     fluid = FluidDNSModel(dns, violator_fraction=violator_fraction, violation_factor=20)
@@ -125,10 +125,7 @@ def k2_setup(env, violator_fraction=0.0, force=False, timeout=600.0):
     dst = LBSwitch("lb-dst", env)
     src.add_vip("vip1", "foo")
     src.add_rip("vip1", "10.0.0.1")
-    knob = VipTransfer(
-        env, dns, fluid, drain_epsilon=0.02, drain_timeout_s=timeout,
-        force_on_timeout=force,
-    )
+    knob = VipTransfer(env, dns, fluid, drain_epsilon=0.02, drain_timeout_s=timeout)
 
     def ticker():
         while True:
@@ -172,21 +169,6 @@ def test_k2_aborts_when_laggards_hold_on(env):
     assert result.outcome == TransferOutcome.ABORTED
     assert src.has_vip("vip1") and not dst.has_vip("vip1")
     assert dns.weights("foo")["vip1"] == 1.0  # restored
-
-
-def test_k2_forced_transfer_moves_anyway(env):
-    dns, fluid, src, dst, knob = k2_setup(
-        env, violator_fraction=0.5, timeout=60.0, force=True
-    )
-
-    def run():
-        return (yield from knob.transfer("foo", "vip1", src, dst))
-
-    proc = env.process(run())
-    result = env.run(until=proc)
-    assert result.outcome == TransferOutcome.FORCED
-    assert dst.has_vip("vip1")
-    assert result.residual_share > 0.02
 
 
 def test_k2_refuses_to_drain_only_vip(env):

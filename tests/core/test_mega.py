@@ -123,7 +123,9 @@ _RAGGED = [
 def test_pod_app_gids_match_modular_predicate(cfg):
     """The residue-class enumeration returns exactly the apps the cover
     rule assigns, sorted, as a compact array of its own."""
-    driver = SimpleNamespace(config=cfg)
+    n = cfg.n_pods
+    residues = [[r for r in range(n) if (p - r) % n < cfg.cover] for p in range(n)]
+    driver = SimpleNamespace(config=cfg, _residues=np.asarray(residues))
     gids = np.arange(cfg.n_apps, dtype=np.int64)
     for p in range(cfg.n_pods):
         got = MegaScaleDriver._pod_app_gids(driver, p)

@@ -399,3 +399,52 @@ def test_bulk_path_replaces_across_faults():
         r["full_tasks"] == 4 - r["pods_down"] and r["delta_tasks"] == 0
         for r in reports
     )
+
+
+# ------------------------------------------------- seeded fault fuzz
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_quick_steered_run_under_random_faults_audits_clean(seed):
+    """Random pod losses and server crashes against a quick-scale driver
+    with the control plane and steering wired and switches too small for
+    the offered sessions: the strict auditor passes every epoch, every
+    request is opened, rejected or unserved, and no epoch places more
+    than its demand."""
+    from repro.core.mega import MegaControlPlaneConfig, MegaSteeringConfig
+
+    epochs = 6
+    trace = TraceBus(keep_events=False)
+    with MegaScaleDriver(
+        MegaConfig.quick(seed=seed),
+        trace=trace,
+        control_plane=MegaControlPlaneConfig(wired_apps=128, vips_per_app=2),
+        steering=MegaSteeringConfig(
+            requests_per_epoch=60_000,
+            switch_max_connections=20_000,
+            knob_period=2,
+            seed=seed,
+        ),
+    ) as driver:
+        auditor = InvariantAuditor(columnar=driver, strict=True).attach(trace)
+        horizon = epochs * driver.config.epoch_s
+        pods = [pod.pod for pod in driver.pods]
+        servers = [
+            pod.servers.name(i) for pod in driver.pods for i in range(pod.n_servers)
+        ][::300]
+        losses = FaultSchedule.random(
+            seed, horizon, pods=pods, mtbf_s=1200, mttr_s=120
+        )
+        crashes = FaultSchedule.random(
+            seed + 1, horizon, servers=servers, mtbf_s=1200, mttr_s=120
+        )
+        injector = MegaFaultInjector(
+            driver, FaultSchedule(losses.events + crashes.events)
+        )
+        reports = driver.run(epochs)
+        assert auditor.ok and auditor.audits_run == epochs
+        for r in reports:
+            assert r.conns_opened + r.conns_rejected + r.unserved == r.requests
+            assert r.satisfied_cpu <= r.demand_cpu * (1 + 1e-9)
+        assert sum(r.conns_rejected for r in reports) > 0
+        assert injector.injected > 0 and any(r.pods_down for r in reports)

@@ -126,7 +126,7 @@ def test_gm_ladder_escalation_reaches_k3():
 
 def test_gm_elephant_avoidance_sheds_servers():
     apps = [AppSpec(f"a{i}", 0.25, ConstantDemand(0.5), n_vips=1) for i in range(4)]
-    dc = small_dc(apps, n_pods=2, servers_per_pod=6, pod_max_vms=1000)
+    dc = small_dc(apps, n_pods=2, servers_per_pod=6)
     # Force pod-0 to its server cap so it reads as an elephant.
     dc.pod_managers["pod-0"].pod.max_servers = 6
     dc.run(5 * 60.0)

@@ -143,10 +143,8 @@ def test_lognormal_durations_mean():
 
 
 def test_app_spec_conversions():
-    app = AppSpec(
-        "app-1", 0.1, ConstantDemand(4.0), vm_cpu=0.5, gbps_per_cpu=2.0
-    )
-    assert app.traffic_gbps(0) == 4.0
+    app = AppSpec("app-1", 0.1, ConstantDemand(2.0), vm_cpu=0.5)
+    assert app.traffic_gbps(0) == 2.0
     assert app.cpu_demand(0) == 2.0
     assert app.instances_needed(0, headroom=1.0) == 4
     assert app.instances_needed(0, headroom=1.2) == 5  # ceil(2*1.2/0.5)
