@@ -24,6 +24,7 @@ from repro.experiments import (
     e11_vip_tradeoff,
     e12_quality,
     e15_parallel_scaling,
+    e16_sharded_control_plane,
 )
 
 
@@ -212,6 +213,46 @@ def test_e15_small():
     assert serial.workers == 1 and serial.speedup == pytest.approx(1.0)
     table = result.table()
     assert "cpu_count" in "".join(table.notes)
+
+
+def test_e16_defaults_pin_every_phase():
+    """E16 at its defaults, all in simulated time (well under a second)."""
+    result = e16_sharded_control_plane.run(seed=42)
+    storm = [
+        (c.n_shards, c.completed, c.makespan_s, c.throughput_rps, c.speedup_vs_serial)
+        for c in result.throughput
+    ]
+    assert storm == [
+        (1, 240, pytest.approx(120.096), pytest.approx(1.9984012789768), 1.0),
+        (2, 240, pytest.approx(71.5286), pytest.approx(3.3553012361489),
+         pytest.approx(1.6789927385689)),
+        (4, 240, pytest.approx(42.0084), pytest.approx(5.7131430856686),
+         pytest.approx(2.8588568000686)),
+    ]
+    chaos = [
+        (c.n_shards, c.crashes, c.partitions, c.handoffs, c.conflicts,
+         c.rollbacks, c.completed, c.submitted, c.lost, c.convergence_rounds)
+        for c in result.chaos
+    ]
+    assert chaos == [
+        (1, 2, 0, 0, 0, 0, 46, 120, 74, 0),
+        (2, 2, 2, 3, 2, 1, 119, 120, 1, 1),
+        (4, 2, 2, 8, 10, 5, 120, 120, 0, 1),
+    ]
+    clean = dict.fromkeys(
+        ("vip_missing", "vip_misplaced", "vip_duplicate", "rip_missing",
+         "rip_orphaned", "index_stale"),
+        0,
+    )
+    assert [c.final_drift for c in result.chaos] == [clean] * 3
+    ic = result.integrated
+    assert (
+        ic.n_shards, ic.manager_crashes, ic.handoffs, ic.conflicts,
+        ic.gossip_rounds, ic.reconciler_clean, ic.auditor_violations,
+        ic.mttr_manager_s,
+    ) == (4, 2, 0, 0, 36, True, 0, 16.0)
+    assert ic.plane_drift == clean
+    assert result.accepted
 
 
 def test_e10_dynamic_scenario():
