@@ -65,15 +65,15 @@ class RipJournalBridge:
     def __init__(
         self,
         plane,
-        pod_of: Optional[Callable[[str], Optional[str]]] = None,
+        pod_of: Callable[[str], Optional[str]],
         trace=None,
-        clock=None,
     ):
-        #: The ``ShardedControlPlane`` whose shard journals feed the mirror.
+        #: The ``ShardedControlPlane`` whose shard journals feed the mirror;
+        #: trace events are stamped with its clock.
         self.plane = plane
+        #: Maps a RIP name to its hosting pod.
         self.pod_of = pod_of
         self.trace = trace
-        self.clock = clock
         self.registry = ColumnarRipRegistry()
         self._sources = [
             _Source(s.journal, s.checkpoints) for s in plane.shards
@@ -115,7 +115,7 @@ class RipJournalBridge:
         applied = 0
         rebuilt = False
         for src in self._sources:
-            if src.checkpoints is not None and src.checkpoints.epoch > src.cursor:
+            if src.checkpoints.epoch > src.cursor:
                 # Records in (cursor, checkpoint] may be truncated away.
                 self.rebuild()
                 rebuilt = True
@@ -145,7 +145,7 @@ class RipJournalBridge:
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(
                 "ripmap.sync",
-                t=self.clock() if self.clock is not None else 0.0,
+                t=self.plane.env.now,
                 **stats,
             )
         return stats
@@ -168,8 +168,7 @@ class RipJournalBridge:
             pass  # a VIP with no RIPs has no mirror rows yet
         elif kind == "new_rip":
             self.registry.wire(
-                p["rip"], rec.app, p["vip"], p["switch"],
-                self.pod_of(p["rip"]) if self.pod_of is not None else None,
+                p["rip"], rec.app, p["vip"], p["switch"], self.pod_of(p["rip"]),
                 p.get("weight", 1.0),
             )
         elif kind == "del_rip":
@@ -198,7 +197,7 @@ class RipJournalBridge:
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(
                 "ripmap.verify",
-                t=self.clock() if self.clock is not None else 0.0,
+                t=self.plane.env.now,
                 ok=ok, repaired=bool(not ok and repair),
             )
         return ok

@@ -473,20 +473,16 @@ class ColumnarRipRegistry:
         return moved
 
     @classmethod
-    def from_authority(cls, homing: dict, pod_of=None) -> "ColumnarRipRegistry":
+    def from_authority(cls, homing: dict, pod_of) -> "ColumnarRipRegistry":
         """Full rebuild from an authoritative snapshot — the output of
         :meth:`~repro.core.viprip.VipRipManager.rip_homing` /
         :meth:`~repro.controlplane.sharding.ShardedControlPlane.rip_homing`
-        (``rip -> (app, vip, switch, weight)``).  *pod_of* optionally maps
-        a RIP name to its hosting pod."""
+        (``rip -> (app, vip, switch, weight)``).  *pod_of* maps a RIP name
+        to its hosting pod (or ``None``)."""
         reg = cls()
         for rip in sorted(homing):
             app, vip, switch, weight = homing[rip]
-            reg.wire(
-                rip, app, vip, switch,
-                pod_of(rip) if pod_of is not None else None,
-                weight,
-            )
+            reg.wire(rip, app, vip, switch, pod_of(rip), weight)
         reg.ops_applied = 0
         return reg
 

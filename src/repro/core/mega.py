@@ -537,7 +537,6 @@ class MegaScaleDriver:
             self.control_plane,
             pod_of=self._pod_of_rip,
             trace=self.trace,
-            clock=lambda: self._cp_env.now,
         )
         self.bridge.sync()
 

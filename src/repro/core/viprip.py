@@ -33,7 +33,7 @@ from repro.controlplane.journal import OpPhase
 from repro.controlplane.retry import RetryPolicy, TransientError
 from repro.core.switch_pods import FlatSwitchManager, Selection
 from repro.lbswitch.addresses import AddressPool
-from repro.lbswitch.switch import LBSwitch, VipEntry
+from repro.lbswitch.switch import LBSwitch, VipEntry, holders_of
 from repro.sim.events import Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,6 +45,9 @@ OP_INTENT = OpPhase.INTENT
 OP_PREPARED = OpPhase.PREPARED
 OP_APPLIED = OpPhase.APPLIED
 OP_ABORTED = OpPhase.ABORTED
+
+#: Recovery cost of loading the latest checkpoint (seconds).
+RESTORE_S = 1.0
 
 
 class UnknownRequestKind(LookupError):
@@ -131,7 +134,6 @@ class VipRipManager:
         checkpoint_interval_s: float = 0.0,
         cutover_s: float = 0.0,
         replay_record_s: float = 0.2,
-        restore_s: float = 1.0,
         state_snapshot: Optional[Callable[[], dict]] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
@@ -187,8 +189,6 @@ class VipRipManager:
         self.cutover_s = cutover_s
         #: Recovery cost charged per replayed journal record.
         self.replay_record_s = replay_record_s
-        #: Recovery cost of loading the latest checkpoint.
-        self.restore_s = restore_s
         self.state_snapshot = state_snapshot
         #: Highest journal epoch whose effects are in the live registries.
         self.applied_epoch = 0
@@ -328,8 +328,7 @@ class VipRipManager:
         try:
             if failed is not None:
                 self.failed = set(failed)
-            if self.restore_s > 0:
-                yield self.env.timeout(self.restore_s)
+            yield self.env.timeout(RESTORE_S)
             if self.checkpoints is not None:
                 self.registry = self.checkpoints.restore_registry()
                 self.rip_index = self.checkpoints.restore_rip_index()
@@ -518,7 +517,7 @@ class VipRipManager:
             # RIP that already landed returns its existing placement.
             vip, switch_name = existing
             sw = self.switches.get(switch_name)
-            if sw is not None and sw.has_vip(vip) and req.rip in sw.entry(vip).rips:
+            if sw is not None and sw.serves(vip, req.rip):
                 req.result = (vip, switch_name)
                 return
         if self.hosting_lookup is not None:
@@ -675,7 +674,7 @@ class VipRipManager:
 
     def _apply_del_rip(self, vip: str, rip: str, switch_name: str) -> None:
         sw = self.switches[switch_name]
-        if sw.has_vip(vip) and rip in sw.entry(vip).rips:
+        if sw.serves(vip, rip):
             sw.remove_rip(vip, rip)
         self.rip_index.pop(rip, None)
 
@@ -763,12 +762,7 @@ class VipRipManager:
         # move finished another way, or a repair landed it), adopt that
         # placement instead of installing a duplicate.
         landed = next(
-            (
-                sw
-                for _, sw in sorted(self.switches.items())
-                if sw is not src and sw.has_vip(vip)
-            ),
-            None,
+            (sw for sw in holders_of(self.switches, vip) if sw is not src), None
         )
         if rec.phase is OP_PREPARED:
             # The entry left the source before the crash; the VIP is on
@@ -798,7 +792,7 @@ class VipRipManager:
                 target = None
             if target is None:
                 exclude = {src.name} if src is not None else set()
-                target = self._pick_install_target(entry, exclude=exclude)
+                target = self.pick_install_target(entry, exclude=exclude)
             if target is None and src is not None:
                 target = src  # better half-alive than stranded
             if target is None:
@@ -827,7 +821,7 @@ class VipRipManager:
             self._journal_settle(rec, OP_ABORTED)
             return
         entry = src.entry(vip)
-        target = self._pick_install_target(entry, exclude={src.name})
+        target = self.pick_install_target(entry, exclude={src.name})
         if target is None:
             self.rejected += 1
             self._journal_settle(rec, OP_ABORTED)
@@ -840,7 +834,9 @@ class VipRipManager:
         if self.on_vip_moved is not None:
             self.on_vip_moved(vip, target.name)
 
-    def _pick_install_target(self, entry: VipEntry, exclude: set[str]):
+    def pick_install_target(self, entry: VipEntry, exclude: set[str]):
+        """The least-utilized healthy switch outside *exclude* with a free
+        VIP slot and room for *entry*'s RIPs (ties by name), else None."""
         candidates = [
             s
             for s in self.switches.values()

@@ -173,6 +173,11 @@ class LBSwitch:
     def has_vip(self, vip: str) -> bool:
         return vip in self._vips
 
+    def serves(self, vip: str, rip: str) -> bool:
+        """True if *rip* is mapped under *vip* in this table."""
+        entry = self._vips.get(vip)
+        return entry is not None and rip in entry.rips
+
     def entry(self, vip: str) -> VipEntry:
         return self._entry(vip)
 
@@ -196,3 +201,8 @@ class LBSwitch:
         self._retotal()
         if self.monitor is not None:
             self.monitor.set_load(self._traffic_gbps)
+
+
+def holders_of(switches: dict[str, LBSwitch], vip: str) -> list[LBSwitch]:
+    """The switches of a ``name -> switch`` map holding *vip*, by name."""
+    return [sw for _, sw in sorted(switches.items()) if sw.has_vip(vip)]

@@ -82,8 +82,9 @@ class InvariantAuditor:
         self.dc = dc
         #: Optional :class:`~repro.core.mega.MegaScaleDriver` under audit;
         #: epoch-end sweeps then check the columnar structural invariants
-        #: (CSR well-formedness, memory headroom, alive-cover accounting,
-        #: RIP-mirror row validity) with or without an object-model dc.
+        #: (CSR well-formedness, memory headroom, server CPU, RIP-mirror
+        #: row validity, per-pod demand share) with or without an
+        #: object-model dc.
         self.columnar = columnar
         self.strict = strict
         self.violations: list[Violation] = []

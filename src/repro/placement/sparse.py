@@ -13,8 +13,9 @@ Bit-identity contract
 :class:`SparseGreedyController` delegates to the *exact* dense
 :class:`~repro.placement.greedy.GreedyController` kernel whenever
 ``S * A <= dense_limit`` (densify -> solve -> sparsify; both conversions
-are lossless), so at e15 scale the sparse path is bit-identical to the
-dense reference and golden trace digests are unchanged.  Above the limit
+are lossless), so on pods that small the sparse path is bit-identical to
+the dense reference; the tiny mega run's golden trace digest
+(``e18_mega_faults_seed3``) pins the delegation.  Above the limit
 it switches to the O(nnz) bulk algorithm, which is deterministic but not
 float-identical to the dense kernel (numpy's pairwise dense sums and
 ``bincount``'s sequential sums associate differently).

@@ -4,7 +4,7 @@ import pytest
 
 from repro.controlplane import CheckpointStore, WriteAheadJournal
 from repro.core import MegaDataCenter, PlatformConfig
-from repro.core.viprip import VipRipManager, VipRipRequest
+from repro.core.viprip import RESTORE_S, VipRipManager, VipRipRequest
 from repro.faults import FaultInjector, FaultSchedule, RecoveryMonitor
 from repro.lbswitch.addresses import PUBLIC_VIP_POOL
 from repro.lbswitch.switch import LBSwitch, SwitchLimits
@@ -176,7 +176,7 @@ def test_facade_manager_crash_reports_mttr_and_lost_reconfigs():
     tally = monitor.mttr("manager")
     assert tally is not None and tally.count == 1
     # MTTR covers restart delay + checkpoint restore at minimum
-    assert tally.mean >= dc.config.manager_restart_s + dc.viprip.restore_s
+    assert tally.mean >= dc.config.manager_restart_s + RESTORE_S
     assert dc.invariants_ok()
 
 
