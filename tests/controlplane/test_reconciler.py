@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.controlplane.reconciler import STUCK_AFTER_ROUNDS
+from repro.controlplane.reconciler import STUCK_AFTER_ROUNDS, DriftReport
 from repro.core import MegaDataCenter, PlatformConfig
 from repro.core.viprip import VipRipRequest
 from repro.sim import RngHub
@@ -194,3 +194,10 @@ def test_convergence_interval_recorded(dc):
     assert len(dc.reconciler.convergence_times) > before
     assert dc.reconciler.reports[-1].clean
     assert dc.reconciler.convergence_times[-1] <= 2 * dc.reconciler.interval_s
+
+
+def test_drift_report_counts_every_dimension_it_lists():
+    report = DriftReport(t=0.0, vip_missing=1, rip_orphaned=2, dns_stale=3,
+                         vm_unregistered=4, repaired=5)
+    assert list(report.as_dict())[-2:] == ["dns_stale", "vm_unregistered"]
+    assert sum(report.as_dict().values()) == report.detected == 10

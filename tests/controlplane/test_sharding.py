@@ -87,6 +87,22 @@ def test_more_shards_than_switches_rejected():
         ShardedControlPlane(env, switches, PUBLIC_VIP_POOL(10), 2)
 
 
+@pytest.mark.parametrize(
+    "setting", ["selector", "state_snapshot", "journal", "restore_s"]
+)
+def test_settings_not_passed_on_to_shards_are_rejected(setting):
+    with pytest.raises(TypeError, match=setting):
+        build_plane(**{setting: None})
+
+
+def test_manager_settings_reach_every_shard():
+    _, _, plane = build_plane(rehome_timeout_s=7.0, cutover_s=0.5)
+    for shard in plane.shards:
+        assert shard.manager.rehome_timeout_s == 7.0
+        assert shard.manager.cutover_s == 0.5
+        assert shard.manager.retry_policy is plane.retry_policy
+
+
 def test_resolve_shard_accepts_ids_names_and_legacy_targets():
     _, _, plane = build_plane(n_shards=2)
     assert plane.resolve_shard(1) is plane.shards[1]
