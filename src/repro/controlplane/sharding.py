@@ -906,9 +906,11 @@ class ShardedControlPlane:
                         t=self.env.now, app=app, vip=vip,
                         loser=loser.id, winner=owner.id, resolution=resolution,
                     )
-        # Stale registry rows with no physical entry behind them.
+        # Stale registry rows with no physical entry behind them; a row
+        # the no-room restore above re-booked has its entry back on a
+        # loser switch.
         for vip, sw_name in sorted(dict(loser.manager.registry.get(app, {})).items()):
-            if vip in busy:
+            if vip in busy or holders_of(loser.manager.switches, vip):
                 continue
             self._drop_entry_bookkeeping(loser, app, vip, sw_name, [])
             fixed += 1

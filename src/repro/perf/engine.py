@@ -162,7 +162,11 @@ class PlacementEngine:
                 raise
         results = []
         merges = []
-        for task, solution in zip(tasks, solved):
+        solved = iter(solved)
+        # Not ``zip``: its result tuple would keep each solution alive
+        # through the next task's solve.
+        for task in tasks:
+            solution = next(solved)
             if tracing and task.trace_ctx is not None:
                 # CRCs of the solution arrays: cheap witnesses that the
                 # parallel merge is bit-identical to the serial solve.
@@ -170,6 +174,7 @@ class PlacementEngine:
                     (task, _crc(solution.placement), _crc(solution.load))
                 )
             results.append(solution if apply is None else apply(task, solution))
+            del solution
         for task, placement_crc, load_crc in merges:
             tctx = task.trace_ctx
             self.trace.emit(

@@ -29,6 +29,14 @@ def _is_sparse(placement) -> bool:
     return isinstance(placement, SparsePlacement)
 
 
+def _stored(column: np.ndarray) -> np.ndarray:
+    """The values *column* stores: its one value when it is a zero-stride
+    view of one float (a uniform column), else the column itself."""
+    if column.ndim == 1 and column.size and column.strides == (0,):
+        return column[:1]
+    return column
+
+
 @dataclass
 class PlacementProblem:
     """One placement/allocation instance.
@@ -70,11 +78,13 @@ class PlacementProblem:
             raise ValueError("app_mem shape mismatch")
         if self.current.shape != (s, a):
             raise ValueError(f"current placement must be {s}x{a}")
-        if (self.server_cpu <= 0).any() or (self.server_mem <= 0).any():
+        if (_stored(self.server_cpu) <= 0).any() or (
+            _stored(self.server_mem) <= 0
+        ).any():
             raise ValueError("server capacities must be positive")
         if (self.app_cpu_demand < 0).any():
             raise ValueError("demands must be non-negative")
-        if (self.app_mem <= 0).any():
+        if (_stored(self.app_mem) <= 0).any():
             raise ValueError("per-instance memory must be positive")
 
     @property

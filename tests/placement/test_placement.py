@@ -83,6 +83,33 @@ def test_problem_validation():
         simple_problem(demands=[-1.0, 0.0, 0.0])
 
 
+def test_problem_validation_reads_a_uniform_column_once():
+    """A zero-stride column (one float broadcast, as mega pods store
+    uniform capacities and VM sizes) passes or fails on its one value."""
+
+    def uniform(value, n):
+        return np.broadcast_to(np.float64(value), (n,))
+
+    def problem(cpu=1.0, mem=8.0, app_mem=1.0):
+        return PlacementProblem(
+            server_cpu=uniform(cpu, 4),
+            server_mem=uniform(mem, 4),
+            app_cpu_demand=np.ones(3),
+            app_mem=uniform(app_mem, 3),
+            current=np.zeros((4, 3), dtype=bool),
+        )
+
+    ok = problem()
+    assert ok.server_cpu.strides == ok.server_mem.strides == (0,)
+    assert ok.app_mem.strides == (0,)
+    with pytest.raises(ValueError, match="server capacities"):
+        problem(cpu=0.0)
+    with pytest.raises(ValueError, match="server capacities"):
+        problem(mem=-1.0)
+    with pytest.raises(ValueError, match="per-instance memory"):
+        problem(app_mem=0.0)
+
+
 def test_solution_validation_catches_violations():
     prob = simple_problem()
     bad_placement = np.zeros((4, 3), dtype=bool)
