@@ -1,6 +1,8 @@
 """The placement engine's contracts: exact serial fallback,
 bit-identical parallel results, persistent pool."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,30 @@ def test_builders_and_apply_hold_one_task_at_a_time():
         with pytest.raises(ValueError):
             pool.solve_batch([lazy(t) for t in eager])
         assert pool.pool_spawns == 0
+
+
+def test_apply_drops_each_solution_before_the_next_solve():
+    """With ``apply``, a pod's solution is garbage by the time the next
+    pod is built: one pod's working state is live at a time."""
+    solved = []
+
+    def build(task):
+        def problem():
+            assert all(ref() is None for ref in solved)
+            return task.problem
+
+        return PlacementTask(
+            key=task.key, problem=problem, controller=GreedyController()
+        )
+
+    def apply(task, solution):
+        solved.append(weakref.ref(solution))
+        return task.key
+
+    tasks = make_tasks()
+    with PlacementEngine(1) as engine:
+        keys = engine.solve_batch([build(t) for t in tasks], apply=apply)
+    assert keys == [t.key for t in tasks] and len(solved) == len(tasks)
 
 
 def test_empty_batch():
