@@ -737,6 +737,35 @@ def test_bulk_path_quick_scale_pin():
     assert digest.hexdigest() == BULK_QUICK_PIN
 
 
+# Recorded with the start loop that ran all START_ROUNDS rounds and
+# re-sorted every round.
+BULK_PRESSURE_PIN = (
+    "423571dd52e9df92773c6e74e41607a69bb3602dcb2885bfa830bb6d0ce75007"
+)
+
+
+def test_bulk_path_pressure_pin():
+    """At 0.95 load with one pod lost, most start rounds find every open
+    server's memory full.  Pin the placements, loads and change counts of
+    three hourly quick-scale epochs."""
+    cfg = MegaConfig.quick(seed=0, target_utilization=0.95, epoch_s=3600)
+    digest = hashlib.sha256()
+    changes = []
+    with MegaScaleDriver(cfg) as driver:
+        for epoch in range(3):
+            if epoch == 1:
+                driver.lose_pod("pod-007")
+            report = driver.run_epoch()
+            changes.append(report.changes)
+            digest.update(np.int64(report.changes).tobytes())
+            for pod in driver.pods:
+                digest.update(pod.placement.indptr.tobytes())
+                digest.update(pod.placement.indices.tobytes())
+                digest.update(pod.load.tobytes())
+    assert changes == [202_087, 177_115, 120_105]
+    assert digest.hexdigest() == BULK_PRESSURE_PIN
+
+
 # -------------------------------------------------- engine sparse codec
 
 
