@@ -250,3 +250,110 @@ def test_close_epoch_past_int32_is_refused():
     t.check_close_epoch(2**31 - 1)
     with pytest.raises(ValueError, match="close_epoch"):
         t.check_close_epoch(2**31)
+
+
+class ScanTable:
+    """Reference session table: one row per session, admitted one request
+    at a time, and closed, dropped and counted by scanning every row."""
+
+    def __init__(self, caps):
+        self.caps = list(caps)
+        self.rows = []  # [vip, rip, switch, close epoch, alive]
+        self.opened = self.closed = self.dropped = self.rejected = 0
+
+    def live(self, switch=None):
+        return [r for r in self.rows if r[4] and (switch is None or r[2] == switch)]
+
+    def try_open_batch(self, vip, rip, switch, close):
+        accepted = []
+        for row in zip(vip.tolist(), rip.tolist(), switch.tolist(), close.tolist()):
+            ok = len(self.live(row[2])) < self.caps[row[2]]
+            if ok:
+                self.rows.append([*row, True])
+                self.opened += 1
+            else:
+                self.rejected += 1
+            accepted.append(ok)
+        return np.asarray(accepted, dtype=bool)
+
+    def _retire(self, hit):
+        rows = [r for r in self.live() if hit(r)]
+        for r in rows:
+            r[4] = False
+        return len(rows)
+
+    def close_due(self, epoch):
+        n = self._retire(lambda r: r[3] <= epoch)
+        self.closed += n
+        return n
+
+    def drop_vip(self, vip):
+        n = self._retire(lambda r: r[0] == vip)
+        self.dropped += n
+        return n
+
+    def drop_rips(self, mask):
+        n = self._retire(lambda r: mask[r[1]])
+        self.dropped += n
+        return n
+
+    def counts(self, n_switches, n_vips):
+        by_switch = np.zeros(n_switches, dtype=np.int64)
+        by_vip = np.zeros(n_vips, dtype=np.int64)
+        for r in self.live():
+            by_switch[r[2]] += 1
+            by_vip[r[0]] += 1
+        return by_switch.tolist(), by_vip.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40))
+def test_counters_and_totals_match_scanning_reference(seed, steps):
+    # Opens whose close epochs spread over several epochs (a few far
+    # ahead), against capacities small enough to reject, interleaved with
+    # drops, dimension growth and closes that skip epochs.
+    rng = np.random.default_rng(seed)
+    caps = rng.integers(1, 30, 2)
+    t = _SmallBlocks(2, caps, n_vips=3)
+    ref = ScanTable(caps)
+    epoch = 0
+    for _ in range(steps):
+        op = int(rng.integers(0, 7))
+        n_sw, n_vips = t.switch_cap.shape[0], t.vip_count.shape[0]
+        if op <= 2:
+            k = int(rng.integers(0, 25))
+            vip = rng.integers(0, n_vips + 2, k)
+            rip = rng.integers(0, 40, k)
+            sw = rng.integers(0, n_sw, k)
+            close = epoch + rng.integers(0, 5, k)
+            far = rng.random(k) < 0.05
+            close[far] += rng.choice([90, 10**6], int(far.sum()))
+            want = ref.try_open_batch(vip, rip, sw, close)
+            assert np.array_equal(t.try_open_batch(vip, rip, sw, close), want)
+        elif op == 3:
+            epoch += int(rng.integers(0, 4))
+            assert t.close_due(epoch) == ref.close_due(epoch)
+        elif op == 4:
+            vip = int(rng.integers(0, n_vips))
+            assert t.drop_vip(vip) == ref.drop_vip(vip)
+        elif op == 5:
+            mask = rng.random(40) < 0.2
+            assert t.drop_rips(mask) == ref.drop_rips(mask)
+        elif rng.random() < 0.5:
+            t.ensure_vips(n_vips + int(rng.integers(1, 3)))
+        else:
+            cap = int(rng.integers(1, 30))
+            grow = int(rng.integers(1, 3))
+            t.ensure_switches(n_sw + grow, cap)
+            ref.caps += [cap] * grow
+        n_sw, n_vips = t.switch_cap.shape[0], t.vip_count.shape[0]
+        by_switch, by_vip = t.recount()
+        assert t.switch_count.tolist() == by_switch.tolist()
+        assert t.vip_count.tolist() == by_vip.tolist()
+        assert (by_switch.tolist(), by_vip.tolist()) == ref.counts(n_sw, n_vips)
+        assert (t.opened, t.closed, t.dropped, t.rejected) == (
+            ref.opened, ref.closed, ref.dropped, ref.rejected
+        )
+    epoch += 10**6 + 100
+    assert t.close_due(epoch) == ref.close_due(epoch)
+    assert t.alive_count == 0 and not t.vip_count.any()
