@@ -237,7 +237,6 @@ class ColumnarDataPlane:
         t0 = time.perf_counter()
         self.refresh()
         rep = SteerReport(epoch=epoch, t=t)
-        self.conn.check_close_epoch(epoch + self.stream.max_duration_epochs)
         rep.closed = self.conn.close_due(epoch)
         hits0, miss0 = self.dns.cache_hits, self.dns.cache_misses
         rej0 = self.conn.rejected

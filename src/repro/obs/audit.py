@@ -278,12 +278,27 @@ class InvariantAuditor:
                 )
 
     def _audit_conntrack(self, t: float, conn) -> None:
-        """``dataplane-conntrack``: the columnar conn table's per-switch
-        and per-VIP counters must agree with its row-level alive mask,
-        and no switch may exceed its session capacity."""
+        """``dataplane-conntrack``: each close-epoch bucket's booked
+        per-switch and per-VIP counts must equal a recount of its own
+        rows, the counters must equal the recounts' sums, and no switch
+        may exceed its session capacity.  A close subtracts a bucket's
+        booking, so a row filed under the wrong close epoch would be
+        closed with the wrong counts even where the totals agree."""
         import numpy as np
 
-        by_switch, by_vip = conn.recount()
+        by_switch = np.zeros_like(conn.switch_count)
+        by_vip = np.zeros_like(conn.vip_count)
+        for epoch, booked in conn.bookings().items():
+            counted = conn.recount(epoch)
+            for name, b, c in zip(("switch", "vip"), booked, counted):
+                if not np.array_equal(b, c):
+                    self._flag(
+                        t, "dataplane-conntrack", counter=f"booked_{name}",
+                        close_epoch=epoch, rows=int(c.sum()),
+                        booked=int(b.sum()),
+                    )
+            by_switch += counted[0]
+            by_vip += counted[1]
         rows = int(by_switch.sum())
         if not np.array_equal(by_switch, conn.switch_count):
             self._flag(

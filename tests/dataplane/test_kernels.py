@@ -326,40 +326,24 @@ def test_resolve_after_set_weights_matches_padded_pick(vips_per_app, seed):
 
 
 def reference_open(table, vip, rip, switch, close_epoch):
-    """The admit that ranks every request by its per-switch position."""
+    """The admit that ranks every request by its per-switch position; the
+    accepted requests then open as one batch that fits."""
     pos = _group_positions(switch)
     accepted = table.switch_count[switch] + pos < table.switch_cap[switch]
-    rej = np.flatnonzero(~accepted)
-    np.add.at(table.rejected_by_switch, switch[rej], 1)
+    np.add.at(table.rejected_by_switch, switch[~accepted], 1)
     acc = np.flatnonzero(accepted)
-    if acc.size:
-        table._compact(acc.size)
-        lo, hi = table._size, table._size + acc.size
-        table.conn_vip[lo:hi] = vip[acc]
-        table.conn_rip[lo:hi] = rip[acc]
-        table.conn_switch[lo:hi] = switch[acc]
-        table.close_epoch[lo:hi] = close_epoch[acc]
-        table.alive[lo:hi] = True
-        table._size = hi
-        table.switch_count += np.bincount(
-            switch[acc], minlength=table.switch_cap.shape[0]
-        )
-        table.ensure_vips(int(vip[acc].max()) + 1)
-        table.vip_count += np.bincount(
-            vip[acc], minlength=table.vip_count.shape[0]
-        )
-        table.opened += acc.size
+    assert table.try_open_batch(
+        vip[acc], rip[acc], switch[acc], close_epoch[acc]
+    ).all()
     return accepted
 
 
 def table_state(t):
-    n = t._size
+    by_switch, by_vip = t.recount()
     return (
         t.switch_count.tolist(), t.vip_count.tolist(),
         t.rejected_by_switch.tolist(), t.opened,
-        t.conn_vip[:n].tolist(), t.conn_rip[:n].tolist(),
-        t.conn_switch[:n].tolist(), t.close_epoch[:n].tolist(),
-        t.alive[:n].tolist(),
+        by_switch.tolist(), by_vip.tolist(), t.live_pairs(),
     )
 
 
@@ -394,3 +378,7 @@ def test_try_open_batch_fast_path_matches_positions(switches, live, edge, seed):
     assert np.array_equal(got, want)
     assert table_state(tables[0]) == table_state(tables[1])
     assert got[sw == 0].all() == (edge <= 0)
+    # Each session sits under its own close epoch.
+    for epoch in range(1, 10):
+        assert tables[0].close_due(epoch) == tables[1].close_due(epoch)
+        assert table_state(tables[0]) == table_state(tables[1])
