@@ -958,6 +958,17 @@ class ShardedControlPlane:
                 if self.on_vip_moved is not None:
                     self.on_vip_moved(vip, target.name)
                 fixed += 1
+        # Table entries no registry records (a lost registry row): the
+        # owner re-books each from its holder.
+        for app, vip, sw_name in list(self._unbooked_entries(busy)):
+            if (
+                self._claimed_owner(shard, app) != shard.id
+                or vip in mgr.registry.get(app, {})
+            ):
+                continue
+            rips = self.all_switches[sw_name].entry(vip).rips
+            shard.book_entry(app, vip, sw_name, rips)
+            fixed += 1
         # rip index vs tables.
         for rip in sorted(mgr.rip_index):
             vip, sw_name = mgr.rip_index[rip]
@@ -1009,6 +1020,19 @@ class ShardedControlPlane:
         return set(self._conflicted)
 
     # -- drift scan ---------------------------------------------------------
+    def _unbooked_entries(self, busy: set[str]):
+        """``(app, vip, switch)`` of each table entry that no shard's
+        registry records, as when its owner's registry row is lost."""
+        for name, sw in sorted(self.all_switches.items()):
+            for vip in sorted(sw.vips()):
+                if vip in busy:
+                    continue
+                app = sw.entry(vip).app
+                if not any(
+                    vip in s.manager.registry.get(app, {}) for s in self.shards
+                ):
+                    yield app, vip, name
+
     def drift_report(self) -> ShardDriftReport:
         """Read-only scan of intended (owner registries under the newest
         claims) vs actual (switch tables, rip indices) state."""
@@ -1035,6 +1059,7 @@ class ShardedControlPlane:
                     continue
                 stale = shard.manager.registry.get(app, {})
                 report.index_stale += sum(1 for v in stale if v not in busy)
+        report.index_stale += sum(1 for _ in self._unbooked_entries(busy))
         for shard in self.shards:
             for rip, (vip, sw_name) in sorted(shard.manager.rip_index.items()):
                 if vip in busy:

@@ -6,7 +6,7 @@ at a time (:class:`~repro.dns.resolver.Resolver`,
 columnar counterpart the 300k-server loop steers traffic with: batched
 numpy request resolution app → VIP → RIP over the
 :class:`~repro.core.columnar.ColumnarRipRegistry` mirror, TTL caches as
-array masks, and a struct-of-arrays connection table — proven
+array masks, and live-session counts per (close epoch, RIP) — proven
 request-for-request equivalent to the object path by
 :func:`repro.testing.differential.run_dataplane_differential`.
 """

@@ -1,23 +1,24 @@
-"""Struct-of-arrays connection tracking for the vectorized data plane.
+"""Live-session counts per (close epoch, RIP) for the vectorized data plane.
 
 The object :class:`~repro.lbswitch.conntrack.ConnectionTable` keeps one
-``Connection`` dataclass per session in a dict per switch.  At mega scale
-an epoch opens hundreds of thousands of sessions; this table keeps them
-as int32 rows of (vip id, rip row, switch id), 12 bytes a session, shared
-across *all* switches, with per-switch and per-VIP counters that make
-capacity rejection and K2 pause windows O(1) reads.  An id that would not
-fit int32 is refused with a ``ValueError`` naming its column, never
-wrapped.
+``Connection`` per session; every reader here needs only counts (a CSM
+switch's limit, a K2 pause, a close, pod loss or forced K2), so this
+table keeps counts per (close epoch, RIP row), with per-switch and
+per-VIP counters that make capacity rejection and K2 pause windows O(1).
 
-Sessions are held by close epoch.  Each epoch in which some live session
-closes has one bucket: the rows of those sessions (a block from each
-open batch that opened some) and their per-switch and per-VIP counts,
-which sum to the counters above.  The close epoch is the bucket's key,
-never a column.  :meth:`close_due` pops every bucket it reaches and
-subtracts its counts without reading a row.  A drop compresses the rows it removes out of each
-block it touches and un-books them from their bucket.  Every row held is
-a live session, so memory follows the live sessions exactly: there is no
-alive bit, no spare capacity and no compaction.
+Each RIP row is bound (:meth:`ColumnarConnTable.bind`) to the (VIP, home
+switch) it serves, once per registry change; a session's VIP and switch
+are its RIP's.  A binding may change only while the RIP has no live
+session (K2 re-homes only a paused VIP, or drops its sessions first, and
+pod loss drops a RIP's sessions before it is wired again): re-binding a
+RIP with live sessions, or opening on an unbound one, raises a
+``ValueError`` naming the RIP and changes nothing.  Each epoch in which
+some live session closes has one bucket: a count per RIP row and the
+per-switch and per-VIP counts derived from it through the bindings.
+:meth:`close_due` pops the buckets it reaches and subtracts their
+counts; a drop is one masked subtraction over the per-RIP counts.
+Memory follows the RIP rows and the live close epochs (8 B per RIP per
+bucket), never the sessions.
 
 Sequential-fill contract: :meth:`try_open_batch` admits requests exactly
 as a per-request loop over the object tables would — request *k* is
@@ -26,28 +27,16 @@ earlier in the batch**, has reached capacity.  That makes rejection
 decisions request-for-request identical to the object path, which the
 differential harness asserts.  A batch that fits every switch it touches
 is accepted whole without a sort; only the requests to a switch that
-fills up get their running per-switch positions.
+fills up look up their switch and get their running positions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_INT32_MAX = int(np.iinfo(np.int32).max)
 #: A batch whose close epochs span at most this many epochs is booked by
 #: offset from its earliest one; a wider batch groups them with a sort.
 _DENSE_SPAN = 64
-#: The rows of a session block.
-_VIP, _RIP, _SWITCH = range(3)
-
-
-def _check_int32(column: str, top: int) -> None:
-    """Refuse a *column* value the int32 session columns would wrap."""
-    if top > _INT32_MAX:
-        raise ValueError(
-            f"{column}: value {top} does not fit the int32 column "
-            f"(max {_INT32_MAX})"
-        )
 
 
 def _group_positions(ids: np.ndarray) -> np.ndarray:
@@ -80,38 +69,41 @@ def _close_rows(close: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return epochs, row.reshape(-1)
 
 
-def _grown(counts: np.ndarray, n: int) -> np.ndarray:
-    """*counts* zero-padded to length *n*."""
-    grown = np.zeros(n, dtype=np.int64)
+def _grown(counts: np.ndarray, n: int, fill: int = 0) -> np.ndarray:
+    """*counts* padded with *fill* to length *n*."""
+    grown = np.full(n, fill, dtype=np.int64)
     grown[: counts.shape[0]] = counts
     return grown
 
 
-def _by_close(key: np.ndarray, n_rows: int, n_ids: int) -> np.ndarray:
-    """``(n_rows, n_ids)`` counts of combined ``row * n_ids + id`` keys
-    (*row* from :func:`_close_rows`), in one ``bincount``."""
-    return np.bincount(key, minlength=n_rows * n_ids).reshape(n_rows, n_ids)
+def _through(by_rip: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Per-id totals of the ``(k, n_rips)`` per-RIP counts *by_rip* through
+    the RIP → id binding *ids*, ``(k, n + 1)``: column 0 holds the counts
+    on unbound (``-1``) RIPs."""
+    k = by_rip.shape[0]
+    key = (np.arange(k)[:, None] * (n + 1) + (ids + 1)).ravel()
+    out = np.bincount(key, weights=by_rip.ravel(), minlength=k * (n + 1))
+    return out.astype(np.int64).reshape(k, n + 1)
 
 
 class _Bucket:
-    """The live sessions that close in one epoch: their per-switch and
-    per-VIP counts, and their rows as ``(3, n)`` int32 blocks."""
+    """Counts per RIP, switch and VIP of the sessions closing in one epoch."""
 
-    __slots__ = ("by_switch", "by_vip", "blocks")
+    __slots__ = ("by_rip", "by_switch", "by_vip")
 
-    def __init__(self, n_switches: int, n_vips: int):
+    def __init__(self, n_rips: int, n_switches: int, n_vips: int):
+        self.by_rip = np.zeros(n_rips, dtype=np.int64)
         self.by_switch = np.zeros(n_switches, dtype=np.int64)
         self.by_vip = np.zeros(n_vips, dtype=np.int64)
-        self.blocks: list[np.ndarray] = []
 
 
 class ColumnarConnTable:
-    """Session affinity rows with per-switch capacity enforcement."""
+    """Live-session counts per (close epoch, RIP) with per-switch
+    capacity enforcement."""
 
-    def __init__(self, n_switches: int, switch_capacity, n_vips: int = 0):
+    def __init__(self, n_switches: int, switch_capacity, n_vips=0, rip_name=None):
         if n_switches < 1:
             raise ValueError("need at least one switch")
-        _check_int32("conn_switch", n_switches - 1)
         cap = np.broadcast_to(
             np.asarray(switch_capacity, dtype=np.int64), (n_switches,)
         ).copy()
@@ -120,6 +112,10 @@ class ColumnarConnTable:
         self.switch_cap = cap
         self.switch_count = np.zeros(n_switches, dtype=np.int64)
         self.vip_count = np.zeros(0, dtype=np.int64)
+        #: Each RIP row's bound VIP and home switch (-1: unbound).
+        self.rip_vip = np.zeros(0, dtype=np.int64)
+        self.rip_switch = np.zeros(0, dtype=np.int64)
+        self._rip_name = rip_name or "RIP row {}".format
         self._buckets: dict[int, _Bucket] = {}
         self.ensure_vips(n_vips)
         self.rejected_by_switch = np.zeros(n_switches, dtype=np.int64)
@@ -129,7 +125,6 @@ class ColumnarConnTable:
 
     # -- sizing -------------------------------------------------------
     def ensure_vips(self, n_vips: int) -> None:
-        _check_int32("conn_vip", n_vips - 1)
         if n_vips > self.vip_count.shape[0]:
             self.vip_count = _grown(self.vip_count, n_vips)
             for bucket in self._buckets.values():
@@ -141,7 +136,6 @@ class ColumnarConnTable:
         old = self.switch_cap.shape[0]
         if n_switches <= old:
             return
-        _check_int32("conn_switch", n_switches - 1)
         cap = np.full(n_switches, int(capacity), dtype=np.int64)
         cap[:old] = self.switch_cap
         self.switch_cap = cap
@@ -150,9 +144,34 @@ class ColumnarConnTable:
         for bucket in self._buckets.values():
             bucket.by_switch = _grown(bucket.by_switch, n_switches)
 
-    def check_rips(self, n_rips: int) -> None:
-        """Refuse a RIP registry whose rows the int32 column would wrap."""
-        _check_int32("conn_rip", n_rips - 1)
+    def bind(self, rips, vips, switches) -> None:
+        """Bind RIP rows *rips* to the VIPs and home switches their sessions
+        count under; a RIP with live sessions may not change its binding."""
+        rips, vips, switches = (np.asarray(a, np.int64) for a in (rips, vips, switches))
+        if not rips.size:
+            return
+        if int(switches.max()) >= self.switch_cap.shape[0]:
+            raise ValueError(f"switch {int(switches.max())} is past the table")
+        known = rips < self.rip_vip.shape[0]
+        r, v, s = rips[known], vips[known], switches[known]
+        live = self._live_by_rip()[r]
+        moved = ((self.rip_vip[r] != v) | (self.rip_switch[r] != s)) & (live > 0)
+        if moved.any():
+            i = int(np.flatnonzero(moved)[0])
+            row = int(r[i])
+            raise ValueError(
+                f"{self._rip_name(row)} has {int(live[i])} live sessions: cannot "
+                f"re-bind it to (vip {int(v[i])}, switch {int(s[i])})"
+            )
+        self.ensure_vips(int(vips.max()) + 1)
+        n_rips = int(rips.max()) + 1
+        if n_rips > self.rip_vip.shape[0]:
+            self.rip_vip = _grown(self.rip_vip, n_rips, -1)
+            self.rip_switch = _grown(self.rip_switch, n_rips, -1)
+            for bucket in self._buckets.values():
+                bucket.by_rip = _grown(bucket.by_rip, n_rips)
+        self.rip_vip[rips] = vips
+        self.rip_switch[rips] = switches
 
     @property
     def alive_count(self) -> int:
@@ -163,85 +182,82 @@ class ColumnarConnTable:
         return int(self.rejected_by_switch.sum())
 
     # -- the hot path -------------------------------------------------
-    def try_open_batch(
-        self,
-        vip: np.ndarray,
-        rip: np.ndarray,
-        switch: np.ndarray,
-        close_epoch: np.ndarray,
-    ) -> np.ndarray:
-        """Admit a batch of opens under sequential-fill capacity checks.
+    def _by_switch(self, by_rip: np.ndarray) -> np.ndarray:
+        """Per-switch counts of *by_rip*; refuses counts on an unbound
+        RIP, naming it."""
+        out = _through(by_rip, self.rip_switch, self.switch_cap.shape[0])
+        if out[:, 0].any():
+            r = int(np.flatnonzero(by_rip.any(axis=0) & (self.rip_switch < 0))[0])
+            raise ValueError(f"{self._rip_name(r)} is not bound to a VIP")
+        return out[:, 1:]
 
-        Returns the accepted mask; rejected requests count per switch.
-        The accepted rows go to their close epochs' buckets: the whole
-        batch as one block when it has one close epoch, else a block per
-        close epoch, gathered by index.
-        """
-        n_sw = self.switch_cap.shape[0]
-        if switch.shape[0] == 0:
+    def try_open_batch(self, rip: np.ndarray, close_epoch: np.ndarray) -> np.ndarray:
+        """Admit a batch of opens on bound RIP rows *rip* under
+        sequential-fill capacity checks; returns the accepted mask, and
+        rejected requests count per switch."""
+        if rip.shape[0] == 0:
             return np.ones(0, dtype=bool)
-        # Bookings by close epoch: their column sums are the counts.
         epochs, row = _close_rows(close_epoch)
-        sw_key = row * n_sw + switch
-        by_switch = _by_close(sw_key, epochs.size, n_sw)
+        # One count per (RIP, close epoch); RIP-major, so a RIP past the
+        # binding lands past the counts.
+        key = np.multiply(rip, epochs.size, dtype=np.int64)
+        key += row
+        n = self.rip_switch.shape[0] * epochs.size
+        counts = np.bincount(key, minlength=n)
+        if counts.shape[0] > n:
+            r = (counts.shape[0] - 1) // epochs.size
+            raise ValueError(f"{self._rip_name(r)} is not bound to a VIP")
+        by_rip = counts.reshape(-1, epochs.size).T
+        by_switch = self._by_switch(by_rip)
         wanted = by_switch.sum(axis=0)
         over = self.switch_count + wanted > self.switch_cap
-        whole = not over.any()
-        if whole:
+        if not over.any():
             # Every switch has room for all of its requests, whatever
             # their order: the whole batch is accepted.
-            accepted = np.ones(vip.shape[0], dtype=bool)
-            acc = slice(None)
+            accepted = np.ones(rip.shape[0], dtype=bool)
             opened = wanted
         else:
-            # Only requests to a switch that fills up need their running
-            # position; the others are accepted outright.
-            accepted = ~over[switch]
+            # Only requests to a switch that fills up need their switch
+            # and running position; the others are accepted outright.
+            accepted = ~over[self.rip_switch][rip]
             crowd = np.flatnonzero(~accepted)
-            sw = switch[crowd]
+            sw = self.rip_switch[rip[crowd]]
             accepted[crowd] = (
                 self.switch_count[sw] + _group_positions(sw)
                 < self.switch_cap[sw]
             )
-            acc = np.flatnonzero(accepted)
-            by_switch = _by_close(sw_key[acc], epochs.size, n_sw)
+            by_rip = np.bincount(key[accepted], minlength=n).reshape(-1, epochs.size).T
+            by_switch = self._by_switch(by_rip)
             opened = by_switch.sum(axis=0)
             self.rejected_by_switch += wanted - opened
         n_acc = int(opened.sum())
-        if not n_acc:
-            return accepted
-        vip_acc = vip[acc]
-        self.ensure_vips(int(vip_acc.max()) + 1)
-        n_vips = self.vip_count.shape[0]
-        by_vip = _by_close(row[acc] * n_vips + vip_acc, epochs.size, n_vips)
-        per_epoch = by_switch.sum(axis=1)
-        for k in np.flatnonzero(per_epoch).tolist():
-            n = int(per_epoch[k])
-            if n == n_acc:
-                idx = acc
-            else:
-                hit = row == k
-                idx = np.flatnonzero(hit if whole else hit & accepted)
-            block = np.empty((3, n), dtype=np.int32)
-            block[_VIP] = vip[idx]
-            block[_RIP] = rip[idx]
-            block[_SWITCH] = switch[idx]
+        if n_acc:
+            self._book(epochs, by_rip, by_switch)
+            self.opened += n_acc
+        return accepted
+
+    def _book(self, epochs, by_rip: np.ndarray, by_switch: np.ndarray) -> None:
+        """Add per-RIP counts *by_rip* (negative to remove), with their
+        per-switch counts and the per-VIP counts derived here, to the
+        buckets of *epochs* and the counters; free a bucket left empty."""
+        by_vip = _through(by_rip, self.rip_vip, self.vip_count.shape[0])[:, 1:]
+        counts = (by_rip, by_switch, by_vip)
+        for k in np.flatnonzero(by_switch.any(axis=1)).tolist():
             e = int(epochs[k])
-            bucket = self._buckets.get(e)
-            if bucket is None:
-                bucket = self._buckets[e] = _Bucket(n_sw, n_vips)
+            if e not in self._buckets:
+                self._buckets[e] = _Bucket(*(c.shape[1] for c in counts))
+            bucket = self._buckets[e]
+            bucket.by_rip += by_rip[k]
             bucket.by_switch += by_switch[k]
             bucket.by_vip += by_vip[k]
-            bucket.blocks.append(block)
-        self.switch_count += opened
+            if not bucket.by_switch.any():
+                del self._buckets[e]
+        self.switch_count += by_switch.sum(axis=0)
         self.vip_count += by_vip.sum(axis=0)
-        self.opened += n_acc
-        return accepted
 
     def close_due(self, epoch: int) -> int:
         """Close every session whose lifetime ends at/before *epoch*: pop
-        those close epochs' buckets and subtract their counts, reading no
-        row."""
+        those close epochs' buckets and subtract their counts."""
         n = 0
         for e in [e for e in self._buckets if e <= epoch]:
             bucket = self._buckets.pop(e)
@@ -251,40 +267,26 @@ class ColumnarConnTable:
         self.closed += n
         return n
 
-    def _drop(self, hit) -> int:
-        """Drop the sessions whose rows ``hit(block)`` flags: compress them
-        out of their blocks and un-book them from their buckets."""
-        n_sw, n_vips = self.switch_cap.shape[0], self.vip_count.shape[0]
-        n = 0
-        for e, bucket in list(self._buckets.items()):
-            kept = []
-            for block in bucket.blocks:
-                gone = hit(block)
-                if gone.any():
-                    by_switch = np.bincount(block[_SWITCH][gone], minlength=n_sw)
-                    by_vip = np.bincount(block[_VIP][gone], minlength=n_vips)
-                    bucket.by_switch -= by_switch
-                    bucket.by_vip -= by_vip
-                    self.switch_count -= by_switch
-                    self.vip_count -= by_vip
-                    n += int(by_switch.sum())
-                    block = block[:, ~gone]
-                if block.shape[1]:
-                    kept.append(block)
-            bucket.blocks = kept
-            if not kept:
-                del self._buckets[e]
-        self.dropped += n
+    def drop_rips(self, rip_mask: np.ndarray) -> int:
+        """Drop sessions pinned to RIP rows flagged in *rip_mask* (pod
+        loss: every session homed in the dead pod dies with it)."""
+        if not self._buckets:
+            return 0
+        n_rips = self.rip_vip.shape[0]
+        mask = np.zeros(n_rips, dtype=bool)
+        mask[: rip_mask.shape[0]] = rip_mask[:n_rips]
+        epochs = list(self._buckets)
+        gone = np.stack([self._buckets[e].by_rip for e in epochs]) * mask
+        by_switch = self._by_switch(gone)
+        n = int(by_switch.sum())
+        if n:
+            self._book(epochs, -gone, -by_switch)
+            self.dropped += n
         return n
 
     def drop_vip(self, vip_id: int) -> int:
         """Forced drop of one VIP's sessions (K2 without a pause)."""
-        return self._drop(lambda block: block[_VIP] == vip_id)
-
-    def drop_rips(self, rip_mask: np.ndarray) -> int:
-        """Drop sessions pinned to RIP rows flagged in *rip_mask* (pod
-        loss: every session homed in the dead pod dies with it)."""
-        return self._drop(lambda block: rip_mask[block[_RIP]])
+        return self.drop_rips(self.rip_vip == vip_id)
 
     # -- reads --------------------------------------------------------
     def count_for_vip(self, vip_id: int) -> int:
@@ -301,30 +303,26 @@ class ColumnarConnTable:
         live sessions that close then: what each close will subtract."""
         return {e: (b.by_switch, b.by_vip) for e, b in self._buckets.items()}
 
-    def recount(
-        self, close_epoch: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-switch and per-VIP live counts recounted from the rows of
-        the sessions that close in *close_epoch*, or of all sessions (the
-        auditor's check on the bookings and counters)."""
-        n_sw, n_vips = self.switch_cap.shape[0], self.vip_count.shape[0]
-        by_switch = np.zeros(n_sw, dtype=np.int64)
-        by_vip = np.zeros(n_vips, dtype=np.int64)
-        buckets = (
-            self._buckets.values() if close_epoch is None
-            else [self._buckets[close_epoch]]
+    def _live_by_rip(self, close_epoch: int | None = None) -> np.ndarray:
+        """Live sessions per RIP row closing in *close_epoch* (or any)."""
+        epochs = self._buckets if close_epoch is None else [close_epoch]
+        zero = np.zeros(self.rip_vip.shape[0], dtype=np.int64)
+        return sum((self._buckets[e].by_rip for e in epochs), zero)
+
+    def recount(self, close_epoch: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-switch and per-VIP counts derived through the bindings from
+        the per-RIP counts of the sessions closing in *close_epoch*, or of
+        all sessions (the auditor's check on the bookings and counters)."""
+        by_rip = self._live_by_rip(close_epoch)[None, :]
+        return (
+            _through(by_rip, self.rip_switch, self.switch_cap.shape[0])[0, 1:],
+            _through(by_rip, self.rip_vip, self.vip_count.shape[0])[0, 1:],
         )
-        for bucket in buckets:
-            for block in bucket.blocks:
-                by_switch += np.bincount(block[_SWITCH], minlength=n_sw)
-                by_vip += np.bincount(block[_VIP], minlength=n_vips)
-        return by_switch, by_vip
 
     def live_pairs(self) -> dict[tuple[int, int], int]:
         """``(vip id, rip row) -> live session count`` (oracle surface)."""
-        out: dict[tuple[int, int], int] = {}
-        for bucket in self._buckets.values():
-            for block in bucket.blocks:
-                for v, r in zip(block[_VIP].tolist(), block[_RIP].tolist()):
-                    out[(v, r)] = out.get((v, r), 0) + 1
-        return out
+        by_rip = self._live_by_rip()
+        return {
+            (int(self.rip_vip[r]), r): int(by_rip[r])
+            for r in np.flatnonzero(by_rip).tolist()
+        }

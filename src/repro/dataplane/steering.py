@@ -7,7 +7,7 @@ cache + per-app CDF draw), VIP → serving switch and weighted RIP pick
 (per-VIP CSR views over :class:`~repro.core.columnar.ColumnarRipRegistry`
 with their CDFs in one ``+inf``-padded matrix, rebuilt only when the
 mirror's ``ops_applied`` moves), and session open against the
-struct-of-arrays :class:`ColumnarConnTable`.
+per-(close epoch, RIP) session counts of :class:`ColumnarConnTable`.
 
 Both weighted picks read each request's count from a per-segment bin
 table (:func:`~repro.dns.policy.table_pick`): one lookup per request
@@ -106,6 +106,7 @@ class ColumnarDataPlane:
             n_switches=max(1, len(registry.switches)),
             switch_capacity=switch_max_connections,
             n_vips=len(registry.vips),
+            rip_name=registry.rips.name,
         )
         self._default_switch_cap = int(switch_max_connections)
         self._reg_version = -1
@@ -150,7 +151,8 @@ class ColumnarDataPlane:
         *name* (the object tables' canonical order) with a normalized
         weight CDF per segment (the columns of a padded matrix), plus
         each VIP's current home switch.  The padded CDFs get a
-        :func:`~repro.dns.policy.pick_table` for the RIP pick.
+        :func:`~repro.dns.policy.pick_table` for the RIP pick.  The
+        active RIPs are bound to their VIPs and switches in the conn table.
         """
         reg = self.registry
         if reg.ops_applied == self._reg_version:
@@ -170,6 +172,11 @@ class ColumnarDataPlane:
             cdf[lo:hi] = weighted_cdf(reg.rip_weight[act[lo:hi]])
         vip_switch = np.full(n_vips, -1, dtype=np.int64)
         vip_switch[vids] = reg.rip_switch[act]
+        self.conn.ensure_vips(n_vips)
+        self.conn.ensure_switches(
+            max(1, len(reg.switches)), self._default_switch_cap
+        )
+        self.conn.bind(act, vids, reg.rip_switch[act])
         self._vs_indptr = indptr
         self._vs_rids = act
         self._vs_pad = padded_cdf(cdf, indptr)
@@ -177,11 +184,6 @@ class ColumnarDataPlane:
         self._vip_switch = vip_switch
         self.all_served = bool(
             (indptr[self._slot_vid + 1] > indptr[self._slot_vid]).all()
-        )
-        self.conn.ensure_vips(n_vips)
-        self.conn.check_rips(n)
-        self.conn.ensure_switches(
-            max(1, len(reg.switches)), self._default_switch_cap
         )
         self._reg_version = reg.ops_applied
         return True
@@ -262,9 +264,7 @@ class ColumnarDataPlane:
                 vids_s = vid[srv]
                 u_rip, duration = chunk.u_rip[srv], chunk.duration[srv]
             rid = rids[indptr[vids_s] + table_pick(pick, pad, vids_s, u_rip)]
-            accepted = self.conn.try_open_batch(
-                vids_s, rid, self._vip_switch[vids_s], epoch + duration
-            )
+            accepted = self.conn.try_open_batch(rid, epoch + duration)
             rep.opened += int(accepted.sum())
             if record:
                 full_rid = np.full(n, -1, dtype=np.int64)

@@ -279,11 +279,12 @@ class InvariantAuditor:
 
     def _audit_conntrack(self, t: float, conn) -> None:
         """``dataplane-conntrack``: each close-epoch bucket's booked
-        per-switch and per-VIP counts must equal a recount of its own
-        rows, the counters must equal the recounts' sums, and no switch
-        may exceed its session capacity.  A close subtracts a bucket's
-        booking, so a row filed under the wrong close epoch would be
-        closed with the wrong counts even where the totals agree."""
+        per-switch and per-VIP counts must equal the counts derived from
+        its per-RIP counts through the RIP bindings, the counters must
+        equal the derived counts' sums, and no switch may exceed its
+        session capacity.  A close subtracts a bucket's booking, so a
+        session booked under the wrong close epoch would be closed with
+        the wrong counts even where the totals agree."""
         import numpy as np
 
         by_switch = np.zeros_like(conn.switch_count)
@@ -294,21 +295,21 @@ class InvariantAuditor:
                 if not np.array_equal(b, c):
                     self._flag(
                         t, "dataplane-conntrack", counter=f"booked_{name}",
-                        close_epoch=epoch, rows=int(c.sum()),
+                        close_epoch=epoch, derived=int(c.sum()),
                         booked=int(b.sum()),
                     )
             by_switch += counted[0]
             by_vip += counted[1]
-        rows = int(by_switch.sum())
+        derived = int(by_switch.sum())
         if not np.array_equal(by_switch, conn.switch_count):
             self._flag(
                 t, "dataplane-conntrack", counter="switch_count",
-                rows=rows, counted=int(conn.switch_count.sum()),
+                derived=derived, counted=int(conn.switch_count.sum()),
             )
         if not np.array_equal(by_vip, conn.vip_count):
             self._flag(
                 t, "dataplane-conntrack", counter="vip_count",
-                rows=rows, counted=int(conn.vip_count.sum()),
+                derived=derived, counted=int(conn.vip_count.sum()),
             )
         over = conn.switch_count > conn.switch_cap
         if over.any():

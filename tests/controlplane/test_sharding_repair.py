@@ -176,7 +176,7 @@ def test_migrate_moves_entries_only_the_tables_know():
     del plane.shards[0].manager.registry[A0]
     for rip in R0:
         del plane.shards[0].manager.rip_index[rip]
-    assert drift(plane) == {"rip_orphaned": 2}
+    assert drift(plane) == {"rip_orphaned": 2, "index_stale": 1}
     plane._handoff(A0, 1, reason="test")
     assert plane.gossip_round() == 0
     assert tables(switches) == {
@@ -298,6 +298,17 @@ def test_local_repair_leaves_a_foreign_holder_to_rollback():
     assert tables(switches) == SETTLED_TABLES
     assert books(plane) == [SHARD0, SHARD1]
     assert (plane.rollbacks, moves) == (1, [(V0, "lb-0")])
+    assert_clean(plane)
+
+
+def test_local_repair_rebooks_an_entry_whose_registry_row_is_lost():
+    switches, plane, moves = seeded()
+    del plane.shards[0].manager.registry[A0]
+    assert drift(plane) == {"index_stale": 1}
+    assert plane.gossip_round() == 1
+    assert tables(switches) == SETTLED_TABLES
+    assert books(plane) == [SHARD0, SHARD1]
+    assert moves == []
     assert_clean(plane)
 
 

@@ -1,5 +1,7 @@
 """Columnar connection table: sequential-fill parity and lifecycle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,17 @@ def test_group_positions():
     ids = np.array([3, 5, 3, 3, 5, 9, 3])
     assert _group_positions(ids).tolist() == [0, 0, 1, 2, 1, 0, 3]
     assert _group_positions(np.zeros(0, dtype=np.int64)).size == 0
+
+
+def bound(n_switches, caps, n_vips=0, n_rips=0):
+    """A table whose RIP rows ``0..n_rips-1`` are bound as steering binds
+    them: RIP ``r`` serves VIP ``r % n_vips``, homed on switch
+    ``vip % n_switches``."""
+    t = ColumnarConnTable(n_switches, caps, n_vips=n_vips)
+    rips = np.arange(n_rips)
+    vips = rips % max(n_vips, 1)
+    t.bind(rips, vips, vips % n_switches)
+    return t
 
 
 def scalar_fill(count, cap, switch):
@@ -35,23 +48,17 @@ def scalar_fill(count, cap, switch):
 def test_try_open_batch_matches_sequential_fill(switches, caps, pre):
     caps = np.asarray(caps, dtype=np.int64)
     pre = np.minimum(np.asarray(pre, dtype=np.int64), caps)
-    table = ColumnarConnTable(4, caps)
+    # RIP s serves VIP s on switch s.
+    table = bound(4, caps, n_vips=4, n_rips=4)
     # preload each switch to its starting occupancy
     for s, k in enumerate(pre):
         if k:
             table.try_open_batch(
-                np.zeros(k, dtype=np.int64),
-                np.zeros(k, dtype=np.int64),
                 np.full(k, s, dtype=np.int64),
                 np.full(k, 10**6, dtype=np.int64),
             )
     sw = np.asarray(switches, dtype=np.int64)
-    got = table.try_open_batch(
-        np.arange(sw.size, dtype=np.int64),
-        np.arange(sw.size, dtype=np.int64),
-        sw,
-        np.full(sw.size, 10**6, dtype=np.int64),
-    )
+    got = table.try_open_batch(sw, np.full(sw.size, 10**6, dtype=np.int64))
     want = scalar_fill(pre, caps, sw)
     assert np.array_equal(got, want)
     assert table.rejected == int((~want).sum())
@@ -59,11 +66,11 @@ def test_try_open_batch_matches_sequential_fill(switches, caps, pre):
 
 def full_table():
     t = ColumnarConnTable(2, 100, n_vips=3)
-    vip = np.array([0, 1, 2, 0, 1], dtype=np.int64)
-    rip = np.array([10, 11, 12, 10, 13], dtype=np.int64)
-    sw = np.array([0, 0, 1, 1, 0], dtype=np.int64)
+    # RIP 10..14 -> VIP 0, 1, 2, 1, 0 on switch 0, 0, 1, 0, 1.
+    t.bind(np.arange(10, 15), [0, 1, 2, 1, 0], [0, 0, 1, 0, 1])
+    rip = np.array([10, 11, 12, 14, 13], dtype=np.int64)
     close = np.array([1, 2, 1, 3, 2], dtype=np.int64)
-    assert t.try_open_batch(vip, rip, sw, close).all()
+    assert t.try_open_batch(rip, close).all()
     return t
 
 
@@ -92,19 +99,17 @@ def test_drop_vip_and_drop_rips():
 
 def test_live_pairs_counts_duplicates():
     t = ColumnarConnTable(1, 100, n_vips=1)
-    vip = np.zeros(4, dtype=np.int64)
+    t.bind([7, 8], [0, 0], [0, 0])
     rip = np.array([7, 7, 8, 7], dtype=np.int64)
-    t.try_open_batch(vip, rip, np.zeros(4, dtype=np.int64), np.full(4, 9, dtype=np.int64))
+    t.try_open_batch(rip, np.full(4, 9, dtype=np.int64))
     assert t.live_pairs() == {(0, 7): 3, (0, 8): 1}
 
 
 def test_growth_and_compaction_bound_memory():
-    t = ColumnarConnTable(1, 10**9)
+    t = bound(1, 10**9, n_vips=1, n_rips=1)
     n = 3000
     for epoch in range(5):
         opened = t.try_open_batch(
-            np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
             np.zeros(n, dtype=np.int64),
             np.full(n, epoch, dtype=np.int64),  # all close next epoch
         )
@@ -124,13 +129,69 @@ def test_ensure_switches_grows_with_default_capacity():
     t.ensure_switches(4, 7)
     assert t.switch_cap.tolist() == [5, 5, 7, 7]
     assert t.switch_count.tolist() == [0, 0, 0, 0]
+    t.bind([0], [0], [3])
     acc = t.try_open_batch(
         np.zeros(8, dtype=np.int64),
-        np.zeros(8, dtype=np.int64),
-        np.full(8, 3, dtype=np.int64),
         np.full(8, 9, dtype=np.int64),
     )
     assert acc.sum() == 7  # new switch honours its capacity
+
+
+def table_state(t):
+    return (
+        {e: [c.tolist() for c in b] for e, b in t.bookings().items()},
+        t.switch_count.tolist(), t.vip_count.tolist(), t.live_pairs(),
+        t.rip_vip.tolist(), t.rip_switch.tolist(), t.opened, t.rejected,
+    )
+
+
+def test_rebind_with_live_sessions_is_refused():
+    t = full_table()
+    before = table_state(t)
+    # RIP 11 (VIP 1, switch 0) has a live session: neither its VIP nor
+    # its switch may change, and nothing changes when refused.
+    for vip, sw in ((2, 0), (1, 1)):
+        with pytest.raises(ValueError, match="RIP row 11 has 1 live"):
+            t.bind([10, 11], [0, vip], [0, sw])
+        assert table_state(t) == before
+    # The same binding, or a new one for a RIP with no live session, is
+    # fine; once its sessions close, RIP 11 may be re-bound.
+    t.bind([11, 20], [1, 2], [0, 1])
+    assert t.rip_vip[20] == 2 and t.rip_switch[20] == 1
+    t.close_due(2)
+    t.bind([11], [2], [1])
+    assert (t.rip_vip[11], t.rip_switch[11]) == (2, 1)
+
+
+def test_open_on_unbound_rip_is_refused():
+    t = full_table()
+    before = table_state(t)
+    for rip in (9, 30):  # an unbound row inside the binding, one past it
+        with pytest.raises(ValueError, match=f"RIP row {rip} is not bound"):
+            t.try_open_batch(np.array([10, rip]), np.array([4, 5]))
+        assert table_state(t) == before
+
+
+def test_table_bytes_follow_rips_not_sessions():
+    # 2M live sessions over 2,560 bound RIPs, closing in 3 epochs: the
+    # table holds a count per (close epoch, RIP), never a row per session.
+    n_rips, batch, n = 2560, 65_536, 2_000_000
+    t = bound(4, 10**9, n_vips=256, n_rips=n_rips)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for lo in range(0, n, batch):
+            k = min(batch, n - lo)
+            t.try_open_batch(rng.integers(0, n_rips, k), rng.integers(1, 4, k))
+        grown = tracemalloc.get_traced_memory()[0] - base
+        assert t.alive_count == n and sorted(t.bookings()) == [1, 2, 3]
+        assert grown < 256 * 1024
+        assert t.close_due(3) == n
+        assert t.bookings() == {}
+        assert tracemalloc.get_traced_memory()[0] - base < grown
+    finally:
+        tracemalloc.stop()
 
 
 def test_validation():
@@ -140,14 +201,13 @@ def test_validation():
         ColumnarConnTable(2, 0)
 
 
-def open_epoch(t, rng, epoch, n, chunk=500, n_vips=40, n_rips=300):
-    """Open *n* sessions lasting 1-3 epochs, *chunk* at a time."""
+def open_epoch(t, rng, epoch, n, chunk=500, n_rips=300):
+    """Open *n* sessions lasting 1-3 epochs on RIPs ``0..n_rips-1``,
+    *chunk* at a time."""
     for lo in range(0, n, chunk):
         k = min(chunk, n - lo)
-        vip = rng.integers(0, n_vips, k)
         t.try_open_batch(
-            vip, rng.integers(0, n_rips, k), vip % t.switch_cap.shape[0],
-            epoch + rng.integers(1, 4, k),
+            rng.integers(0, n_rips, k), epoch + rng.integers(1, 4, k)
         )
 
 
@@ -156,7 +216,7 @@ def test_capacity_follows_peak_live_sessions():
     # batch of 1-3 epoch sessions.  The rows held are the live sessions,
     # in at most one bucket per epoch still to close, so storage tracks
     # the peak live count, never the sessions ever opened.
-    t = ColumnarConnTable(4, 10**9, n_vips=40)
+    t = bound(4, 10**9, n_vips=40, n_rips=300)
     rng = np.random.default_rng(7)
     peak = 0
     for epoch in range(30):
@@ -175,7 +235,7 @@ def test_rows_held_follow_live_sessions():
     # Every row the table holds is a live session, after every open,
     # close and drop: steady 1-3 epoch sessions, sessions closing 10**6
     # epochs ahead that are then dropped, and closes that skip epochs.
-    t = ColumnarConnTable(4, 10**9, n_vips=40)
+    t = bound(4, 10**9, n_vips=40, n_rips=330)
     rng = np.random.default_rng(7)
 
     def held_is_live():
@@ -188,8 +248,7 @@ def test_rows_held_follow_live_sessions():
         held_is_live()
         if epoch % 5 == 4:
             far = np.full(100, epoch + 10**6, dtype=np.int64)
-            vip = rng.integers(0, 40, 100)
-            t.try_open_batch(vip, np.full(100, 300 + epoch), vip % 4, far)
+            t.try_open_batch(np.full(100, 300 + epoch), far)
             held_is_live()
             mask = np.zeros(330, dtype=bool)
             mask[300 + epoch] = True
@@ -206,38 +265,12 @@ def test_rows_held_follow_live_sessions():
 
 
 def test_recount_matches_counters():
-    t = ColumnarConnTable(3, 10**9, n_vips=12)
-    open_epoch(t, np.random.default_rng(1), 0, 200, chunk=30, n_vips=12)
+    t = bound(3, 10**9, n_vips=12, n_rips=300)
+    open_epoch(t, np.random.default_rng(1), 0, 200, chunk=30)
     t.close_due(1)
     by_switch, by_vip = t.recount()
     assert by_switch.tolist() == t.switch_count.tolist()
     assert by_vip.tolist() == t.vip_count.tolist()
-
-
-def test_vip_id_past_int32_is_refused():
-    t = ColumnarConnTable(1, 10)
-    with pytest.raises(ValueError, match="conn_vip"):
-        t.ensure_vips(2**31 + 1)
-    one = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ValueError, match="conn_vip"):
-        t.try_open_batch(np.array([2**31]), one, one, one + 1)
-    assert t.opened == 0 and t.alive_count == 0
-
-
-def test_rip_row_past_int32_is_refused():
-    t = ColumnarConnTable(1, 10)
-    t.check_rips(2**31)
-    with pytest.raises(ValueError, match="conn_rip"):
-        t.check_rips(2**31 + 1)
-
-
-def test_switch_id_past_int32_is_refused():
-    with pytest.raises(ValueError, match="conn_switch"):
-        ColumnarConnTable(2**31 + 1, 10)
-    t = ColumnarConnTable(1, 10)
-    with pytest.raises(ValueError, match="conn_switch"):
-        t.ensure_switches(2**31 + 1, 10)
-    assert t.switch_cap.shape[0] == 1
 
 
 class ScanTable:
@@ -310,20 +343,27 @@ def test_counters_and_totals_match_scanning_reference(seed, steps):
     caps = rng.integers(1, 30, 2)
     t = ColumnarConnTable(2, caps, n_vips=3)
     ref = ScanTable(caps)
+    # A fixed RIP -> VIP -> switch binding; a RIP is bound in the table
+    # once its switch exists, as steering binds the registry's RIPs.
+    bind_vip = rng.permutation(np.arange(40) % 5)
+    vip_sw = rng.integers(0, 6, 5)
+    vip_sw[0] = 0
+    bind_sw = vip_sw[bind_vip]
     epoch = 0
     for _ in range(steps):
         op = int(rng.integers(0, 7))
         n_sw, n_vips = t.switch_cap.shape[0], t.vip_count.shape[0]
         if op <= 2:
+            ready = np.flatnonzero(bind_sw < n_sw)
+            t.bind(ready, bind_vip[ready], bind_sw[ready])
             k = int(rng.integers(0, 25))
-            vip = rng.integers(0, n_vips + 2, k)
-            rip = rng.integers(0, 40, k)
-            sw = rng.integers(0, n_sw, k)
+            rip = rng.choice(ready, k)
+            vip, sw = bind_vip[rip], bind_sw[rip]
             close = epoch + rng.integers(0, 5, k)
             far = rng.random(k) < 0.05
             close[far] += rng.choice([90, 10**6], int(far.sum()))
             want = ref.try_open_batch(vip, rip, sw, close)
-            assert np.array_equal(t.try_open_batch(vip, rip, sw, close), want)
+            assert np.array_equal(t.try_open_batch(rip, close), want)
         elif op == 3:
             epoch += int(rng.integers(0, 4))
             assert t.close_due(epoch) == ref.close_due(epoch)

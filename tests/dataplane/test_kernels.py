@@ -325,16 +325,15 @@ def test_resolve_after_set_weights_matches_padded_pick(vips_per_app, seed):
 # -- session admit -------------------------------------------------------
 
 
-def reference_open(table, vip, rip, switch, close_epoch):
+def reference_open(table, rip, close_epoch):
     """The admit that ranks every request by its per-switch position; the
     accepted requests then open as one batch that fits."""
+    switch = table.rip_switch[rip]
     pos = _group_positions(switch)
     accepted = table.switch_count[switch] + pos < table.switch_cap[switch]
     np.add.at(table.rejected_by_switch, switch[~accepted], 1)
     acc = np.flatnonzero(accepted)
-    assert table.try_open_batch(
-        vip[acc], rip[acc], switch[acc], close_epoch[acc]
-    ).all()
+    assert table.try_open_batch(rip[acc], close_epoch[acc]).all()
     return accepted
 
 
@@ -364,17 +363,19 @@ def test_try_open_batch_fast_path_matches_positions(switches, live, edge, seed):
     assume(cap >= 1)
     tables = [ColumnarConnTable(3, cap, n_vips=2) for _ in range(2)]
     rng = np.random.default_rng(seed)
+    # A fixed binding, as steering's: RIP r serves VIP r % 6, homed on
+    # switch vip % 3 (so on switch r % 3).
+    rips = np.arange(51)
     for t in tables:
+        t.bind(rips, rips % 6, rips % 6 % 3)
         if live:
             t.try_open_batch(
-                np.zeros(live, dtype=np.int64), np.zeros(live, dtype=np.int64),
                 np.zeros(live, dtype=np.int64), np.full(live, 9, dtype=np.int64),
             )
-    vip = rng.integers(0, 4, sw.size)
-    rip = rng.integers(0, 50, sw.size)
+    rip = sw + 3 * rng.integers(0, 17, sw.size)
     close = rng.integers(1, 5, sw.size)
-    got = tables[0].try_open_batch(vip, rip, sw, close)
-    want = reference_open(tables[1], vip, rip, sw, close)
+    got = tables[0].try_open_batch(rip, close)
+    want = reference_open(tables[1], rip, close)
     assert np.array_equal(got, want)
     assert table_state(tables[0]) == table_state(tables[1])
     assert got[sw == 0].all() == (edge <= 0)

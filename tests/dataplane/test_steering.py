@@ -1,5 +1,7 @@
 """Columnar steering layer: chunk invariance, knobs, driver integration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,29 @@ def test_pod_loss_drops_pinned_sessions_and_unserves():
             [r for _, r in drv.dataplane.conn.live_pairs()], dtype=np.int64
         )
         assert not (reg.rip_pod[live_rips] == pid).any()
+
+
+def test_rewiring_a_rip_with_live_sessions_is_refused():
+    # A RIP's sessions are counted under its (VIP, switch): the registry
+    # may not move a RIP that has live sessions to another VIP.
+    with make_driver() as drv:
+        drv.run_epoch()
+        dp, reg = drv.dataplane, drv.bridge.registry
+        (_, rid), _ = sorted(dp.conn.live_pairs().items())[0]
+        rip = reg.rips.name(rid)
+        app, vip, switch, pod, weight = reg.homing(rip)
+        other = next(v for v in sorted(dp.dns.zone(app)) if v != vip)
+        before = (dp.conn.live_pairs(), dp.conn.switch_count.tolist())
+        reg.wire(rip, app, other, switch, pod, weight)
+        with pytest.raises(ValueError, match=f"{re.escape(rip)} has .* live"):
+            dp.refresh()
+        assert (dp.conn.live_pairs(), dp.conn.switch_count.tolist()) == before
+        # Once its sessions are gone the RIP may serve the other VIP.
+        mask = np.zeros(reg.n_rips, dtype=bool)
+        mask[rid] = True
+        assert dp.conn.drop_rips(mask) > 0
+        assert dp.refresh()
+        assert dp.conn.rip_vip[rid] == reg.vips.get(other)
 
 
 def active_vips(reg):
