@@ -657,7 +657,7 @@ class MegaScaleDriver:
         self, app: str, vip: str, t: float = 0.0, force: bool = False
     ) -> bool:
         """K2: move a VIP to another switch — only during a pause (zero
-        live sessions, read off the columnar conn counters) unless
+        live sessions, read off the conn table's per-RIP counts) unless
         *force*, which first drops the VIP's sessions (service
         disruption, quantified in the report's ``conns_dropped``)."""
         if self.dataplane is None:

@@ -3,8 +3,8 @@
 The object :class:`~repro.lbswitch.conntrack.ConnectionTable` keeps one
 ``Connection`` per session; every reader here needs only counts (a CSM
 switch's limit, a K2 pause, a close, pod loss or forced K2), so this
-table keeps counts per (close epoch, RIP row), with per-switch and
-per-VIP counters that make capacity rejection and K2 pause windows O(1).
+table keeps counts per (close epoch, RIP row) plus one live count per
+switch, which makes capacity rejection O(1) per switch.
 
 Each RIP row is bound (:meth:`ColumnarConnTable.bind`) to the (VIP, home
 switch) it serves, once per registry change; a session's VIP and switch
@@ -12,13 +12,14 @@ are its RIP's.  A binding may change only while the RIP has no live
 session (K2 re-homes only a paused VIP, or drops its sessions first, and
 pod loss drops a RIP's sessions before it is wired again): re-binding a
 RIP with live sessions, or opening on an unbound one, raises a
-``ValueError`` naming the RIP and changes nothing.  Each epoch in which
-some live session closes has one bucket: a count per RIP row and the
-per-switch and per-VIP counts derived from it through the bindings.
-:meth:`close_due` pops the buckets it reaches and subtracts their
-counts; a drop is one masked subtraction over the per-RIP counts.
-Memory follows the RIP rows and the live close epochs (8 B per RIP per
-bucket), never the sessions.
+``ValueError`` naming the RIP and changes nothing.  So every other count
+is derived through the bindings: each epoch in which some live session
+closes has one bucket holding only a count per RIP row;
+:meth:`close_due` pops the buckets it reaches and subtracts the
+per-switch counts derived from them, a drop is one masked subtraction
+over the per-RIP counts, and a K2 pause (:meth:`is_paused`) sums the
+live per-RIP counts of the VIP's RIPs.  Memory follows the RIP rows and
+the live close epochs (8 B per RIP per bucket), never the sessions.
 
 Sequential-fill contract: :meth:`try_open_batch` admits requests exactly
 as a per-request loop over the object tables would — request *k* is
@@ -86,63 +87,34 @@ def _through(by_rip: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     return out.astype(np.int64).reshape(k, n + 1)
 
 
-class _Bucket:
-    """Counts per RIP, switch and VIP of the sessions closing in one epoch."""
-
-    __slots__ = ("by_rip", "by_switch", "by_vip")
-
-    def __init__(self, n_rips: int, n_switches: int, n_vips: int):
-        self.by_rip = np.zeros(n_rips, dtype=np.int64)
-        self.by_switch = np.zeros(n_switches, dtype=np.int64)
-        self.by_vip = np.zeros(n_vips, dtype=np.int64)
-
-
 class ColumnarConnTable:
-    """Live-session counts per (close epoch, RIP) with per-switch
-    capacity enforcement."""
+    """Live-session counts per (close epoch, RIP) with a per-switch
+    session capacity."""
 
-    def __init__(self, n_switches: int, switch_capacity, n_vips=0, rip_name=None):
+    def __init__(self, n_switches: int, switch_capacity: int, rip_name=None):
         if n_switches < 1:
             raise ValueError("need at least one switch")
-        cap = np.broadcast_to(
-            np.asarray(switch_capacity, dtype=np.int64), (n_switches,)
-        ).copy()
-        if (cap < 1).any():
-            raise ValueError("switch capacities must be >= 1")
-        self.switch_cap = cap
+        if switch_capacity < 1:
+            raise ValueError("switch capacity must be >= 1")
+        self.switch_cap = int(switch_capacity)
         self.switch_count = np.zeros(n_switches, dtype=np.int64)
-        self.vip_count = np.zeros(0, dtype=np.int64)
         #: Each RIP row's bound VIP and home switch (-1: unbound).
         self.rip_vip = np.zeros(0, dtype=np.int64)
         self.rip_switch = np.zeros(0, dtype=np.int64)
         self._rip_name = rip_name or "RIP row {}".format
-        self._buckets: dict[int, _Bucket] = {}
-        self.ensure_vips(n_vips)
-        self.rejected_by_switch = np.zeros(n_switches, dtype=np.int64)
+        #: close epoch -> live sessions per RIP row closing then.
+        self._buckets: dict[int, np.ndarray] = {}
         self.opened = 0
         self.closed = 0
         self.dropped = 0
+        self.rejected = 0
 
     # -- sizing -------------------------------------------------------
-    def ensure_vips(self, n_vips: int) -> None:
-        if n_vips > self.vip_count.shape[0]:
-            self.vip_count = _grown(self.vip_count, n_vips)
-            for bucket in self._buckets.values():
-                bucket.by_vip = _grown(bucket.by_vip, n_vips)
-
-    def ensure_switches(self, n_switches: int, capacity) -> None:
+    def ensure_switches(self, n_switches: int) -> None:
         """Grow the switch dimension (a VIP move can land on a switch the
-        registry had not tracked yet); new switches get *capacity*."""
-        old = self.switch_cap.shape[0]
-        if n_switches <= old:
-            return
-        cap = np.full(n_switches, int(capacity), dtype=np.int64)
-        cap[:old] = self.switch_cap
-        self.switch_cap = cap
-        for attr in ("switch_count", "rejected_by_switch"):
-            setattr(self, attr, _grown(getattr(self, attr), n_switches))
-        for bucket in self._buckets.values():
-            bucket.by_switch = _grown(bucket.by_switch, n_switches)
+        registry had not tracked yet)."""
+        if n_switches > self.switch_count.shape[0]:
+            self.switch_count = _grown(self.switch_count, n_switches)
 
     def bind(self, rips, vips, switches) -> None:
         """Bind RIP rows *rips* to the VIPs and home switches their sessions
@@ -150,7 +122,7 @@ class ColumnarConnTable:
         rips, vips, switches = (np.asarray(a, np.int64) for a in (rips, vips, switches))
         if not rips.size:
             return
-        if int(switches.max()) >= self.switch_cap.shape[0]:
+        if int(switches.max()) >= self.switch_count.shape[0]:
             raise ValueError(f"switch {int(switches.max())} is past the table")
         known = rips < self.rip_vip.shape[0]
         r, v, s = rips[known], vips[known], switches[known]
@@ -163,13 +135,12 @@ class ColumnarConnTable:
                 f"{self._rip_name(row)} has {int(live[i])} live sessions: cannot "
                 f"re-bind it to (vip {int(v[i])}, switch {int(s[i])})"
             )
-        self.ensure_vips(int(vips.max()) + 1)
         n_rips = int(rips.max()) + 1
         if n_rips > self.rip_vip.shape[0]:
             self.rip_vip = _grown(self.rip_vip, n_rips, -1)
             self.rip_switch = _grown(self.rip_switch, n_rips, -1)
-            for bucket in self._buckets.values():
-                bucket.by_rip = _grown(bucket.by_rip, n_rips)
+            for e, by_rip in self._buckets.items():
+                self._buckets[e] = _grown(by_rip, n_rips)
         self.rip_vip[rips] = vips
         self.rip_switch[rips] = switches
 
@@ -177,15 +148,11 @@ class ColumnarConnTable:
     def alive_count(self) -> int:
         return int(self.switch_count.sum())
 
-    @property
-    def rejected(self) -> int:
-        return int(self.rejected_by_switch.sum())
-
     # -- the hot path -------------------------------------------------
     def _by_switch(self, by_rip: np.ndarray) -> np.ndarray:
         """Per-switch counts of *by_rip*; refuses counts on an unbound
         RIP, naming it."""
-        out = _through(by_rip, self.rip_switch, self.switch_cap.shape[0])
+        out = _through(by_rip, self.rip_switch, self.switch_count.shape[0])
         if out[:, 0].any():
             r = int(np.flatnonzero(by_rip.any(axis=0) & (self.rip_switch < 0))[0])
             raise ValueError(f"{self._rip_name(r)} is not bound to a VIP")
@@ -193,8 +160,7 @@ class ColumnarConnTable:
 
     def try_open_batch(self, rip: np.ndarray, close_epoch: np.ndarray) -> np.ndarray:
         """Admit a batch of opens on bound RIP rows *rip* under
-        sequential-fill capacity checks; returns the accepted mask, and
-        rejected requests count per switch."""
+        sequential-fill capacity checks; returns the accepted mask."""
         if rip.shape[0] == 0:
             return np.ones(0, dtype=bool)
         epochs, row = _close_rows(close_epoch)
@@ -209,13 +175,11 @@ class ColumnarConnTable:
             raise ValueError(f"{self._rip_name(r)} is not bound to a VIP")
         by_rip = counts.reshape(-1, epochs.size).T
         by_switch = self._by_switch(by_rip)
-        wanted = by_switch.sum(axis=0)
-        over = self.switch_count + wanted > self.switch_cap
+        over = self.switch_count + by_switch.sum(axis=0) > self.switch_cap
         if not over.any():
             # Every switch has room for all of its requests, whatever
             # their order: the whole batch is accepted.
             accepted = np.ones(rip.shape[0], dtype=bool)
-            opened = wanted
         else:
             # Only requests to a switch that fills up need their switch
             # and running position; the others are accepted outright.
@@ -223,47 +187,42 @@ class ColumnarConnTable:
             crowd = np.flatnonzero(~accepted)
             sw = self.rip_switch[rip[crowd]]
             accepted[crowd] = (
-                self.switch_count[sw] + _group_positions(sw)
-                < self.switch_cap[sw]
+                self.switch_count[sw] + _group_positions(sw) < self.switch_cap
             )
             by_rip = np.bincount(key[accepted], minlength=n).reshape(-1, epochs.size).T
             by_switch = self._by_switch(by_rip)
-            opened = by_switch.sum(axis=0)
-            self.rejected_by_switch += wanted - opened
-        n_acc = int(opened.sum())
+        n_acc = int(by_switch.sum())
+        self.rejected += rip.shape[0] - n_acc
         if n_acc:
             self._book(epochs, by_rip, by_switch)
             self.opened += n_acc
         return accepted
 
     def _book(self, epochs, by_rip: np.ndarray, by_switch: np.ndarray) -> None:
-        """Add per-RIP counts *by_rip* (negative to remove), with their
-        per-switch counts and the per-VIP counts derived here, to the
-        buckets of *epochs* and the counters; free a bucket left empty."""
-        by_vip = _through(by_rip, self.rip_vip, self.vip_count.shape[0])[:, 1:]
-        counts = (by_rip, by_switch, by_vip)
-        for k in np.flatnonzero(by_switch.any(axis=1)).tolist():
+        """Add per-RIP counts *by_rip* (negative to remove) to the buckets
+        of *epochs*, and their per-switch counts *by_switch* to the
+        counters; free a bucket left empty."""
+        for k in np.flatnonzero(by_rip.any(axis=1)).tolist():
             e = int(epochs[k])
-            if e not in self._buckets:
-                self._buckets[e] = _Bucket(*(c.shape[1] for c in counts))
-            bucket = self._buckets[e]
-            bucket.by_rip += by_rip[k]
-            bucket.by_switch += by_switch[k]
-            bucket.by_vip += by_vip[k]
-            if not bucket.by_switch.any():
+            bucket = self._buckets.get(e)
+            if bucket is None:
+                bucket = self._buckets[e] = np.zeros_like(self.rip_switch)
+            bucket += by_rip[k]
+            if not bucket.any():
                 del self._buckets[e]
         self.switch_count += by_switch.sum(axis=0)
-        self.vip_count += by_vip.sum(axis=0)
 
     def close_due(self, epoch: int) -> int:
         """Close every session whose lifetime ends at/before *epoch*: pop
-        those close epochs' buckets and subtract their counts."""
-        n = 0
-        for e in [e for e in self._buckets if e <= epoch]:
-            bucket = self._buckets.pop(e)
-            self.switch_count -= bucket.by_switch
-            self.vip_count -= bucket.by_vip
-            n += int(bucket.by_switch.sum())
+        those close epochs' buckets and subtract their per-switch counts,
+        derived through the bindings."""
+        due = [e for e in self._buckets if e <= epoch]
+        if not due:
+            return 0
+        gone = np.stack([self._buckets.pop(e) for e in due])
+        by_switch = self._by_switch(gone).sum(axis=0)
+        self.switch_count -= by_switch
+        n = int(by_switch.sum())
         self.closed += n
         return n
 
@@ -276,7 +235,7 @@ class ColumnarConnTable:
         mask = np.zeros(n_rips, dtype=bool)
         mask[: rip_mask.shape[0]] = rip_mask[:n_rips]
         epochs = list(self._buckets)
-        gone = np.stack([self._buckets[e].by_rip for e in epochs]) * mask
+        gone = np.stack([self._buckets[e] for e in epochs]) * mask
         by_switch = self._by_switch(gone)
         n = int(by_switch.sum())
         if n:
@@ -290,34 +249,26 @@ class ColumnarConnTable:
 
     # -- reads --------------------------------------------------------
     def count_for_vip(self, vip_id: int) -> int:
-        if vip_id >= self.vip_count.shape[0]:
-            return 0
-        return int(self.vip_count[vip_id])
+        """Live sessions on the RIPs bound to *vip_id*: a pass over every
+        RIP row of every live bucket."""
+        return int(self._live_by_rip()[self.rip_vip == vip_id].sum())
 
     def is_paused(self, vip_id: int) -> bool:
         """True when the VIP has no live sessions (K2 transfer window)."""
         return self.count_for_vip(vip_id) == 0
 
-    def bookings(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """``close epoch -> (per-switch, per-VIP counts)`` booked for the
-        live sessions that close then: what each close will subtract."""
-        return {e: (b.by_switch, b.by_vip) for e, b in self._buckets.items()}
+    def _live_by_rip(self) -> np.ndarray:
+        """Live sessions per RIP row."""
+        return sum(self._buckets.values(), np.zeros_like(self.rip_vip))
 
-    def _live_by_rip(self, close_epoch: int | None = None) -> np.ndarray:
-        """Live sessions per RIP row closing in *close_epoch* (or any)."""
-        epochs = self._buckets if close_epoch is None else [close_epoch]
-        zero = np.zeros(self.rip_vip.shape[0], dtype=np.int64)
-        return sum((self._buckets[e].by_rip for e in epochs), zero)
-
-    def recount(self, close_epoch: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-switch and per-VIP counts derived through the bindings from
-        the per-RIP counts of the sessions closing in *close_epoch*, or of
-        all sessions (the auditor's check on the bookings and counters)."""
-        by_rip = self._live_by_rip(close_epoch)[None, :]
-        return (
-            _through(by_rip, self.rip_switch, self.switch_cap.shape[0])[0, 1:],
-            _through(by_rip, self.rip_vip, self.vip_count.shape[0])[0, 1:],
-        )
+    def recount(self) -> np.ndarray:
+        """Live sessions per switch derived through the bindings, column 0
+        holding those on unbound RIP rows (the auditor's check on the
+        counters)."""
+        return _through(
+            self._live_by_rip()[None, :], self.rip_switch,
+            self.switch_count.shape[0],
+        )[0]
 
     def live_pairs(self) -> dict[tuple[int, int], int]:
         """``(vip id, rip row) -> live session count`` (oracle surface)."""

@@ -105,16 +105,13 @@ class ColumnarDataPlane:
         self.conn = ColumnarConnTable(
             n_switches=max(1, len(registry.switches)),
             switch_capacity=switch_max_connections,
-            n_vips=len(registry.vips),
             rip_name=registry.rips.name,
         )
-        self._default_switch_cap = int(switch_max_connections)
         self._reg_version = -1
         self._vs_indptr = np.zeros(1, dtype=np.int64)
         self._vs_rids = np.zeros(0, dtype=np.int64)
         self._vs_pad = np.zeros((0, 0))
         self._vs_pick = np.zeros((0, 0), dtype=np.int64)
-        self._vip_switch = np.zeros(0, dtype=np.int64)
         #: Every DNS slot's VIP has an active RIP (set by :meth:`refresh`):
         #: no request can go unserved, so the steer skips the served test.
         self.all_served = False
@@ -149,10 +146,10 @@ class ColumnarDataPlane:
 
         The view is CSR by registry VIP id: active RIP rows sorted by RIP
         *name* (the object tables' canonical order) with a normalized
-        weight CDF per segment (the columns of a padded matrix), plus
-        each VIP's current home switch.  The padded CDFs get a
-        :func:`~repro.dns.policy.pick_table` for the RIP pick.  The
-        active RIPs are bound to their VIPs and switches in the conn table.
+        weight CDF per segment (the columns of a padded matrix).  The
+        padded CDFs get a :func:`~repro.dns.policy.pick_table` for the
+        RIP pick.  The active RIPs are bound to their VIPs and home
+        switches in the conn table.
         """
         reg = self.registry
         if reg.ops_applied == self._reg_version:
@@ -170,18 +167,12 @@ class ColumnarDataPlane:
         for v in np.unique(vids):
             lo, hi = int(indptr[v]), int(indptr[v + 1])
             cdf[lo:hi] = weighted_cdf(reg.rip_weight[act[lo:hi]])
-        vip_switch = np.full(n_vips, -1, dtype=np.int64)
-        vip_switch[vids] = reg.rip_switch[act]
-        self.conn.ensure_vips(n_vips)
-        self.conn.ensure_switches(
-            max(1, len(reg.switches)), self._default_switch_cap
-        )
+        self.conn.ensure_switches(max(1, len(reg.switches)))
         self.conn.bind(act, vids, reg.rip_switch[act])
         self._vs_indptr = indptr
         self._vs_rids = act
         self._vs_pad = padded_cdf(cdf, indptr)
         self._vs_pick = pick_table(self._vs_pad, pick_bins(self._vs_pad.shape[0]))
-        self._vip_switch = vip_switch
         self.all_served = bool(
             (indptr[self._slot_vid + 1] > indptr[self._slot_vid]).all()
         )
@@ -196,7 +187,7 @@ class ColumnarDataPlane:
         self.dns.set_weights(app, weights)
 
     def is_paused(self, vip: str) -> bool:
-        """K2 pause window from the columnar conn counters."""
+        """K2 pause window from the conn table's live per-RIP counts."""
         if vip not in self.registry.vips:
             return True
         return self.conn.is_paused(self.registry.vips.get(vip))
@@ -208,11 +199,17 @@ class ColumnarDataPlane:
         return self.conn.drop_vip(self.registry.vips.get(vip))
 
     def switch_of_vip(self, vip: str) -> Optional[str]:
+        """The VIP's home switch: the binding of its first active RIP in
+        the serving view (None when it has none)."""
         if vip not in self.registry.vips:
             return None
         self.refresh()
-        sid = int(self._vip_switch[self.registry.vips.get(vip)])
-        return self.registry.switches.name(sid) if sid >= 0 else None
+        v = self.registry.vips.get(vip)
+        lo, hi = self._vs_indptr[v : v + 2]
+        if lo == hi:
+            return None
+        sid = int(self.conn.rip_switch[self._vs_rids[lo]])
+        return self.registry.switches.name(sid)
 
     def on_pod_loss(self, pod: str) -> int:
         """A pod died: every live session pinned to one of its RIPs dies

@@ -211,7 +211,9 @@ class InvariantAuditor:
           shares (skipped before the first epoch, when there are no
           shares yet);
         * ``mega-rip-row`` — every active RIP-mirror row resolves to
-          known app/vip/switch ids.
+          known app/vip/switch ids;
+        * ``dataplane-conntrack`` — the data plane's session counters
+          agree with its live per-RIP counts (:meth:`_audit_conntrack`).
         """
         import numpy as np
 
@@ -278,38 +280,21 @@ class InvariantAuditor:
                 )
 
     def _audit_conntrack(self, t: float, conn) -> None:
-        """``dataplane-conntrack``: each close-epoch bucket's booked
-        per-switch and per-VIP counts must equal the counts derived from
-        its per-RIP counts through the RIP bindings, the counters must
-        equal the derived counts' sums, and no switch may exceed its
-        session capacity.  A close subtracts a bucket's booking, so a
-        session booked under the wrong close epoch would be closed with
-        the wrong counts even where the totals agree."""
-        import numpy as np
-
-        by_switch = np.zeros_like(conn.switch_count)
-        by_vip = np.zeros_like(conn.vip_count)
-        for epoch, booked in conn.bookings().items():
-            counted = conn.recount(epoch)
-            for name, b, c in zip(("switch", "vip"), booked, counted):
-                if not np.array_equal(b, c):
-                    self._flag(
-                        t, "dataplane-conntrack", counter=f"booked_{name}",
-                        close_epoch=epoch, derived=int(c.sum()),
-                        booked=int(b.sum()),
-                    )
-            by_switch += counted[0]
-            by_vip += counted[1]
-        derived = int(by_switch.sum())
-        if not np.array_equal(by_switch, conn.switch_count):
+        """``dataplane-conntrack``: the per-switch counters must equal the
+        live per-RIP counts summed through the RIP bindings, no live
+        session may sit on an unbound RIP row, and no switch may exceed
+        its session capacity."""
+        derived = conn.recount()
+        if derived[0]:
+            self._flag(
+                t, "dataplane-conntrack", counter="unbound_rip",
+                sessions=int(derived[0]),
+            )
+        if (derived[1:] != conn.switch_count).any():
             self._flag(
                 t, "dataplane-conntrack", counter="switch_count",
-                derived=derived, counted=int(conn.switch_count.sum()),
-            )
-        if not np.array_equal(by_vip, conn.vip_count):
-            self._flag(
-                t, "dataplane-conntrack", counter="vip_count",
-                derived=derived, counted=int(conn.vip_count.sum()),
+                derived=int(derived[1:].sum()),
+                counted=int(conn.switch_count.sum()),
             )
         over = conn.switch_count > conn.switch_cap
         if over.any():

@@ -16,13 +16,13 @@ def test_group_positions():
     assert _group_positions(np.zeros(0, dtype=np.int64)).size == 0
 
 
-def bound(n_switches, caps, n_vips=0, n_rips=0):
+def bound(n_switches, cap, n_vips=1, n_rips=0):
     """A table whose RIP rows ``0..n_rips-1`` are bound as steering binds
     them: RIP ``r`` serves VIP ``r % n_vips``, homed on switch
     ``vip % n_switches``."""
-    t = ColumnarConnTable(n_switches, caps, n_vips=n_vips)
+    t = ColumnarConnTable(n_switches, cap)
     rips = np.arange(n_rips)
-    vips = rips % max(n_vips, 1)
+    vips = rips % n_vips
     t.bind(rips, vips, vips % n_switches)
     return t
 
@@ -32,7 +32,7 @@ def scalar_fill(count, cap, switch):
     count = count.copy()
     out = []
     for s in switch:
-        ok = count[s] < cap[s]
+        ok = count[s] < cap
         if ok:
             count[s] += 1
         out.append(ok)
@@ -42,14 +42,13 @@ def scalar_fill(count, cap, switch):
 @settings(max_examples=40, deadline=None)
 @given(
     switches=st.lists(st.integers(0, 3), min_size=0, max_size=60),
-    caps=st.lists(st.integers(1, 12), min_size=4, max_size=4),
+    cap=st.integers(1, 12),
     pre=st.lists(st.integers(0, 8), min_size=4, max_size=4),
 )
-def test_try_open_batch_matches_sequential_fill(switches, caps, pre):
-    caps = np.asarray(caps, dtype=np.int64)
-    pre = np.minimum(np.asarray(pre, dtype=np.int64), caps)
+def test_try_open_batch_matches_sequential_fill(switches, cap, pre):
+    pre = np.minimum(np.asarray(pre, dtype=np.int64), cap)
     # RIP s serves VIP s on switch s.
-    table = bound(4, caps, n_vips=4, n_rips=4)
+    table = bound(4, cap, n_vips=4, n_rips=4)
     # preload each switch to its starting occupancy
     for s, k in enumerate(pre):
         if k:
@@ -59,13 +58,13 @@ def test_try_open_batch_matches_sequential_fill(switches, caps, pre):
             )
     sw = np.asarray(switches, dtype=np.int64)
     got = table.try_open_batch(sw, np.full(sw.size, 10**6, dtype=np.int64))
-    want = scalar_fill(pre, caps, sw)
+    want = scalar_fill(pre, cap, sw)
     assert np.array_equal(got, want)
     assert table.rejected == int((~want).sum())
 
 
 def full_table():
-    t = ColumnarConnTable(2, 100, n_vips=3)
+    t = ColumnarConnTable(2, 100)
     # RIP 10..14 -> VIP 0, 1, 2, 1, 0 on switch 0, 0, 1, 0, 1.
     t.bind(np.arange(10, 15), [0, 1, 2, 1, 0], [0, 0, 1, 0, 1])
     rip = np.array([10, 11, 12, 14, 13], dtype=np.int64)
@@ -98,7 +97,7 @@ def test_drop_vip_and_drop_rips():
 
 
 def test_live_pairs_counts_duplicates():
-    t = ColumnarConnTable(1, 100, n_vips=1)
+    t = ColumnarConnTable(1, 100)
     t.bind([7, 8], [0, 0], [0, 0])
     rip = np.array([7, 7, 8, 7], dtype=np.int64)
     t.try_open_batch(rip, np.full(4, 9, dtype=np.int64))
@@ -106,7 +105,7 @@ def test_live_pairs_counts_duplicates():
 
 
 def test_growth_and_compaction_bound_memory():
-    t = bound(1, 10**9, n_vips=1, n_rips=1)
+    t = bound(1, 10**9, n_rips=1)
     n = 3000
     for epoch in range(5):
         opened = t.try_open_batch(
@@ -114,33 +113,33 @@ def test_growth_and_compaction_bound_memory():
             np.full(n, epoch, dtype=np.int64),  # all close next epoch
         )
         assert opened.all()
-        assert int(t.recount()[0].sum()) == n == t.alive_count
+        assert int(t.recount().sum()) == n == t.alive_count
         t.close_due(epoch)
         # the close freed its bucket whole: storage stays O(live), not
         # O(ever opened)
-        assert t.bookings() == {}
-        assert int(t.recount()[0].sum()) == 0
+        assert t._buckets == {}
+        assert int(t.recount().sum()) == 0
     assert t.opened == 5 * n and t.closed == 5 * n
     assert t.alive_count == 0
 
 
 def test_ensure_switches_grows_with_default_capacity():
     t = ColumnarConnTable(2, 5)
-    t.ensure_switches(4, 7)
-    assert t.switch_cap.tolist() == [5, 5, 7, 7]
+    t.ensure_switches(4)
+    t.ensure_switches(3)  # never shrinks
     assert t.switch_count.tolist() == [0, 0, 0, 0]
     t.bind([0], [0], [3])
     acc = t.try_open_batch(
         np.zeros(8, dtype=np.int64),
         np.full(8, 9, dtype=np.int64),
     )
-    assert acc.sum() == 7  # new switch honours its capacity
+    assert acc.sum() == 5  # a new switch honours the table's capacity
 
 
 def table_state(t):
     return (
-        {e: [c.tolist() for c in b] for e, b in t.bookings().items()},
-        t.switch_count.tolist(), t.vip_count.tolist(), t.live_pairs(),
+        {e: b.tolist() for e, b in t._buckets.items()},
+        t.switch_count.tolist(), t.live_pairs(),
         t.rip_vip.tolist(), t.rip_switch.tolist(), t.opened, t.rejected,
     )
 
@@ -185,10 +184,10 @@ def test_table_bytes_follow_rips_not_sessions():
             k = min(batch, n - lo)
             t.try_open_batch(rng.integers(0, n_rips, k), rng.integers(1, 4, k))
         grown = tracemalloc.get_traced_memory()[0] - base
-        assert t.alive_count == n and sorted(t.bookings()) == [1, 2, 3]
+        assert t.alive_count == n and sorted(t._buckets) == [1, 2, 3]
         assert grown < 256 * 1024
         assert t.close_due(3) == n
-        assert t.bookings() == {}
+        assert t._buckets == {}
         assert tracemalloc.get_traced_memory()[0] - base < grown
     finally:
         tracemalloc.stop()
@@ -221,12 +220,12 @@ def test_capacity_follows_peak_live_sessions():
     peak = 0
     for epoch in range(30):
         t.close_due(epoch)
-        assert all(e > epoch for e in t.bookings())
+        assert all(e > epoch for e in t._buckets)
         open_epoch(t, rng, epoch, 6000)
         peak = max(peak, t.alive_count)
-        held = int(t.recount()[0].sum())
+        held = int(t.recount().sum())
         assert held == t.alive_count <= peak
-        assert len(t.bookings()) <= 3
+        assert len(t._buckets) <= 3
     assert t.opened == 30 * 6000
     assert t.closed + t.alive_count == t.opened
 
@@ -254,7 +253,7 @@ def test_rows_held_follow_live_sessions():
             mask[300 + epoch] = True
             assert t.drop_rips(mask) == 100
             held_is_live()
-            assert epoch + 10**6 not in t.bookings()  # emptied bucket freed
+            assert epoch + 10**6 not in t._buckets  # emptied bucket freed
         if epoch % 7 == 6:
             t.drop_vip(int(rng.integers(0, 40)))
             held_is_live()
@@ -268,17 +267,21 @@ def test_recount_matches_counters():
     t = bound(3, 10**9, n_vips=12, n_rips=300)
     open_epoch(t, np.random.default_rng(1), 0, 200, chunk=30)
     t.close_due(1)
-    by_switch, by_vip = t.recount()
-    assert by_switch.tolist() == t.switch_count.tolist()
-    assert by_vip.tolist() == t.vip_count.tolist()
+    derived = t.recount()
+    assert derived[0] == 0
+    assert derived[1:].tolist() == t.switch_count.tolist()
+    by_vip = [0] * 12
+    for (vip, _), n in t.live_pairs().items():
+        by_vip[vip] += n
+    assert [t.count_for_vip(v) for v in range(12)] == by_vip
 
 
 class ScanTable:
     """Reference session table: one row per session, admitted one request
     at a time, and closed, dropped and counted by scanning every row."""
 
-    def __init__(self, caps):
-        self.caps = list(caps)
+    def __init__(self, cap):
+        self.cap = cap
         self.rows = []  # [vip, rip, switch, close epoch, alive]
         self.opened = self.closed = self.dropped = self.rejected = 0
 
@@ -288,7 +291,7 @@ class ScanTable:
     def try_open_batch(self, vip, rip, switch, close):
         accepted = []
         for row in zip(vip.tolist(), rip.tolist(), switch.tolist(), close.tolist()):
-            ok = len(self.live(row[2])) < self.caps[row[2]]
+            ok = len(self.live(row[2])) < self.cap
             if ok:
                 self.rows.append([*row, True])
                 self.opened += 1
@@ -333,16 +336,34 @@ class ScanTable:
         return by_switch.tolist(), by_vip.tolist()
 
 
+def assert_matches(t, ref, n_vips):
+    """*t* holds what the scanning reference *ref* holds: per-switch
+    counters equal to the counts derived through the bindings, per-VIP
+    and per-(VIP, RIP) counts, and the lifetime totals."""
+    n_sw = t.switch_count.shape[0]
+    derived = t.recount()
+    assert derived[0] == 0  # no live session on an unbound RIP
+    assert t.switch_count.tolist() == derived[1:].tolist()
+    by_vip = [t.count_for_vip(v) for v in range(n_vips)]
+    assert (derived[1:].tolist(), by_vip) == ref.counts(n_sw, n_vips)
+    pairs = t.live_pairs()
+    assert pairs == ref.pairs()
+    assert sum(pairs.values()) == t.alive_count  # rows held
+    assert (t.opened, t.closed, t.dropped, t.rejected) == (
+        ref.opened, ref.closed, ref.dropped, ref.rejected
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40))
 def test_counters_and_totals_match_scanning_reference(seed, steps):
     # Opens whose close epochs spread over several epochs (a few far
-    # ahead), against capacities small enough to reject, interleaved with
-    # drops, dimension growth and closes that skip epochs.
+    # ahead), against a capacity small enough to reject, interleaved with
+    # drops, switch growth and closes that skip epochs.
     rng = np.random.default_rng(seed)
-    caps = rng.integers(1, 30, 2)
-    t = ColumnarConnTable(2, caps, n_vips=3)
-    ref = ScanTable(caps)
+    cap = int(rng.integers(1, 30))
+    t = ColumnarConnTable(2, cap)
+    ref = ScanTable(cap)
     # A fixed RIP -> VIP -> switch binding; a RIP is bound in the table
     # once its switch exists, as steering binds the registry's RIPs.
     bind_vip = rng.permutation(np.arange(40) % 5)
@@ -352,7 +373,7 @@ def test_counters_and_totals_match_scanning_reference(seed, steps):
     epoch = 0
     for _ in range(steps):
         op = int(rng.integers(0, 7))
-        n_sw, n_vips = t.switch_cap.shape[0], t.vip_count.shape[0]
+        n_sw = t.switch_count.shape[0]
         if op <= 2:
             ready = np.flatnonzero(bind_sw < n_sw)
             t.bind(ready, bind_vip[ready], bind_sw[ready])
@@ -368,33 +389,50 @@ def test_counters_and_totals_match_scanning_reference(seed, steps):
             epoch += int(rng.integers(0, 4))
             assert t.close_due(epoch) == ref.close_due(epoch)
         elif op == 4:
-            vip = int(rng.integers(0, n_vips))
+            vip = int(rng.integers(0, 5))
             assert t.drop_vip(vip) == ref.drop_vip(vip)
         elif op == 5:
             mask = rng.random(40) < 0.2
             assert t.drop_rips(mask) == ref.drop_rips(mask)
-        elif rng.random() < 0.5:
-            t.ensure_vips(n_vips + int(rng.integers(1, 3)))
         else:
-            cap = int(rng.integers(1, 30))
-            grow = int(rng.integers(1, 3))
-            t.ensure_switches(n_sw + grow, cap)
-            ref.caps += [cap] * grow
-        n_sw, n_vips = t.switch_cap.shape[0], t.vip_count.shape[0]
-        by_switch, by_vip = t.recount()
-        assert t.switch_count.tolist() == by_switch.tolist()
-        assert t.vip_count.tolist() == by_vip.tolist()
-        assert (by_switch.tolist(), by_vip.tolist()) == ref.counts(n_sw, n_vips)
-        for e, booked in t.bookings().items():
-            assert [c.tolist() for c in booked] == [
-                c.tolist() for c in t.recount(e)
-            ]
-        pairs = t.live_pairs()
-        assert pairs == ref.pairs()
-        assert sum(pairs.values()) == t.alive_count  # rows held
-        assert (t.opened, t.closed, t.dropped, t.rejected) == (
-            ref.opened, ref.closed, ref.dropped, ref.rejected
-        )
+            t.ensure_switches(n_sw + int(rng.integers(1, 3)))
+        assert_matches(t, ref, 5)
     epoch += 10**6 + 100
     assert t.close_due(epoch) == ref.close_due(epoch)
-    assert t.alive_count == 0 and not t.vip_count.any()
+    assert t.alive_count == 0 and t.count_for_vip(0) == 0
+
+
+def test_rebinding_a_dropped_vip_moves_its_counts_to_the_new_switch():
+    # The K2 move: a VIP's sessions are dropped, its RIPs re-bound to
+    # another switch, and new sessions open there.  Every count derived
+    # through the bindings stays right, before and after the move.
+    t = ColumnarConnTable(3, 10**6)
+    ref = ScanTable(10**6)
+    # RIPs 0-3 serve VIP 0 and RIPs 4-7 VIP 1, all on switch 0.
+    vip = np.arange(8) // 4
+    home = np.zeros(8, dtype=np.int64)
+    t.bind(np.arange(8), vip, home)
+    rng = np.random.default_rng(5)
+
+    def open_some(n, epoch):
+        rip = rng.integers(0, 8, n)
+        close = epoch + rng.integers(1, 4, n)
+        want = ref.try_open_batch(vip[rip], rip, home[rip], close)
+        assert np.array_equal(t.try_open_batch(rip, close), want)
+        assert_matches(t, ref, 2)
+
+    open_some(300, 0)
+    moved = vip == 1
+    assert t.drop_rips(moved) == ref.drop_rips(moved) > 0
+    assert_matches(t, ref, 2)
+    assert t.is_paused(1) and not t.is_paused(0)
+    home[moved] = 2
+    t.bind(np.flatnonzero(moved), vip[moved], home[moved])
+    assert_matches(t, ref, 2)
+    open_some(300, 1)
+    assert t.switch_count[2] == t.count_for_vip(1) > 0
+    for epoch in range(1, 5):
+        assert t.close_due(epoch) == ref.close_due(epoch)
+        assert_matches(t, ref, 2)
+    assert t._buckets == {}
+    assert t.switch_count.tolist() == [0, 0, 0]

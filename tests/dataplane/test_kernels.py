@@ -330,19 +330,17 @@ def reference_open(table, rip, close_epoch):
     accepted requests then open as one batch that fits."""
     switch = table.rip_switch[rip]
     pos = _group_positions(switch)
-    accepted = table.switch_count[switch] + pos < table.switch_cap[switch]
-    np.add.at(table.rejected_by_switch, switch[~accepted], 1)
+    accepted = table.switch_count[switch] + pos < table.switch_cap
+    table.rejected += int((~accepted).sum())
     acc = np.flatnonzero(accepted)
     assert table.try_open_batch(rip[acc], close_epoch[acc]).all()
     return accepted
 
 
 def table_state(t):
-    by_switch, by_vip = t.recount()
     return (
-        t.switch_count.tolist(), t.vip_count.tolist(),
-        t.rejected_by_switch.tolist(), t.opened,
-        by_switch.tolist(), by_vip.tolist(), t.live_pairs(),
+        t.switch_count.tolist(), [t.count_for_vip(v) for v in range(6)],
+        t.rejected, t.opened, t.recount().tolist(), t.live_pairs(),
     )
 
 
@@ -361,7 +359,7 @@ def test_try_open_batch_fast_path_matches_positions(switches, live, edge, seed):
     sw[0] = 0
     cap = live + int((sw == 0).sum()) - edge
     assume(cap >= 1)
-    tables = [ColumnarConnTable(3, cap, n_vips=2) for _ in range(2)]
+    tables = [ColumnarConnTable(3, cap) for _ in range(2)]
     rng = np.random.default_rng(seed)
     # A fixed binding, as steering's: RIP r serves VIP r % 6, homed on
     # switch vip % 3 (so on switch r % 3).

@@ -80,6 +80,15 @@ def test_k1_resteer_moves_answer_mass():
         assert hot > 10 * max(cold, 1)
 
 
+def home_switch(drv, vip):
+    """The one switch the registry homes *vip*'s active RIPs on."""
+    reg = drv.bridge.registry
+    n = reg.n_rips
+    rows = (reg.rip_vip[:n] == reg.vips.get(vip)) & reg.rip_active[:n]
+    (sid,) = set(reg.rip_switch[:n][rows].tolist())
+    return reg.switches.name(sid)
+
+
 def test_k2_blocked_without_pause_then_forced():
     with make_driver() as drv:
         drv.run_epoch()
@@ -89,14 +98,15 @@ def test_k2_blocked_without_pause_then_forced():
             if not drv.dataplane.is_paused(v)
         )
         src = drv.dataplane.switch_of_vip(vip)
+        assert src == home_switch(drv, vip)
         assert drv.k2_rehome(app, vip) is False  # live conns: blocked
         assert drv.dataplane.switch_of_vip(vip) == src
         dropped0 = drv.dataplane.conn.dropped
         moved = drv.k2_rehome(app, vip, force=True)
         assert drv.dataplane.conn.dropped > dropped0
         assert drv.dataplane.is_paused(vip)
-        if moved:
-            assert drv.dataplane.switch_of_vip(vip) != src
+        assert moved
+        assert drv.dataplane.switch_of_vip(vip) == home_switch(drv, vip) != src
 
 
 def test_pod_loss_drops_pinned_sessions_and_unserves():

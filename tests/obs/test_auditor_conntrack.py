@@ -1,6 +1,6 @@
-"""The auditor's ``dataplane-conntrack`` sweep: each close-epoch bucket's
-booked per-switch and per-VIP counts are held to the counts derived from
-its per-RIP counts through the RIP bindings."""
+"""The auditor's ``dataplane-conntrack`` sweep: the per-switch session
+counters are held to the live per-RIP counts summed through the RIP
+bindings, and no live session may sit on an unbound RIP row."""
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from repro.core.mega import (
     MegaScaleDriver,
     MegaSteeringConfig,
 )
+from repro.dataplane.conntable import ColumnarConnTable
 from repro.obs.audit import InvariantAuditor
 from repro.obs.trace import TraceBus
 
@@ -32,54 +33,32 @@ def audited_tiny():
     )
 
 
-def test_misfiled_booking_is_flagged_though_totals_agree():
-    driver, auditor = audited_tiny()
-    with driver:
-        driver.run_epoch()
-        assert auditor.ok
-        conn = driver.dataplane.conn
-        # One session's switch count booked under the wrong close epoch:
-        # the totals still agree, but a close of either bucket would
-        # subtract the wrong count.
-        booked = conn.bookings()
-        first, second = sorted(booked)[:2]
-        s = int(np.flatnonzero(booked[first][0])[0])
-        booked[first][0][s] -= 1
-        booked[second][0][s] += 1
-        assert conn.recount()[0].tolist() == conn.switch_count.tolist()
-        found = auditor.audit_now(60.0)
-        assert {v.invariant for v in found} == {"dataplane-conntrack"}
-        assert sorted(
-            (v.detail["counter"], v.detail["close_epoch"]) for v in found
-        ) == [("booked_switch", first), ("booked_switch", second)]
-
-
-def test_misfiled_vip_booking_is_flagged_though_totals_agree():
-    driver, auditor = audited_tiny()
-    with driver:
-        driver.run_epoch()
-        assert auditor.ok
-        booked = driver.dataplane.conn.bookings()
-        first, second = sorted(booked)[:2]
-        v = int(np.flatnonzero(booked[first][1])[0])
-        booked[first][1][v] -= 1
-        booked[second][1][v] += 1
-        found = auditor.audit_now(60.0)
-        assert sorted(
-            (v.detail["counter"], v.detail["close_epoch"]) for v in found
-        ) == [("booked_vip", first), ("booked_vip", second)]
+def test_sessions_on_an_unbound_rip_are_flagged():
+    # RIP rows 0 and 2 are bound; one session's count moved from row 0 to
+    # the unbound row 1 sits on no switch.
+    conn = ColumnarConnTable(1, 10)
+    conn.bind([0, 2], [0, 0], [0, 0])
+    assert conn.try_open_batch(np.array([0]), np.array([5])).all()
+    auditor = InvariantAuditor()
+    auditor._audit_conntrack(60.0, conn)
+    assert auditor.ok
+    conn._buckets[5][[0, 1]] += [-1, 1]
+    auditor._audit_conntrack(60.0, conn)
+    assert [(v.invariant, v.detail["counter"]) for v in auditor.violations] == [
+        ("dataplane-conntrack", "unbound_rip"),
+        ("dataplane-conntrack", "switch_count"),
+    ]
 
 
 def test_rip_count_moved_across_switches_is_flagged():
     # One session's per-RIP count moved to a RIP on another switch: the
-    # bucket's bookings no longer match the counts derived through the
-    # bindings, nor do the counters.
+    # counters no longer match the counts derived through the bindings.
     driver, auditor = audited_tiny()
     with driver:
         driver.run_epoch()
+        assert auditor.ok
         conn = driver.dataplane.conn
-        epoch = sorted(conn.bookings())[0]
-        by_rip = conn._buckets[epoch].by_rip
+        by_rip = conn._buckets[min(conn._buckets)]
         src = int(np.flatnonzero(by_rip)[0])
         dst = int(np.flatnonzero(
             (conn.rip_switch >= 0) & (conn.rip_switch != conn.rip_switch[src])
@@ -87,14 +66,9 @@ def test_rip_count_moved_across_switches_is_flagged():
         by_rip[src] -= 1
         by_rip[dst] += 1
         found = auditor.audit_now(60.0)
-        assert {v.invariant for v in found} == {"dataplane-conntrack"}
-        assert {v.detail["counter"] for v in found} == {
-            "booked_switch", "booked_vip", "switch_count", "vip_count"
-        }
-        assert {
-            v.detail["close_epoch"] for v in found
-            if v.detail["counter"].startswith("booked")
-        } == {epoch}
+        assert [(v.invariant, v.detail["counter"]) for v in found] == [
+            ("dataplane-conntrack", "switch_count")
+        ]
 
 
 def test_clean_steered_quick_run_has_no_violations():
@@ -106,7 +80,7 @@ def test_clean_steered_quick_run_has_no_violations():
     with driver:
         for _ in range(3):
             driver.run_epoch()
-        assert len(driver.dataplane.conn.bookings()) >= 2
+        assert len(driver.dataplane.conn._buckets) >= 2
         assert driver.dataplane.conn.alive_count > 0
     assert auditor.audits_run == 3
     assert auditor.violations == []
