@@ -943,9 +943,17 @@ class ShardedControlPlane:
                     continue
                 if holders_of(self.all_switches, vip):
                     continue  # lives on a foreign shard; rollback handles it
-                # Stranded: recreate from the rip index.
+                # Stranded: recreate from the rip index, each RIP at the
+                # weight of its last applied new_rip record.
+                weights = {
+                    rec.payload["rip"]: rec.payload.get("weight", 1.0)
+                    for rec in shard.journal
+                    if rec.kind == "new_rip"
+                    and rec.phase is OpPhase.APPLIED
+                    and rec.payload["vip"] == vip
+                }
                 rips = {
-                    rip: 1.0
+                    rip: weights.get(rip, 1.0)
                     for rip, (v, _) in sorted(mgr.rip_index.items())
                     if v == vip
                 }

@@ -282,6 +282,24 @@ def test_local_repair_recreates_a_stranded_vip():
     assert_clean(plane)
 
 
+def test_local_repair_recreates_a_stranded_vip_with_its_rip_weights():
+    switches, plane, moves = seeded()
+    # Re-wire r1 at weight 3.0: the shard journal now holds an applied
+    # new_rip record for r1 at 1.0, its del_rip, then one at 3.0.
+    plane.submit(VipRipRequest("del_rip", A0, rip=R0[1]))
+    plane.env.run()
+    plane.submit(VipRipRequest("new_rip", A0, rip=R0[1], weight=3.0))
+    plane.env.run()
+    weighted = (A0, {R0[0]: 1.0, R0[1]: 3.0})
+    assert tables(switches)["lb-0"] == {V0: weighted}
+    switches["lb-0"].remove_vip(V0)
+    plane.mark_failed("lb-0")
+    assert plane.gossip_round() == 1
+    assert tables(switches)["lb-2"] == {V0: weighted}
+    assert moves == [(V0, "lb-2")]
+    assert_clean(plane)
+
+
 def test_local_repair_leaves_a_foreign_holder_to_rollback():
     switches, plane, moves = seeded()
     plane.partition(0, 1)

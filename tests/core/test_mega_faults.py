@@ -253,6 +253,24 @@ def test_quick_run_with_pod_loss_places_within_demand():
         assert placed.sum() > 0.5 * demand.sum()
 
 
+def test_epoch_report_matches_the_placement_under_pod_loss():
+    """At 0.95 load with a pod lost, each epoch's report reads its demand
+    and satisfied CPU off what the alive pods were given and placed."""
+    with MegaScaleDriver(MegaConfig.quick(target_utilization=0.95)) as driver:
+        for epoch in range(3):
+            if epoch == 1:
+                driver.lose_pod("pod-007", t=60.0)
+            report = driver.run_epoch()
+            alive = np.flatnonzero(driver.pod_alive)
+            assert report.pods_down == (0 if epoch == 0 else 1)
+            assert report.satisfied_cpu == sum(
+                float(driver.pods[p].load.sum()) for p in alive
+            )
+            demand = sum(float(driver._gather(driver._share, p).sum()) for p in alive)
+            assert report.demand_cpu == pytest.approx(demand, rel=1e-9)
+            assert 0 < report.satisfied_cpu <= report.demand_cpu
+
+
 #: ``(vms, changes per epoch)`` of two full-scale epochs at seed 3.
 FULL_AUDIT_PIN = (6_085_640, [0, 0])
 
