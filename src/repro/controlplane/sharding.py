@@ -252,6 +252,19 @@ SHARD_MANAGER_SETTINGS = frozenset({
 })
 
 
+def _journaled_weights(shard: ControlPlaneShard, vip: str) -> dict[str, float]:
+    """Each RIP's weight under *vip* in its last applied ``new_rip``
+    record on *shard* (a RIP whose record a checkpoint truncated has
+    none)."""
+    return {
+        rec.payload["rip"]: rec.payload.get("weight", 1.0)
+        for rec in shard.journal
+        if rec.kind == "new_rip"
+        and rec.phase is OpPhase.APPLIED
+        and rec.payload["vip"] == vip
+    }
+
+
 class ShardedControlPlane:
     """Facade over N control-plane shards, duck-typing the serialized
     :class:`VipRipManager` surface the rest of the platform consumes.
@@ -943,15 +956,8 @@ class ShardedControlPlane:
                     continue
                 if holders_of(self.all_switches, vip):
                     continue  # lives on a foreign shard; rollback handles it
-                # Stranded: recreate from the rip index, each RIP at the
-                # weight of its last applied new_rip record.
-                weights = {
-                    rec.payload["rip"]: rec.payload.get("weight", 1.0)
-                    for rec in shard.journal
-                    if rec.kind == "new_rip"
-                    and rec.phase is OpPhase.APPLIED
-                    and rec.payload["vip"] == vip
-                }
+                # Stranded: recreate from the rip index.
+                weights = _journaled_weights(shard, vip)
                 rips = {
                     rip: weights.get(rip, 1.0)
                     for rip, (v, _) in sorted(mgr.rip_index.items())
@@ -992,7 +998,8 @@ class ShardedControlPlane:
                 fixed += 1
             elif holders:
                 if holders[0].rip_slots_free > 0:
-                    holders[0].add_rip(vip, rip, 1.0)
+                    weight = _journaled_weights(shard, vip).get(rip, 1.0)
+                    holders[0].add_rip(vip, rip, weight)
                     mgr.rip_index[rip] = (vip, holders[0].name)
                     fixed += 1
             elif not holders_of(self.all_switches, vip):

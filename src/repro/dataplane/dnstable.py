@@ -2,12 +2,12 @@
 
 One :class:`VectorizedDnsTable` replaces an authority plus a whole
 resolver population on the hot path: per-app VIP weight vectors become
-the columns of one ``+inf``-padded CDF matrix (each built through the
+the segments of one flat CDF in CSR order (each built through the
 shared :func:`repro.dns.policy.weighted_cdf`, so a batched count is
 bit-identical to the scalar ``AuthoritativeDNS.resolve``), with a row per
 app in a :func:`~repro.dns.policy.pick_table` that a cache miss reads
 its answer from (:func:`~repro.dns.policy.table_pick`); a K1
-:meth:`~VectorizedDnsTable.set_weights` rewrites one app's column and
+:meth:`~VectorizedDnsTable.set_weights` rewrites one app's slice and
 row.  Every resolver's TTL cache becomes one row of a
 ``(n_resolvers, n_apps)`` cache instead of a per-resolver dict; each
 cell keeps its expiry and answer side by side in one record, and a batch
@@ -33,13 +33,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dns.policy import (
-    padded_cdf,
-    pick_bins,
-    pick_table,
-    table_pick,
-    weighted_cdf,
-)
+from repro.dns.policy import pick_bins, pick_table, table_pick, weighted_cdf
 
 
 class VectorizedDnsTable:
@@ -84,12 +78,14 @@ class VectorizedDnsTable:
         np.cumsum(counts, out=self.vip_indptr[1:])
         self.vip_names = names
         self.weights = np.zeros(len(names))
-        #: Column ``a`` is app ``a``'s VIP CDF, ``+inf``-padded.
-        self.cdf_pad = padded_cdf(np.zeros(len(names)), self.vip_indptr)
+        #: ``cdf[vip_indptr[a]:vip_indptr[a + 1]]`` is app ``a``'s VIP CDF.
+        self.cdf = np.zeros(len(names))
         for i, app in enumerate(self.apps):
             self._rebuild_segment(i, zones[app])
         #: Row ``a`` is app ``a``'s :func:`~repro.dns.policy.pick_table`.
-        self.pick = pick_table(self.cdf_pad, pick_bins(self.cdf_pad.shape[0]))
+        self.pick = pick_table(
+            self.cdf, self.vip_indptr, pick_bins(int(counts.max(initial=0)))
+        )
         self.weight_updates = 0
         # -- resolver population cache columns -------------------------
         if violators is None:
@@ -133,15 +129,16 @@ class VectorizedDnsTable:
         if (w < 0).any() or w.sum() <= 0:
             raise ValueError(f"app {self.apps[slot]}: bad weight vector")
         self.weights[lo:hi] = w
-        self.cdf_pad[: hi - lo, slot] = weighted_cdf(w)
+        self.cdf[lo:hi] = weighted_cdf(w)
 
     def set_weights(self, app: str, weights: Mapping[str, float]) -> None:
         """K1 re-steer: replace one app's VIP weight vector, and its row
         of the pick table, in place."""
         slot = self._app_slot[app]
         self._rebuild_segment(slot, weights)
-        column = self.cdf_pad[:, slot : slot + 1]
-        self.pick[slot] = pick_table(column, self.pick.shape[1])[0]
+        lo, hi = self.vip_indptr[slot : slot + 2]
+        bins = self.pick.shape[1] - 1
+        self.pick[slot] = pick_table(self.cdf[lo:hi], [0, hi - lo], bins)[0]
         self.weight_updates += 1
 
     def zone(self, app: str) -> dict[str, float]:
@@ -191,7 +188,7 @@ class VectorizedDnsTable:
             draw = miss
         apps_d = app[draw]
         chosen = self.vip_indptr[apps_d] + table_pick(
-            self.pick, self.cdf_pad, apps_d, u_dns[draw]
+            self.pick, self.cdf, self.vip_indptr, apps_d, u_dns[draw]
         )
         out[draw] = chosen
         cells_d = cell[draw]

@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.dns.policy import bucketed_pick, weighted_cdf
+from repro.dns.policy import pick_bins, pick_table, table_pick, weighted_cdf
 
 
 class RequestChunk:
@@ -100,6 +100,10 @@ class RequestStream:
         self.violator_fraction = float(violator_fraction)
         self.seed = int(seed)
         self._app_cdf = weighted_cdf(app_weights)
+        self._app_indptr = np.array([0, self.n_apps])
+        self._app_pick = pick_table(
+            self._app_cdf, self._app_indptr, pick_bins(self.n_apps)
+        )
 
     # -- resolver population ------------------------------------------
     def violators(self) -> np.ndarray:
@@ -137,7 +141,10 @@ class RequestStream:
             yield RequestChunk(
                 lo, hi,
                 resolver[lo:hi].astype(np.int64),
-                bucketed_pick(self._app_cdf, app_rng.random(m)),
+                table_pick(
+                    self._app_pick, self._app_cdf, self._app_indptr, 0,
+                    app_rng.random(m),
+                ).astype(np.int64),
                 dns_rng.random(m),
                 rip_rng.random(m),
                 dur_rng.integers(1, high, m, dtype=np.int64),

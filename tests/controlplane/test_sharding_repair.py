@@ -350,6 +350,22 @@ def test_local_repair_re_adds_a_rip_missing_from_its_table():
     assert_clean(plane)
 
 
+def test_local_repair_re_adds_a_missing_rip_at_its_journaled_weight():
+    switches, plane, moves = seeded()
+    plane.submit(VipRipRequest("del_rip", A0, rip=R0[1]))
+    plane.env.run()
+    plane.submit(VipRipRequest("new_rip", A0, rip=R0[1], weight=3.0))
+    plane.env.run()
+    weighted = {"lb-0": {V0: (A0, {R0[0]: 1.0, R0[1]: 3.0})}}
+    assert tables(switches) == {**SETTLED_TABLES, **weighted}
+    switches["lb-0"].remove_rip(V0, R0[1])
+    assert drift(plane) == {"rip_missing": 1}
+    assert plane.gossip_round() == 1
+    assert tables(switches) == {**SETTLED_TABLES, **weighted}
+    assert books(plane) == [SHARD0, SHARD1]
+    assert_clean(plane)
+
+
 def test_local_repair_drops_an_index_row_for_a_vanished_vip():
     switches, plane, moves = seeded()
     plane.shards[0].manager.rip_index["ghost"] = ("203.0.9.9", "lb-0")

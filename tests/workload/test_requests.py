@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns.policy import bucketed_pick, weighted_cdf
+from repro.dns.policy import weighted_cdf
 from repro.workload.requests import RequestStream
 
 FIELDS = ("resolver", "app", "u_dns", "u_rip", "duration")
@@ -147,7 +147,7 @@ def reference_epoch(stream, weights, epoch):
     n = stream.requests_per_epoch
     rng = np.random.default_rng([stream.seed, int(epoch)])
     resolver = rng.integers(0, stream.n_resolvers, n, dtype=np.int64)
-    app = bucketed_pick(weighted_cdf(weights), rng.random(n))
+    app = np.searchsorted(weighted_cdf(weights), rng.random(n), side="right")
     u_dns = rng.random(n)
     u_rip = rng.random(n)
     duration = rng.integers(1, stream.max_duration_epochs + 1, n, dtype=np.int64)
