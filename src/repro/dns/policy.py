@@ -113,21 +113,25 @@ def table_pick(
     key += seg * (bins + 1)
     count = flat[key]
     hi = flat[1:][key]
+    del key  # 8 bytes a request, of no use to the bisect
     slow = np.flatnonzero(count != hi)
     if slow.size:
-        lo = count[slow].astype(np.int64)
-        hi = hi[slow].astype(np.int64)
         base = indptr[seg if np.ndim(seg) == 0 else seg[slow]]
+        lo = np.add(count[slow], base, dtype=np.int64)
+        hi = np.add(hi[slow], base, dtype=np.int64)
         u_slow = u[slow]
-        # A segment ends at 1.0 > u, so a converged request's ``mid`` is
-        # its answer's own entry, above ``u``: it reads inside the
-        # segment and stays put.
+        mid = np.empty_like(lo)
+        # Positions are absolute in *cdf*.  A segment ends at 1.0 > u, so
+        # a converged request's ``mid`` is its answer's own entry, above
+        # ``u``: it reads inside the segment and stays put.
         for _ in range(int((hi - lo).max()).bit_length()):
-            mid = (lo + hi) >> 1
-            right = cdf[base + mid] <= u_slow
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        count[slow] = lo
+            np.add(lo, hi, out=mid)
+            mid >>= 1
+            right = cdf[mid] <= u_slow
+            mid += right  # lo = mid + 1 where right, else hi = mid
+            np.copyto(lo, mid, where=right)
+            np.copyto(hi, mid, where=~right)
+        count[slow] = lo - base
     return count
 
 
