@@ -21,14 +21,14 @@ Protocol (per journal source, i.e. per shard):
    once.
 3. **Truncation gap.**  If ``checkpoints.epoch`` has advanced past the
    cursor, records in the gap may have been truncated away before the
-   bridge saw them — the bridge falls back to a full rebuild from the
-   authority's switch tables (``rip_homing()``) and re-fences every
-   cursor at ``journal.last_epoch``.
-4. **Verification.**  ``verify()`` rebuilds a shadow registry from the
+   bridge saw them — the bridge reloads the one mirror in place from the
+   authority's switch tables (``rip_homing()``), so the data plane that
+   steers on it sees the rebuild, and re-fences every cursor.
+4. **Verification.**  ``verify()`` builds a shadow registry from the
    authority and compares CRC fingerprints (name-canonical, so differing
    id-assignment orders agree).  Anti-entropy *repairs* mutate switch
    tables without journaling — after a convergence storm, call
-   ``verify(repair=True)`` at quiescence to swap in the rebuilt mirror
+   ``verify(repair=True)`` at quiescence to rebuild the mirror in place
    when fingerprints diverge.
 
 Convergence argument for out-of-order shard interleavings: every journal
@@ -84,23 +84,12 @@ class RipJournalBridge:
         self.rebuilds = 0
         #: sync() calls.
         self.syncs = 0
-        # (registry, ops_applied, fingerprint) of the last sync: every
-        # registry write bumps ops_applied, so an unmoved count on the
-        # same registry object means an unchanged fingerprint.
-        self._fingerprint_memo: Optional[tuple] = None
 
     # -- authority reads ----------------------------------------------------
     def rebuild(self) -> None:
-        """Replace the mirror with a fresh build from the authority's
-        switch tables and re-fence every cursor."""
-        self._adopt(
-            ColumnarRipRegistry.from_authority(self.plane.rip_homing(), self.pod_of)
-        )
-
-    def _adopt(self, registry: ColumnarRipRegistry) -> None:
-        """Make *registry* (built from the authority) the mirror, count the
-        rebuild and re-fence every cursor."""
-        self.registry = registry
+        """Reload the mirror in place from the authority's switch tables
+        and re-fence every cursor."""
+        self.registry.load(self.plane.rip_homing(), self.pod_of)
         self.rebuilds += 1
         for src in self._sources:
             src.cursor = src.journal.last_epoch
@@ -140,23 +129,15 @@ class RipJournalBridge:
             "applied": applied,
             "rebuilt": rebuilt,
             "pending": sum(len(s.pending) for s in self._sources),
-            "fingerprint": self._fingerprint(),
         }
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(
                 "ripmap.sync",
                 t=self.plane.env.now,
                 **stats,
+                fingerprint=self.registry.fingerprint(),
             )
         return stats
-
-    def _fingerprint(self) -> int:
-        reg = self.registry
-        memo = self._fingerprint_memo
-        if memo is None or memo[0] is not reg or memo[1] != reg.ops_applied:
-            memo = (reg, reg.ops_applied, reg.fingerprint())
-            self._fingerprint_memo = memo
-        return memo[2]
 
     def _apply(self, rec: JournalRecord) -> int:
         """Apply one settled record to the mirror; returns 1 if consumed."""
@@ -186,14 +167,14 @@ class RipJournalBridge:
     def verify(self, repair: bool = False) -> bool:
         """Compare the mirror's fingerprint against a fresh authority
         rebuild.  Call at quiescence (no in-flight requests).  With
-        *repair*, a divergent mirror is replaced by the rebuild — the
-        recovery path for un-journaled anti-entropy repairs."""
+        *repair*, a divergent mirror is rebuilt in place — the recovery
+        path for un-journaled anti-entropy repairs."""
         shadow = ColumnarRipRegistry.from_authority(
             self.plane.rip_homing(), self.pod_of
         )
         ok = shadow.fingerprint() == self.registry.fingerprint()
         if not ok and repair:
-            self._adopt(shadow)
+            self.rebuild()
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(
                 "ripmap.verify",

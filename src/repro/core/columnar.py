@@ -362,7 +362,8 @@ class ColumnarRipRegistry:
     registries.  Names get stable integer ids on first sight (``IdIndex``);
     per-RIP columns hold the owning app, serving VIP, home switch, host
     pod and weight, plus an ``active`` bit (ids are never reused, so a
-    deleted RIP keeps its row and can be re-wired in place).
+    deleted RIP keeps its row and can be re-wired in place, as :meth:`load`
+    does).  The CRC :meth:`fingerprint` is cached per write count.
 
     Mutations are *guarded by switch*: an unwire/rehome only applies
     when the mirror's current home switch matches the operation's switch.
@@ -388,8 +389,10 @@ class ColumnarRipRegistry:
         self.rip_pod = np.full(n, -1, dtype=np.int64)
         self.rip_weight = np.zeros(n, dtype=float)
         self.rip_active = np.zeros(n, dtype=bool)
-        #: Mutations applied (wire/unwire/rehome), for sync stats.
+        #: Mutations applied (wire/unwire/rehome); cached views key on it.
         self.ops_applied = 0
+        # (ops_applied, CRC) of the last fingerprint() pass.
+        self._crc = (-1, 0)
 
     # -- sizing -------------------------------------------------------
     def _ensure(self, rid: int) -> None:
@@ -472,18 +475,26 @@ class ColumnarRipRegistry:
             self.ops_applied += 1
         return moved
 
-    @classmethod
-    def from_authority(cls, homing: dict, pod_of) -> "ColumnarRipRegistry":
-        """Full rebuild from an authoritative snapshot — the output of
-        :meth:`~repro.core.viprip.VipRipManager.rip_homing` /
+    def load(self, homing: dict, pod_of) -> None:
+        """Make the active rows exactly an authoritative snapshot — the
+        output of :meth:`~repro.core.viprip.VipRipManager.rip_homing` /
         :meth:`~repro.controlplane.sharding.ShardedControlPlane.rip_homing`
         (``rip -> (app, vip, switch, weight)``).  *pod_of* maps a RIP name
-        to its hosting pod (or ``None``)."""
-        reg = cls()
+        to its hosting pod (or ``None``).  RIPs keep their ids, and the
+        reload moves ``ops_applied``."""
+        for rid in np.flatnonzero(self.rip_active[: self.n_rips]):
+            rip = self.rips.name(int(rid))
+            if rip not in homing:
+                self.unwire(rip)
         for rip in sorted(homing):
             app, vip, switch, weight = homing[rip]
-            reg.wire(rip, app, vip, switch, pod_of(rip), weight)
-        reg.ops_applied = 0
+            self.wire(rip, app, vip, switch, pod_of(rip), weight)
+
+    @classmethod
+    def from_authority(cls, homing: dict, pod_of) -> "ColumnarRipRegistry":
+        """A fresh registry :meth:`load`-ed from *homing*."""
+        reg = cls()
+        reg.load(homing, pod_of)
         return reg
 
     # -- views --------------------------------------------------------
@@ -509,9 +520,12 @@ class ColumnarRipRegistry:
         Canonicalized by *names*, not ids, so a mirror built incrementally
         from journal deltas fingerprints identically to one rebuilt from
         the authority even though their id assignment orders differ.
+        Computed once per ``ops_applied``, which every write bumps.
         """
         import zlib
 
+        if self._crc[0] == self.ops_applied:
+            return self._crc[1]
         h = zlib.crc32(b"riprows:v1")
         for rip in sorted(
             self.rips.name(int(r))
@@ -520,4 +534,5 @@ class ColumnarRipRegistry:
             app, vip, switch, pod, weight = self.homing(rip)
             line = f"{rip}|{app}|{vip}|{switch}|{pod}|{weight:.9g}\n"
             h = zlib.crc32(line.encode(), h)
+        self._crc = (self.ops_applied, h)
         return h

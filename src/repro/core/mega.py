@@ -906,9 +906,9 @@ class MegaScaleDriver:
         rip_fp = 0
         if self.bridge is not None:
             self._cp_env.run()
-            sync = self.bridge.sync()
+            self.bridge.sync()
             rip_records = self.bridge.records_applied - rip_before
-            rip_fp = sync["fingerprint"]
+            rip_fp = self.bridge.registry.fingerprint()
         steer = None
         if self.dataplane is not None:
             self._drive_knobs(epoch, t)

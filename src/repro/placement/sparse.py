@@ -827,6 +827,7 @@ class SparseGreedyController:
             per_row -= np.bincount(gone, minlength=s_count)
             indices, load = indices[keep_old], load[keep_old]
             changes += gone.size
+        del rows, cols  # the merge below peaks without them
         indptr = cur.indptr.copy()
         indptr[1:] += np.cumsum(per_row)
         # Kept old entries stay row-major sorted; merge the kept starts in
@@ -838,6 +839,7 @@ class SparseGreedyController:
             at = np.searchsorted(
                 old_keys[keep_old] if stops_old else old_keys, add_keys[by_key]
             )
+            del old_keys
             indices = np.insert(indices, at, add_cols[by_key])
             load = np.insert(load, at, new_load[keep_new][by_key])
         return SparseSolution(
