@@ -16,8 +16,10 @@ This module partitions that work across N manager shards:
 * :class:`ShardedControlPlane` — the facade.  It routes each request to
   the owner shard, retries transient failures (owner crashed) with
   bounded deterministic backoff, and falls back to an explicit handoff
-  when the owner stays down.  Shard<->shard partitions and per-shard
-  crashes are tolerated optimistically: stale reads and conflicting
+  when the owner stays down; a construction-time batch of new VIPs and
+  RIPs is wired at once instead, with no event loop
+  (:meth:`~ShardedControlPlane.wire`).  Shard<->shard partitions and
+  per-shard crashes are tolerated optimistically: stale reads and conflicting
   claims are allowed transiently, then driven to convergence by gossip
   anti-entropy rounds — claims merge last-writer-wins by epoch, and the
   losing shard rolls its copy of the state back (migrating entries the
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.controlplane.checkpoint import CheckpointStore
@@ -268,6 +271,11 @@ def _journaled_weights(shard: ControlPlaneShard, vip: str) -> dict[str, float]:
 class ShardedControlPlane:
     """Facade over N control-plane shards, duck-typing the serialized
     :class:`VipRipManager` surface the rest of the platform consumes.
+
+    Requests reach the shards two ways: :meth:`submit` routes one through
+    the owner shard's queue in simulated time (faults, knobs, E9/E14/E16
+    load), and :meth:`wire` processes a batch of new VIPs and RIPs at
+    once with the same decisions, for an initial wiring nobody measures.
 
     The facade reads *reconfig_s*, *on_vip_moved*, *retry_policy* (shared
     by every shard), *gossip_interval_s* and *trace*; *manager_settings*
@@ -562,6 +570,41 @@ class ShardedControlPlane:
                 return
         inner = shard.manager.submit(req)
         inner.callbacks.append(lambda ev, d=done: self._finish(d, ev))
+
+    def wire(self, requests: list[VipRipRequest]) -> list[Exception]:
+        """Process a batch of ``new_vip``/``new_rip`` requests at once,
+        each by its app's owner shard
+        (:meth:`~repro.core.viprip.VipRipManager.wire_now`), with no
+        event loop and no simulated time; returns the errors raised, in
+        processing order.
+
+        The order is the one the routed path takes when every request
+        costs the same simulated time, as on equal shards: the shards
+        alternate, one request each per round, in the order in which
+        each shard received its first request, and each shard takes its
+        own requests in submission order.  Only the shared VIP address
+        pool sees the interleaving; everything else is shard-local.  So a
+        construction-time wiring leaves the same journals, tables,
+        registries and addresses as submitting every request and running
+        the queue, without the event loop's cost per request.
+        """
+        queues: dict[ControlPlaneShard, list[VipRipRequest]] = {}
+        owners: dict[str, ControlPlaneShard] = {}
+        for req in requests:
+            shard = owners.get(req.app)
+            if shard is None:
+                shard = owners[req.app] = self.owner_shard(req.app)
+            if shard.crashed:
+                raise RuntimeError(f"cannot wire {req.app}: {shard.name} is down")
+            queues.setdefault(shard, []).append(req)
+        errors = []
+        for round_ in zip_longest(*queues.values()):
+            for shard, req in zip(queues, round_):
+                if req is not None:
+                    error = shard.manager.wire_now(req)
+                    if error is not None:
+                        errors.append(error)
+        return errors
 
     def _finish(self, done: Event, inner: Event) -> None:
         if done.triggered:

@@ -78,6 +78,11 @@ class IdIndex:
     def name(self, gid: int) -> str:
         return self._names[gid]
 
+    @property
+    def names(self) -> list[str]:
+        """Every name, by id (the live list: do not mutate)."""
+        return self._names
+
     def __len__(self) -> int:
         return len(self._names)
 
@@ -526,13 +531,26 @@ class ColumnarRipRegistry:
 
         if self._crc[0] == self.ops_applied:
             return self._crc[1]
-        h = zlib.crc32(b"riprows:v1")
-        for rip in sorted(
-            self.rips.name(int(r))
-            for r in np.flatnonzero(self.rip_active[: self.n_rips])
-        ):
-            app, vip, switch, pod, weight = self.homing(rip)
-            line = f"{rip}|{app}|{vip}|{switch}|{pod}|{weight:.9g}\n"
-            h = zlib.crc32(line.encode(), h)
+        act = np.flatnonzero(self.rip_active[: self.n_rips])
+        rips = self.rips.names
+        apps, vips = self.apps.names, self.vips.names
+        switches, pods = self.switches.names, self.pods.names
+        # One pass: the rows sorted by (unique) RIP name, their canonical
+        # lines joined and CRC'd once; the CRC of a concatenation equals
+        # the CRC chained line by line.
+        rows = sorted(zip(
+            [rips[r] for r in act.tolist()],
+            self.rip_app[act].tolist(),
+            self.rip_vip[act].tolist(),
+            self.rip_switch[act].tolist(),
+            self.rip_pod[act].tolist(),
+            self.rip_weight[act].tolist(),
+        ))
+        text = "".join([
+            f"{rip}|{apps[a]}|{vips[v]}|{switches[s]}|"
+            f"{pods[p] if p >= 0 else None}|{w:.9g}\n"
+            for rip, a, v, s, p, w in rows
+        ])
+        h = zlib.crc32(text.encode(), zlib.crc32(b"riprows:v1"))
         self._crc = (self.ops_applied, h)
         return h

@@ -70,12 +70,15 @@ CP_RECONFIG_S = 1.0
 class MegaControlPlaneConfig:
     """Wiring of the sharded VIP/RIP control plane into the mega loop.
 
-    The full 6M-VM fleet cannot route one simpy request per VM; instead a
-    bounded, deterministic subset of apps (the first *wired_apps* global
-    ids) gets real VIP/RIP state on a :class:`ShardedControlPlane` — one
-    VIP per app, one RIP per covering pod named ``{app}@{pod}`` so the
-    columnar mirror can derive pod homing from the RIP name alone.  Pod
-    faults flow through as ``del_rip`` / ``new_rip`` submissions, and a
+    A bounded, deterministic subset of apps (the first *wired_apps*
+    global ids) gets real VIP/RIP state on a :class:`ShardedControlPlane`:
+    *vips_per_app* VIPs per app and one RIP per covering pod, named
+    ``{app}@{pod}`` so the columnar mirror can derive pod homing from the
+    RIP name alone.  Construction wires them in one synchronous pass
+    (:meth:`ShardedControlPlane.wire`), journaled like the request path
+    but with no event loop, so the wired state exists at t = 0.  Pod
+    faults and knobs flow through as routed ``del_rip`` / ``new_rip`` /
+    ``move_vip`` submissions, and a
     :class:`~repro.controlplane.bridge.RipJournalBridge` keeps the
     columnar registry synced from the shard journals every epoch.
     """
@@ -474,6 +477,14 @@ class MegaScaleDriver:
         return pod if sep else None
 
     def _init_control_plane(self, cp: MegaControlPlaneConfig) -> None:
+        """Wire the first ``cp.wired_apps`` apps and mirror them.
+
+        The VIPs, then the RIPs, are wired by one bulk pass each over the
+        shards (:meth:`ShardedControlPlane.wire`): the request handlers'
+        decisions and journal records, with no request routed and no
+        simulated time spent, so the control-plane clock still reads 0.
+        Each pass is checked for anything left unplaced, and one bridge
+        sync then loads the columnar mirror from the journals."""
         from repro.controlplane.bridge import RipJournalBridge
         from repro.controlplane.sharding import ShardedControlPlane
         from repro.core.viprip import VipRipRequest
@@ -507,27 +518,24 @@ class MegaScaleDriver:
         )
         self._VipRipRequest = VipRipRequest
         n_vips = cp.vips_per_app
-        done = [
-            self.control_plane.submit(
-                VipRipRequest("new_vip", self._app_name(gid))
-            )
+        errors = self.control_plane.wire([
+            VipRipRequest("new_vip", self._app_name(gid))
             for gid in self._wired_gids
             for _ in range(n_vips)
-        ]
-        self._cp_env.run()
+        ])
         self._check_wired(
             "max_vips",
             lambda app, gid: len(self.control_plane.vips_of(app)) < n_vips,
-            done,
+            errors,
         )
-        done = []
+        requests = []
         for gid in self._wired_gids:
             app = self._app_name(gid)
             for pod_name in self._covering_pods(int(gid)):
-                done.append(self.control_plane.submit(
+                requests.append(
                     VipRipRequest("new_rip", app, rip=f"{app}@{pod_name}")
-                ))
-        self._cp_env.run()
+                )
+        errors = self.control_plane.wire(requests)
         rip_index = self.control_plane.rip_index
         self._check_wired(
             "max_rips",
@@ -535,7 +543,7 @@ class MegaScaleDriver:
                 f"{app}@{pod}" not in rip_index
                 for pod in self._covering_pods(gid)
             ),
-            done,
+            errors,
         )
         self.bridge = RipJournalBridge(
             self.control_plane,
@@ -544,22 +552,22 @@ class MegaScaleDriver:
         )
         self.bridge.sync()
 
-    def _check_wired(self, limit: str, unplaced, done: list) -> None:
+    def _check_wired(self, limit: str, unplaced, errors: list) -> None:
         """Raise if the wiring requests just run left anything unplaced.
 
         The shards reject a VIP or RIP that no switch has room for;
         without this check the gap first surfaces much later, as a data
         plane with unwired apps.  *unplaced* is ``(app, gid) -> bool``;
-        *done* holds the requests' completion events.  A request that
-        errored (an exhausted address pool, say) is reported by its
-        error, since raising *limit* would not help it.
+        *errors* holds what the requests that errored raised (an
+        exhausted address pool, say); the first is reported, since
+        raising *limit* would not help it.
         """
         cp = self.control_plane
         if not (cp.rejected or cp.errored):
             return
         apps = ((self._app_name(g), int(g)) for g in self._wired_gids)
         first = next((app for app, gid in apps if unplaced(app, gid)), None)
-        error = next((ev.value for ev in done if ev.triggered and not ev.ok), None)
+        error = errors[0] if errors else None
         fix = (
             f"first error: {error}"
             if error is not None

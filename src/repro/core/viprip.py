@@ -10,7 +10,9 @@ appropriate switch among those hosting one of the application's VIPs.
 Decision cost is charged through the pluggable switch-selection strategy
 (flat scan vs. switch pods — Section V-A), and the actual table write costs
 one switch-reconfiguration latency.  Experiment E9 measures the resulting
-sustained request throughput.
+sustained request throughput.  An initial wiring nobody measures can skip
+the queue: :meth:`~VipRipManager.wire_now` runs the same decide and settle
+steps at once.
 
 Crash safety (``repro.controlplane``): when a :class:`WriteAheadJournal`
 is attached, every reconfiguration is journaled *intent-before-apply*
@@ -223,6 +225,42 @@ class VipRipManager:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
         return request.done
+
+    def wire_now(self, req: VipRipRequest) -> Optional[Exception]:
+        """Process a ``new_vip`` or ``new_rip`` request at once, outside
+        the queue: the handler's decide and settle steps with no
+        simulated time between them, so its INTENT record is APPLIED
+        before this returns.  Sets ``req.result`` and counts
+        ``processed``, ``rejected`` and ``errored`` as the serialized
+        processor would; returns the error a failing step raised (an
+        exhausted address pool, say), else None.  No trace event is
+        emitted; the journal still emits its commits."""
+        if req.kind not in ("new_vip", "new_rip"):
+            raise ValueError(f"wire_now takes new_vip and new_rip, not {req.kind}")
+        req.result = None
+        try:
+            if req.kind == "new_vip":
+                selection = self._vip_selection()
+                if selection.switch is not None:
+                    name = selection.switch.name
+                    vip, rec = self._intend_new_vip(req.app, name)
+                    req.result = self._settle_new_vip(req.app, vip, name, rec)
+            else:
+                req.result = self._landed_rip(req.rip)
+                if req.result is None:
+                    selection = self._rip_selection(req.app)
+                    if selection.switch is not None:
+                        vip, rec = self._intend_new_rip(req, selection.switch)
+                        req.result = self._settle_new_rip(
+                            req, vip, selection.switch.name, rec
+                        )
+        except Exception as exc:
+            self.errored += 1
+            return exc
+        if req.result is None:
+            self.rejected += 1
+        self.processed += 1
+        return None
 
     def vips_of(self, app: str) -> dict[str, str]:
         """app's VIPs -> hosting switch name."""
@@ -494,36 +532,37 @@ class VipRipManager:
         if selection.cost_s > 0:
             yield self.env.timeout(selection.cost_s)
 
-    def _do_new_vip(self, req: VipRipRequest):
-        selection = self.selector.select_for_vip(exclude=self.failed)
-        yield from self._charge(selection)
-        if selection.switch is None:
-            self.rejected += 1
-            req.result = None
-            return
-        vip = self.vip_pool.allocate()
-        rec = self._journal_append(
-            "new_vip", req.app, vip=vip, switch=selection.switch.name
-        )
-        yield self.env.timeout(self.reconfig_s)
-        self._apply_new_vip(req.app, vip, selection.switch.name)
-        self._journal_settle(rec, OP_APPLIED)
-        req.result = (vip, selection.switch.name)
+    # -- decide and settle steps (the handlers and wire_now share them) -----
+    def _vip_selection(self) -> Selection:
+        return self.selector.select_for_vip(exclude=self.failed)
 
-    def _do_new_rip(self, req: VipRipRequest):
-        existing = self.rip_index.get(req.rip)
+    def _intend_new_vip(self, app: str, switch_name: str):
+        """Allocate the new VIP's address and journal the intent; returns
+        ``(vip, record)``.  Raises when the address pool is exhausted."""
+        vip = self.vip_pool.allocate()
+        return vip, self._journal_append("new_vip", app, vip=vip, switch=switch_name)
+
+    def _settle_new_vip(self, app: str, vip: str, switch_name: str, rec):
+        self._apply_new_vip(app, vip, switch_name)
+        self._journal_settle(rec, OP_APPLIED)
+        return (vip, switch_name)
+
+    def _landed_rip(self, rip: Optional[str]) -> Optional[tuple[str, str]]:
+        """``(vip, switch)`` of a RIP already served where the index says,
+        else None: a duplicate (or replayed) wiring returns it as is."""
+        existing = self.rip_index.get(rip)
         if existing is not None:
-            # Idempotent fast path: a duplicate (or replayed) wiring of a
-            # RIP that already landed returns its existing placement.
             vip, switch_name = existing
             sw = self.switches.get(switch_name)
-            if sw is not None and sw.serves(vip, req.rip):
-                req.result = (vip, switch_name)
-                return
+            if sw is not None and sw.serves(vip, rip):
+                return existing
+        return None
+
+    def _rip_selection(self, app: str) -> Selection:
         if self.hosting_lookup is not None:
-            vip_map = self.hosting_lookup(req.app)
+            vip_map = self.hosting_lookup(app)
         else:
-            vip_map = self.registry.get(req.app, {})
+            vip_map = self.registry.get(app, {})
         # A VIP can be mid-transfer (off both switches); only switches
         # actually holding one of the app's VIPs can take the RIP.  Under
         # sharding the lookup may name switches owned by other shards —
@@ -531,30 +570,56 @@ class VipRipManager:
         hosting = [
             s
             for s in (self.switches.get(name) for name in vip_map.values())
-            if s is not None and s.vips_of_app(req.app) and s.name not in self.failed
+            if s is not None and s.vips_of_app(app) and s.name not in self.failed
         ]
-        selection = self.selector.select_for_rip(hosting, exclude=self.failed)
-        yield from self._charge(selection)
-        if selection.switch is None or req.rip is None:
-            self.rejected += 1
-            req.result = None
-            return
-        # The chosen switch hosts >= 1 VIP of the app; put the RIP under
-        # the least-loaded of them.
-        vips = selection.switch.vips_of_app(req.app)
-        vip = min(vips, key=lambda v: len(selection.switch.entry(v).rips))
+        return self.selector.select_for_rip(hosting, exclude=self.failed)
+
+    def _intend_new_rip(self, req: VipRipRequest, switch: LBSwitch):
+        """Put the RIP under the least-loaded of the app's VIPs on the
+        chosen *switch* (it hosts at least one) and journal the intent;
+        returns ``(vip, record)``."""
+        vips = switch.vips_of_app(req.app)
+        vip = min(vips, key=lambda v: len(switch.entry(v).rips))
         rec = self._journal_append(
             "new_rip",
             req.app,
             vip=vip,
             rip=req.rip,
             weight=req.weight,
-            switch=selection.switch.name,
+            switch=switch.name,
         )
-        yield self.env.timeout(self.reconfig_s)
-        self._apply_new_rip(vip, req.rip, req.weight, selection.switch.name)
+        return vip, rec
+
+    def _settle_new_rip(self, req: VipRipRequest, vip: str, switch_name: str, rec):
+        self._apply_new_rip(vip, req.rip, req.weight, switch_name)
         self._journal_settle(rec, OP_APPLIED)
-        req.result = (vip, selection.switch.name)
+        return (vip, switch_name)
+
+    def _do_new_vip(self, req: VipRipRequest):
+        selection = self._vip_selection()
+        yield from self._charge(selection)
+        if selection.switch is None:
+            self.rejected += 1
+            req.result = None
+            return
+        vip, rec = self._intend_new_vip(req.app, selection.switch.name)
+        yield self.env.timeout(self.reconfig_s)
+        req.result = self._settle_new_vip(req.app, vip, selection.switch.name, rec)
+
+    def _do_new_rip(self, req: VipRipRequest):
+        landed = self._landed_rip(req.rip)
+        if landed is not None:
+            req.result = landed
+            return
+        selection = self._rip_selection(req.app)
+        yield from self._charge(selection)
+        if selection.switch is None or req.rip is None:
+            self.rejected += 1
+            req.result = None
+            return
+        vip, rec = self._intend_new_rip(req, selection.switch)
+        yield self.env.timeout(self.reconfig_s)
+        req.result = self._settle_new_rip(req, vip, selection.switch.name, rec)
 
     def _do_del_rip(self, req: VipRipRequest):
         if req.rip is None or req.rip not in self.rip_index:

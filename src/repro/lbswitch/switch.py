@@ -63,8 +63,9 @@ class LBSwitch:
         #: that adds or removes a VIP, so lookups never scan the table).
         self._app_vips: dict[str, set[str]] = {}
         self._rip_entries = 0  # total (vip, rip) table entries
-        #: The table's traffic, re-summed by every mutation that adds,
-        #: removes or re-rates a VIP (``_retotal``), so reads are O(1).
+        #: The table's traffic, re-summed by every mutation that removes
+        #: or re-rates a VIP (``_retotal``), so reads are O(1); a new VIP
+        #: carries no traffic and only adds its 0.0.
         self._traffic_gbps = 0
         self.monitor: Optional[UtilizationMonitor] = (
             UtilizationMonitor(env, limits.throughput_gbps, name) if env else None
@@ -104,7 +105,9 @@ class LBSwitch:
         entry = VipEntry(vip=vip, app=app)
         self._vips[vip] = entry
         self._app_vips.setdefault(app, set()).add(vip)
-        self._retotal()
+        # The fresh in-order sum with a 0.0 appended: bit for bit the old
+        # total (an empty table's int 0 becomes 0.0, as ``sum`` does).
+        self._traffic_gbps += entry.traffic_gbps
         return entry
 
     def remove_vip(self, vip: str) -> VipEntry:

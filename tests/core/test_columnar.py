@@ -349,6 +349,50 @@ def test_registry_fingerprint_is_name_canonical():
     assert reg.fingerprint() != other.fingerprint()
 
 
+def row_by_row_fingerprint(reg):
+    """The fingerprint as one CRC call per canonical row, chained."""
+    import zlib
+
+    h = zlib.crc32(b"riprows:v1")
+    active = np.flatnonzero(reg.rip_active[: reg.n_rips])
+    for rip in sorted(reg.rips.name(int(r)) for r in active):
+        app, vip, switch, pod, weight = reg.homing(rip)
+        line = f"{rip}|{app}|{vip}|{switch}|{pod}|{weight:.9g}\n"
+        h = zlib.crc32(line.encode(), h)
+    return h
+
+
+_REGISTRY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["wire", "unwire", "rehome_vip"]),
+        st.integers(0, 6),  # rip (6 has no pod)
+        st.integers(0, 2),  # vip
+        st.integers(0, 2),  # switch
+        st.sampled_from([0.5, 1.0, 1 / 3, 2.5e-10]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_REGISTRY_OPS)
+def test_registry_fingerprint_equals_the_row_by_row_crc(ops):
+    from repro.core import ColumnarRipRegistry
+
+    reg = ColumnarRipRegistry()
+    assert reg.fingerprint() == row_by_row_fingerprint(reg)
+    for op, r, v, w, weight in ops:
+        rip, vip, switch = f"app-{r % 3}@pod-{r}", f"vip-{v}", f"lb-{w}"
+        if op == "wire":
+            pod = f"pod-{r}" if r < 6 else None
+            reg.wire(rip, f"app-{r % 3}", vip, switch, pod, weight)
+        elif op == "unwire":
+            reg.unwire(rip, switch if w else None)
+        else:
+            reg.rehome_vip(vip, None if w == 0 else switch, f"lb-{(w + 1) % 3}")
+        assert reg.fingerprint() == row_by_row_fingerprint(reg)
+
+
 def test_registry_from_authority_round_trip():
     from repro.core import ColumnarRipRegistry
 

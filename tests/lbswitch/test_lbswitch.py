@@ -220,6 +220,9 @@ def test_switch_traffic_memo_is_a_fresh_sum(ops):
         fresh = sum(model.values())
         assert sw.vips() == sorted(model)
         assert repr(sw.traffic_gbps) == repr(fresh)
+        # The same sum read off the table itself, in insertion order.
+        table = sum(e.traffic_gbps for e in sw._vips.values())
+        assert repr(sw.traffic_gbps) == repr(table)
 
 
 # ---------------------------------------------------------------- conntrack
