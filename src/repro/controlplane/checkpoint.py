@@ -1,8 +1,9 @@
 """Periodic control-plane checkpoints.
 
-A checkpoint snapshots the VIP/RIP manager's volatile registries (and,
-when the facade provides one, a :meth:`repro.core.state.PlatformState.snapshot`
-of the datacenter state) together with the journal epoch it covers.
+A checkpoint snapshots the VIP/RIP manager's volatile registries, the
+weight of each RIP they index (and, when the facade provides one, a
+:meth:`repro.core.state.PlatformState.snapshot` of the datacenter state)
+together with the journal epoch it covers.
 Recovery restores the latest checkpoint and replays only the journal tail
 past its epoch — cost bounded by checkpoint interval, not history length.
 """
@@ -28,6 +29,9 @@ class Checkpoint:
     rip_index: dict[str, tuple[str, str]]
     #: Optional facade-level state snapshot (PlatformState.snapshot()).
     state: Optional[dict[str, Any]] = None
+    #: rip -> its table weight, for each indexed RIP a table serves: what
+    #: repair restores once truncation has dropped its ``new_rip`` record.
+    rip_weights: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -47,6 +51,7 @@ class CheckpointStore:
         registry: dict[str, dict[str, str]],
         rip_index: dict[str, tuple[str, str]],
         state: Optional[dict[str, Any]] = None,
+        rip_weights: Optional[dict[str, float]] = None,
     ) -> Checkpoint:
         """Deep-copy the live registries into a new latest checkpoint."""
         if self.latest is not None and epoch < self.latest.epoch:
@@ -59,6 +64,7 @@ class CheckpointStore:
             registry={app: dict(vips) for app, vips in registry.items()},
             rip_index=dict(rip_index),
             state=copy.deepcopy(state) if state is not None else None,
+            rip_weights=dict(rip_weights or {}),
         )
         self.latest = cp
         self.taken += 1

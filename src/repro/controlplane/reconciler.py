@@ -11,6 +11,7 @@ DNS answers, running VMs whose wiring evaporated with a crashed manager.
 
 Each pass is pure bookkeeping at one instant of simulated time (the scan
 itself is free; repairs go through paths that charge their own latency).
+A recreated VIP lands by the landing rule of :mod:`repro.lbswitch.switch`.
 Convergence is measured from the first drifty pass to the next clean one
 and reported into the :class:`repro.faults.RecoveryMonitor`.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.controlplane.sharding import ShardDriftReport
-from repro.lbswitch.switch import holders_of
+from repro.lbswitch.switch import holders_of, keep_one_holder, landing_target
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.datacenter import MegaDataCenter
@@ -33,8 +34,9 @@ STUCK_AFTER_ROUNDS = 3
 
 @dataclass
 class DriftReport(ShardDriftReport):
-    """Outcome of one reconciliation pass: the six table dimensions
-    (intended state is the platform registry) plus the platform's own."""
+    """Outcome of one reconciliation pass: the table dimensions (intended
+    state is the platform registry; ``weight_stale`` stays 0, since K6
+    re-weights the tables outside any record) plus the platform's own."""
 
     #: Apps whose DNS answer disagreed with what can actually serve.
     dns_stale: int = 0
@@ -169,15 +171,13 @@ class AntiEntropyReconciler:
             if self._in_transfer(vip):
                 continue  # legitimately off both switches mid-K2
             info = dc.state.vips[vip]
-            actual = [sw.name for sw in holders_of(dc.switches, vip)]
+            holders = holders_of(dc.switches, vip)
+            actual = [sw.name for sw in holders]
             if actual == [info.switch]:
                 continue
             if len(actual) > 1:
                 report.vip_duplicate += 1
-                keep = info.switch if info.switch in actual else actual[0]
-                for name in actual:
-                    if name != keep:
-                        dc.switches[name].remove_vip(vip)
+                keep = keep_one_holder(holders, vip, info.switch)
                 if keep != info.switch:
                     dc._on_vip_rehomed(vip, keep)
                 report.repaired += 1
@@ -193,16 +193,11 @@ class AntiEntropyReconciler:
                 # healthy switch; the RIP pass refills it from the
                 # registry.
                 report.vip_missing += 1
-                candidates = [
-                    sw
-                    for name, sw in sorted(dc.switches.items())
-                    if dc.state.switch_is_up(name) and sw.vip_slots_free > 0
-                ]
-                if not candidates:
+                target = landing_target(dc.switches, dc.state.switch_is_up)
+                if target is None:
                     report.notes.append(f"no healthy switch for stranded {vip}")
                     self._unresolved.add(vip)
                     continue
-                target = min(candidates, key=lambda s: (s.utilization, s.name))
                 target.add_vip(vip, info.app)
                 dc._on_vip_rehomed(vip, target.name)
                 report.repaired += 1

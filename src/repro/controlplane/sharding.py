@@ -35,7 +35,9 @@ consumes these along with per-shard ``journal.commit`` events.
 Like the :class:`~repro.controlplane.reconciler.AntiEntropyReconciler`,
 a gossip round is pure bookkeeping at one instant of simulated time; the
 routed request path charges the usual selection/reconfiguration
-latencies inside each shard's serialized processor.
+latencies inside each shard's serialized processor.  Every entry a
+handoff or repair places lands by the landing rule of
+:mod:`repro.lbswitch.switch`, with the shard's own health test.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 from repro.controlplane.checkpoint import CheckpointStore
 from repro.controlplane.journal import OpPhase, WriteAheadJournal
 from repro.controlplane.retry import RetryPolicy
-from repro.lbswitch.switch import LBSwitch, VipEntry, holders_of
+from repro.lbswitch.switch import (
+    LBSwitch, VipEntry, can_land, holders_of, keep_one_holder, landing_target,
+)
 from repro.sim.events import Event
 from repro.sim.rng import stable_hash
 
@@ -162,8 +166,9 @@ class ControlPlaneShard:
 class ShardDriftReport:
     """Read-only consistency scan across all shards at one instant.
 
-    The six table dimensions; *intended* state is the owner shard's
-    registry under the newest ownership claim.  The reconciler's
+    The seven table dimensions; *intended* state is the owner shard's
+    registry under the newest ownership claim, and each RIP's weight as
+    its shard records it (journal, else checkpoint).  The reconciler's
     :class:`~repro.controlplane.reconciler.DriftReport` extends it, with
     the platform registry as intended state.
     """
@@ -181,11 +186,13 @@ class ShardDriftReport:
     rip_orphaned: int = 0
     #: Registry/index entries contradicting ownership or the tables.
     index_stale: int = 0
+    #: Indexed RIPs whose table weight is not the recorded one.
+    weight_stale: int = 0
 
     #: The table dimensions above, in order.
     DIMENSIONS: ClassVar[tuple[str, ...]] = (
         "vip_missing", "vip_misplaced", "vip_duplicate",
-        "rip_missing", "rip_orphaned", "index_stale",
+        "rip_missing", "rip_orphaned", "index_stale", "weight_stale",
     )
 
     @property
@@ -255,17 +262,20 @@ SHARD_MANAGER_SETTINGS = frozenset({
 })
 
 
-def _journaled_weights(shard: ControlPlaneShard, vip: str) -> dict[str, float]:
-    """Each RIP's weight under *vip* in its last applied ``new_rip``
-    record on *shard* (a RIP whose record a checkpoint truncated has
-    none)."""
-    return {
-        rec.payload["rip"]: rec.payload.get("weight", 1.0)
-        for rec in shard.journal
-        if rec.kind == "new_rip"
-        and rec.phase is OpPhase.APPLIED
-        and rec.payload["vip"] == vip
-    }
+def _recorded_weights(shard: ControlPlaneShard) -> dict[tuple[str, str], float]:
+    """``(vip, rip) -> weight`` as *shard*'s durable state records it: each
+    RIP's last applied ``new_rip`` record, else (the record truncated)
+    its weight in the latest checkpoint."""
+    weights = {}
+    cp = shard.checkpoints.latest
+    if cp is not None:
+        for rip, weight in cp.rip_weights.items():
+            weights[cp.rip_index[rip][0], rip] = weight
+    for rec in shard.journal:
+        if rec.kind == "new_rip" and rec.phase is OpPhase.APPLIED:
+            p = rec.payload
+            weights[p["vip"], p["rip"]] = p.get("weight", 1.0)
+    return weights
 
 
 class ShardedControlPlane:
@@ -628,17 +638,14 @@ class ShardedControlPlane:
         to a reachable shard with capacity (the vip cannot stay — every
         in-shard candidate is failed or full).  Returns True when the
         move was completed here."""
+        mgr = shard.manager
         src_name = req.switch
         if src_name is None:
-            src_name = shard.manager.registry.get(req.app, {}).get(req.vip)
-        in_shard = [
-            name
-            for name in shard.switch_names
-            if name != src_name
-            and name not in shard.manager.failed
-            and shard.manager.switches[name].vip_slots_free > 0
-        ]
-        if in_shard:
+            src_name = mgr.registry.get(req.app, {}).get(req.vip)
+        if any(
+            sw.name != src_name and can_land(sw, mgr.is_up, 0)
+            for sw in mgr.switches.values()
+        ):
             return False  # the shard can re-home it locally
         candidates = [
             s
@@ -646,9 +653,8 @@ class ShardedControlPlane:
             if s is not shard
             and self._reachable(shard, s)
             and any(
-                name not in s.manager.failed
-                and s.manager.switches[name].vip_slots_free > 0
-                for name in s.switch_names
+                can_land(sw, s.manager.is_up, 0)
+                for sw in s.manager.switches.values()
             )
         ]
         if not candidates:
@@ -703,7 +709,8 @@ class ShardedControlPlane:
     ) -> Optional[str]:
         """Install *entry* on the best switch of *shard*, journal it, and
         book it on the shard.  Returns the switch name."""
-        target = shard.manager.pick_install_target(entry, exclude=set())
+        mgr = shard.manager
+        target = landing_target(mgr.switches, mgr.is_up, len(entry.rips))
         if target is None:
             return None
         target.install_entry(entry)
@@ -946,11 +953,8 @@ class ShardedControlPlane:
                     # only the losing copy knew about, then let the
                     # duplicate die with the removal above.
                     owner_holder = owner_holders[0]
-                    existing = owner_holder.entry(vip)
-                    for rip, weight in sorted(entry.rips.items()):
-                        if rip not in existing.rips and owner_holder.rip_slots_free > 0:
-                            owner_holder.add_rip(vip, rip, weight)
-                            owner.manager.rip_index[rip] = (vip, owner_holder.name)
+                    for rip in owner_holder.merge_rips(vip, entry.rips):
+                        owner.manager.rip_index[rip] = (vip, owner_holder.name)
                     if self.on_vip_moved is not None:
                         self.on_vip_moved(vip, owner_holder.name)
                 self.rollbacks += 1
@@ -983,14 +987,11 @@ class ShardedControlPlane:
             for vip, sw_name in sorted(dict(mgr.registry[app]).items()):
                 if vip in busy:
                     continue
-                holders = [sw.name for sw in holders_of(mgr.switches, vip)]
-                if holders == [sw_name]:
+                holders = holders_of(mgr.switches, vip)
+                if [sw.name for sw in holders] == [sw_name]:
                     continue
                 if holders:
-                    keep = sw_name if sw_name in holders else holders[0]
-                    for n in holders:
-                        if n != keep:
-                            mgr.switches[n].remove_vip(vip)
+                    keep = keep_one_holder(holders, vip, sw_name)
                     if keep != sw_name:
                         mgr.registry[app][vip] = keep
                         if self.on_vip_moved is not None:
@@ -1000,17 +1001,16 @@ class ShardedControlPlane:
                 if holders_of(self.all_switches, vip):
                     continue  # lives on a foreign shard; rollback handles it
                 # Stranded: recreate from the rip index.
-                weights = _journaled_weights(shard, vip)
+                weights = _recorded_weights(shard)
                 rips = {
-                    rip: weights.get(rip, 1.0)
+                    rip: weights.get((vip, rip), 1.0)
                     for rip, (v, _) in sorted(mgr.rip_index.items())
                     if v == vip
                 }
-                entry = VipEntry(vip=vip, app=app, rips=rips)
-                target = mgr.pick_install_target(entry, exclude=set())
+                target = landing_target(mgr.switches, mgr.is_up, len(rips))
                 if target is None:
                     continue
-                target.install_entry(entry)
+                target.install_entry(VipEntry(vip=vip, app=app, rips=rips))
                 shard.book_entry(app, vip, target.name, rips)
                 if self.on_vip_moved is not None:
                     self.on_vip_moved(vip, target.name)
@@ -1041,7 +1041,7 @@ class ShardedControlPlane:
                 fixed += 1
             elif holders:
                 if holders[0].rip_slots_free > 0:
-                    weight = _journaled_weights(shard, vip).get(rip, 1.0)
+                    weight = _recorded_weights(shard).get((vip, rip), 1.0)
                     holders[0].add_rip(vip, rip, weight)
                     mgr.rip_index[rip] = (vip, holders[0].name)
                     fixed += 1
@@ -1119,11 +1119,15 @@ class ShardedControlPlane:
                 report.index_stale += sum(1 for v in stale if v not in busy)
         report.index_stale += sum(1 for _ in self._unbooked_entries(busy))
         for shard in self.shards:
+            recorded = _recorded_weights(shard)
             for rip, (vip, sw_name) in sorted(shard.manager.rip_index.items()):
                 if vip in busy:
                     continue
                 sw = self.all_switches.get(sw_name)
                 if sw is not None and sw.serves(vip, rip):
+                    weight = recorded.get((vip, rip))
+                    if weight is not None and weight != sw.entry(vip).rips[rip]:
+                        report.weight_stale += 1
                     continue
                 if any(other.serves(vip, rip) for other in self.all_switches.values()):
                     report.index_stale += 1

@@ -47,7 +47,7 @@ from repro.dns.population import FluidDNSModel
 from repro.hosts.server import PhysicalServer, ServerSpec
 from repro.hosts.vm import VM
 from repro.lbswitch.addresses import PRIVATE_RIP_POOL, PUBLIC_VIP_POOL
-from repro.lbswitch.switch import LBSwitch
+from repro.lbswitch.switch import LBSwitch, can_land, landing_target
 from repro.network.bgp import BGPAnnouncer
 from repro.network.links import InternetSide
 from repro.obs import InvariantAuditor, TraceBus
@@ -704,23 +704,16 @@ class MegaDataCenter:
         src = self.switches[src_name]
         deadline = self.env.now + self.config.fault_rehome_timeout_s
         backoff = self.config.fault_rehome_backoff_s
+        is_up = self.state.switch_is_up
         while src.has_vip(vip):
-            candidates = [
-                s
-                for s in self.switches.values()
-                if s.name != src_name
-                and self.state.switch_is_up(s.name)
-                and s.vip_slots_free > 0
-                and s.rip_slots_free >= len(src.entry(vip).rips)
-            ]
-            if candidates:
-                target = min(candidates, key=lambda s: (s.utilization, s.name))
+            target = landing_target(
+                self.switches, is_up, len(src.entry(vip).rips), {src_name}
+            )
+            if target is not None:
                 yield self.env.timeout(self.config.switch_reconfig_s)
                 # The target may have failed while we reconfigured (flap).
-                if (
-                    self.state.switch_is_up(target.name)
-                    and target.vip_slots_free > 0
-                    and src.has_vip(vip)
+                if src.has_vip(vip) and can_land(
+                    target, is_up, len(src.entry(vip).rips)
                 ):
                     entry = src.remove_vip(vip)
                     target.install_entry(entry)

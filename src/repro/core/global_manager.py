@@ -36,6 +36,7 @@ from repro.dns.policy import ExposurePolicy, InverseUtilizationPolicy
 from repro.dns.population import FluidDNSModel
 from repro.hosts.vm import VM
 from repro.lbswitch.addresses import AddressPool
+from repro.lbswitch.switch import landing_target
 from repro.workload.apps import AppSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,7 +173,9 @@ class GlobalManager:
             vip = self._busiest_movable_vip(sw)
             if vip is None:
                 continue
-            target = self._least_loaded_switch(exclude=sw.name)
+            target = landing_target(
+                self.state.switches, self.state.switch_is_up, exclude={sw.name}
+            )
             if target is None:
                 continue
             vip_gbps = self.state.vip_traffic.get(vip, 0.0)
@@ -218,18 +221,6 @@ class GlobalManager:
             if traffic > best_traffic:
                 best, best_traffic = vip, traffic
         return best
-
-    def _least_loaded_switch(self, exclude: str):
-        candidates = [
-            s
-            for s in self.state.switches.values()
-            if s.name != exclude
-            and s.vip_slots_free > 0
-            and self.state.switch_is_up(s.name)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (s.utilization, s.name))
 
     # -- 3. pod relief ladder (K6/K5/K4/K3) -----------------------------------------
     def _relieve_pods(self, reports: list[PodReport]) -> None:

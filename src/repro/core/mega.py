@@ -588,6 +588,15 @@ class MegaScaleDriver:
             f"pod-{(gid + j) % cfg.n_pods:03d}" for j in range(cfg.cover)
         ]
 
+    def _cp_apply(self, requests) -> None:
+        """Route *requests* through the control plane, run its queue to
+        the end and sync the mirror: the one path of every control-plane
+        change after construction (pod loss and restore, K2)."""
+        for req in requests:
+            self.control_plane.submit(req)
+        self._cp_env.run()
+        self.bridge.sync()
+
     def _cp_pod_event(self, pod_name: str, up: bool) -> None:
         """Propagate a pod fault to the control plane: drop (or restore)
         the wired RIPs homed in that pod, then sync the mirror."""
@@ -595,17 +604,15 @@ class MegaScaleDriver:
             return
         p = self._pod_index[pod_name]
         cfg = self.config
-        for gid in self._wired_gids:
-            if ((p - int(gid)) % cfg.n_pods) >= cfg.cover:
-                continue
-            app = self._app_name(int(gid))
-            self.control_plane.submit(
-                self._VipRipRequest(
-                    "new_rip" if up else "del_rip", app,
-                    rip=f"{app}@{pod_name}",
-                )
-            )
-        self._cp_env.run()
+        kind = "new_rip" if up else "del_rip"
+        apps = [
+            self._app_name(int(gid))
+            for gid in self._wired_gids
+            if ((p - int(gid)) % cfg.n_pods) < cfg.cover
+        ]
+        self._cp_apply(
+            self._VipRipRequest(kind, app, rip=f"{app}@{pod_name}") for app in apps
+        )
 
     # -- traffic data plane --------------------------------------------
     def _init_dataplane(self, sc: MegaSteeringConfig) -> None:
@@ -681,11 +688,7 @@ class MegaScaleDriver:
                 return False
             dropped = dp.drop_vip_conns(vip)
         src = dp.switch_of_vip(vip)
-        self.control_plane.submit(
-            self._VipRipRequest("move_vip", app, vip=vip)
-        )
-        self._cp_env.run()
-        self.bridge.sync()
+        self._cp_apply([self._VipRipRequest("move_vip", app, vip=vip)])
         dp.refresh()
         dst = dp.switch_of_vip(vip)
         moved = dst is not None and dst != src
@@ -770,8 +773,6 @@ class MegaScaleDriver:
         self._emit_fault("pod_loss", name, t, lost_vms=lost)
         self._emit_vacate(name, t, before, lost)
         self._cp_pod_event(name, up=False)
-        if self.bridge is not None:
-            self.bridge.sync()
         if self.dataplane is not None:
             # Sessions pinned to the dead pod's RIPs die with it.
             self.dataplane.on_pod_loss(name)
@@ -785,8 +786,6 @@ class MegaScaleDriver:
         self.pod_alive[p] = True
         self._emit_fault("pod_restore", name, t)
         self._cp_pod_event(name, up=True)
-        if self.bridge is not None:
-            self.bridge.sync()
 
     def _parse_server(self, name: str) -> tuple[str, int]:
         pod_name, sep, sid = name.rpartition("-s")

@@ -12,7 +12,8 @@ Decision cost is charged through the pluggable switch-selection strategy
 one switch-reconfiguration latency.  Experiment E9 measures the resulting
 sustained request throughput.  An initial wiring nobody measures can skip
 the queue: :meth:`~VipRipManager.wire_now` runs the same decide and settle
-steps at once.
+steps at once.  Where an entry lands when this manager picks the switch
+(crash recovery) is the landing rule of :mod:`repro.lbswitch.switch`.
 
 Crash safety (``repro.controlplane``): when a :class:`WriteAheadJournal`
 is attached, every reconfiguration is journaled *intent-before-apply*
@@ -35,7 +36,9 @@ from repro.controlplane.journal import OpPhase
 from repro.controlplane.retry import RetryPolicy, TransientError
 from repro.core.switch_pods import FlatSwitchManager, Selection
 from repro.lbswitch.addresses import AddressPool
-from repro.lbswitch.switch import LBSwitch, VipEntry, holders_of
+from repro.lbswitch.switch import (
+    LBSwitch, VipEntry, can_land, holders_of, landing_target,
+)
 from repro.sim.events import Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -252,13 +255,13 @@ class VipRipManager:
                     if selection.switch is not None:
                         vip, rec = self._intend_new_rip(req, selection.switch)
                         req.result = self._settle_new_rip(
-                            req, vip, selection.switch.name, rec
+                            vip, req.rip, req.weight, selection.switch.name, rec
                         )
         except Exception as exc:
             self.errored += 1
             return exc
         if req.result is None:
-            self.rejected += 1
+            self._reject()
         self.processed += 1
         return None
 
@@ -404,13 +407,16 @@ class VipRipManager:
         return count_
 
     def take_checkpoint(self):
-        """Snapshot the registries at the current applied epoch and drop
-        the settled journal prefix it covers."""
+        """Snapshot the registries and indexed RIPs' weights at the current
+        applied epoch and drop the settled journal prefix it covers."""
         if self.checkpoints is None:
             return None
         state = self.state_snapshot() if self.state_snapshot is not None else None
+        homing = self.rip_homing()
+        weights = {rip: homing[rip][3] for rip in self.rip_index if rip in homing}
         cp = self.checkpoints.capture(
-            self.applied_epoch, self.env.now, self.registry, self.rip_index, state
+            self.applied_epoch, self.env.now, self.registry, self.rip_index, state,
+            weights,
         )
         if self.journal is not None:
             self.checkpoints.truncated += self.journal.truncate_through(cp.epoch)
@@ -526,13 +532,23 @@ class VipRipManager:
             handler = self._HANDLERS[req.kind]
         except KeyError:
             raise UnknownRequestKind(req.kind) from None
+        req.result = None  # what a rejected request's waiter sees
         yield from handler(self, req)
 
     def _charge(self, selection: Selection):
         if selection.cost_s > 0:
             yield self.env.timeout(selection.cost_s)
 
-    # -- decide and settle steps (the handlers and wire_now share them) -----
+    # -- decide and settle steps (handlers, wire_now and replay share them) --
+    def is_up(self, switch_name: str) -> bool:
+        """The health test this manager gives the landing rule."""
+        return switch_name not in self.failed
+
+    def _reject(self, rec=None) -> None:
+        """Count a refused request; settle its record (if any) ABORTED."""
+        self.rejected += 1
+        self._journal_settle(rec, OP_ABORTED)
+
     def _vip_selection(self) -> Selection:
         return self.selector.select_for_vip(exclude=self.failed)
 
@@ -543,7 +559,10 @@ class VipRipManager:
         return vip, self._journal_append("new_vip", app, vip=vip, switch=switch_name)
 
     def _settle_new_vip(self, app: str, vip: str, switch_name: str, rec):
-        self._apply_new_vip(app, vip, switch_name)
+        sw = self.switches[switch_name]
+        if not sw.has_vip(vip):
+            sw.add_vip(vip, app)
+        self.registry.setdefault(app, {})[vip] = switch_name
         self._journal_settle(rec, OP_APPLIED)
         return (vip, switch_name)
 
@@ -590,17 +609,47 @@ class VipRipManager:
         )
         return vip, rec
 
-    def _settle_new_rip(self, req: VipRipRequest, vip: str, switch_name: str, rec):
-        self._apply_new_rip(vip, req.rip, req.weight, switch_name)
+    def _settle_new_rip(
+        self, vip: str, rip: str, weight: float, switch_name: str, rec
+    ):
+        sw = self.switches[switch_name]
+        if sw.has_vip(vip) and rip not in sw.entry(vip).rips:
+            sw.add_rip(vip, rip, weight)
+        self.rip_index[rip] = (vip, switch_name)
         self._journal_settle(rec, OP_APPLIED)
         return (vip, switch_name)
+
+    def _settle_del_rip(self, vip: str, rip: str, switch_name: str, rec):
+        sw = self.switches[switch_name]
+        if sw.serves(vip, rip):
+            sw.remove_rip(vip, rip)
+        self.rip_index.pop(rip, None)
+        self._journal_settle(rec, OP_APPLIED)
+        return (vip, switch_name)
+
+    def _repoint(self, app: str, vip: str, switch_name: str, rips) -> None:
+        """Point a moved VIP's registry row and indexed *rips* at its switch."""
+        if vip in self.registry.get(app, {}):
+            self.registry[app][vip] = switch_name
+        for rip in rips:
+            if rip in self.rip_index:
+                self.rip_index[rip] = (vip, switch_name)
+
+    def _land_move(self, rec, app: str, vip: str, switch_name: str, rips) -> str:
+        """The one landing step of a move, once *vip*'s entry sits on
+        *switch_name*: re-point, settle the record APPLIED with that
+        ``dst``, tell ``on_vip_moved``; returns the switch name."""
+        self._repoint(app, vip, switch_name, rips)
+        self._journal_settle(rec, OP_APPLIED, dst=switch_name)
+        if self.on_vip_moved is not None:
+            self.on_vip_moved(vip, switch_name)
+        return switch_name
 
     def _do_new_vip(self, req: VipRipRequest):
         selection = self._vip_selection()
         yield from self._charge(selection)
         if selection.switch is None:
-            self.rejected += 1
-            req.result = None
+            self._reject()
             return
         vip, rec = self._intend_new_vip(req.app, selection.switch.name)
         yield self.env.timeout(self.reconfig_s)
@@ -614,25 +663,24 @@ class VipRipManager:
         selection = self._rip_selection(req.app)
         yield from self._charge(selection)
         if selection.switch is None or req.rip is None:
-            self.rejected += 1
-            req.result = None
+            self._reject()
             return
         vip, rec = self._intend_new_rip(req, selection.switch)
         yield self.env.timeout(self.reconfig_s)
-        req.result = self._settle_new_rip(req, vip, selection.switch.name, rec)
+        req.result = self._settle_new_rip(
+            vip, req.rip, req.weight, selection.switch.name, rec
+        )
 
     def _do_del_rip(self, req: VipRipRequest):
         if req.rip is None or req.rip not in self.rip_index:
-            self.rejected += 1
+            self._reject()
             return
         vip, switch_name = self.rip_index[req.rip]
         rec = self._journal_append(
             "del_rip", req.app, vip=vip, rip=req.rip, switch=switch_name
         )
         yield self.env.timeout(self.reconfig_s)
-        self._apply_del_rip(vip, req.rip, switch_name)
-        self._journal_settle(rec, OP_APPLIED)
-        req.result = (vip, switch_name)
+        req.result = self._settle_del_rip(vip, req.rip, switch_name, rec)
 
     def _do_move_vip(self, req: VipRipRequest):
         """Re-home one VIP onto a healthy switch (K2 transfer path used as
@@ -656,8 +704,7 @@ class VipRipManager:
             src_name = self.registry.get(req.app, {}).get(vip)
         src = self.switches.get(src_name) if src_name is not None else None
         if src is None or not src.has_vip(vip):
-            self.rejected += 1
-            req.result = None
+            self._reject()
             return
         rec = self._journal_append("move_vip", req.app, vip=vip, src=src.name)
         deadline = self.env.now + self.rehome_timeout_s
@@ -671,11 +718,8 @@ class VipRipManager:
             if target is not None:
                 yield self.env.timeout(self.reconfig_s)
                 # The target may have failed while we were reconfiguring.
-                if (
-                    target.name not in self.failed
-                    and target.vip_slots_free > 0
-                    and target.rip_slots_free >= len(src.entry(vip).rips)
-                    and src.has_vip(vip)
+                if src.has_vip(vip) and can_land(
+                    target, self.is_up, len(src.entry(vip).rips)
                 ):
                     self._journal_mark(
                         rec,
@@ -689,11 +733,7 @@ class VipRipManager:
                         # Half-configured window: the VIP is on neither
                         # switch until the target write completes.
                         yield self.env.timeout(self.cutover_s)
-                        if (
-                            target.name in self.failed
-                            or target.vip_slots_free <= 0
-                            or target.rip_slots_free < len(entry.rips)
-                        ):
+                        if not can_land(target, self.is_up, len(entry.rips)):
                             # Target died inside the cutover: put the
                             # entry back and retry the whole attempt.
                             src.install_entry(entry)
@@ -701,56 +741,20 @@ class VipRipManager:
                             target = None
                     if target is not None:
                         target.install_entry(entry)
-                        self._apply_move_bookkeeping(
-                            req.app, vip, target.name, entry.rips
+                        req.result = self._land_move(
+                            rec, req.app, vip, target.name, entry.rips
                         )
-                        self._journal_settle(rec, OP_APPLIED)
-                        if self.on_vip_moved is not None:
-                            self.on_vip_moved(vip, target.name)
-                        req.result = target.name
                         return
             if not src.has_vip(vip):
                 # Deleted (or moved by someone else) while we retried.
-                self.rejected += 1
-                self._journal_settle(rec, OP_ABORTED)
-                req.result = None
+                self._reject(rec)
                 return
             self.retries += 1
             if self.env.now + backoff > deadline:
-                self.rejected += 1
-                self._journal_settle(rec, OP_ABORTED)
-                req.result = None
+                self._reject(rec)
                 return
             yield self.env.timeout(backoff)
             backoff *= 2.0
-
-    # -- idempotent applies (shared by live path and journal replay) --------
-    def _apply_new_vip(self, app: str, vip: str, switch_name: str) -> None:
-        sw = self.switches[switch_name]
-        if not sw.has_vip(vip):
-            sw.add_vip(vip, app)
-        self.registry.setdefault(app, {})[vip] = switch_name
-
-    def _apply_new_rip(self, vip: str, rip: str, weight: float, switch_name: str) -> None:
-        sw = self.switches[switch_name]
-        if sw.has_vip(vip) and rip not in sw.entry(vip).rips:
-            sw.add_rip(vip, rip, weight)
-        self.rip_index[rip] = (vip, switch_name)
-
-    def _apply_del_rip(self, vip: str, rip: str, switch_name: str) -> None:
-        sw = self.switches[switch_name]
-        if sw.serves(vip, rip):
-            sw.remove_rip(vip, rip)
-        self.rip_index.pop(rip, None)
-
-    def _apply_move_bookkeeping(
-        self, app: str, vip: str, dst: str, rips
-    ) -> None:
-        if vip in self.registry.get(app, {}):
-            self.registry[app][vip] = dst
-        for rip in rips:
-            if rip in self.rip_index:
-                self.rip_index[rip] = (vip, dst)
 
     # -- journal replay -----------------------------------------------------
     def _replay_record(self, rec: "JournalRecord"):
@@ -780,11 +784,7 @@ class VipRipManager:
         elif rec.kind == "del_rip":
             self.rip_index.pop(p["rip"], None)
         elif rec.kind == "move_vip":
-            if rec.app in self.registry and p["vip"] in self.registry[rec.app]:
-                self.registry[rec.app][p["vip"]] = p["dst"]
-            for rip in p.get("entry_rips", {}):
-                if rip in self.rip_index:
-                    self.rip_index[rip] = (p["vip"], p["dst"])
+            self._repoint(rec.app, p["vip"], p["dst"], p.get("entry_rips", {}))
 
     def _complete(self, rec: "JournalRecord"):
         """Finish an unsettled (INTENT/PREPARED) record after a crash."""
@@ -792,28 +792,25 @@ class VipRipManager:
         kind = rec.kind
         if kind == "new_vip":
             sw = self.switches.get(p["switch"])
-            if sw is None or sw.name in self.failed:
+            if sw is None or not self.is_up(sw.name):
                 if self.vip_pool.is_allocated(p["vip"]):
                     self.vip_pool.release(p["vip"])
-                self.rejected += 1
-                self._journal_settle(rec, OP_ABORTED)
+                self._reject(rec)
                 return
             yield self.env.timeout(self.reconfig_s)
-            self._apply_new_vip(rec.app, p["vip"], sw.name)
-            self._journal_settle(rec, OP_APPLIED)
+            self._settle_new_vip(rec.app, p["vip"], sw.name, rec)
         elif kind == "new_rip":
             sw = self.switches.get(p["switch"])
-            if sw is None or sw.name in self.failed or not sw.has_vip(p["vip"]):
-                self.rejected += 1
-                self._journal_settle(rec, OP_ABORTED)
+            if sw is None or not self.is_up(sw.name) or not sw.has_vip(p["vip"]):
+                self._reject(rec)
                 return
             yield self.env.timeout(self.reconfig_s)
-            self._apply_new_rip(p["vip"], p["rip"], p.get("weight", 1.0), sw.name)
-            self._journal_settle(rec, OP_APPLIED)
+            self._settle_new_rip(
+                p["vip"], p["rip"], p.get("weight", 1.0), sw.name, rec
+            )
         elif kind == "del_rip":
             yield self.env.timeout(self.reconfig_s)
-            self._apply_del_rip(p["vip"], p["rip"], p["switch"])
-            self._journal_settle(rec, OP_APPLIED)
+            self._settle_del_rip(p["vip"], p["rip"], p["switch"], rec)
         elif kind == "move_vip":
             yield from self._complete_move(rec)
         else:
@@ -823,96 +820,53 @@ class VipRipManager:
         p = rec.payload
         vip = p["vip"]
         src = self.switches.get(p["src"])
+        src_holds = src is not None and src.has_vip(vip)
         # Idempotence first: if the VIP already sits on some switch (the
         # move finished another way, or a repair landed it), adopt that
         # placement instead of installing a duplicate.
         landed = next(
             (sw for sw in holders_of(self.switches, vip) if sw is not src), None
         )
+        target = None
         if rec.phase is OP_PREPARED:
             # The entry left the source before the crash; the VIP is on
             # neither switch unless someone re-landed it meanwhile.
             entry = VipEntry(vip=vip, app=p["entry_app"], rips=dict(p["entry_rips"]))
-            if src is not None and src.has_vip(vip):
+            if src_holds:
                 landed = src
             if landed is not None:
                 # Merge the journaled RIPs the re-landed entry may lack.
-                existing = landed.entry(vip)
-                for rip, weight in sorted(entry.rips.items()):
-                    if rip not in existing.rips and landed.rip_slots_free > 0:
-                        landed.add_rip(vip, rip, weight)
-                self._apply_move_bookkeeping(rec.app, vip, landed.name, entry.rips)
-                self._journal_settle(rec, OP_APPLIED, dst=landed.name)
-                if self.on_vip_moved is not None:
-                    self.on_vip_moved(vip, landed.name)
+                landed.merge_rips(vip, entry.rips)
+                self._land_move(rec, rec.app, vip, landed.name, entry.rips)
                 return
             # Honor the decision pinned at journal time; re-decide only if
             # the chosen target can no longer take the entry.
             target = self.switches.get(p.get("dst"))
-            if target is not None and (
-                target.name in self.failed
-                or target.vip_slots_free <= 0
-                or target.rip_slots_free < len(entry.rips)
-            ):
-                target = None
+            if target is None or not can_land(target, self.is_up, len(entry.rips)):
+                exclude = {src.name} if src is not None else ()
+                target = landing_target(
+                    self.switches, self.is_up, len(entry.rips), exclude
+                )
             if target is None:
-                exclude = {src.name} if src is not None else set()
-                target = self.pick_install_target(entry, exclude=exclude)
-            if target is None and src is not None:
                 target = src  # better half-alive than stranded
-            if target is None:
-                self.rejected += 1
-                self._journal_settle(rec, OP_ABORTED)
-                return
-            yield self.env.timeout(self.reconfig_s)
-            target.install_entry(entry)
-            self._apply_move_bookkeeping(rec.app, vip, target.name, entry.rips)
-            self._journal_settle(rec, OP_APPLIED, dst=target.name)
-            if self.on_vip_moved is not None:
-                self.on_vip_moved(vip, target.name)
+        elif landed is not None and not src_holds:
+            # INTENT, and the VIP was moved elsewhere meanwhile.
+            self._land_move(rec, rec.app, vip, landed.name, landed.entry(vip).rips)
             return
-        # INTENT: the destructive half never ran.  Already moved elsewhere?
-        if landed is not None and (src is None or not src.has_vip(vip)):
-            self._apply_move_bookkeeping(
-                rec.app, vip, landed.name, landed.entry(vip).rips
+        elif src_holds:
+            # INTENT: the destructive half never ran; redo the whole move.
+            entry = src.entry(vip)
+            target = landing_target(
+                self.switches, self.is_up, len(entry.rips), {src.name}
             )
-            self._journal_settle(rec, OP_APPLIED, dst=landed.name)
-            if self.on_vip_moved is not None:
-                self.on_vip_moved(vip, landed.name)
-            return
-        # Otherwise the source must still hold it; redo the whole move.
-        if src is None or not src.has_vip(vip):
-            self.rejected += 1
-            self._journal_settle(rec, OP_ABORTED)
-            return
-        entry = src.entry(vip)
-        target = self.pick_install_target(entry, exclude={src.name})
         if target is None:
-            self.rejected += 1
-            self._journal_settle(rec, OP_ABORTED)
+            self._reject(rec)
             return
         yield self.env.timeout(self.reconfig_s)
-        moved = src.remove_vip(vip)
-        target.install_entry(moved)
-        self._apply_move_bookkeeping(rec.app, vip, target.name, moved.rips)
-        self._journal_settle(rec, OP_APPLIED, dst=target.name)
-        if self.on_vip_moved is not None:
-            self.on_vip_moved(vip, target.name)
-
-    def pick_install_target(self, entry: VipEntry, exclude: set[str]):
-        """The least-utilized healthy switch outside *exclude* with a free
-        VIP slot and room for *entry*'s RIPs (ties by name), else None."""
-        candidates = [
-            s
-            for s in self.switches.values()
-            if s.name not in self.failed
-            and s.name not in exclude
-            and s.vip_slots_free > 0
-            and s.rip_slots_free >= len(entry.rips)
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (s.utilization, s.name))
+        if rec.phase is OP_INTENT:
+            entry = src.remove_vip(vip)  # the half the crash pre-empted
+        target.install_entry(entry)
+        self._land_move(rec, rec.app, vip, target.name, entry.rips)
 
     #: Explicit dispatch table — an unknown kind raises
     #: :class:`UnknownRequestKind` instead of an opaque ``AttributeError``

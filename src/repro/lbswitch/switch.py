@@ -1,7 +1,11 @@
-"""The LB switch: VIP/RIP tables with hard limits and traffic accounting."""
+"""The LB switch: VIP/RIP tables with hard limits and traffic accounting,
+and the control plane's landing rule: :func:`landing_target` picks where
+every chosen VIP entry lands (:func:`can_land` tests one switch), and
+:func:`keep_one_holder` resolves a VIP found on several switches."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -155,6 +159,17 @@ class LBSwitch:
         del entry.rips[rip]
         self._rip_entries -= 1
 
+    def merge_rips(self, vip: str, rips: Mapping[str, float]) -> list[str]:
+        """Add the RIPs of *rips* (``rip -> weight``) that *vip*'s entry
+        lacks, in name order, while RIP slots last; returns those added."""
+        entry = self._entry(vip)
+        added = []
+        for rip, weight in sorted(rips.items()):
+            if rip not in entry.rips and self.rip_slots_free > 0:
+                self.add_rip(vip, rip, weight)
+                added.append(rip)
+        return added
+
     def set_rip_weight(self, vip: str, rip: str, weight: float) -> None:
         """Knob K6: reprogram a load-balancing weight."""
         if weight < 0:
@@ -209,3 +224,36 @@ class LBSwitch:
 def holders_of(switches: dict[str, LBSwitch], vip: str) -> list[LBSwitch]:
     """The switches of a ``name -> switch`` map holding *vip*, by name."""
     return [sw for _, sw in sorted(switches.items()) if sw.has_vip(vip)]
+
+
+def keep_one_holder(holders: list[LBSwitch], vip: str, recorded: str) -> str:
+    """Remove *vip* from every switch of *holders* (by name, as
+    :func:`holders_of` lists them) but one: *recorded* if it holds the
+    VIP, else the first.  Returns the kept switch's name."""
+    names = [sw.name for sw in holders]
+    keep = recorded if recorded in names else names[0]
+    for sw in holders:
+        if sw.name != keep:
+            sw.remove_vip(vip)
+    return keep
+
+
+def can_land(sw: LBSwitch, is_up: Callable[[str], bool], n_rips: int) -> bool:
+    """True if *sw* is up (by the caller's *is_up* health test) and has a
+    free VIP slot and room for an entry of *n_rips* RIPs."""
+    return is_up(sw.name) and sw.vip_slots_free > 0 and sw.rip_slots_free >= n_rips
+
+
+def landing_target(
+    switches: dict[str, LBSwitch], is_up: Callable[[str], bool],
+    n_rips: int = 0, exclude: Collection[str] = (),
+) -> Optional[LBSwitch]:
+    """Where a VIP entry of *n_rips* RIPs lands: the least-utilized switch
+    of a ``name -> switch`` map outside *exclude* that :func:`can_land`
+    it, ties by name; None if no switch can.  ``(utilization, name)`` is
+    a total order, so the map's order cannot change the pick."""
+    fits = (
+        sw for sw in switches.values()
+        if sw.name not in exclude and can_land(sw, is_up, n_rips)
+    )
+    return min(fits, key=lambda sw: (sw.utilization, sw.name), default=None)

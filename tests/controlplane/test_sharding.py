@@ -16,6 +16,7 @@ DRIFT_DIMS = (
     "rip_missing",
     "rip_orphaned",
     "index_stale",
+    "weight_stale",
 )
 
 

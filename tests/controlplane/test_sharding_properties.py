@@ -32,6 +32,7 @@ DRIFT_DIMS = (
     "rip_missing",
     "rip_orphaned",
     "index_stale",
+    "weight_stale",
 )
 
 CHAOS_SEEDS = [

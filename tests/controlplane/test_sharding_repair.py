@@ -374,3 +374,35 @@ def test_local_repair_drops_an_index_row_for_a_vanished_vip():
     assert tables(switches) == SETTLED_TABLES
     assert books(plane) == [SHARD0, SHARD1]
     assert_clean(plane)
+
+
+def test_local_repair_restores_a_weight_only_the_checkpoint_still_records():
+    switches, plane, moves = seeded()
+    plane.submit(VipRipRequest("del_rip", A0, rip=R0[1]))
+    plane.env.run()
+    plane.submit(VipRipRequest("new_rip", A0, rip=R0[1], weight=3.0))
+    plane.env.run()
+    # The checkpoint truncates every settled record, the one at 3.0 too.
+    plane.shards[0].manager.take_checkpoint()
+    assert len(plane.shards[0].journal) == 0
+    weighted = (A0, {R0[0]: 1.0, R0[1]: 3.0})
+    assert drift(plane) == {}
+    switches["lb-0"].set_rip_weight(V0, R0[1], 1.0)
+    assert drift(plane) == {"weight_stale": 1}
+    switches["lb-0"].set_rip_weight(V0, R0[1], 3.0)
+    switches["lb-0"].remove_vip(V0)
+    plane.mark_failed("lb-0")
+    assert plane.gossip_round() == 1
+    assert tables(switches) == {**SETTLED_TABLES, "lb-0": {}, "lb-2": {V0: weighted}}
+    assert books(plane) == [
+        ({A0: {V0: "lb-2"}}, {R0[0]: (V0, "lb-2"), R0[1]: (V0, "lb-2")}),
+        SHARD1,
+    ]
+    assert moves == [(V0, "lb-2")]
+    assert_clean(plane)
+    # A RIP that then drops out of its table comes back at 3.0 as well.
+    switches["lb-2"].remove_rip(V0, R0[1])
+    assert drift(plane) == {"rip_missing": 1}
+    assert plane.gossip_round() == 1
+    assert tables(switches)["lb-2"] == {V0: weighted}
+    assert_clean(plane)

@@ -147,3 +147,34 @@ def test_config_validation():
         PC(donor_threshold=0.9, overload_threshold=0.8)
     with pytest.raises(ValueError):
         PC(epoch_s=0)
+
+
+def test_instant_rehome_skips_a_target_whose_rip_room_filled_meanwhile():
+    dc = MegaDataCenter(
+        small_apps(2, n_vips=1), n_pods=2, servers_per_pod=4, n_switches=3,
+    )
+    dc.run(60.0)
+    vip = sorted(dc.state.vips)[0]
+    src = dc.switches[dc.state.vips[vip].switch]
+    n_rips = len(src.entry(vip).rips)
+    assert n_rips > 0
+    others = sorted(n for n in dc.switches if n != src.name)
+    first = min(others, key=lambda n: (dc.switches[n].utilization, n))
+    out = []
+
+    def rehome():
+        out.append((yield from dc._rehome_vip(vip, src.name)))
+
+    dc.env.process(rehome())
+    dc.env.run(until=dc.env.now + 1.0)  # reconfiguring *first*
+    # Fill *first*'s RIP table so the entry no longer fits there.
+    target = dc.switches[first]
+    target.add_vip("203.9.9.9", "filler")
+    while target.rip_slots_free >= n_rips:
+        target.add_rip("203.9.9.9", f"filler/{target.num_rips}", 1.0)
+    dc.env.run(until=dc.env.now + 60.0)
+    (second,) = set(others) - {first}
+    assert out == [True]
+    assert dc.state.vips[vip].switch == second
+    assert dc.switches[second].has_vip(vip) and not src.has_vip(vip)
+    dc.close()

@@ -177,3 +177,19 @@ def test_unknown_kind_raises_typed_error_not_attribute_error():
     ok = mgr.submit(VipRipRequest("new_vip", "app"))
     env.run(until=ok)
     assert ok.value is not None
+
+
+def test_move_aborts_when_the_vip_is_deleted_during_its_reconfiguration():
+    env, switches, mgr = build(reconfig_s=3.0)
+    done = mgr.submit(VipRipRequest("new_vip", "app"))
+    env.run(until=done)
+    vip, src = done.value
+    moved = mgr.submit(VipRipRequest("move_vip", "app", vip=vip))
+    env.run(until=env.now + 1.0)  # reconfiguring the target
+    mgr.switches[src].remove_vip(vip)
+    env.run(until=moved)
+    # The source is checked for the entry before its RIP count is read,
+    # so the move is rejected and its requester sees None, not an error.
+    assert moved.ok and moved.value is None
+    assert (mgr.rejected, mgr.errored, mgr.retries) == (1, 0, 0)
+    assert not any(sw.has_vip(vip) for sw in switches)

@@ -241,7 +241,7 @@ def test_e16_defaults_pin_every_phase():
     ]
     clean = dict.fromkeys(
         ("vip_missing", "vip_misplaced", "vip_duplicate", "rip_missing",
-         "rip_orphaned", "index_stale"),
+         "rip_orphaned", "index_stale", "weight_stale"),
         0,
     )
     assert [c.final_drift for c in result.chaos] == [clean] * 3

@@ -14,6 +14,7 @@ from repro.lbswitch import (
     SmoothWeightedRR,
     SwitchLimits,
 )
+from repro.lbswitch.switch import can_land, keep_one_holder, landing_target
 from repro.sim import Environment
 
 
@@ -133,6 +134,90 @@ def test_switch_install_entry_respects_limits():
 
     with pytest.raises(RuntimeError, match="RIP table would overflow"):
         sw.install_entry(VipEntry("v", "a", {"r1": 1.0, "r2": 1.0}))
+
+
+def fleet(specs):
+    """Switches ``lb-<i>`` from ``(vips used, rips used, gbps)`` specs,
+    each with room for 3 VIPs and 5 RIPs."""
+    switches = {}
+    for i, (vips, rips, gbps) in enumerate(specs):
+        sw = LBSwitch(f"lb-{i}", None, SwitchLimits(max_vips=3, max_rips=5))
+        for k in range(vips):
+            sw.add_vip(f"v{i}.{k}", "a")
+        for k in range(rips):
+            sw.add_rip(f"v{i}.0", f"r{i}.{k}")
+        if vips:
+            sw.set_vip_traffic(f"v{i}.0", gbps)
+        switches[sw.name] = sw
+    return switches
+
+
+def up(name):
+    return True
+
+
+def test_landing_target_is_the_least_utilized_switch_with_room():
+    switches = fleet([(1, 0, 2.0), (1, 4, 0.5), (1, 0, 1.0), (3, 0, 0.0)])
+    # lb-3 has no VIP slot; lb-1 is coolest but holds only one more RIP.
+    assert landing_target(switches, up).name == "lb-1"
+    assert landing_target(switches, up, n_rips=1).name == "lb-1"
+    assert landing_target(switches, up, n_rips=2).name == "lb-2"
+    assert landing_target(switches, up, 2, exclude={"lb-2"}).name == "lb-0"
+    assert landing_target(switches, lambda n: n == "lb-0", 2).name == "lb-0"
+    assert landing_target(switches, up, n_rips=6) is None
+    assert not can_land(switches["lb-3"], up, 0)
+    assert can_land(switches["lb-1"], up, 1)
+    assert not can_land(switches["lb-1"], lambda n: False, 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 5), st.sampled_from([0.0, 0.5, 1.0])
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    n_rips=st.integers(0, 5),
+    order=st.randoms(use_true_random=False),
+)
+def test_landing_target_ignores_the_map_order(specs, n_rips, order):
+    specs = [(v, r if v else 0, g) for v, r, g in specs]
+    switches = fleet(specs)
+    names = list(switches)
+    order.shuffle(names)
+    shuffled = {name: switches[name] for name in names}
+    fits = [
+        sw for _, sw in sorted(switches.items())
+        if sw.vip_slots_free > 0 and sw.rip_slots_free >= n_rips
+    ]
+    expected = min(fits, key=lambda sw: (sw.utilization, sw.name), default=None)
+    assert landing_target(shuffled, up, n_rips) is expected
+
+
+def test_keep_one_holder_prefers_the_recorded_switch():
+    switches = fleet([(0, 0, 0.0)] * 3)
+    for sw in switches.values():
+        sw.add_vip("v", "a")
+    holders = list(switches.values())
+    assert keep_one_holder(holders, "v", "lb-1") == "lb-1"
+    assert [sw.name for sw in holders if sw.has_vip("v")] == ["lb-1"]
+    for name in ("lb-0", "lb-2"):
+        switches[name].add_vip("v", "a")
+    holders = [switches["lb-0"], switches["lb-2"]]
+    assert keep_one_holder(holders, "v", "lb-1") == "lb-0"
+    assert not switches["lb-2"].has_vip("v")
+
+
+def test_merge_rips_adds_what_the_entry_lacks_while_slots_last():
+    sw = LBSwitch("lb", None, SwitchLimits(max_vips=1, max_rips=3))
+    sw.add_vip("v", "a")
+    sw.add_rip("v", "r1", 5.0)
+    assert sw.merge_rips("v", {"r3": 3.0, "r1": 1.0, "r2": 2.0, "r0": 0.5}) == [
+        "r0", "r2",
+    ]
+    assert sw.entry("v").rips == {"r1": 5.0, "r0": 0.5, "r2": 2.0}
 
 
 def test_switch_weights_and_traffic_split():
