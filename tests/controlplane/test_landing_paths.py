@@ -394,23 +394,32 @@ def test_adoption_skips_an_entry_the_new_owner_has_no_room_for():
     assert (plane.conflicts, plane.vips_in_conflict(), moves) == (0, set(), [])
 
 
-def test_local_repair_leaves_a_stranded_vip_with_no_room_unplaced():
+def test_local_repair_keeps_the_rips_of_a_stranded_vip_with_no_room():
     switches, plane, moves = seeded_plane()
     switches["lb-0"].remove_vip(V0)
     plane.mark_failed("lb-0")
     plane.mark_failed("lb-2")
     # No switch of shard 0 can take the entry; the RIP index rows of the
-    # VIP that is now on no switch are dropped.
-    assert plane.gossip_round() == 2
+    # VIP are kept, since the owner's registry still names it.
+    assert plane.gossip_round() == 0
     assert tables(switches) == {**PLANE_TABLES, "lb-0": {}}
-    assert books(plane) == [({A0: {V0: "lb-0"}}, {}), SHARD1]
+    assert books(plane) == [SHARD0, SHARD1]
+    assert {k: n for k, n in plane.drift_report().as_dict().items() if n} == {
+        "vip_missing": 1, "rip_missing": 2,
+    }
     assert moves == []
-    # With room back, the VIP is recreated, without the RIPs it lost.
+    # With room back, the VIP is recreated with the RIPs it lost.
     plane.mark_recovered("lb-2")
     assert plane.gossip_round() == 1
-    assert tables(switches) == {**PLANE_TABLES, "lb-0": {}, "lb-2": {V0: (A0, {})}}
-    assert books(plane) == [({A0: {V0: "lb-2"}}, {}), SHARD1]
+    assert tables(switches) == {
+        **PLANE_TABLES, "lb-0": {}, "lb-2": PLANE_TABLES["lb-0"],
+    }
+    assert books(plane) == [
+        ({A0: {V0: "lb-2"}}, {S0[0]: (V0, "lb-2"), S0[1]: (V0, "lb-2")}),
+        SHARD1,
+    ]
     assert moves == [(V0, "lb-2")]
+    assert plane.drift_report().clean
 
 
 def test_local_repair_removes_an_orphan_table_rip():
