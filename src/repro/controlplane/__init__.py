@@ -11,15 +11,16 @@ package gives it the survival kit real mega-datacenter controllers carry:
 * an :class:`AntiEntropyReconciler` that periodically diffs intended
   state (registries, DNS records, VM inventories) against actual state
   (switch tables, resolver answers) and repairs drift through the
-  existing knob paths;
+  existing knob paths, its table checks being the one drift scan and
+  repair rule per drift kind of :mod:`repro.controlplane.drift`;
 * a :class:`RetryPolicy` for transient failures — bounded exponential
   backoff whose jitter is a pure hash of the retry key, so reruns stay
   byte-identical;
 * a :class:`ShardedControlPlane` that partitions VIP/RIP ownership
   across N manager shards (deterministic :class:`ShardOwnershipMap`,
   epoch-fenced handoffs) and keeps them eventually consistent through
-  gossip anti-entropy, tolerating per-shard crashes and shard<->shard
-  partitions.
+  gossip anti-entropy (the same scan and repair rules), tolerating
+  per-shard crashes and shard<->shard partitions.
 """
 
 from repro.controlplane.bridge import RipJournalBridge

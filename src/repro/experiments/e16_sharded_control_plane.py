@@ -14,9 +14,9 @@ architectural bottleneck.  This experiment shards it
   handoffs under unreachable owners create conflicting epoch-fenced
   claims; the run counts them and the rollbacks that resolve them.
 * **Convergence** — after the chaos quiesces (partitions healed, shards
-  recovered), how many anti-entropy gossip rounds until the six-way
+  recovered), how many anti-entropy gossip rounds until the seven-way
   drift report (vip_missing / vip_misplaced / vip_duplicate /
-  rip_missing / rip_orphaned / index_stale) is clean.
+  rip_missing / rip_orphaned / index_stale / weight_stale) is clean.
 
 A final integrated case runs a 4-shard :class:`MegaDataCenter` under a
 fault schedule mixing ``manager_crash`` of individual shards with
@@ -115,7 +115,7 @@ class ChaosCase:
     completed: int
     submitted: int
     lost: int
-    #: Gossip rounds to a clean six-way drift report after quiescence.
+    #: Gossip rounds to a clean seven-way drift report after quiescence.
     convergence_rounds: Optional[int]
     final_drift: dict = field(default_factory=dict)
 

@@ -3,8 +3,9 @@
 The anchor property: for *any* schedule of shard crashes, shard<->shard
 partitions, and concurrent request load, once the chaos quiesces (every
 shard recovered, every partition healed) a bounded number of gossip
-rounds drives all six drift dimensions — vip_missing, vip_misplaced,
-vip_duplicate, rip_missing, rip_orphaned, index_stale — to zero.
+rounds drives all seven drift dimensions — vip_missing, vip_misplaced,
+vip_duplicate, rip_missing, rip_orphaned, index_stale, weight_stale — to
+zero.
 
 Two generators exercise it:
 
@@ -100,7 +101,7 @@ def apply_step(env, plane, step, rip_counter):
 
 
 def quiesce_and_check(env, plane):
-    """Heal everything, then demand bounded convergence on all six dims."""
+    """Heal everything, then demand bounded convergence on all seven dims."""
     recover_all(env, plane)
     plane.heal_all()
     drain(env)
