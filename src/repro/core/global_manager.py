@@ -63,6 +63,7 @@ class GlobalManager:
         exposure_policy: Optional[ExposurePolicy] = None,
         wire_rip=None,
         unwire_rip=None,
+        record_weights=None,
         proactive_exposure: bool = False,
         trace=None,
     ):
@@ -79,7 +80,8 @@ class GlobalManager:
         #: epoch (business-cost steering, Section IV-A), not only when a
         #: link overloads.
         self.proactive_exposure = proactive_exposure
-        # Callbacks into the facade for RIP wiring after K4 actions.
+        # Callbacks into the facade for RIP wiring after K4 actions, and
+        # for recording K6's weights with the control plane.
         self._wire_rip = wire_rip
         self._unwire_rip = unwire_rip
 
@@ -106,7 +108,8 @@ class GlobalManager:
             env, log=self.log, adjust_latency_s=config.slice_adjust_s
         )
         self.rip_weights = RipWeightAdjustment(
-            env, log=self.log, reconfig_s=config.switch_reconfig_s
+            env, log=self.log, reconfig_s=config.switch_reconfig_s,
+            record=record_weights,
         )
 
         self._overload_streak: dict[str, int] = {}

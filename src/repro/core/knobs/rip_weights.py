@@ -34,10 +34,20 @@ class RipWeightAdjustment:
         env: "Environment",
         log: Optional[ActionLog] = None,
         reconfig_s: float = 3.0,
+        record: Optional[Callable[[str, str, Mapping[str, float]], None]] = None,
     ):
         self.env = env
         self.log = log if log is not None else ActionLog()
         self.reconfig_s = reconfig_s
+        #: ``(app, vip, weights)``: the control plane records weights it
+        #: repairs tables back to (see ``ShardedControlPlane.record_weights``).
+        self.record = record
+
+    def _apply(self, switch: LBSwitch, vip: str, weights: Mapping[str, float]) -> None:
+        for rip, w in weights.items():
+            switch.set_rip_weight(vip, rip, w)
+        if self.record is not None:
+            self.record(switch.entry(vip).app, vip, weights)
 
     def set_weights(self, switch: LBSwitch, vip: str, weights: Mapping[str, float]):
         """Simulation process: inter-pod reweighting of a VIP's RIPs.
@@ -50,8 +60,7 @@ class RipWeightAdjustment:
         if unknown:
             raise KeyError(f"{vip}: unknown RIPs {sorted(unknown)}")
         yield self.env.timeout(self.reconfig_s)
-        for rip, w in weights.items():
-            switch.set_rip_weight(vip, rip, w)
+        self._apply(switch, vip, weights)
         self.log.record(
             self.env.now,
             "K6",
@@ -90,8 +99,7 @@ class RipWeightAdjustment:
                 f"({old_total:.6f} -> {new_total:.6f}); other pods would be affected"
             )
         yield self.env.timeout(self.reconfig_s)
-        for rip, w in new_weights.items():
-            switch.set_rip_weight(vip, rip, w)
+        self._apply(switch, vip, new_weights)
         self.log.record(
             self.env.now,
             "K6",

@@ -292,6 +292,29 @@ def test_datacenter_boots_sharded_and_stays_consistent():
     assert dc.viprip.drift_report().clean
 
 
+def test_datacenter_gossip_keeps_a_k6_weight_set_after_a_handoff():
+    """The first checkpoint (at 120 s) records every indexed RIP's weight
+    and a handoff journals the moved RIPs' weights on the new owner; K6
+    records the weights it sets there, so gossip does not undo them."""
+    dc = build_dc()
+    dc.run(200.0)
+    plane = dc.viprip
+    vip, app = next(
+        (vip, sw.entry(vip).app)
+        for _, sw in sorted(dc.switches.items()) for vip in sorted(sw.vips())
+        if len(sw.entry(vip).rips) >= 2
+    )
+    plane._handoff(app, 1 - plane.ownership.owner_of(app), "test")
+    sw = next(sw for sw in dc.switches.values() if sw.has_vip(vip))
+    a, b = sorted(sw.entry(vip).rips)[:2]
+    dc.env.process(dc.global_manager.rip_weights.set_weights(sw, vip, {a: 0.25, b: 0.75}))
+    dc.env.run(until=dc.env.now + dc.config.switch_reconfig_s + 1.0)
+    assert plane.drift_report().clean
+    assert plane.gossip_round() == 0
+    assert {r: sw.entry(vip).rips[r] for r in (a, b)} == {a: 0.25, b: 0.75}
+    dc.close()
+
+
 def test_datacenter_shard_fault_kinds_route_to_the_plane():
     from repro.faults import FaultInjector, FaultSchedule, RecoveryMonitor
 
