@@ -688,10 +688,12 @@ class ShardedControlPlane:
     def _place_entry(
         self, shard: ControlPlaneShard, app: str, entry: VipEntry
     ) -> Optional[str]:
-        """Install *entry* on the best switch of *shard*, journal it, and
-        book it on the shard.  Returns the switch name."""
+        """Install *entry* on the best switch of *shard* that does not hold
+        a copy of its VIP already, journal it, and book it on the shard.
+        Returns the switch name."""
         mgr = shard.manager
-        target = landing_target(mgr.switches, mgr.is_up, len(entry.rips))
+        copies = [sw.name for sw in holders_of(mgr.switches, entry.vip)]
+        target = landing_target(mgr.switches, mgr.is_up, len(entry.rips), copies)
         if target is None:
             return None
         target.install_entry(entry)
@@ -749,14 +751,31 @@ class ShardedControlPlane:
         holder: LBSwitch,
         vip: str,
     ) -> int:
-        """Move *vip*'s entry from *holder* (a switch of *src*) onto *dst*;
-        returns 1, or 0 when *dst* has no room and the entry stays put."""
+        """Move *vip*'s entry from *holder* (a switch of *src*) onto *dst*
+        with every RIP row *src* indexes under *vip*; returns 1, or 0 when
+        *dst* has no room and the entry stays put.  A row the entry lacks
+        is booked and journaled on *dst* at its recorded weight, so *dst*'s
+        repair re-adds the RIP."""
         entry = holder.remove_vip(vip)
         landed = self._place_entry(dst, app, entry)
         if landed is None:
             holder.install_entry(entry)  # no capacity; retry next round
             return 0
-        self._drop_entry_bookkeeping(src, app, vip, holder.name, list(entry.rips))
+        missing = sorted(
+            rip for rip, (v, _) in src.manager.rip_index.items()
+            if v == vip and rip not in entry.rips
+        )
+        if missing:
+            weights = _recorded_weights(src)
+            for rip in missing:
+                self._journal_applied(
+                    dst, "new_rip", app, vip=vip, rip=rip,
+                    weight=weights.get((vip, rip), 1.0), switch=landed,
+                )
+            dst.book_entry(app, vip, landed, missing)
+        self._drop_entry_bookkeeping(
+            src, app, vip, holder.name, [*entry.rips, *missing]
+        )
         self.on_vip_moved(vip, landed)
         return 1
 

@@ -9,10 +9,14 @@ app in a :func:`~repro.dns.policy.pick_table` that a cache miss reads
 its answer from (:func:`~repro.dns.policy.table_pick`); a K1
 :meth:`~VectorizedDnsTable.set_weights` rewrites one app's slice and
 row.  Every resolver's TTL cache becomes one row of a
-``(n_resolvers, n_apps)`` cache instead of a per-resolver dict; each
-cell keeps its expiry and answer side by side in one record, and a batch
-addresses the cells through flat ids ``resolver * n_apps + app``, so a
-lookup costs one gather whatever the number of apps in the batch.
+``(n_resolvers, n_apps)`` cache instead of a per-resolver dict.  A cell
+is one 8-byte record ``(gen int32, vip int32)``: ``vip`` is the cached
+answer's slot and ``gen`` numbers the write time in a small per-table
+array of write times (generation 0 is "never", at ``-inf``), so a cell's
+expiry is ``write_time[gen] + ttl_eff[resolver]`` — the very float sum a
+write would have stored.  A batch addresses the cells through flat ids
+``resolver * n_apps + app`` and reads each request's record in one
+gather, whatever the number of apps in the batch.
 
 Sequential-equivalence contract (what the differential harness proves):
 resolving a batch of requests must behave exactly as if each request were
@@ -35,6 +39,20 @@ import numpy as np
 
 from repro.dns.policy import pick_bins, pick_table, table_pick, weighted_cdf
 
+#: One cache cell: the write generation and the cached VIP slot.
+_CELL = np.dtype([("gen", np.int32), ("vip", np.int32)])
+_GEN_CAPACITY = 64
+_MAX_GEN = np.iinfo(np.int32).max
+
+
+def _pack(gen, vip) -> np.ndarray:
+    """Cell records ``(gen, vip)`` (broadcast) as the ``int64`` words the
+    cache is read and written in."""
+    rec = np.empty(np.broadcast(gen, vip).shape, dtype=_CELL)
+    rec["gen"] = gen
+    rec["vip"] = vip
+    return rec.view(np.int64)
+
 
 class VectorizedDnsTable:
     """Columnar authority + resolver-population cache for a fixed app set.
@@ -44,6 +62,11 @@ class VectorizedDnsTable:
     :meth:`set_weights` — the K1 re-steer path).  VIPs are name-sorted
     within each app's segment, matching ``AuthoritativeDNS``'s record
     order, and get global *slots* ``vip_indptr[a] + offset``.
+
+    The resolvers' cache is one 8-byte ``(gen, vip)`` record per flat
+    cell, read and written as whole ``int64`` words; ``vip`` is -1 before
+    the cell's first answer, and the cell expires at
+    ``_gen_t[gen] + ttl_eff[resolver]``.
     """
 
     def __init__(
@@ -94,27 +117,32 @@ class VectorizedDnsTable:
         if violators.shape != (self.n_resolvers,):
             raise ValueError("violators mask must align with resolvers")
         self.ttl_eff = self.ttl_s * np.where(violators, violation_factor, 1.0)
-        # One record per flat cell ``resolver * n_apps + app``, so a
-        # lookup finds its expiry and its answer in one cache line.
-        self._cells = np.empty(
-            self.n_resolvers * self.n_apps,
-            dtype=[("expires", np.float64), ("vip", np.int64)],
-        )
-        self._cells["expires"] = -np.inf
-        self._cells["vip"] = -1
+        self._cells = np.empty(self.n_resolvers * self.n_apps, dtype=_CELL)
+        #: The cells as one ``int64`` word each: a gather or a scatter
+        #: moves a whole record at once.
+        self._words = self._cells.view(np.int64)
+        self._words.fill(_pack(0, -1))  # generation 0: never written
+        #: ``_gen_t[g]`` is generation ``g``'s write time; the first
+        #: ``_n_gens`` are in use.
+        self._gen_t = np.full(_GEN_CAPACITY, -np.inf)
+        self._n_gens = 1
         self.cache_hits = 0
         self.cache_misses = 0
 
-    @property
-    def cached(self) -> np.ndarray:
-        """``(n_resolvers, n_apps)`` view of each cell's cached VIP slot
-        (-1 before its first answer)."""
-        return self._cells["vip"].reshape(self.n_resolvers, self.n_apps)
-
-    @property
-    def expires(self) -> np.ndarray:
-        """``(n_resolvers, n_apps)`` view of each cell's expiry time."""
-        return self._cells["expires"].reshape(self.n_resolvers, self.n_apps)
+    def _generation(self, now: float) -> int:
+        """The generation that records a write at *now*: the latest one if
+        it was written at *now* too, else a new one."""
+        g = self._n_gens - 1
+        if g > 0 and self._gen_t[g] == now:
+            return g
+        g += 1
+        if g > _MAX_GEN:
+            raise OverflowError("more DNS cache write times than int32 holds")
+        if g == self._gen_t.size:
+            self._gen_t = np.concatenate([self._gen_t, np.empty_like(self._gen_t)])
+        self._gen_t[g] = now
+        self._n_gens = g + 1
+        return g
 
     # -- configuration (K1 surface) -----------------------------------
     def _rebuild_segment(self, slot: int, zone: Mapping[str, float]) -> None:
@@ -157,43 +185,48 @@ class VectorizedDnsTable:
         u_dns: np.ndarray,
         now: float,
     ) -> np.ndarray:
-        """Resolve one request batch; returns each request's VIP slot.
+        """Resolve one request batch; returns each request's VIP slot
+        (``int32``).
 
         Mutates the cache exactly as the equivalent sequence of scalar
         ``Resolver.lookup`` calls would (see the module docstring for the
         within-batch duplicate semantics).
         """
-        cell = resolver * np.int64(self.n_apps) + app
-        expires = self._cells["expires"]
-        cached = self._cells["vip"]
+        n = resolver.shape[0]
+        rec = self._words.take(resolver * np.int64(self.n_apps) + app).view(_CELL)
         # Every request reads its cell's answer; the misses' are
         # overwritten below.
-        out = cached[cell]
-        miss = np.flatnonzero(~(now < expires[cell]))
-        hits = resolver.shape[0] - miss.size
+        out = rec["vip"]
+        # Each cell's expiry, summed as a write at its time would sum it.
+        miss = np.flatnonzero(
+            ~(now < self._gen_t[rec["gen"]] + self.ttl_eff.take(resolver))
+        )
+        hits = n - miss.size
         if miss.size == 0:
             self.cache_hits += hits
             return out
+        miss_cell = resolver[miss] * np.int64(self.n_apps)
+        miss_cell += app[miss]
         if self.ttl_s > 0:
             # Only the first occurrence of each (resolver, app) cell
             # queries; the rest hit the entry it caches.  Every missed
-            # cell is rewritten below, so its stale ``cached`` slot can
-            # first hold the lowest batch position that missed it.
-            miss_cell = cell[miss]
-            cached[miss_cell] = resolver.shape[0]
-            np.minimum.at(cached, miss_cell, miss)
-            first = cached[miss_cell]
-            draw = miss[first == miss]
+            # cell is rewritten below, so its stale record can first hold,
+            # as its ``vip``, the lowest batch position that missed it.
+            self._words[miss_cell] = _pack(0, n)
+            vip = self._cells["vip"]
+            np.minimum.at(vip, miss_cell, miss.astype(np.int32))
+            first = vip[miss_cell]
+            is_first = first == miss
+            draw, cells_d = miss[is_first], miss_cell[is_first]
         else:
-            draw = miss
+            draw, cells_d = miss, miss_cell
+        del miss_cell  # 8 bytes a miss, of no use past the scan
         apps_d = app[draw]
         chosen = self.vip_indptr[apps_d] + table_pick(
             self.pick, self.cdf, self.vip_indptr, apps_d, u_dns[draw]
         )
         out[draw] = chosen
-        cells_d = cell[draw]
-        cached[cells_d] = chosen
-        expires[cells_d] = now + self.ttl_eff[resolver[draw]]
+        self._words[cells_d] = _pack(self._generation(now), chosen)
         if draw.size < miss.size:
             # Later duplicates read the entry their first occurrence
             # just cached — sequentially those are cache *hits*.

@@ -122,15 +122,23 @@ class ColumnarDataPlane:
         whose RIPs are momentarily all down must stay answerable — the
         paper's DNS layer does not track RIP liveness, K1 does."""
         reg = self.registry
-        zones: dict[str, dict[str, float]] = {a: {} for a in self.apps}
         n = reg.n_rips
-        for rid in range(n):
-            aid = int(reg.rip_app[rid])
-            if aid < 0:
-                continue
-            app = reg.apps.name(aid)
-            if app in zones:
-                zones[app][reg.vips.name(int(reg.rip_vip[rid]))] = 1.0
+        # Each registry app's wired slot, -1 for an app not wired here;
+        # the extra last entry answers a row with no app (-1).
+        slot_of = np.full(len(reg.apps) + 1, -1, dtype=np.int64)
+        for i, app in enumerate(self.apps):
+            if app in reg.apps:
+                slot_of[reg.apps.get(app)] = i
+        slot = slot_of[reg.rip_app[:n]]
+        rows = np.flatnonzero(slot >= 0)
+        slot, vid = slot[rows], reg.rip_vip[rows]
+        # One (app, VIP) pair per VIP, in the order of its first row.
+        _, first = np.unique(slot * len(reg.vips) + vid, return_index=True)
+        first.sort()
+        zones: dict[str, dict[str, float]] = {a: {} for a in self.apps}
+        names = reg.vips.names
+        for i, v in zip(slot[first].tolist(), vid[first].tolist()):
+            zones[self.apps[i]][names[v]] = 1.0
         missing = [a for a, z in zones.items() if not z]
         if missing:
             raise ValueError(f"apps with no wired VIPs: {missing}")

@@ -196,6 +196,64 @@ def test_migrate_moves_entries_only_the_tables_know():
 
 
 # -- _rollback_app -------------------------------------------------------------
+def test_migrate_lands_beside_a_copy_the_new_owner_already_holds():
+    switches, plane, moves = seeded()
+    switches["lb-1"].install_entry(VipEntry(V0, A0, {R0[0]: 1.0}))
+    assert drift(plane) == {"vip_duplicate": 1}
+    plane._handoff(A0, 1, reason="test")
+    full = SETTLED_TABLES["lb-0"]
+    assert tables(switches) == {
+        **SETTLED_TABLES,
+        "lb-0": {},
+        "lb-1": {**SETTLED_TABLES["lb-1"], V0: (A0, {R0[0]: 1.0})},
+        "lb-3": full,
+    }
+    assert books(plane) == [
+        ({}, {}),
+        (
+            {A1: {V1: "lb-1"}, A0: {V0: "lb-3"}},
+            {**SHARD1[1], R0[0]: (V0, "lb-3"), R0[1]: (V0, "lb-3")},
+        ),
+    ]
+    # The new owner's repair keeps the recorded full copy.
+    assert plane.converge() == 1
+    assert tables(switches) == {**SETTLED_TABLES, "lb-0": {}, "lb-3": full}
+    assert moves == [(V0, "lb-3")]
+    assert_clean(plane)
+
+
+def test_migrate_carries_a_missing_rips_row_to_the_new_owner():
+    switches, plane, moves = seeded()
+    plane.submit(VipRipRequest("del_rip", A0, rip=R0[1]))
+    plane.env.run()
+    plane.submit(VipRipRequest("new_rip", A0, rip=R0[1], weight=3.0))
+    plane.env.run()
+    switches["lb-0"].remove_rip(V0, R0[1])
+    assert drift(plane) == {"rip_missing": 1}
+    plane._handoff(A0, 1, reason="test")
+    assert last_record(plane.shards[0]) == (
+        "del_vip", A0, {"vip": V0, "switch": "lb-0", "rips": list(R0)}
+    )
+    assert books(plane) == [
+        ({}, {}),
+        (
+            {A1: {V1: "lb-1"}, A0: {V0: "lb-1"}},
+            {**SHARD1[1], R0[0]: (V0, "lb-1"), R0[1]: (V0, "lb-1")},
+        ),
+    ]
+    assert drift(plane) == {"rip_missing": 1}
+    # The new owner re-adds it at the weight the old owner recorded.
+    assert plane.converge() == 1
+    assert tables(switches) == {
+        **SETTLED_TABLES,
+        "lb-0": {},
+        "lb-1": {
+            **SETTLED_TABLES["lb-1"], V0: (A0, {R0[0]: 1.0, R0[1]: 3.0})
+        },
+    }
+    assert_clean(plane)
+
+
 def test_rollback_merges_rips_only_the_losing_copy_knew():
     switches, plane, moves = seeded()
     plane.partition(0, 1)

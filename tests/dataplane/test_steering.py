@@ -5,15 +5,18 @@ import re
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarRipRegistry
 from repro.core.mega import (
     MegaConfig,
     MegaControlPlaneConfig,
     MegaScaleDriver,
     MegaSteeringConfig,
 )
+from repro.dataplane.steering import ColumnarDataPlane
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.obs.audit import InvariantAuditor
 from repro.obs.trace import TraceBus
+from repro.workload.requests import RequestStream
 
 CP = MegaControlPlaneConfig(wired_apps=16, vips_per_app=2)
 
@@ -181,6 +184,48 @@ def test_unserved_vips_are_counted_then_served_again():
         assert rep.unserved == 0
         assert None not in rep.outcomes["rip"]
         assert rep.opened + rep.rejected == rep.requests
+
+
+def zones_by_row(reg, apps):
+    """App -> VIP set, one mirror row at a time."""
+    zones = {a: {} for a in apps}
+    for rid in range(reg.n_rips):
+        aid = int(reg.rip_app[rid])
+        if aid < 0:
+            continue
+        app = reg.apps.name(aid)
+        if app in zones:
+            zones[app][reg.vips.name(int(reg.rip_vip[rid]))] = 1.0
+    return zones
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zones_match_the_per_row_loop(seed):
+    """Inactive rows, a re-wired RIP, and registry apps the plane does not
+    wire: the zones are the per-row loop's, in the same order."""
+    rng = np.random.default_rng(seed)
+    reg = ColumnarRipRegistry()
+    for k in range(60):
+        a = int(rng.integers(0, 8))
+        vip = f"vip-{a}-{int(rng.integers(0, 3))}"
+        reg.wire(f"rip-{k % 45}", f"app-{a}", vip, f"sw-{k % 3}", None)
+        if rng.random() < 0.3:
+            reg.unwire(f"rip-{int(rng.integers(0, k + 1)) % 45}")
+    wired = sorted(
+        {reg.apps.name(int(a)) for a in reg.rip_app[: reg.n_rips]}
+    )[::2]
+    stream = RequestStream(4, np.ones(len(wired)), 16, seed=seed)
+    plane = ColumnarDataPlane(reg, wired, stream, ttl_s=60.0)
+    got = plane._zones_from_registry()
+    want = zones_by_row(reg, wired)
+    assert [(a, list(z.items())) for a, z in got.items()] == [
+        (a, list(z.items())) for a, z in want.items()
+    ]
+    with pytest.raises(ValueError, match="no wired VIPs"):
+        ColumnarDataPlane(
+            reg, [*wired, "app-none"],
+            RequestStream(4, np.ones(len(wired) + 1), 16), ttl_s=60.0,
+        )
 
 
 def test_knob_schedule_and_trace_events():
